@@ -86,7 +86,12 @@ ThreadPool::parallelFor(std::size_t begin, std::size_t end,
     std::size_t num_chunks = (n + chunk - 1) / chunk;
     Batch b;
     {
-        std::lock_guard<std::mutex> lk(mtx_);
+        // A worker that woke late for the previous batch may still be
+        // registered on it. Publishing now would reset the cursor under
+        // it and hand it this batch's indices to run with the previous
+        // batch's dead callback, so wait until it has left.
+        std::unique_lock<std::mutex> lk(mtx_);
+        cvDone_.wait(lk, [this] { return activeDrainers_ == 0; });
         batch_ = {end, chunk, &fn};
         cursor_.store(begin, std::memory_order_relaxed);
         ++generation_;

@@ -13,6 +13,35 @@
 namespace tensorfhe::exec
 {
 
+namespace
+{
+
+rns::RnsPolynomial *
+polyOf(Workspace::Pooled &p)
+{
+    return p.get();
+}
+
+rns::RnsPolynomial *
+polyOf(rns::RnsPolynomial &p)
+{
+    return &p;
+}
+
+/** The rows' polynomials (leases or plain), row after row. */
+template <typename T>
+std::vector<rns::RnsPolynomial *>
+ptrsOf(std::initializer_list<std::vector<T> *> rows)
+{
+    std::vector<rns::RnsPolynomial *> out;
+    for (auto *row : rows)
+        for (auto &p : *row)
+            out.push_back(polyOf(p));
+    return out;
+}
+
+} // namespace
+
 HoistedView
 HoistedView::of(const HoistedBatch &h)
 {
@@ -169,23 +198,9 @@ Dispatcher::rescaleInPlace(ckks::Ciphertext *as, std::size_t batch) const
         comps.push_back(&as[s].c1);
     }
     rns::toCoeffBatch(comps, v, kctx_.pool);
-
-    std::vector<const rns::RnsPolynomial *> inputs(comps.begin(),
-                                                   comps.end());
-    auto dropped = rns::rescaleByLastLimbBatch(inputs, kctx_.pool);
-    for (std::size_t s = 0; s < batch; ++s) {
-        // The replaced components' storage feeds the arena so later
-        // scratch checkouts of this shape stay allocator-free.
-        ws_->donate(std::move(as[s].c0));
-        ws_->donate(std::move(as[s].c1));
-        as[s].c0 = std::move(dropped[2 * s]);
-        as[s].c1 = std::move(dropped[2 * s + 1]);
-    }
-    comps.clear();
-    for (std::size_t s = 0; s < batch; ++s) {
-        comps.push_back(&as[s].c0);
-        comps.push_back(&as[s].c1);
-    }
+    // In place: the components keep their buffers, so a rescale
+    // neither allocates nor feeds the arena.
+    rns::rescaleByLastLimbBatchInPlace(comps, kctx_.pool);
     rns::toEvalBatch(comps, v, kctx_.pool);
     for (std::size_t s = 0; s < batch; ++s)
         as[s].scale = as[s].scale / static_cast<double>(q_last);
@@ -216,20 +231,7 @@ Dispatcher::multiplyPlainRescaleInPlace(ckks::Ciphertext *as,
         comps.push_back(&as[s].c0);
         comps.push_back(&as[s].c1);
     }
-    std::vector<const rns::RnsPolynomial *> inputs(comps.begin(),
-                                                   comps.end());
-    auto dropped = rns::rescaleByLastLimbBatch(inputs, kctx_.pool);
-    for (std::size_t s = 0; s < batch; ++s) {
-        ws_->donate(std::move(as[s].c0));
-        ws_->donate(std::move(as[s].c1));
-        as[s].c0 = std::move(dropped[2 * s]);
-        as[s].c1 = std::move(dropped[2 * s + 1]);
-    }
-    comps.clear();
-    for (std::size_t s = 0; s < batch; ++s) {
-        comps.push_back(&as[s].c0);
-        comps.push_back(&as[s].c1);
-    }
+    rns::rescaleByLastLimbBatchInPlace(comps, kctx_.pool);
     rns::toEvalBatch(comps, v, kctx_.pool);
     // Same double arithmetic order as the eager pair: the CMULT's
     // (a.scale * p.scale) product first, then the rescale's divide.
@@ -250,46 +252,35 @@ Dispatcher::multiplyInPlace(ckks::Ciphertext *as,
     const auto &limb_idx = as[0].c0.limbIndices();
 
     // d0 = a0*b0, d1 = a0*b1 + a1*b0, d2 = a1*b1 (paper Alg. 2),
-    // flattened over (slot x tower) into arena scratch.
-    std::vector<Workspace::Pooled> d0s, d1s, d2s;
-    std::vector<rns::RnsPolynomial *> p0(batch), p1(batch), p2(batch);
-    d0s.reserve(batch);
-    d1s.reserve(batch);
-    d2s.reserve(batch);
-    for (std::size_t s = 0; s < batch; ++s) {
-        d0s.push_back(
-            ws_->zeros(limb_idx, rns::Domain::Eval, "exec/multiply"));
-        d1s.push_back(
-            ws_->zeros(limb_idx, rns::Domain::Eval, "exec/multiply"));
-        d2s.push_back(
-            ws_->zeros(limb_idx, rns::Domain::Eval, "exec/multiply"));
-        p0[s] = d0s[s].get();
-        p1[s] = d1s[s].get();
-        p2[s] = d2s[s].get();
-    }
-    multiplyTriple(kctx_, as, bs, p0.data(), p1.data(), p2.data(),
-                   batch);
+    // flattened over (slot x tower). d0/d1 become the product, so they
+    // are op outputs; d2 is arena scratch for the relinearization.
+    auto d0s = outputRow(batch, limb_idx, rns::Domain::Eval);
+    auto d1s = outputRow(batch, limb_idx, rns::Domain::Eval);
+    auto d2s = leaseRow(batch, limb_idx, rns::Domain::Eval,
+                        "exec/multiply");
+    auto p0 = ptrsOf({&d0s});
+    auto p1 = ptrsOf({&d1s});
+    multiplyTriple(kctx_, as, bs, p0.data(), p1.data(),
+                   ptrsOf({&d2s}).data(), batch);
 
     // Relinearize d2 through the unified key-switch path.
-    std::vector<Workspace::Pooled> d2_scratch = std::move(d2s);
-    auto head = hoist(std::move(d2_scratch));
+    auto head = hoist(std::move(d2s));
     auto [ks0, ks1] =
         keySwitchTail(HoistedView::of(head), store_->relin());
 
-    std::vector<const rns::RnsPolynomial *> k0(batch), k1(batch);
-    for (std::size_t s = 0; s < batch; ++s) {
-        k0[s] = &ks0[s];
-        k1[s] = &ks1[s];
-    }
-    addPolysInPlace(kctx_, p0.data(), k0.data(), batch);
-    addPolysInPlace(kctx_, p1.data(), k1.data(), batch);
+    addPolysInPlace(kctx_, p0.data(), ptrsOf({&ks0}).data(), batch);
+    addPolysInPlace(kctx_, p1.data(), ptrsOf({&ks1}).data(), batch);
 
+    // The relinearization pair and the replaced operands go back to
+    // the arena, where the next outputs draw them.
     for (std::size_t s = 0; s < batch; ++s) {
         double scale = as[s].scale * bs[s].scale;
+        ws_->donate(std::move(ks0[s]));
+        ws_->donate(std::move(ks1[s]));
         ws_->donate(std::move(as[s].c0));
         ws_->donate(std::move(as[s].c1));
-        as[s].c0 = d0s[s].detach();
-        as[s].c1 = d1s[s].detach();
+        as[s].c0 = std::move(d0s[s]);
+        as[s].c1 = std::move(d1s[s]);
         as[s].scale = scale;
     }
 }
@@ -456,28 +447,15 @@ Dispatcher::keySwitchTail(const HoistedView &h, const ckks::SwitchKey &key,
     auto v = ctx_.nttVariant();
     auto union_limbs = ctx_.unionLimbs(h.levelCount);
 
-    std::vector<Workspace::Pooled> acc0, acc1;
-    std::vector<rns::RnsPolynomial *> a0(batch), a1(batch);
-    acc0.reserve(batch);
-    acc1.reserve(batch);
-    for (std::size_t s = 0; s < batch; ++s) {
-        acc0.push_back(
-            ws_->zeros(union_limbs, rns::Domain::Eval, "exec/ks-acc"));
-        acc1.push_back(
-            ws_->zeros(union_limbs, rns::Domain::Eval, "exec/ks-acc"));
-        a0[s] = acc0[s].get();
-        a1[s] = acc1[s].get();
-    }
-    tailRawInto(h, key, a0.data(), a1.data());
+    auto acc0 =
+        leaseRow(batch, union_limbs, rns::Domain::Eval, "exec/ks-acc");
+    auto acc1 =
+        leaseRow(batch, union_limbs, rns::Domain::Eval, "exec/ks-acc");
+    auto acc_ptrs = ptrsOf({&acc0, &acc1});
+    tailRawInto(h, key, acc_ptrs.data(), acc_ptrs.data() + batch);
 
     // ModDown by P: both accumulators of every slot share one batched
     // dispatch (identical limb sets), then back to Eval domain.
-    std::vector<rns::RnsPolynomial *> acc_ptrs;
-    acc_ptrs.reserve(2 * batch);
-    for (auto *p : a0)
-        acc_ptrs.push_back(p);
-    for (auto *p : a1)
-        acc_ptrs.push_back(p);
     rns::toCoeffBatch(acc_ptrs, v, kctx_.pool);
 
     std::vector<const rns::RnsPolynomial *> acc_in(acc_ptrs.begin(),
@@ -485,19 +463,9 @@ Dispatcher::keySwitchTail(const HoistedView &h, const ckks::SwitchKey &key,
     const rns::ModDownPlan &plan =
         down ? *down : ctx_.modDownPlan(h.levelCount);
     auto q_idx = ctx_.qLimbs(h.levelCount);
-    std::vector<rns::RnsPolynomial> ks0, ks1;
-    std::vector<rns::RnsPolynomial *> out_ptrs;
-    ks0.reserve(batch);
-    ks1.reserve(batch);
-    out_ptrs.reserve(2 * batch);
-    for (std::size_t s = 0; s < batch; ++s)
-        ks0.emplace_back(ctx_.tower(), q_idx, rns::Domain::Coeff);
-    for (std::size_t s = 0; s < batch; ++s)
-        ks1.emplace_back(ctx_.tower(), q_idx, rns::Domain::Coeff);
-    for (auto &p : ks0)
-        out_ptrs.push_back(&p);
-    for (auto &p : ks1)
-        out_ptrs.push_back(&p);
+    auto ks0 = outputRow(batch, q_idx, rns::Domain::Coeff);
+    auto ks1 = outputRow(batch, q_idx, rns::Domain::Coeff);
+    auto out_ptrs = ptrsOf({&ks0, &ks1});
     TFHE_FAULT_POINT("exec/moddown");
     plan.applyBatchInto(acc_in, out_ptrs.data(), kctx_.pool);
     EvalOpStats::instance().recordModDown(2 * batch);
@@ -513,14 +481,9 @@ Dispatcher::permuteHead(const HoistedView &h, u64 galois) const
     auto union_limbs = ctx_.unionLimbs(h.levelCount);
     std::vector<const rns::RnsPolynomial *> all(h.table.begin(),
                                                 h.table.end());
-    std::vector<Workspace::Pooled> flat;
-    std::vector<rns::RnsPolynomial *> flat_ptrs(all.size());
-    flat.reserve(all.size());
-    for (std::size_t i = 0; i < all.size(); ++i) {
-        flat.push_back(ws_->zeros(union_limbs, rns::Domain::Eval));
-        flat_ptrs[i] = flat[i].get();
-    }
-    rns::applyAutomorphismBatchInto(all, galois, flat_ptrs.data(),
+    auto flat = leaseRow(all.size(), union_limbs, rns::Domain::Eval,
+                         "exec/permute");
+    rns::applyAutomorphismBatchInto(all, galois, ptrsOf({&flat}).data(),
                                     kctx_.pool);
     out.digits.resize(h.numDigits);
     for (std::size_t j = 0; j < h.numDigits; ++j) {
@@ -573,27 +536,9 @@ Dispatcher::rotateMany(const ckks::Ciphertext *as, std::size_t batch,
     std::vector<const rns::RnsPolynomial *> c1s(batch);
     for (std::size_t s = 0; s < batch; ++s)
         c1s[s] = &as[s].c1;
-    auto head = hoist([&] {
-        std::vector<Workspace::Pooled> copies;
-        copies.reserve(batch);
-        std::size_t n = ctx_.n();
-        for (std::size_t s = 0; s < batch; ++s)
-            copies.push_back(ws_->zeros(c1s[s]->limbIndices(),
-                                        c1s[s]->domain(),
-                                        "exec/rotate-copy"));
-        kctx_.pool->parallelFor2D(batch, c1s[0]->numLimbs(),
-                                  [&](std::size_t s, std::size_t i) {
-            std::copy(c1s[s]->limb(i), c1s[s]->limb(i) + n,
-                      copies[s]->limb(i));
-        });
-        return copies;
-    }());
+    auto head = hoistCopy(c1s.data(), batch);
     auto view = HoistedView::of(head);
     const rns::ModDownPlan &down = ctx_.modDownPlan(head.levelCount);
-
-    std::vector<const rns::RnsPolynomial *> c0_ptrs(batch);
-    for (std::size_t s = 0; s < batch; ++s)
-        c0_ptrs[s] = &as[s].c0;
 
     for (std::size_t r = 0; r < steps.size(); ++r) {
         if (norms[r] == 0) {
@@ -601,30 +546,9 @@ Dispatcher::rotateMany(const ckks::Ciphertext *as, std::size_t batch,
             continue;
         }
         EvalOpStats::instance().record(EvalOpKind::HRotate, batch);
-        u64 galois = ctx_.galoisForRotation(norms[r]);
-
-        // One shared permutation over every (digit, slot) and over
-        // the c0 components.
-        auto rotated = permuteHead(view, galois);
-        auto [ks0, ks1] = keySwitchTail(HoistedView::of(rotated),
-                                        *pins[r], &down);
-        auto c0r = rns::applyAutomorphismBatch(c0_ptrs, galois,
-                                               kctx_.pool);
-
-        std::vector<rns::RnsPolynomial *> kp(batch);
-        std::vector<const rns::RnsPolynomial *> cp(batch);
-        for (std::size_t s = 0; s < batch; ++s) {
-            kp[s] = &ks0[s];
-            cp[s] = &c0r[s];
-        }
-        addPolysInPlace(kctx_, kp.data(), cp.data(), batch);
-        out[r].resize(batch);
-        for (std::size_t s = 0; s < batch; ++s) {
-            out[r][s].c0 = std::move(ks0[s]);
-            out[r][s].c1 = std::move(ks1[s]);
-            out[r][s].scale = as[s].scale;
-            ws_->donate(std::move(c0r[s]));
-        }
+        out[r] = automorphFromHead(as, batch, view,
+                                   ctx_.galoisForRotation(norms[r]),
+                                   *pins[r], &down);
     }
     return out;
 }
@@ -634,36 +558,54 @@ Dispatcher::conjugate(const ckks::Ciphertext *as, std::size_t batch) const
 {
     trace::TraceSpan tsp_("exec", "conjugate");
     tsp_.arg("batch", static_cast<s64>(batch));
-    std::vector<ckks::Ciphertext> out(batch);
     if (batch == 0)
-        return out;
+        return {};
     EvalOpStats::instance().record(EvalOpKind::Conjugate, batch);
-    u64 galois = ctx_.galoisForConjugation();
-
-    std::vector<const rns::RnsPolynomial *> c1s(batch), c0s(batch);
-    for (std::size_t s = 0; s < batch; ++s) {
+    std::vector<const rns::RnsPolynomial *> c1s(batch);
+    for (std::size_t s = 0; s < batch; ++s)
         c1s[s] = &as[s].c1;
-        c0s[s] = &as[s].c0;
-    }
     auto head = hoistCopy(c1s.data(), batch);
-    auto rotated = permuteHead(HoistedView::of(head), galois);
-    auto [ks0, ks1] =
-        keySwitchTail(HoistedView::of(rotated), store_->conj());
-    auto c0r = rns::applyAutomorphismBatch(c0s, galois, kctx_.pool);
+    return automorphFromHead(as, batch, HoistedView::of(head),
+                             ctx_.galoisForConjugation(), store_->conj(),
+                             nullptr);
+}
 
-    std::vector<rns::RnsPolynomial *> kp(batch);
-    std::vector<const rns::RnsPolynomial *> cp(batch);
-    for (std::size_t s = 0; s < batch; ++s) {
-        kp[s] = &ks0[s];
-        cp[s] = &c0r[s];
-    }
+std::vector<ckks::Ciphertext>
+Dispatcher::automorphFromHead(const ckks::Ciphertext *as,
+                              std::size_t batch, const HoistedView &head,
+                              u64 galois, const ckks::SwitchKey &key,
+                              const rns::ModDownPlan *down) const
+{
+    // One shared permutation over every (digit, slot) and over the c0
+    // components.
+    auto rotated = permuteHead(head, galois);
+    auto [ks0, ks1] = keySwitchTail(HoistedView::of(rotated), key, down);
+    std::vector<const rns::RnsPolynomial *> c0s(batch);
+    for (std::size_t s = 0; s < batch; ++s)
+        c0s[s] = &as[s].c0;
+    auto c0r = automorphPooled(c0s, galois);
+    auto kp = ptrsOf({&ks0});
+    auto cp = ptrsOf({&c0r});
     addPolysInPlace(kctx_, kp.data(), cp.data(), batch);
+
+    std::vector<ckks::Ciphertext> out(batch);
     for (std::size_t s = 0; s < batch; ++s) {
         out[s].c0 = std::move(ks0[s]);
         out[s].c1 = std::move(ks1[s]);
         out[s].scale = as[s].scale;
-        ws_->donate(std::move(c0r[s]));
     }
+    return out;
+}
+
+std::vector<Workspace::Pooled>
+Dispatcher::automorphPooled(
+    const std::vector<const rns::RnsPolynomial *> &polys,
+    u64 galois) const
+{
+    auto out = leaseRow(polys.size(), polys[0]->limbIndices(),
+                        polys[0]->domain(), "exec/automorph");
+    rns::applyAutomorphismBatchInto(polys, galois, ptrsOf({&out}).data(),
+                                    kctx_.pool);
     return out;
 }
 
@@ -696,13 +638,33 @@ Dispatcher::pooledUnionRow(std::size_t batch,
                            std::vector<Workspace::Pooled> &row,
                            std::vector<rns::RnsPolynomial *> &ptrs) const
 {
+    row = leaseRow(batch, union_limbs, rns::Domain::Eval,
+                   "exec/bsgs-union");
+    ptrs = ptrsOf({&row});
+}
+
+std::vector<Workspace::Pooled>
+Dispatcher::leaseRow(std::size_t batch,
+                     const std::vector<std::size_t> &limbs,
+                     rns::Domain domain, const char *site) const
+{
+    std::vector<Workspace::Pooled> row;
     row.reserve(batch);
-    ptrs.resize(batch);
-    for (std::size_t s = 0; s < batch; ++s) {
-        row.push_back(ws_->zeros(union_limbs, rns::Domain::Eval,
-                                 "exec/bsgs-union"));
-        ptrs[s] = row[s].get();
-    }
+    for (std::size_t s = 0; s < batch; ++s)
+        row.push_back(ws_->zeros(limbs, domain, site));
+    return row;
+}
+
+std::vector<rns::RnsPolynomial>
+Dispatcher::outputRow(std::size_t batch,
+                      const std::vector<std::size_t> &limbs,
+                      rns::Domain domain) const
+{
+    std::vector<rns::RnsPolynomial> row;
+    row.reserve(batch);
+    for (std::size_t s = 0; s < batch; ++s)
+        row.push_back(ws_->output(limbs, domain));
+    return row;
 }
 
 Dispatcher::BabyTables
@@ -764,15 +726,10 @@ Dispatcher::buildBabyTables(const std::vector<BsgsStep> &steps,
                         t.T0p[bi].data(), t.T1p[bi].data());
 
             // P * rot_b(c0) into the q-part of the c0 accumulator.
-            auto c0r = rns::applyAutomorphismBatch(c0s, galois,
-                                                   kctx_.pool);
-            std::vector<const rns::RnsPolynomial *> c0r_ptrs(batch);
-            for (std::size_t s = 0; s < batch; ++s)
-                c0r_ptrs[s] = &c0r[s];
+            auto c0r = automorphPooled(c0s, galois);
+            auto c0r_ptrs = ptrsOf({&c0r});
             addPLifted(kctx_, t.T0p[bi].data(), c0r_ptrs.data(),
                        plift.pmodq, plift.pmodqShoup, batch);
-            for (auto &p : c0r)
-                ws_->donate(std::move(p));
         }
     }
 
@@ -950,19 +907,9 @@ Dispatcher::finalizeBsgs(rns::RnsPolynomial *const *G0p,
                                                  g_all.end());
     const auto &mdplan = ctx_.modDownPlan(level_count);
     auto q_idx = ctx_.qLimbs(level_count);
-    std::vector<rns::RnsPolynomial> final0, final1;
-    std::vector<rns::RnsPolynomial *> final_ptrs;
-    final0.reserve(batch);
-    final1.reserve(batch);
-    final_ptrs.reserve(2 * batch);
-    for (std::size_t s = 0; s < batch; ++s)
-        final0.emplace_back(ctx_.tower(), q_idx, rns::Domain::Coeff);
-    for (std::size_t s = 0; s < batch; ++s)
-        final1.emplace_back(ctx_.tower(), q_idx, rns::Domain::Coeff);
-    for (auto &p : final0)
-        final_ptrs.push_back(&p);
-    for (auto &p : final1)
-        final_ptrs.push_back(&p);
+    auto final0 = outputRow(batch, q_idx, rns::Domain::Coeff);
+    auto final1 = outputRow(batch, q_idx, rns::Domain::Coeff);
+    auto final_ptrs = ptrsOf({&final0, &final1});
     TFHE_FAULT_POINT("exec/moddown");
     mdplan.applyBatchInto(g_in, final_ptrs.data(), kctx_.pool);
     EvalOpStats::instance().recordModDown(2 * batch);

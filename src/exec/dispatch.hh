@@ -240,7 +240,8 @@ class Dispatcher
 
     /**
      * Phase 2: inner product against `key` (restricted to the union
-     * basis via the context cache) + ModDown + NTT back to Eval.
+     * basis via the context cache) + ModDown + NTT back to Eval. The
+     * outputs are drawn through Workspace::output.
      * @param down optional shared ModDown plan (rotateMany reuses one
      *             across steps).
      */
@@ -310,6 +311,31 @@ class Dispatcher
     /** Permute a hoisted head by one Galois element (shared FrobeniusMap
         across every (digit, slot)), into pooled buffers. */
     HoistedBatch permuteHead(const HoistedView &h, u64 galois) const;
+
+    /** One Galois automorphism of every polynomial (uniform shape),
+        into pooled buffers. */
+    std::vector<Workspace::Pooled>
+    automorphPooled(const std::vector<const rns::RnsPolynomial *> &polys,
+                    u64 galois) const;
+
+    /** The batch mapped by `galois` off the hoisted head of its c1s:
+        permuted head, key-switch tail against `key`, plus the permuted
+        c0. The outputs' buffers are drawn from the arena. */
+    std::vector<ckks::Ciphertext>
+    automorphFromHead(const ckks::Ciphertext *as, std::size_t batch,
+                      const HoistedView &head, u64 galois,
+                      const ckks::SwitchKey &key,
+                      const rns::ModDownPlan *down) const;
+
+    /** One zeroed lease per batch slot over `limbs` in `domain`. */
+    std::vector<Workspace::Pooled>
+    leaseRow(std::size_t batch, const std::vector<std::size_t> &limbs,
+             rns::Domain domain, const char *site) const;
+
+    /** One zeroed op output per batch slot (Workspace::output). */
+    std::vector<rns::RnsPolynomial>
+    outputRow(std::size_t batch, const std::vector<std::size_t> &limbs,
+              rns::Domain domain) const;
 
     /** The switch key of one BSGS baby step (rot / conj / conjRot),
         pinned against KeyStore LRU eviction for the caller's use. */

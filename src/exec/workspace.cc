@@ -1,6 +1,7 @@
 #include "exec/workspace.hh"
 
 #include <functional>
+#include <optional>
 #include <thread>
 
 #include "common/logging.hh"
@@ -74,71 +75,95 @@ Workspace::outstandingBySite() const
     return out;
 }
 
-Workspace::Pooled
-Workspace::zeros(const std::vector<std::size_t> &limbs,
-                 rns::Domain domain, const char *site)
+std::optional<std::vector<u64>>
+Workspace::take(FreeList Shard::*list, std::size_t need)
 {
-    TFHE_FAULT_POINT("workspace/alloc");
-    std::size_t need = limbs.size() * tower_->n();
     std::size_t start = shardIndex();
     // Prefer the caller's shard; steal from the others before paying
     // the allocator.
     for (std::size_t probe = 0; probe < kShards; ++probe) {
         Shard &shard = shards_[(start + probe) % kShards];
         std::lock_guard<std::mutex> lock(shard.mu);
-        // Best-fit scan over the free list: smallest buffer that fits
-        // (an oversized batch buffer should not be burned on a
-        // single-limb checkout).
-        std::size_t best = shard.free.size();
-        for (std::size_t i = 0; i < shard.free.size(); ++i) {
-            if (shard.free[i].capacity() < need)
-                continue;
-            if (best == shard.free.size()
-                || shard.free[i].capacity()
-                    < shard.free[best].capacity())
-                best = i;
-        }
-        if (best == shard.free.size())
+        FreeList &free = shard.*list;
+        // Best fit: the smallest buffer that fits (an oversized batch
+        // buffer should not be burned on a single-limb checkout).
+        auto best = free.lower_bound(need);
+        if (best == free.end())
             continue;
-        std::vector<u64> buf = std::move(shard.free[best]);
-        shard.free.erase(shard.free.begin()
-                         + static_cast<std::ptrdiff_t>(best));
-        // Count the reuse only once the polynomial owns the buffer:
-        // if construction throws during stack unwinding elsewhere,
-        // the counters must not claim a checkout that never happened
-        // (alloc/reuse totals are what the steady-state benches and
-        // the race stress assert against).
-        Pooled out(this,
-                   rns::RnsPolynomial(*tower_, limbs, domain,
-                                      std::move(buf)),
-                   site);
-        reuses_.fetch_add(1, std::memory_order_relaxed);
-        beginLease(site);
-        return out;
+        std::vector<u64> buf = std::move(best->second);
+        free.erase(best);
+        return buf;
     }
-    Pooled out(this, rns::RnsPolynomial(*tower_, limbs, domain), site);
-    allocs_.fetch_add(1, std::memory_order_relaxed);
+    return std::nullopt;
+}
+
+void
+Workspace::put(FreeList Shard::*list, std::vector<u64> buf)
+{
+    if (buf.capacity() == 0)
+        return;
+    Shard &shard = shards_[shardIndex()];
+    {
+        std::lock_guard<std::mutex> lock(shard.mu);
+        std::size_t capacity = buf.capacity();
+        (shard.*list).emplace(capacity, std::move(buf));
+    }
+    // After the insert: a throwing emplace (allocator pressure) must
+    // not leave a counted return with no pooled buffer. Releases run
+    // inside Pooled destructors — often during stack unwinding — so
+    // the counter update is the last, non-throwing step.
+    returns_.fetch_add(1, std::memory_order_relaxed);
+}
+
+Workspace::Pooled
+Workspace::zeros(const std::vector<std::size_t> &limbs,
+                 rns::Domain domain, const char *site)
+{
+    TFHE_FAULT_POINT("workspace/alloc");
+    std::size_t need = limbs.size() * tower_->n();
+    auto buf = take(&Shard::free, need);
+    if (!buf)
+        buf = take(&Shard::donated, need);
+    // Count the checkout only once the polynomial owns the buffer: if
+    // construction throws during stack unwinding elsewhere, the
+    // counters must not claim a checkout that never happened
+    // (alloc/reuse totals are what the steady-state benches and the
+    // race stress assert against).
+    Pooled out = buf ? Pooled(this,
+                              rns::RnsPolynomial(*tower_, limbs, domain,
+                                                 std::move(*buf)),
+                              site)
+                     : Pooled(this,
+                              rns::RnsPolynomial(*tower_, limbs, domain),
+                              site);
+    (buf ? reuses_ : allocs_).fetch_add(1, std::memory_order_relaxed);
     beginLease(site);
     return out;
+}
+
+rns::RnsPolynomial
+Workspace::output(const std::vector<std::size_t> &limbs,
+                  rns::Domain domain)
+{
+    auto buf = take(&Shard::donated, limbs.size() * tower_->n());
+    if (!buf)
+        return rns::RnsPolynomial(*tower_, limbs, domain);
+    rns::RnsPolynomial out(*tower_, limbs, domain, std::move(*buf));
+    reuses_.fetch_add(1, std::memory_order_relaxed);
+    return out;
+}
+
+void
+Workspace::donate(rns::RnsPolynomial &&p)
+{
+    put(&Shard::donated, p.takeStorage());
 }
 
 void
 Workspace::recycle(rns::RnsPolynomial &&p, const char *site)
 {
     endLease(site);
-    std::vector<u64> buf = p.takeStorage();
-    if (buf.capacity() == 0)
-        return;
-    Shard &shard = shards_[shardIndex()];
-    {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        shard.free.push_back(std::move(buf));
-    }
-    // After the push: a throwing push_back (allocator pressure) must
-    // not leave a counted return with no pooled buffer. recycle()
-    // runs inside Pooled destructors — often during stack unwinding —
-    // so the counter update is the last, non-throwing step.
-    returns_.fetch_add(1, std::memory_order_relaxed);
+    put(&Shard::free, p.takeStorage());
 }
 
 void
@@ -178,6 +203,7 @@ Workspace::trim()
     for (auto &shard : shards_) {
         std::lock_guard<std::mutex> lock(shard.mu);
         shard.free.clear();
+        shard.donated.clear();
     }
 }
 

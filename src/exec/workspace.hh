@@ -13,12 +13,23 @@
  * paper's preallocated device working set (SIV-B "Data Reuse"): VRAM
  * scratch is carved out once and cycled, never malloc'd per kernel.
  *
- * Buffers are bucketed by capacity (in u64 coefficients) and sharded
- * by thread so concurrent dispatches do not contend on one free list.
- * checkout() prefers the calling thread's shard and falls back to
- * allocation; release returns to the caller's shard. alloc/reuse
+ * Each shard holds two free lists, each an ordered map keyed by
+ * buffer capacity (in u64 coefficients): released leases (the scratch
+ * working set) and donated storage. Shards are per thread so
+ * concurrent dispatches do not contend on one list. A lookup is one
+ * lower_bound: the smallest pooled buffer that fits, first from the
+ * calling thread's shard, then stolen from the others. A checkout
+ * tries the released leases, then the donations, and only then the
+ * allocator; release returns to the caller's shard. alloc/reuse
  * counters are process-visible so benches can assert steady-state
  * reuse (>90% on warm rotateManyBatch / nn::Sequential runs).
+ *
+ * Steady-state contract: the dispatcher donates only the buffers an
+ * op replaces, and draws op outputs through output(), which takes
+ * only donated storage. So every donated buffer is matched by an
+ * arena-drawn output, outputs never take the scratch working set, and
+ * repeated runs of one workload cycle a fixed pool instead of growing
+ * it; a checkout stays one ordered-map lookup over that fixed pool.
  */
 
 #ifndef TENSORFHE_EXEC_WORKSPACE_HH
@@ -27,6 +38,7 @@
 #include <atomic>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -128,11 +140,21 @@ class Workspace
     Pooled zeros(const std::vector<std::size_t> &limbs,
                  rns::Domain domain, const char *site = "unnamed");
 
+    /**
+     * A zeroed polynomial for an op output, which leaves the arena
+     * with its caller. It takes a donated buffer when one fits
+     * (counted as a reuse), so donations flow back out through
+     * outputs; otherwise it allocates like any polynomial, uncounted,
+     * since that buffer never was arena scratch.
+     */
+    rns::RnsPolynomial output(const std::vector<std::size_t> &limbs,
+                              rns::Domain domain);
+
     /** Arena traffic counters (cumulative since resetStats). */
     struct Stats
     {
         u64 allocs = 0;   ///< checkouts served by the allocator
-        u64 reuses = 0;   ///< checkouts served from the pool
+        u64 reuses = 0;   ///< checkouts and outputs served from the pool
         u64 returns = 0;  ///< buffers returned to the pool
 
         double
@@ -148,21 +170,18 @@ class Workspace
 
     /**
      * Donate a dead polynomial's storage to the pool (e.g. the
-     * pre-rescale components an in-place op replaces), so the next
-     * checkout of that shape is allocator-free.
+     * components multiplyInPlace replaces with its arena-drawn
+     * product). Donated storage is what output() hands back out, and
+     * a checkout falls back to it before paying the allocator.
      */
-    void
-    donate(rns::RnsPolynomial &&p)
-    {
-        recycle(std::move(p));
-    }
+    void donate(rns::RnsPolynomial &&p);
 
     /**
      * Pre-stage `count` pooled buffers of the given shape: each is
      * checked out (paying the allocator once, counted as an alloc)
      * and immediately returned, so the next `count` concurrent
      * checkouts of that shape — or any smaller one, via the best-fit
-     * scan — are served from the pool. The graph executor walks a
+     * lookup — are served from the pool. The graph executor walks a
      * compiled graph's scratch shapes through this before the first
      * run, so even a COLD graph execution hits steady-state reuse.
      */
@@ -198,8 +217,8 @@ class Workspace
   private:
     friend class Pooled;
 
-    /** Return a dead polynomial's storage to the caller's shard. */
-    void recycle(rns::RnsPolynomial &&p, const char *site = nullptr);
+    /** Return a released lease's storage to the caller's shard. */
+    void recycle(rns::RnsPolynomial &&p, const char *site);
 
     void beginLease(const char *site);
     void endLease(const char *site);
@@ -207,12 +226,24 @@ class Workspace
     static constexpr std::size_t kShards = 8;
     static std::size_t shardIndex();
 
+    /** Free buffers keyed by capacity; equal capacities keep their
+        return order, so the oldest is reused first. */
+    using FreeList = std::multimap<std::size_t, std::vector<u64>>;
+
     struct Shard
     {
         std::mutex mu;
-        /** Free buffers, any capacity; checkout scans for a fit. */
-        std::vector<std::vector<u64>> free;
+        FreeList free;    ///< released leases: the scratch working set
+        FreeList donated; ///< donated storage, drained by output()
     };
+
+    /** Pop the best-fitting buffer of at least `need` words from one
+        list, the caller's shard first. */
+    std::optional<std::vector<u64>> take(FreeList Shard::*list,
+                                         std::size_t need);
+
+    /** Push a buffer onto one list of the caller's shard. */
+    void put(FreeList Shard::*list, std::vector<u64> buf);
 
     const rns::RnsTower *tower_;
     mutable Shard shards_[kShards];

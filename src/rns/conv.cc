@@ -551,13 +551,13 @@ rescaleByLastLimb(const RnsPolynomial &a)
     return out;
 }
 
-std::vector<RnsPolynomial>
-rescaleByLastLimbBatch(const std::vector<const RnsPolynomial *> &as,
-                       ThreadPool *pool)
+void
+rescaleByLastLimbBatchInPlace(const std::vector<RnsPolynomial *> &as,
+                              ThreadPool *pool)
 {
     std::size_t batch = as.size();
     if (batch == 0)
-        return {};
+        return;
     const RnsPolynomial &front = *as[0];
     TFHE_ASSERT(front.numLimbs() >= 2, "cannot rescale a one-limb poly");
     const RnsTower &tower = front.tower();
@@ -575,31 +575,30 @@ rescaleByLastLimbBatch(const std::vector<const RnsPolynomial *> &as,
         qinv_shoup[j] = shoupPrecompute(qinv[j], mod.value());
     }
 
-    std::vector<RnsPolynomial> out;
-    out.reserve(batch);
-    for (std::size_t b = 0; b < batch; ++b) {
-        TFHE_ASSERT(as[b]->domain() == Domain::Coeff);
-        TFHE_ASSERT(as[b]->limbIndices() == front.limbIndices(),
+    for (const RnsPolynomial *a : as) {
+        TFHE_ASSERT(a->domain() == Domain::Coeff);
+        TFHE_ASSERT(a->limbIndices() == front.limbIndices(),
                     "batched RESCALE requires a uniform limb set");
-        out.emplace_back(tower, q_idx, Domain::Coeff);
     }
+    // Output limb j reads only input limb j and the last limb, so it
+    // overwrites limb j in place; the last limb is dropped afterwards.
     poolOrGlobal(pool).parallelFor2D(batch, last, [&](std::size_t b,
                                                       std::size_t j) {
         const Modulus &mod = tower.modulus(q_idx[j]);
         u64 q = mod.value();
         const u64 *pl = as[b]->limb(last);
-        const u64 *pa = as[b]->limb(j);
-        u64 *po = out[b].limb(j);
+        u64 *pa = as[b]->limb(j);
         for (std::size_t c = 0; c < n; ++c) {
             u64 v = pl[c];
             u64 lifted = v <= q_last / 2
                 ? v % q
                 : mod.sub(0, (q_last - v) % q);
-            po[c] = mulModShoup(mod.sub(pa[c], lifted), qinv[j],
+            pa[c] = mulModShoup(mod.sub(pa[c], lifted), qinv[j],
                                 qinv_shoup[j], q);
         }
     });
-    return out;
+    for (RnsPolynomial *a : as)
+        a->dropLastLimbs(1);
 }
 
 } // namespace tensorfhe::rns

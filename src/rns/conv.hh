@@ -222,10 +222,13 @@ std::vector<RnsPolynomial>
 modDownBatch(const std::vector<const RnsPolynomial *> &as,
              ThreadPool *pool = nullptr);
 
-/** Batched RESCALE core. */
-std::vector<RnsPolynomial>
-rescaleByLastLimbBatch(const std::vector<const RnsPolynomial *> &as,
-                       ThreadPool *pool = nullptr);
+/**
+ * Batched RESCALE core, in place: each polynomial becomes
+ * rescaleByLastLimb of itself, written over its own first L-1 limbs
+ * (so its buffer, and its capacity, are kept).
+ */
+void rescaleByLastLimbBatchInPlace(const std::vector<RnsPolynomial *> &as,
+                                   ThreadPool *pool = nullptr);
 
 } // namespace tensorfhe::rns
 

@@ -261,25 +261,6 @@ toCoeffBatch(const std::vector<RnsPolynomial *> &polys, ntt::NttVariant v,
         p->setDomain(Domain::Coeff);
 }
 
-std::vector<RnsPolynomial>
-applyAutomorphismBatch(const std::vector<const RnsPolynomial *> &as,
-                       u64 galois, ThreadPool *pool)
-{
-    std::size_t batch = as.size();
-    if (batch == 0)
-        return {};
-    std::vector<RnsPolynomial> out;
-    out.reserve(batch);
-    std::vector<RnsPolynomial *> out_ptrs(batch);
-    for (std::size_t b = 0; b < batch; ++b) {
-        out.emplace_back(as[b]->tower(), as[b]->limbIndices(),
-                         as[b]->domain());
-        out_ptrs[b] = &out[b];
-    }
-    applyAutomorphismBatchInto(as, galois, out_ptrs.data(), pool);
-    return out;
-}
-
 void
 applyAutomorphismBatchInto(const std::vector<const RnsPolynomial *> &as,
                            u64 galois, RnsPolynomial *const *outs,

@@ -159,16 +159,12 @@ void toCoeffBatch(const std::vector<RnsPolynomial *> &polys,
                   ntt::NttVariant v = ntt::NttVariant::Butterfly,
                   ThreadPool *pool = nullptr);
 
-/** Apply one Galois automorphism to every polynomial; the slot
-    permutation is computed once and shared across the batch. */
-std::vector<RnsPolynomial>
-applyAutomorphismBatch(const std::vector<const RnsPolynomial *> &as,
-                       u64 galois, ThreadPool *pool = nullptr);
-
-/** applyAutomorphismBatch writing into caller-provided outputs
-    (preshaped to each input's limb set and domain) — the
-    exec::Workspace hook for the per-rotation FrobeniusMap. Outputs
-    must not alias the inputs. Bit-identical to applyAutomorphismBatch. */
+/** Apply one Galois automorphism to every polynomial, writing into
+    caller-provided outputs (preshaped to each input's limb set and
+    domain) — the exec::Workspace hook for the per-rotation
+    FrobeniusMap. The slot permutation is computed once and shared
+    across the batch. Outputs must not alias the inputs. Bit-identical
+    to per-polynomial applyAutomorphism. */
 void applyAutomorphismBatchInto(
     const std::vector<const RnsPolynomial *> &as, u64 galois,
     RnsPolynomial *const *outs, ThreadPool *pool = nullptr);

@@ -200,15 +200,20 @@ TEST(ConvBatch, RescaleByLastLimbBatchMatchesSerial)
     for (std::size_t b = 0; b < batch; ++b)
         as.push_back(rns::sampleUniform(tower, limbs, rns::Domain::Coeff,
                                         rng));
-    std::vector<const rns::RnsPolynomial *> ptrs;
-    for (const auto &a : as)
-        ptrs.push_back(&a);
 
-    ThreadPool pool1(1);
-    auto got = rns::rescaleByLastLimbBatch(ptrs, &pool1);
-    ASSERT_EQ(got.size(), batch);
-    for (std::size_t b = 0; b < batch; ++b)
-        expectPolyEq(got[b], rns::rescaleByLastLimb(as[b]));
+    // The in-place batch must leave each polynomial equal to the
+    // out-of-place single-poly rescale of its old value, on a 1-lane
+    // and a wider pool.
+    ThreadPool pool1(1), pool4(3);
+    for (ThreadPool *pool : {&pool1, &pool4}) {
+        std::vector<rns::RnsPolynomial> got = as;
+        std::vector<rns::RnsPolynomial *> ptrs;
+        for (auto &g : got)
+            ptrs.push_back(&g);
+        rns::rescaleByLastLimbBatchInPlace(ptrs, pool);
+        for (std::size_t b = 0; b < batch; ++b)
+            expectPolyEq(got[b], rns::rescaleByLastLimb(as[b]));
+    }
 }
 
 // ------------------------------------------------------------------

@@ -145,5 +145,28 @@ TEST(ThreadPool, ConcurrentExternalDispatchersAreSafe)
     EXPECT_EQ(total.load(), 100L * (99 * 100 / 2));
 }
 
+TEST(ThreadPool, BackToBackDispatchesNeverRunAStaleCallback)
+{
+    // Late-waker regression: a worker that registers on a dispatch
+    // just after it returned must not take indices of the next
+    // dispatch and run them through the finished dispatch's callback.
+    // The callbacks alternate between two live slots, so a stale call
+    // lands in its own round's row instead of the new round's: every
+    // (round, index) cell must be hit exactly once.
+    ThreadPool pool(7);
+    constexpr std::size_t kRounds = 4000, kWidth = 16;
+    std::vector<std::atomic<int>> hits(kRounds * kWidth);
+    std::function<void(std::size_t)> fns[2];
+    for (std::size_t r = 0; r < kRounds; ++r) {
+        fns[r % 2] = [&hits, r](std::size_t i) {
+            hits[r * kWidth + i].fetch_add(1);
+        };
+        pool.parallelFor(0, kWidth, fns[r % 2]);
+    }
+    for (std::size_t k = 0; k < hits.size(); ++k)
+        ASSERT_EQ(hits[k].load(), 1)
+            << "round " << k / kWidth << " index " << k % kWidth;
+}
+
 } // namespace
 } // namespace tensorfhe

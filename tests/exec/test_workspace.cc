@@ -8,9 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 
+#include "common/errors.hh"
 #include "common/thread_pool.hh"
 #include "exec/workspace.hh"
+#include "fault/fault.hh"
 #include "rns/tower.hh"
 
 namespace tensorfhe::exec
@@ -98,6 +101,153 @@ TEST(Workspace, BestFitPrefersSmallestSufficientBuffer)
     auto b = ws.zeros(limbs(4), rns::Domain::Coeff);
     EXPECT_EQ(ws.stats().allocs, 0u);
     EXPECT_EQ(ws.stats().reuses, 2u);
+}
+
+/** Capacity, in u64 words, of the buffer behind a lease. */
+std::size_t
+leaseCapacity(Workspace::Pooled &p)
+{
+    return p.detach().takeStorage().capacity();
+}
+
+TEST(Workspace, BestFitAmongMixedCapacitiesTakesTheSmallestFit)
+{
+    Workspace ws(tower());
+    std::size_t n = tower().n();
+    {
+        // Returned out of capacity order: 4, 1, 3, 2 limbs.
+        auto a = ws.zeros(limbs(4), rns::Domain::Coeff);
+        auto b = ws.zeros(limbs(1), rns::Domain::Coeff);
+        auto c = ws.zeros(limbs(3), rns::Domain::Coeff);
+        auto d = ws.zeros(limbs(2), rns::Domain::Coeff);
+    }
+    ws.resetStats();
+    auto two = ws.zeros(limbs(2), rns::Domain::Coeff);
+    EXPECT_EQ(leaseCapacity(two), 2 * n);
+    // With the 2-limb buffer gone, the next 2-limb checkout takes the
+    // 3-limb one, not the 4-limb one.
+    auto next = ws.zeros(limbs(2), rns::Domain::Coeff);
+    EXPECT_EQ(leaseCapacity(next), 3 * n);
+    EXPECT_EQ(ws.stats().reuses, 2u);
+    EXPECT_EQ(ws.stats().allocs, 0u);
+}
+
+TEST(Workspace, TooSmallBufferIsNeverReturned)
+{
+    Workspace ws(tower());
+    {
+        auto a = ws.zeros(limbs(1), rns::Domain::Coeff);
+        auto b = ws.zeros(limbs(2), rns::Domain::Coeff);
+    }
+    ws.resetStats();
+    auto big = ws.zeros(limbs(3), rns::Domain::Eval);
+    EXPECT_EQ(ws.stats().allocs, 1u);
+    EXPECT_EQ(ws.stats().reuses, 0u);
+    EXPECT_EQ(leaseCapacity(big), 3 * tower().n());
+    // The small buffers are still pooled.
+    auto a = ws.zeros(limbs(1), rns::Domain::Coeff);
+    auto b = ws.zeros(limbs(2), rns::Domain::Coeff);
+    EXPECT_EQ(ws.stats().reuses, 2u);
+    EXPECT_EQ(ws.stats().allocs, 1u);
+}
+
+/** Check out `count` distinct buffers of `limb_count` limbs, then
+    release each on its own concurrently live thread, so they land in
+    those threads' shards rather than the caller's. */
+void
+releaseOnOtherThreads(Workspace &ws, std::size_t count,
+                      std::size_t limb_count)
+{
+    std::vector<Workspace::Pooled> held;
+    for (std::size_t i = 0; i < count; ++i)
+        held.push_back(ws.zeros(limbs(limb_count), rns::Domain::Coeff));
+    std::vector<std::thread> threads;
+    for (auto &p : held)
+        threads.emplace_back(
+            [&p] { Workspace::Pooled dead = std::move(p); });
+    for (auto &t : threads)
+        t.join();
+}
+
+TEST(Workspace, CheckoutStealsFromOtherShards)
+{
+    Workspace ws(tower());
+    releaseOnOtherThreads(ws, 8, 2);
+    ws.resetStats();
+    // Whichever shards the releases landed in, the caller's checkouts
+    // find all of them before paying the allocator.
+    std::vector<Workspace::Pooled> held;
+    for (std::size_t i = 0; i < 8; ++i)
+        held.push_back(ws.zeros(limbs(2), rns::Domain::Coeff));
+    EXPECT_EQ(ws.stats().reuses, 8u);
+    EXPECT_EQ(ws.stats().allocs, 0u);
+}
+
+TEST(Workspace, TrimEmptiesEveryShard)
+{
+    Workspace ws(tower());
+    releaseOnOtherThreads(ws, 8, 2);
+    { auto mine = ws.zeros(limbs(2), rns::Domain::Coeff); }
+    auto donated = ws.zeros(limbs(2), rns::Domain::Coeff).detach();
+    ws.donate(std::move(donated));
+    ws.trim();
+    ws.resetStats();
+    std::vector<Workspace::Pooled> held;
+    for (std::size_t i = 0; i < 10; ++i)
+        held.push_back(ws.zeros(limbs(1), rns::Domain::Coeff));
+    EXPECT_EQ(ws.stats().allocs, 10u);
+    EXPECT_EQ(ws.stats().reuses, 0u);
+    (void)ws.output(limbs(1), rns::Domain::Coeff);
+    EXPECT_EQ(ws.stats().reuses, 0u);
+}
+
+TEST(Workspace, OutputsDrawOnlyDonatedBuffers)
+{
+    Workspace ws(tower());
+    // A released lease is scratch: an output must not take it.
+    { auto scratch = ws.zeros(limbs(2), rns::Domain::Eval); }
+    ws.resetStats();
+    auto fresh = ws.output(limbs(2), rns::Domain::Eval);
+    EXPECT_EQ(ws.stats().reuses, 0u);
+    EXPECT_EQ(ws.stats().allocs, 0u); // an output is not arena scratch
+    // A donated buffer is drained by the next output, zeroed.
+    fresh.limb(0)[0] = 5;
+    ws.donate(std::move(fresh));
+    auto out = ws.output(limbs(2), rns::Domain::Eval);
+    EXPECT_EQ(ws.stats().reuses, 1u);
+    EXPECT_EQ(out.limb(0)[0], 0u);
+    EXPECT_EQ(out.domain(), rns::Domain::Eval);
+    // The scratch buffer is still there for the next checkout.
+    auto p = ws.zeros(limbs(2), rns::Domain::Eval);
+    EXPECT_EQ(ws.stats().reuses, 2u);
+    EXPECT_EQ(ws.stats().allocs, 0u);
+}
+
+TEST(Workspace, LeaseTrackingNamesSitesAfterInducedAllocFault)
+{
+    Workspace ws(tower());
+    ws.setLeaseTracking(true);
+    struct Disarm
+    {
+        ~Disarm() { fault::FaultPlan::instance().disarm(); }
+    } disarm;
+    {
+        auto held = ws.zeros(limbs(2), rns::Domain::Eval, "test/held");
+        fault::FaultPlan::instance().arm(
+            {"workspace/alloc", fault::FaultKind::AllocFail, 0, 1});
+        EXPECT_THROW(ws.zeros(limbs(2), rns::Domain::Eval, "test/failed"),
+                     TransientFault);
+        fault::FaultPlan::instance().disarm();
+        auto by_site = ws.outstandingBySite();
+        EXPECT_EQ(by_site.size(), 1u);
+        EXPECT_EQ(by_site["test/held"], 1u);
+        // The arena stays usable after the fault.
+        auto after = ws.zeros(limbs(1), rns::Domain::Eval, "test/after");
+        EXPECT_EQ(ws.outstandingLeases(), 2u);
+        EXPECT_EQ(ws.outstandingBySite()["test/after"], 1u);
+    }
+    EXPECT_EQ(ws.outstandingLeases(), 0u);
+    EXPECT_TRUE(ws.outstandingBySite().empty());
 }
 
 TEST(Workspace, DetachLeavesArenaUntouched)
