@@ -1,11 +1,12 @@
 /**
  * @file
- * Graph-compiled execution bench: eager op-by-op dispatch vs the AOT
- * kernel DAG (src/graph) on the two workloads with exploitable
- * structure — the LSTM cell step (fusable masked gate combine + two
- * independent gate matvecs) and the deep two-chunk CNN (independent
- * per-(out,in)-chunk block-matvec programs around an auto-spliced
- * bootstrap). Reports, per workload:
+ * Graph scheduling bench: the unfused program-order run
+ * (EncryptedLstmCell::step / Sequential::run, reported as "eager")
+ * vs the fused, stream-scheduled kernel DAG (src/graph) on the two
+ * workloads with exploitable structure — the LSTM cell step (fusable
+ * masked gate combine + two independent gate matvecs) and the deep
+ * two-chunk CNN (independent per-(out,in)-chunk block-matvec
+ * programs around an auto-spliced bootstrap). Reports, per workload:
  *
  *   - kernel launches: eager vs scheduled graph (fusion folds
  *     elementwise trees into single span passes);
@@ -14,7 +15,7 @@
  *     fraction;
  *   - workspace arena reuse on a COLD first run, with and without
  *     GraphExecutor::prestageWorkspace;
- *   - bit-identity of the graph outputs against the eager run.
+ *   - bit-identity of the scheduled outputs against the eager run.
  *
  * Usage: bench_graph_schedule [reps] [--json PATH]
  *                             [--trace PATH] [--metrics PATH]

@@ -7,10 +7,13 @@ them as ``BENCH_PR<N>.json`` artifacts; this script folds them into
 one committed ``BENCH_TRAJECTORY.json`` and gates releases on the
 headline metrics:
 
-  merge --out BENCH_TRAJECTORY.json BENCH_PR*.json
-      Rebuild the trajectory from the given dumps (deterministic
-      output: no timestamps, sorted keys — regenerating from the same
-      dumps is a no-op diff).
+  merge --baseline BENCH_TRAJECTORY.json --out OUT BENCH_PR*.json
+      Fold the given dumps into the baseline trajectory: each dump's
+      benches replace the same-named benches of its PR entry, every
+      other PR entry and headline is kept, and the headlines are
+      recomputed from the merged history (latest PR wins per bench).
+      Deterministic output: no timestamps, sorted keys — folding the
+      same dumps twice is a no-op diff.
 
   check --baseline BENCH_TRAJECTORY.json BENCH_PR*.json
       Recompute the headline metrics from fresh dumps and compare
@@ -18,7 +21,9 @@ headline metrics:
       win, overlap speedup, launch reduction) fail on a >15% relative
       regression; overhead-style headlines are gated against their
       absolute budget (wall-clock noise on shared runners makes
-      relative gating of near-zero overheads meaningless).
+      relative gating of near-zero overheads meaningless). A baseline
+      headline the fresh dumps do not measure fails the check: a gate
+      never lapses silently.
 
 Stdlib only — runs on the bare CI python.
 """
@@ -85,6 +90,12 @@ def pr_label(path):
     return m.group(1) if m else path
 
 
+def pr_order(label):
+    """Sort key putting PR labels in numeric order (PR9 before PR10)."""
+    m = re.fullmatch(r"PR(\d+)", label)
+    return (0, int(m.group(1)), "") if m else (1, 0, label)
+
+
 def derived(bench, metrics, key):
     if key == "@hoist_speedup":
         return metrics["naive_s_per_rot"] / metrics["hoisted_s_per_rot"]
@@ -108,30 +119,36 @@ def compute_headlines(all_benches):
     return out
 
 
-def fold(paths):
-    """Merge many dumps; later files override same-named benches."""
-    history = {}
+def fold(paths, history=None):
+    """Fold dumps into `history` (PR label -> benches; a dump's benches
+    replace same-named ones under its label). Returns the history and
+    the latest value of every bench across it, in PR order."""
+    history = {k: dict(v) for k, v in (history or {}).items()}
+    for path in paths:
+        history.setdefault(pr_label(path), {}).update(read_dump(path))
     merged = {}
-    for path in sorted(paths, key=pr_label):
-        benches = read_dump(path)
-        history[pr_label(path)] = benches
-        merged.update(benches)
+    for label in sorted(history, key=pr_order):
+        merged.update(history[label])
     return history, merged
 
 
 def cmd_merge(args):
-    history, merged = fold(args.dumps)
+    with open(args.baseline) as f:
+        baseline = json.load(f)
+    history, merged = fold(args.dumps, baseline.get("history"))
+    headlines = dict(baseline.get("headlines", {}))
+    headlines.update(compute_headlines(merged))
     trajectory = {
-        "comment": "Committed perf trajectory. Regenerate with "
+        "comment": "Committed perf trajectory. Fold new dumps in with "
                    "scripts/roll_bench.py merge; CI gates releases "
                    "with scripts/roll_bench.py check.",
-        "headlines": compute_headlines(merged),
+        "headlines": headlines,
         "history": history,
     }
     with open(args.out, "w") as f:
         json.dump(trajectory, f, indent=2, sort_keys=True)
         f.write("\n")
-    print(f"wrote {args.out}: {len(history)} PR dump(s), "
+    print(f"wrote {args.out}: {len(history)} PR entries, "
           f"{len(trajectory['headlines'])} headline metric(s)")
     return 0
 
@@ -170,11 +187,12 @@ def cmd_check(args):
     missing = [n for n in base if n not in fresh]
     for name in sorted(missing):
         print(f"{name:34} {base[name]:>12.4f} {'-':>12}  "
-              "not measured this run (skipped)")
+              "NOT MEASURED (no fresh dump carries it)")
+        failures.append(name)
 
     if failures:
-        print(f"\nFAIL: {len(failures)} headline metric(s) regressed: "
-              + ", ".join(failures))
+        print(f"\nFAIL: {len(failures)} headline metric(s) regressed "
+              "or unmeasured: " + ", ".join(failures))
         return 1
     print(f"\nOK: {len(fresh)} headline metric(s) within tolerance")
     return 0
@@ -184,7 +202,9 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    mp = sub.add_parser("merge", help="rebuild the trajectory file")
+    mp = sub.add_parser("merge",
+                        help="fold dumps into the trajectory file")
+    mp.add_argument("--baseline", required=True)
     mp.add_argument("--out", required=True)
     mp.add_argument("dumps", nargs="+", metavar="BENCH_PR*.json")
     mp.set_defaults(fn=cmd_merge)

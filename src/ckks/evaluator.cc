@@ -23,12 +23,6 @@ Evaluator::Evaluator(const CkksContext &ctx,
     : ctx_(ctx), disp_(std::move(disp))
 {}
 
-Evaluator::Evaluator(const CkksContext &ctx,
-                     const KeyBundle & /*keys*/,
-                     std::shared_ptr<exec::Dispatcher> disp)
-    : Evaluator(ctx, std::move(disp))
-{}
-
 void
 Evaluator::requireCompatible(const Ciphertext &a,
                              const Ciphertext &b) const

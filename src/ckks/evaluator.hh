@@ -66,11 +66,6 @@ class Evaluator
     Evaluator(const CkksContext &ctx,
               std::shared_ptr<exec::Dispatcher> disp);
 
-    /** Deprecated-compatible form of the dispatcher façade (the key
-        bundle rides inside the dispatcher already). */
-    Evaluator(const CkksContext &ctx, const KeyBundle &keys,
-              std::shared_ptr<exec::Dispatcher> disp);
-
     /** HADD (paper Alg. 5). */
     Ciphertext add(const Ciphertext &a, const Ciphertext &b) const;
     /** Element-wise subtraction. */

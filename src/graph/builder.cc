@@ -1,8 +1,5 @@
 #include "graph/builder.hh"
 
-#include <algorithm>
-#include <map>
-
 #include "common/logging.hh"
 
 namespace tensorfhe::graph
@@ -43,6 +40,7 @@ GraphBuilder::newNode(NodeKind kind, std::vector<ValueId> inputs)
     Node n;
     n.kind = kind;
     n.inputs = std::move(inputs);
+    n.layer = tag_;
     g_.nodes.push_back(std::move(n));
     return g_.nodes.size() - 1;
 }
@@ -274,7 +272,7 @@ GraphBuilder::bsgsSum(
 }
 
 ValueId
-GraphBuilder::layerApply(const nn::Layer &layer, ValueId a)
+GraphBuilder::layerApply(const nn::Bootstrap &layer, ValueId a)
 {
     const auto &ma = g_.values[a];
     const auto &out = layer.outputMeta();
@@ -282,7 +280,7 @@ GraphBuilder::layerApply(const nn::Layer &layer, ValueId a)
                "graph layerApply: chunk count does not match the "
                "layer's compiled input");
     NodeId n = newNode(NodeKind::LayerApply, {a});
-    g_.nodes[n].layer = &layer;
+    g_.nodes[n].bootstrap = &layer;
     ValueId v = newValue(out.chunkCount, out.levelCount, out.scale, n);
     g_.nodes[n].outputs = {v};
     return v;
@@ -295,123 +293,14 @@ GraphBuilder::output(ValueId v)
     g_.outputs.push_back(v);
 }
 
-// ------------------------------------------------------------------
-// Layer lowering
-
-namespace
-{
-
-/** MatvecLayer: per-out-chunk BsgsSum branches + bias, re-packed. */
 ValueId
-lowerMatvec(GraphBuilder &b, const nn::MatvecLayer &l, ValueId in)
+GraphBuilder::lower(const nn::Layer &layer, ValueId in)
 {
-    std::size_t in_chunks = l.inputMeta().chunkCount;
-    std::size_t out_chunks = l.outputMeta().chunkCount;
-    auto chunk_vals = b.unpack(in);
-    std::vector<ValueId> outs;
-    outs.reserve(out_chunks);
-    for (std::size_t i = 0; i < out_chunks; ++i) {
-        std::vector<const boot::LinearTransformPlan *> plans;
-        std::vector<ValueId> terms;
-        for (std::size_t j = 0; j < in_chunks; ++j) {
-            const auto *p = l.blockPlan(i, j);
-            if (!p)
-                continue;
-            plans.push_back(p);
-            terms.push_back(chunk_vals[j]);
-        }
-        ValueId v = b.bsgsSum(std::move(plans), terms);
-        if (const auto *bias = l.biasPlain(i))
-            v = b.addPlain(v, *bias);
-        outs.push_back(v);
-    }
-    return b.pack(outs);
-}
-
-ValueId
-lowerAvgPool(GraphBuilder &b, const nn::AvgPool2d &l, ValueId in)
-{
-    ValueId t = in;
-    for (s64 s : l.poolSteps())
-        t = b.add(t, b.rotate(t, s));
-    return b.rescale(b.mulPlain(t, l.poolMask()));
-}
-
-ValueId
-lowerSumReduce(GraphBuilder &b, const nn::SumReduce &l, ValueId in)
-{
-    if (l.hoisted()) {
-        auto rots = b.rotateMany(in, l.foldSteps());
-        ValueId acc = in;
-        for (ValueId r : rots)
-            acc = b.add(acc, r);
-        return acc;
-    }
-    ValueId acc = in;
-    for (s64 s : l.foldSteps())
-        acc = b.add(acc, b.rotate(acc, s));
-    return acc;
-}
-
-/** Replays PolyActivation::apply()'s exact schedule symbolically:
-    the monomial ladder at natural levels, then exact-scale term
-    steering, then the optional constant. */
-ValueId
-lowerPolyActivation(GraphBuilder &b, const nn::PolyActivation &l,
-                    ValueId in)
-{
-    std::size_t in_lc = b.meta(in).levelCount;
-    requireArg(in_lc >= l.ladderDepth() + 2,
-               "graph ", l.name(),
-               ": input cannot host the power ladder plus the "
-               "exact-scale rescale");
-    double target = b.ctx().params().scale();
-
-    std::map<std::size_t, ValueId> pows;
-    pows.emplace(1, in);
-    for (std::size_t k : l.powerLadder()) {
-        ValueId a = pows.at((k + 1) / 2);
-        ValueId c = pows.at(k / 2);
-        std::size_t lc = std::min(b.meta(a).levelCount,
-                                  b.meta(c).levelCount);
-        pows.emplace(k, b.rescale(b.multiply(b.drop(a, lc),
-                                             b.drop(c, lc))));
-    }
-
-    std::size_t lmin = in_lc - l.ladderDepth();
-    ValueId acc = 0;
-    bool first = true;
-    for (const auto &[k, c] : l.activeTerms()) {
-        ValueId term =
-            b.mulConstToScale(b.drop(pows.at(k), lmin), c, target);
-        acc = first ? term : b.add(acc, term);
-        first = false;
-    }
-    if (l.hasConstantTerm())
-        acc = b.addConst(acc, l.approx().coeffs[0]);
-    return acc;
-}
-
-} // namespace
-
-ValueId
-lowerLayer(GraphBuilder &b, const nn::Layer &layer, ValueId in)
-{
-    if (const auto *l = dynamic_cast<const nn::MatvecLayer *>(&layer))
-        return lowerMatvec(b, *l, in);
-    if (const auto *l = dynamic_cast<const nn::AvgPool2d *>(&layer))
-        return lowerAvgPool(b, *l, in);
-    if (const auto *l = dynamic_cast<const nn::SumReduce *>(&layer))
-        return lowerSumReduce(b, *l, in);
-    if (const auto *l =
-            dynamic_cast<const nn::PolyActivation *>(&layer))
-        return lowerPolyActivation(b, *l, in);
-    if (const auto *l = dynamic_cast<const nn::LevelDrop *>(&layer))
-        return b.drop(in, l->targetLevelCount());
-    // Bootstrap (and any future layer without a primitive lowering)
-    // stays opaque: the node calls Layer::apply, which is the eager
-    // path verbatim.
-    return b.layerApply(layer, in);
+    const nn::Layer *outer = tag_;
+    tag_ = &layer;
+    ValueId out = layer.lower(*this, in);
+    tag_ = outer;
+    return out;
 }
 
 Graph
@@ -424,7 +313,7 @@ compileSequential(const ckks::CkksContext &ctx,
     const auto &in = seq.inputMeta();
     ValueId v = b.input(in.chunkCount, in.levelCount, in.scale);
     for (const auto &l : seq.layers())
-        v = lowerLayer(b, *l, v);
+        v = b.lower(*l, v);
     b.output(v);
     return b.take();
 }

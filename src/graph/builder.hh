@@ -1,7 +1,7 @@
 /**
  * @file
- * GraphBuilder: records an op stream into a graph::Graph, and the
- * layer lowering that compiles an nn::Sequential AOT into one.
+ * GraphBuilder: records an op stream into a graph::Graph, and
+ * compileSequential, which lowers a compiled nn::Sequential into one.
  *
  * Every builder method mirrors one batch::BatchedEvaluator call and
  * propagates the value meta (level count, scale) with the SAME
@@ -12,13 +12,15 @@
  * such an edge (tests build deliberately-mismatched graphs to pin
  * that refusal down without executing anything).
  *
- * lowerLayer() translates one compiled nn::Layer into primitive
- * nodes by replaying the layer's apply() schedule symbolically:
+ * lower() appends one compiled nn::Layer through the layer's own
+ * schedule (its compile / lower / applyPlain faces, nn/layers.hh):
  * matvec layers become per-out-chunk BsgsSum nodes (independent
  * branches the scheduler can overlap), activations become their
  * power-ladder node chains, Bootstrap stays opaque (LayerApply).
- * compileSequential() runs lowerLayer over a compiled model and is
- * the graph counterpart of Sequential::run.
+ * Every node emitted meanwhile is tagged with the layer; the
+ * executor turns the tags into per-layer nn trace spans.
+ * compileSequential() lowers a whole compiled model, and
+ * nn::Sequential::run executes that graph unfused.
  */
 
 #ifndef TENSORFHE_GRAPH_BUILDER_HH
@@ -69,8 +71,16 @@ class GraphBuilder
     ValueId bsgsSum(
         std::vector<const boot::LinearTransformPlan *> plans,
         const std::vector<ValueId> &term_inputs);
-    /** Opaque layer application (Bootstrap). */
-    ValueId layerApply(const nn::Layer &layer, ValueId a);
+    /** Opaque bootstrap refresh (Bootstrap::refresh). */
+    ValueId layerApply(const nn::Bootstrap &layer, ValueId a);
+
+    /**
+     * Lower one compiled layer (nn::Layer::lower): consumes the value
+     * holding the layer's input batch and returns the value holding
+     * its output batch, tagging every node emitted meanwhile with the
+     * layer. The layer must outlive the graph.
+     */
+    ValueId lower(const nn::Layer &layer, ValueId in);
 
     /** Mark a graph output (kept alive, never fused away). */
     void output(ValueId v);
@@ -88,21 +98,15 @@ class GraphBuilder
 
     const ckks::CkksContext *ctx_;
     Graph g_;
+    /// Layer being lowered: tags every new node (null outside lower).
+    const nn::Layer *tag_ = nullptr;
 };
 
 /**
- * Lower one compiled layer: consumes the value holding the layer's
- * input batch (flat, layer.inputMeta().chunkCount chunks per sample)
- * and returns the value holding its output batch. The layer must
- * outlive the graph (nodes point into its plans and plaintexts).
- */
-ValueId lowerLayer(GraphBuilder &b, const nn::Layer &layer,
-                   ValueId in);
-
-/**
  * Compile a compiled nn::Sequential into a one-input, one-output
- * graph — the AOT counterpart of Sequential::run. The model must
- * outlive the graph.
+ * graph, every layer lowered in stack order. Sequential::compile
+ * keeps this graph and Sequential::run executes it unfused. The model
+ * must outlive the graph.
  */
 Graph compileSequential(const ckks::CkksContext &ctx,
                         const nn::Sequential &seq);

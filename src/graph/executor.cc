@@ -1,7 +1,9 @@
 #include "graph/executor.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
+#include <optional>
 
 #include "common/logging.hh"
 #include "common/stats.hh"
@@ -148,7 +150,7 @@ executeNode(const nn::NnEngine &engine, const Graph &g, const Node &n,
       }
       case NodeKind::LayerApply:
         vals[n.outputs[0]] =
-            n.layer->apply(engine, vals[n.inputs[0]]);
+            n.bootstrap->refresh(engine, vals[n.inputs[0]]);
         break;
       case NodeKind::FusedEle: {
           const Cts &base = vals[n.inputs[0]];
@@ -186,16 +188,15 @@ GraphExecutor::runSchedule(const nn::NnEngine &engine,
     for (std::size_t i = 0; i < g.inputs.size(); ++i)
         input_index[g.inputs[i]] = i;
 
-    // Checkpoint plan: cut positions and the liveness that decides
-    // what each snapshot must carry.
+    // Liveness: a value is released after its last consumer, and
+    // decides what each checkpoint snapshot must carry.
+    std::vector<std::size_t> lastUse = resilience::valueLastUse(g, sched_);
     std::vector<std::size_t> cuts;
-    std::vector<std::size_t> lastUse;
     if (opt.checkpointEvery > 0) {
         requireArg(opt.checkpointLog != nullptr,
                    "checkpointEvery > 0 requires a checkpointLog");
         cuts = resilience::chooseCutPoints(g, sched_,
                                            opt.checkpointEvery);
-        lastUse = resilience::valueLastUse(g, sched_);
     }
     auto cutIt =
         std::lower_bound(cuts.begin(), cuts.end(), startPos);
@@ -203,11 +204,28 @@ GraphExecutor::runSchedule(const nn::NnEngine &engine,
     ExecResult res;
     // Per-node queue indices the node's output depends on.
     std::vector<std::vector<std::size_t>> last(g.nodes.size());
+    // One nn span around each run of nodes lowered from the same
+    // layer: the layer level of the workload -> layer -> node ->
+    // kernel nesting.
+    std::optional<trace::TraceSpan> layerSpan;
+    const nn::Layer *spanLayer = nullptr;
 
     for (std::size_t pos = startPos; pos < sched_.order.size();
          ++pos) {
         NodeId id = sched_.order[pos];
         const Node &n = g.nodes[id];
+
+        if (n.layer != spanLayer) {
+            layerSpan.reset();
+            spanLayer = n.layer;
+            if (spanLayer != nullptr && trace::Tracer::armed()) {
+                const auto &out = spanLayer->outputMeta();
+                layerSpan.emplace("nn", spanLayer->name());
+                layerSpan->arg("chunks",
+                               static_cast<s64>(out.chunkCount))
+                    .arg("level", static_cast<s64>(out.levelCount));
+            }
+        }
 
         // Append the attempt's captured launches to the schedule,
         // stream-tagged, first launch gated on every producer.
@@ -295,22 +313,23 @@ GraphExecutor::runSchedule(const nn::NnEngine &engine,
 
                 executeNode(engine, g, n, vals);
 
-                // Produce side: validate against the compiled meta
-                // and seal with a digest.
+                // Produce side: every output must land on its
+                // compiled level and scale (O(1) per chunk, every
+                // mode); paranoid mode also validates and seals it
+                // with a digest.
                 for (ValueId v : n.outputs) {
                     Cts &out = vals[v];
                     if (opt.paranoid)
                         sums[v].clear();
                     for (auto &ct : out) {
                         TFHE_FAULT_POINT_CT("graph/node-output", ct);
-                        if (!opt.paranoid)
-                            continue;
                         resilience::checkCtMeta(
                             ct, g.values[v].levelCount,
                             g.values[v].scale, "graph/node-output",
                             id);
-                        sums[v].push_back(resilience::validateCt(
-                            ct, "graph/node-output", id));
+                        if (opt.paranoid)
+                            sums[v].push_back(resilience::validateCt(
+                                ct, "graph/node-output", id));
                     }
                 }
 
@@ -369,6 +388,15 @@ GraphExecutor::runSchedule(const nn::NnEngine &engine,
             }
         }
 
+        // Free what no later node reads, as call-by-call evaluation
+        // would: memory follows the live set, not the whole graph.
+        for (ValueId v : n.inputs) {
+            if (lastUse[v] == pos) {
+                vals[v] = Cts();
+                sums[v].clear();
+            }
+        }
+
         if (cutIt != cuts.end() && *cutIt == pos) {
             ++cutIt;
             trace::TraceSpan cpSpan("graph", "checkpoint");
@@ -413,11 +441,23 @@ GraphExecutor::run(const nn::NnEngine &engine, std::vector<Cts> inputs,
                "graph run: empty input");
     std::size_t batch =
         inputs[0].size() / g.values[g.inputs[0]].chunkCount;
-    for (std::size_t i = 0; i < inputs.size(); ++i)
-        requireArg(inputs[i].size()
-                       == batch * g.values[g.inputs[i]].chunkCount,
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        const ValueMeta &m = g.values[g.inputs[i]];
+        requireArg(inputs[i].size() == batch * m.chunkCount,
                    "graph run: input ", i,
                    " does not match the common batch size");
+        // Usage errors, raised before any node runs: a batch off its
+        // Input meta could only fail later as an IntegrityError.
+        for (const auto &ct : inputs[i]) {
+            requireArg(ct.levelCount() == m.levelCount,
+                       "graph run: input ", i, " at level count ",
+                       ct.levelCount(), ", compiled for ",
+                       m.levelCount);
+            requireArg(std::abs(ct.scale - m.scale) <= 1e-6 * m.scale,
+                       "graph run: input ", i, " at scale ", ct.scale,
+                       ", compiled for ", m.scale);
+        }
+    }
 
     // Workload-level span: the root of the workload -> node ->
     // dispatcher-op -> kernel nesting.
@@ -483,8 +523,9 @@ GraphExecutor::prestageWorkspace(const nn::NnEngine &engine,
 {
     const Graph &g = *g_;
     // The widest scratch any dispatch checks out is the key-switch
-    // union basis (every q and p limb); via the best-fit capacity
-    // scan a pooled buffer of that shape serves any smaller request.
+    // union basis (every q and p limb); the arena's best fit (one
+    // ordered-map lookup) serves any smaller request from a pooled
+    // buffer of that shape.
     const auto &tower = engine.ctx().tower();
     std::vector<std::size_t> limbs(tower.numTotal());
     std::iota(limbs.begin(), limbs.end(), 0);

@@ -1,9 +1,25 @@
 /**
  * @file
- * GraphExecutor: runs a scheduled graph through the SAME evaluator
- * entry points the eager path uses — bit-identity with eager
- * execution is by construction, not by tolerance (the tests compare
- * raw residue limbs). What the graph adds over eager:
+ * GraphExecutor: the runtime. Every encrypted schedule runs here —
+ * nn::Sequential::run and the LSTM step execute their unfused graphs
+ * (exactly the kernel sequence of a call-by-call evaluation), and
+ * scheduled graphs reach the same evaluator entry points, so fused
+ * and unfused runs are bit-identical by construction, not by
+ * tolerance (the tests compare raw residue limbs). Every run:
+ *
+ *   - rejects input batches off their Input meta (level count, or
+ *     scale beyond 1e-6 relative) with std::invalid_argument before
+ *     any node runs;
+ *   - checks every node output against its compiled level and scale
+ *     (O(1) per chunk) and raises IntegrityError, with the node
+ *     attached, on drift;
+ *   - opens one "nn" trace span around each run of nodes lowered
+ *     from the same layer (named layer->name(), chunks/level args),
+ *     around the per-node "graph" spans;
+ *   - frees each value after its last consumer, so memory follows
+ *     the live set as in call-by-call evaluation.
+ *
+ * What scheduling adds:
  *
  *   - FusedEle nodes run one exec::Dispatcher::fusedElementwise span
  *     pass instead of N member launches (fewer kernel launches, same
@@ -25,11 +41,11 @@
  *     successful retry is bit-identical to an uninterrupted run; the
  *     failed attempt's EvalOpStats are rolled back and its captured
  *     launches discarded, so the accounting is identical too.
- *   - paranoid mode validates every value crossing a node boundary
- *     (residues < q_i, metadata against the compiled ValueMeta) and
- *     keeps per-chunk checksums, re-verified when a value is
- *     consumed: at-rest corruption raises IntegrityError with the
- *     node attached instead of decrypting to a silently wrong logit.
+ *   - paranoid mode adds a structural scan of every value crossing
+ *     a node boundary (residues < q_i, component shapes) and keeps
+ *     per-chunk checksums, re-verified when a value is consumed:
+ *     at-rest corruption raises IntegrityError with the node
+ *     attached instead of decrypting to a silently wrong logit.
  *   - checkpointEvery > 0 snapshots the live value set at
  *     scheduler-chosen minimum-footprint cuts; resumeFrom() verifies
  *     the snapshot's checksums and re-executes only the nodes
@@ -58,7 +74,8 @@ struct ExecOptions
     bool captureSchedule = false;
 
     /** Validate + checksum every value at node boundaries; consumed
-        values are re-verified against their stored digest. */
+        values are re-verified against their stored digest (the
+        level/scale meta check runs in every mode). */
     bool paranoid = false;
 
     /** Per-node retry of transient faults (maxAttempts = 1 disables). */
@@ -95,7 +112,8 @@ class GraphExecutor
     /**
      * Execute over one batch per graph input (Graph::inputs order);
      * every input must hold meta.chunkCount * B ciphertexts for one
-     * common batch size B, laid out sample-major.
+     * common batch size B, laid out sample-major, at the Input's
+     * level count and scale (std::invalid_argument otherwise).
      */
     ExecResult run(const nn::NnEngine &engine,
                    std::vector<Cts> inputs,
@@ -116,8 +134,9 @@ class GraphExecutor
     /**
      * Seed the engine's workspace arena with the largest scratch
      * shape the tower admits (the key-switch union basis), enough
-     * buffers for the graph's widest value: via the arena's best-fit
-     * scan every smaller checkout is then served from the pool.
+     * buffers for the graph's widest value: the arena's best fit
+     * (one ordered-map lookup) then serves every smaller checkout
+     * from the pool.
      */
     void prestageWorkspace(const nn::NnEngine &engine,
                            std::size_t batch) const;

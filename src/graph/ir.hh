@@ -9,13 +9,14 @@
  * sample, laid out sample-major `[s * chunkCount + c]`, exactly the
  * flattening nn::Sequential::run uses). Nodes are the primitives of
  * the unified exec/batch layer — every node kind maps 1:1 onto a
- * batch::BatchedEvaluator / exec::Dispatcher entry point, so graph
- * execution is BIT-IDENTICAL to the eager calls it was compiled
- * from: same kernels, same operand order, same scale arithmetic,
- * same EvalOpStats accounting.
+ * batch::BatchedEvaluator / exec::Dispatcher entry point. The graph
+ * is the only runtime form of an encrypted schedule: nn layers
+ * lower into it (nn::Layer::lower), nn::Sequential::run and the LSTM
+ * step execute their unfused graphs, and fused schedules of the same
+ * graph stay BIT-IDENTICAL to the unfused one: same kernels, same
+ * operand order, same scale arithmetic, same EvalOpStats accounting.
  *
- * The graph exists so a scheduler can do what eager call-by-call
- * execution cannot:
+ * Scheduling does what call-by-call execution cannot:
  *   - FUSE adjacent elementwise launches (Add/Sub/AddPlain/MulPlain
  *     chains) into one FusedEle span pass (exec::FusedSpec);
  *   - OVERLAP independent branches (the per-out-chunk BsgsSum
@@ -31,7 +32,8 @@
  *
  * Lifetime: nodes hold non-owning pointers into the compiled layers
  * they were lowered from (plaintext masks/biases, BSGS plans, the
- * opaque bootstrap layer). The layer objects must outlive the graph.
+ * opaque bootstrap layer, the per-layer span tag). The layer objects
+ * must outlive the graph.
  */
 
 #ifndef TENSORFHE_GRAPH_IR_HH
@@ -72,7 +74,7 @@ enum class NodeKind : int
     Unpack,          ///< flat [s*k+c] -> k per-chunk values
     Pack,            ///< k per-chunk values -> flat [s*k+c]
     BsgsSum,         ///< Dispatcher::applyBsgsSum over term chunks
-    LayerApply,      ///< opaque nn::Layer::apply (Bootstrap)
+    LayerApply,      ///< opaque nn::Bootstrap::refresh
     FusedEle,        ///< scheduler-emitted fused elementwise chain
     MulPlainRescale, ///< scheduler-emitted fused CMULT+RESCALE
     NumKinds
@@ -115,6 +117,9 @@ struct Node
     /// BsgsSum: plan of term t, applied to input value t's batch.
     std::vector<const boot::LinearTransformPlan *> plans;
     /// LayerApply target (non-owning).
+    const nn::Bootstrap *bootstrap = nullptr;
+    /// The layer this node was lowered from (null for hand-built
+    /// nodes); the executor opens one nn span per run of equal tags.
     const nn::Layer *layer = nullptr;
     /// FusedEle register program + its plaintext table.
     exec::FusedSpec fused;

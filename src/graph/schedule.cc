@@ -231,6 +231,7 @@ mulRescaleFusePass(Graph &g, Schedule &sched)
         f.inputs = g.nodes[p].inputs;
         f.outputs = rn.outputs;
         f.pt = g.nodes[p].pt;
+        f.layer = rn.layer;
         g.nodes.push_back(std::move(f));
         NodeId fid = g.nodes.size() - 1;
         g.values[g.nodes[fid].outputs[0]].producer = fid;
@@ -275,6 +276,7 @@ fusePass(Graph &g, Schedule &sched)
         f.outputs = g.nodes[i].outputs;
         f.fused = std::move(cg.spec);
         f.fusedPts = std::move(cg.pts);
+        f.layer = g.nodes[i].layer; // the group's root
         g.nodes.push_back(std::move(f));
         NodeId fid = g.nodes.size() - 1;
         g.values[g.nodes[fid].outputs[0]].producer = fid;

@@ -6,6 +6,7 @@
 #include "ckks/rotations.hh"
 #include "common/logging.hh"
 #include "common/modarith.hh"
+#include "graph/builder.hh"
 #include "perf/cost.hh"
 
 namespace tensorfhe::nn
@@ -181,43 +182,31 @@ MatvecLayer::blockPlan(std::size_t out_chunk,
     return blocks_[out_chunk][in_chunk].get();
 }
 
-Cts
-MatvecLayer::apply(const NnEngine &engine, const Cts &in) const
+graph::ValueId
+MatvecLayer::lower(graph::GraphBuilder &b, graph::ValueId in) const
 {
     requireCompiled();
-    std::size_t in_chunks = in_.chunkCount;
-    std::size_t out_chunks = out_.chunkCount;
-    requireArg(!in.empty() && in.size() % in_chunks == 0,
-               name(), " batch is not a multiple of the chunk count");
-    std::size_t batch = in.size() / in_chunks;
-    std::size_t lc = in[0].levelCount();
-    const auto &beval = engine.batched();
-
-    Cts out(batch * out_chunks);
-    for (std::size_t i = 0; i < out_chunks; ++i) {
-        // One applyBsgsSum per output chunk: every nonzero input
-        // block accumulates on QP, one final ModDown + RESCALE.
-        std::vector<exec::BsgsProgram> owned;
-        std::vector<const exec::BsgsProgram *> progs;
-        std::vector<const ckks::Ciphertext *> inputs;
-        owned.reserve(in_chunks);
-        for (std::size_t j = 0; j < in_chunks; ++j) {
+    // One BsgsSum per output chunk (independent branches the
+    // scheduler can overlap): every nonzero input block accumulates
+    // on QP, one final ModDown + RESCALE, then the chunk's bias.
+    auto chunks = b.unpack(in);
+    std::vector<graph::ValueId> outs;
+    outs.reserve(blocks_.size());
+    for (std::size_t i = 0; i < blocks_.size(); ++i) {
+        std::vector<const boot::LinearTransformPlan *> plans;
+        std::vector<graph::ValueId> terms;
+        for (std::size_t j = 0; j < blocks_[i].size(); ++j) {
             if (!blocks_[i][j])
                 continue;
-            owned.push_back(blocks_[i][j]->program(lc));
-            for (std::size_t s = 0; s < batch; ++s)
-                inputs.push_back(&in[s * in_chunks + j]);
+            plans.push_back(blocks_[i][j].get());
+            terms.push_back(chunks[j]);
         }
-        for (const auto &p : owned)
-            progs.push_back(&p);
-        auto chunk = beval.dispatcher().applyBsgsSum(
-            progs.data(), inputs.data(), progs.size(), batch);
+        graph::ValueId v = b.bsgsSum(std::move(plans), terms);
         if (biases_[i])
-            chunk = beval.addPlain(chunk, *biases_[i]);
-        for (std::size_t s = 0; s < batch; ++s)
-            out[s * out_chunks + i] = std::move(chunk[s]);
+            v = b.addPlain(v, *biases_[i]);
+        outs.push_back(v);
     }
-    return out;
+    return b.pack(outs);
 }
 
 EvalOpCounts
@@ -549,15 +538,14 @@ AvgPool2d::requiredRotations() const
     return steps_;
 }
 
-Cts
-AvgPool2d::apply(const NnEngine &engine, const Cts &in) const
+graph::ValueId
+AvgPool2d::lower(graph::GraphBuilder &b, graph::ValueId in) const
 {
     requireCompiled();
-    const auto &beval = engine.batched();
-    Cts t = in;
+    graph::ValueId t = in;
     for (s64 s : steps_)
-        t = beval.add(t, beval.rotate(t, s));
-    return beval.rescale(beval.multiplyPlain(t, *mask_));
+        t = b.add(t, b.rotate(t, s));
+    return b.rescale(b.mulPlain(t, *mask_));
 }
 
 std::vector<double>
@@ -667,21 +655,19 @@ SumReduce::requiredRotations() const
     return steps_;
 }
 
-Cts
-SumReduce::apply(const NnEngine &engine, const Cts &in) const
+graph::ValueId
+SumReduce::lower(graph::GraphBuilder &b, graph::ValueId in) const
 {
     requireCompiled();
-    const auto &beval = engine.batched();
+    graph::ValueId acc = in;
     if (hoisted_) {
-        auto rots = beval.rotateManyBatch(in, steps_);
-        Cts acc = in;
-        for (auto &r : rots)
-            acc = beval.add(acc, r);
+        // One hoisted multi-rotation of every step, then the adds.
+        for (graph::ValueId r : b.rotateMany(in, steps_))
+            acc = b.add(acc, r);
         return acc;
     }
-    Cts acc = in;
     for (s64 s : steps_)
-        acc = beval.add(acc, beval.rotate(acc, s));
+        acc = b.add(acc, b.rotate(acc, s));
     return acc;
 }
 
@@ -792,8 +778,8 @@ PolyActivation::levelCost() const
     return maxDepth_ + 1;
 }
 
-Cts
-PolyActivation::apply(const NnEngine &engine, const Cts &in) const
+graph::ValueId
+PolyActivation::lower(graph::GraphBuilder &b, graph::ValueId in) const
 {
     requireCompiled();
     // Exact-scale steering needs the full ladder depth plus the term
@@ -801,50 +787,41 @@ PolyActivation::apply(const NnEngine &engine, const Cts &in) const
     // drop below level 0 and the steering would silently emit a
     // wrong-scale ciphertext — fail loudly instead (the off-by-one
     // guard; compile() enforces the same bound on the compiled meta,
-    // this catches callers running on a deeper-drained input).
-    requireArg(!in.empty(), name(), ": empty batch");
-    requireArg(in[0].levelCount() >= maxDepth_ + 2,
-               name(), ": input at level count ", in[0].levelCount(),
+    // this catches a lowering at a deeper-drained input).
+    std::size_t in_lc = b.meta(in).levelCount;
+    requireArg(in_lc >= maxDepth_ + 2,
+               name(), ": input at level count ", in_lc,
                " cannot host the power ladder plus the exact-scale "
                "rescale (needs >= ",
                maxDepth_ + 2,
                "); the last rescale would drop below level 0");
-    const auto &beval = engine.batched();
-    double target = engine.ctx().params().scale();
+    double target = b.ctx().params().scale();
 
     // The monomial ladder at natural levels.
-    std::map<std::size_t, Cts> pows;
+    std::map<std::size_t, graph::ValueId> pows;
     pows.emplace(1, in);
     for (std::size_t k : powers_) {
-        const Cts &a = pows.at((k + 1) / 2);
-        const Cts &b = pows.at(k / 2);
+        graph::ValueId x = pows.at((k + 1) / 2);
+        graph::ValueId y = pows.at(k / 2);
         std::size_t lc =
-            std::min(a[0].levelCount(), b[0].levelCount());
-        pows.emplace(k, beval.rescale(beval.multiply(
-                            beval.dropToLevelCount(a, lc),
-                            beval.dropToLevelCount(b, lc))));
+            std::min(b.meta(x).levelCount, b.meta(y).levelCount);
+        pows.emplace(k, b.rescale(b.multiply(b.drop(x, lc),
+                                             b.drop(y, lc))));
     }
 
-    // Steer every term to (min power level - 1, target scale).
-    std::size_t lmin = in[0].levelCount() - maxDepth_;
-    Cts acc;
+    // Steer every term to (min power level - 1, target scale), then
+    // add the constant coefficient.
+    std::size_t lmin = in_lc - maxDepth_;
+    graph::ValueId acc = 0;
     bool first = true;
     for (const auto &[k, c] : terms_) {
-        auto term = beval.multiplyConstToScale(
-            beval.dropToLevelCount(pows.at(k), lmin), c, target);
-        if (first) {
-            acc = std::move(term);
-            first = false;
-        } else {
-            acc = beval.add(acc, term);
-        }
+        graph::ValueId term =
+            b.mulConstToScale(b.drop(pows.at(k), lmin), c, target);
+        acc = first ? term : b.add(acc, term);
+        first = false;
     }
-    if (hasConstant_) {
-        auto pt = engine.ctx().encoder().encodeConstant(
-            ckks::Complex(approx_.coeffs[0], 0), acc[0].scale,
-            acc[0].levelCount());
-        acc = beval.addPlain(acc, pt);
-    }
+    if (hasConstant_)
+        acc = b.addConst(acc, approx_.coeffs[0]);
     return acc;
 }
 
@@ -950,8 +927,15 @@ Bootstrap::requiredConjRotations() const
     return boot::Bootstrapper::requiredConjRotations(slots_);
 }
 
+graph::ValueId
+Bootstrap::lower(graph::GraphBuilder &b, graph::ValueId in) const
+{
+    requireCompiled();
+    return b.layerApply(*this, in);
+}
+
 Cts
-Bootstrap::apply(const NnEngine &engine, const Cts &in) const
+Bootstrap::refresh(const NnEngine &engine, const Cts &in) const
 {
     requireCompiled();
     // Chunks are just more batch slots: the whole (sample x chunk)
@@ -1048,13 +1032,11 @@ LevelDrop::compile(const ckks::CkksContext &ctx, const TensorMeta &in)
     return out_;
 }
 
-Cts
-LevelDrop::apply(const NnEngine &engine, const Cts &in) const
+graph::ValueId
+LevelDrop::lower(graph::GraphBuilder &b, graph::ValueId in) const
 {
     requireCompiled();
-    if (target_ == in_.levelCount)
-        return in; // identity: nothing to truncate
-    return engine.batched().dropToLevelCount(in, target_);
+    return b.drop(in, target_); // no node when already at the target
 }
 
 } // namespace tensorfhe::nn

@@ -9,14 +9,16 @@
  *     (BSGS matrices, encoded masks, power ladders) and returns the
  *     outgoing meta — shape, layout, level count and exact scale —
  *     before anything encrypted runs;
- *   - apply(): the encrypted forward pass over a uniform batch,
- *     dispatched through batch::BatchedEvaluator so multiple inputs
- *     ride the (slot x tower) work-queue;
+ *   - lower(): appends the layer's encrypted schedule to a
+ *     graph::GraphBuilder, one node per batch::BatchedEvaluator /
+ *     exec::Dispatcher call over a uniform batch. The schedule exists
+ *     only here: graph::GraphExecutor runs it, so nn::Sequential::run
+ *     and the fused graph schedules execute the same nodes;
  *   - applyPlain(): the plaintext reference with the same arithmetic
  *     (same polynomial activations), used for verification.
  * modeledOps() predicts the exact executed-operation counts of one
- * apply() sample, cross-checked against EvalOpStats by the tests and
- * the Table X bench.
+ * sample through the lowered schedule, cross-checked against
+ * EvalOpStats by the tests and the Table X bench.
  *
  * Matrix-shaped layers (Dense, Conv2d) lower to a single
  * boot::LinearTransformPlan BSGS matvec: ~2*sqrt(slots) key-switch
@@ -24,7 +26,8 @@
  * diagonal, with per-level cached diagonal plaintexts. Pooling and
  * reductions run as rotate-folds on the affine slot layout; pooled
  * outputs stay in strided slots and the next matrix layer reads them
- * in place.
+ * in place. Bootstrap lowers to one opaque node whose refresh() is
+ * the only hand-written eager body.
  */
 
 #ifndef TENSORFHE_NN_LAYERS_HH
@@ -41,6 +44,12 @@
 #include "nn/activation.hh"
 #include "nn/tensor.hh"
 #include "perf/cost_model.hh"
+
+namespace tensorfhe::graph
+{
+class GraphBuilder;
+using ValueId = std::size_t;
+} // namespace tensorfhe::graph
 
 namespace tensorfhe::nn
 {
@@ -87,15 +96,16 @@ class Layer
     /**
      * Validate against the incoming meta, build the layer's plans and
      * return the outgoing meta. Must be called exactly once before
-     * apply()/requiredRotations()/modeledOps().
+     * lower()/requiredRotations()/modeledOps().
      */
     virtual TensorMeta compile(const ckks::CkksContext &ctx,
                                const TensorMeta &in) = 0;
 
-    /** Rotation steps apply() needs keys for (valid after compile). */
+    /** Rotation steps the lowered schedule needs keys for (valid
+        after compile). */
     virtual std::vector<s64> requiredRotations() const { return {}; }
 
-    /** Conjugate-composed rotation steps apply() needs
+    /** Conjugate-composed rotation steps the lowered schedule needs
         KeyBundle.conjRot keys for (the bootstrap layer's fused C2S
         split; empty for ordinary layers). */
     virtual std::vector<s64> requiredConjRotations() const
@@ -108,18 +118,24 @@ class Layer
     virtual std::size_t levelCost() const = 0;
 
     /**
-     * Encrypted forward over a uniform batch: `in` holds every
-     * sample's chunks, sample-major. Elementwise layers accept any
-     * chunk count; rotation-based layers require single-chunk metas
-     * (enforced at compile).
+     * Append the encrypted forward pass to `b` (valid after compile):
+     * consumes the value holding the input batch (every sample's
+     * chunks, sample-major) and returns the value holding the output
+     * batch. Elementwise layers accept any chunk count; rotation-based
+     * layers require single-chunk metas (enforced at compile). Nodes
+     * point into the layer's plans and plaintexts, so the layer must
+     * outlive the graph. Call it through GraphBuilder::lower, which
+     * tags the nodes with the layer for the per-layer trace spans.
      */
-    virtual Cts apply(const NnEngine &engine, const Cts &in) const = 0;
+    virtual graph::ValueId lower(graph::GraphBuilder &b,
+                                 graph::ValueId in) const = 0;
 
     /** Plaintext reference on one sample's logical values. */
     virtual std::vector<double>
     applyPlain(const std::vector<double> &in) const = 0;
 
-    /** Predicted executed ops of one apply() sample. */
+    /** Predicted executed ops of one sample through lower()'s
+        schedule. */
     virtual EvalOpCounts modeledOps() const = 0;
 
     /**
@@ -130,7 +146,7 @@ class Layer
     virtual std::size_t minInputLevelCount() const { return 1; }
 
     /**
-     * Modeled kernel cost of one apply() sample if the input arrived
+     * Modeled kernel cost of one sample if the input arrived
      * at `input_lc` limbs (valid after compile). Every layer prices
      * against the EXPLICIT level argument — never the compiled
      * meta's level — so the planner can evaluate the same layer at
@@ -193,7 +209,8 @@ class MatvecLayer : public Layer
     std::vector<s64> requiredRotations() const override;
     std::size_t levelCost() const override { return 1; }
     std::size_t minInputLevelCount() const override { return 2; }
-    Cts apply(const NnEngine &engine, const Cts &in) const override;
+    graph::ValueId lower(graph::GraphBuilder &b,
+                         graph::ValueId in) const override;
     EvalOpCounts modeledOps() const override;
     perf::KernelCost costAt(const perf::CostModel &model,
                             std::size_t input_lc) const override;
@@ -217,15 +234,6 @@ class MatvecLayer : public Layer
     /** Block (out_chunk, in_chunk)'s plan; null for a zero block. */
     const boot::LinearTransformPlan *
     blockPlan(std::size_t out_chunk, std::size_t in_chunk) const;
-
-    /** Encoded bias of `out_chunk`; null when the chunk has no bias
-        (valid after compile; the graph lowering reads these). */
-    const ckks::Plaintext *
-    biasPlain(std::size_t out_chunk) const
-    {
-        requireCompiled();
-        return biases_[out_chunk] ? &*biases_[out_chunk] : nullptr;
-    }
 
   protected:
     /**
@@ -339,19 +347,13 @@ class AvgPool2d : public Layer
     std::vector<s64> requiredRotations() const override;
     std::size_t levelCost() const override { return 1; }
     std::size_t minInputLevelCount() const override { return 2; }
-    Cts apply(const NnEngine &engine, const Cts &in) const override;
+    graph::ValueId lower(graph::GraphBuilder &b,
+                         graph::ValueId in) const override;
     std::vector<double>
     applyPlain(const std::vector<double> &in) const override;
     EvalOpCounts modeledOps() const override;
     perf::KernelCost costAt(const perf::CostModel &model,
                             std::size_t input_lc) const override;
-
-    /** Doubling-fold rotation steps, in apply() order (valid after
-        compile; the graph lowering replays them). */
-    const std::vector<s64> &poolSteps() const { return steps_; }
-
-    /** The 1/window^2 + layout mask plaintext (valid after compile). */
-    const ckks::Plaintext &poolMask() const { return *mask_; }
 
   private:
     std::size_t window_;
@@ -374,7 +376,8 @@ class SumReduce : public Layer
                        const TensorMeta &in) override;
     std::vector<s64> requiredRotations() const override;
     std::size_t levelCost() const override { return 0; }
-    Cts apply(const NnEngine &engine, const Cts &in) const override;
+    graph::ValueId lower(graph::GraphBuilder &b,
+                         graph::ValueId in) const override;
     std::vector<double>
     applyPlain(const std::vector<double> &in) const override;
     EvalOpCounts modeledOps() const override;
@@ -383,10 +386,6 @@ class SumReduce : public Layer
 
     /** Whether compile chose the hoisted schedule (for tests). */
     bool hoisted() const { return hoisted_; }
-
-    /** Fold steps in apply() order (hoisted: one rotateManyBatch of
-        all steps; else one rotate+add per step). */
-    const std::vector<s64> &foldSteps() const { return steps_; }
 
   private:
     bool hoisted_ = false;
@@ -414,7 +413,8 @@ class PolyActivation : public Layer
     {
         return maxDepth_ + 2;
     }
-    Cts apply(const NnEngine &engine, const Cts &in) const override;
+    graph::ValueId lower(graph::GraphBuilder &b,
+                         graph::ValueId in) const override;
     std::vector<double>
     applyPlain(const std::vector<double> &in) const override;
     EvalOpCounts modeledOps() const override;
@@ -422,26 +422,6 @@ class PolyActivation : public Layer
                             std::size_t input_lc) const override;
 
     const PolyApprox &approx() const { return approx_; }
-
-    /** Ladder powers in build order (valid after compile; the graph
-        lowering replays apply()'s exact schedule from these). */
-    const std::vector<std::size_t> &powerLadder() const
-    {
-        return powers_;
-    }
-
-    /** Nonzero terms (power, coefficient), power >= 1, ascending. */
-    const std::vector<std::pair<std::size_t, double>> &
-    activeTerms() const
-    {
-        return terms_;
-    }
-
-    /** Depth of the deepest ladder power (== levelCost()). */
-    std::size_t ladderDepth() const { return maxDepth_; }
-
-    /** Whether apply() adds the constant coefficient at the end. */
-    bool hasConstantTerm() const { return hasConstant_; }
 
   private:
     PolyApprox approx_;
@@ -477,12 +457,18 @@ class Bootstrap : public Layer
     /** Consumes no budget — it restores it (see outputMeta). */
     std::size_t levelCost() const override { return 0; }
     std::size_t minInputLevelCount() const override { return 2; }
-    Cts apply(const NnEngine &engine, const Cts &in) const override;
+    /** One opaque LayerApply node that runs refresh(). */
+    graph::ValueId lower(graph::GraphBuilder &b,
+                         graph::ValueId in) const override;
     std::vector<double>
     applyPlain(const std::vector<double> &in) const override
     {
         return in; // value-preserving (approximately)
     }
+
+    /** The encrypted refresh of a uniform batch (every sample's
+        chunks, sample-major) — the LayerApply node's body. */
+    Cts refresh(const NnEngine &engine, const Cts &in) const;
     EvalOpCounts modeledOps() const override;
     perf::KernelCost costAt(const perf::CostModel &model,
                             std::size_t input_lc) const override;
@@ -526,7 +512,8 @@ class LevelDrop : public Layer
     TensorMeta compile(const ckks::CkksContext &ctx,
                        const TensorMeta &in) override;
     std::size_t levelCost() const override { return 0; }
-    Cts apply(const NnEngine &engine, const Cts &in) const override;
+    graph::ValueId lower(graph::GraphBuilder &b,
+                         graph::ValueId in) const override;
     std::vector<double>
     applyPlain(const std::vector<double> &in) const override
     {
@@ -538,8 +525,6 @@ class LevelDrop : public Layer
     {
         return {}; // metadata-only: no kernels, no bytes
     }
-
-    std::size_t targetLevelCount() const { return target_; }
 
   private:
     std::size_t target_;

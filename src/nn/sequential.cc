@@ -1,11 +1,12 @@
 #include "nn/sequential.hh"
 
-#include <cmath>
+#include <iterator>
 #include <sstream>
 
 #include "ckks/rotations.hh"
 #include "common/errors.hh"
 #include "common/logging.hh"
+#include "graph/builder.hh"
 #include "trace/trace.hh"
 
 namespace tensorfhe::nn
@@ -48,12 +49,27 @@ Sequential::compile(const ckks::CkksContext &ctx,
                                         input, plannerOpts_);
         layers_ = std::move(res.stack);
         plan_ = std::move(res.plan);
-        input_ = input;
         output_ = res.output;
-        compiled_ = true;
-        return output_;
+    } else {
+        output_ = compileGreedy(ctx, input);
     }
+    input_ = input;
+    compiled_ = true;
 
+    // Lower the final stack (after any planner rebind) once; with
+    // fusion off the schedule is the program order, i.e. exactly the
+    // kernel sequence of the layers' schedules in stack order.
+    graph_ = std::make_unique<graph::Graph>(
+        graph::compileSequential(ctx, *this));
+    exec_ = std::make_unique<graph::GraphExecutor>(
+        *graph_, graph::scheduleGraph(*graph_, {.fuse = false}));
+    return output_;
+}
+
+TensorMeta
+Sequential::compileGreedy(const ckks::CkksContext &ctx,
+                          const TensorMeta &input)
+{
     if (!autoBoot_) {
         // Whole-model budget validation up front: walk the level
         // ledger before any layer builds plans, so a model that
@@ -79,7 +95,7 @@ Sequential::compile(const ckks::CkksContext &ctx,
     // the last layer) plus the >= 2 floor any LATER bootstrap's
     // SlotToCoeff needs, splice in a refresh and continue at the
     // predicted level. The spliced layers become part of the stack.
-    // The walk also records the greedy ExecutionPlan run() replays.
+    // The walk also records the greedy ExecutionPlan.
     perf::CostModel model(ctx.params());
     std::vector<plan::PlanStep> steps;
     std::vector<std::unique_ptr<Layer>> compiled;
@@ -90,7 +106,6 @@ Sequential::compile(const ckks::CkksContext &ctx,
                       const TensorMeta &in) {
         plan::PlanStep st;
         st.kind = kind;
-        st.layerIndex = compiled.size();
         st.name = l.name();
         st.in = in;
         st.out = l.outputMeta();
@@ -140,10 +155,7 @@ Sequential::compile(const ckks::CkksContext &ctx,
     for (const auto &s : steps)
         greedy += s.work;
     plan_ = plan::ExecutionPlan(std::move(steps), greedy);
-    input_ = input;
-    output_ = meta;
-    compiled_ = true;
-    return output_;
+    return meta;
 }
 
 const plan::ExecutionPlan &
@@ -194,37 +206,22 @@ Sequential::bootstrapCount() const
     return count;
 }
 
-namespace
-{
-
-void
-requireMetaMatch(const TensorMeta &got, const TensorMeta &want,
-                 const std::string &where)
-{
-    requireArg(got.shape == want.shape && got.layout == want.layout
-                   && got.chunkCount == want.chunkCount,
-               where, ": tensor packing does not match the compiled "
-                      "meta");
-    requireArg(got.levelCount == want.levelCount,
-               where, ": level count ", got.levelCount,
-               " != compiled ", want.levelCount);
-    requireArg(std::abs(got.scale - want.scale) <= 1e-6 * want.scale,
-               where, ": scale ", got.scale, " != compiled ",
-               want.scale);
-}
-
-} // namespace
-
 std::vector<CipherTensor>
 Sequential::run(const NnEngine &engine,
                 const std::vector<CipherTensor> &batch) const
 {
     requireState(compiled_, "model used before compile()");
     requireArg(!batch.empty(), "empty batch");
-    for (const auto &t : batch)
-        requireMetaMatch(t.meta(), input_, "input");
+    // Packing here; level and scale are the executor's input check.
+    for (const auto &t : batch) {
+        auto m = t.meta();
+        requireArg(m.shape == input_.shape && m.layout == input_.layout
+                       && m.chunkCount == input_.chunkCount,
+                   "input: tensor packing does not match the compiled "
+                   "meta");
+    }
 
-    // Flatten to (sample x chunk) and ride the batched evaluator.
+    // Flatten to (sample x chunk): the graph's input batch.
     std::size_t chunks = input_.chunkCount;
     Cts flat;
     flat.reserve(batch.size() * chunks);
@@ -235,47 +232,20 @@ Sequential::run(const NnEngine &engine,
     trace::TraceSpan runSpan("nn", "sequential-run");
     runSpan.arg("batch", static_cast<s64>(batch.size()))
         .arg("layers", static_cast<s64>(layers_.size()));
-
-    // Execution replays the immutable plan: one step per compiled
-    // layer, each checked against the step's recorded output meta.
-    for (const auto &st : plan_.steps()) {
-        const auto &l = *layers_[st.layerIndex];
-        trace::TraceSpan layerSpan("nn", st.name);
-        layerSpan.arg("chunks", static_cast<s64>(st.out.chunkCount))
-            .arg("level", static_cast<s64>(st.out.levelCount));
-        flat = l.apply(engine, flat);
-        const TensorMeta &m = st.out;
-        // Level/scale invariants after every step: the executed
-        // batch must land exactly where the plan predicted. Drift
-        // here is corruption of the evaluation itself, typed so
-        // callers can distinguish it from usage errors.
-        if (flat.size() != batch.size() * m.chunkCount)
-            throw IntegrityError(
-                "nn/sequential-run",
-                strCat(st.name, ": chunk count drifted"));
-        for (const auto &ct : flat) {
-            if (ct.levelCount() != m.levelCount)
-                throw IntegrityError(
-                    "nn/sequential-run",
-                    strCat(st.name, ": level count ",
-                           ct.levelCount(), " != compiled ",
-                           m.levelCount));
-            if (std::abs(ct.scale - m.scale) > 1e-6 * m.scale)
-                throw IntegrityError(
-                    "nn/sequential-run",
-                    strCat(st.name, ": scale ", ct.scale,
-                           " != compiled ", m.scale));
-        }
-    }
+    Cts out_flat =
+        std::move(exec_->run(engine, {std::move(flat)}).outputs[0]);
 
     std::size_t out_chunks = output_.chunkCount;
     std::vector<CipherTensor> out;
     out.reserve(batch.size());
     for (std::size_t s = 0; s < batch.size(); ++s) {
         std::vector<ckks::Ciphertext> cts(
-            flat.begin() + static_cast<std::ptrdiff_t>(s * out_chunks),
-            flat.begin()
-                + static_cast<std::ptrdiff_t>((s + 1) * out_chunks));
+            std::make_move_iterator(out_flat.begin()
+                                    + static_cast<std::ptrdiff_t>(
+                                        s * out_chunks)),
+            std::make_move_iterator(out_flat.begin()
+                                    + static_cast<std::ptrdiff_t>(
+                                        (s + 1) * out_chunks)));
         out.emplace_back(output_.shape, output_.layout,
                          std::move(cts));
     }

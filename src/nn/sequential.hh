@@ -4,8 +4,10 @@
  * against an input TensorMeta (propagating shape/layout/level/scale
  * and validating the whole multiplicative budget up front, before
  * any key is generated or ciphertext touched), surfaces the union
- * rotation-key requirement of every layer, and runs encrypted
- * batches through the BatchedEvaluator with per-layer meta checks.
+ * rotation-key requirement of every layer, lowers the compiled stack
+ * once into a kernel graph, and runs encrypted batches through
+ * graph::GraphExecutor, which checks every node output against its
+ * compiled level and scale.
  */
 
 #ifndef TENSORFHE_NN_SEQUENTIAL_HH
@@ -13,6 +15,7 @@
 
 #include <memory>
 
+#include "graph/executor.hh"
 #include "nn/layers.hh"
 #include "plan/planner.hh"
 
@@ -36,7 +39,7 @@ class Sequential
      * refreshed level. The inserted layers join the stack — their
      * rotation/conjugation key needs surface through
      * requiredRotations()/requiredConjRotations(), their ops through
-     * modeledOps(), and run() batches them like any other layer.
+     * modeledOps(), and run() executes them like any other layer.
      * Must be called before compile().
      */
     void enableAutoBootstrap(boot::SineConfig sine = {});
@@ -48,8 +51,8 @@ class Sequential
      * perf::CostModel, rebuilds the stack at the planned levels
      * (matvec strides re-chosen per level, root-pattern key
      * restriction lifted — run the net on an on-demand
-     * ckks::KeyStore, or generate exactly requiredRotations()), and
-     * run() consumes the resulting immutable ExecutionPlan. Subsumes
+     * ckks::KeyStore, or generate exactly requiredRotations()) and
+     * records the resulting immutable ExecutionPlan. Subsumes
      * enableAutoBootstrap. Must be called before compile().
      */
     void enablePlanner(plan::PlannerOptions opts = {});
@@ -66,10 +69,12 @@ class Sequential
     }
 
     /**
-     * Compile every layer against the propagated metas. Throws
-     * std::invalid_argument with the per-layer level ledger when the
-     * input's multiplicative budget cannot cover the stack — the
-     * whole-model validation happens here, up front.
+     * Compile every layer against the propagated metas, then lower
+     * the compiled stack once (graph::compileSequential) into the
+     * unfused graph run() executes. Throws std::invalid_argument with
+     * the per-layer level ledger when the input's multiplicative
+     * budget cannot cover the stack — the whole-model validation
+     * happens here, up front.
      */
     TensorMeta compile(const ckks::CkksContext &ctx,
                        const TensorMeta &input);
@@ -93,10 +98,12 @@ class Sequential
     std::size_t bootstrapCount() const;
 
     /**
-     * Encrypted inference over a batch. Each sample must match the
-     * compiled input meta; every layer's output is checked against
-     * its compiled meta (level and scale invariants) before the next
-     * layer runs.
+     * Encrypted inference over a batch: one run of the compiled graph
+     * (fusion off, so exactly the kernel sequence of the layers'
+     * schedules in stack order). Each sample must match the compiled
+     * input meta (std::invalid_argument); every node output is checked
+     * against its compiled level and scale (IntegrityError on drift).
+     * The executor emits one "nn" trace span per layer.
      */
     std::vector<CipherTensor>
     run(const NnEngine &engine,
@@ -121,14 +128,21 @@ class Sequential
     bool compiled() const { return compiled_; }
 
     /**
-     * The immutable schedule run() replays (valid after compile).
-     * Both compile paths build one: the greedy path records its
-     * splice walk (greedyWork == plannedWork), the planner path its
-     * searched schedule (plannedWork <= greedyWork).
+     * The immutable schedule compile() chose, one step per compiled
+     * layer (valid after compile). Both compile paths build one: the
+     * greedy path records its splice walk (greedyWork ==
+     * plannedWork), the planner path its searched schedule
+     * (plannedWork <= greedyWork).
      */
     const plan::ExecutionPlan &executionPlan() const;
 
   private:
+    /** The greedy (optionally auto-bootstrapping) compile walk:
+        compiles layers_ in place, records plan_, returns the output
+        meta. */
+    TensorMeta compileGreedy(const ckks::CkksContext &ctx,
+                             const TensorMeta &input);
+
     std::vector<std::unique_ptr<Layer>> layers_;
     TensorMeta input_;
     TensorMeta output_;
@@ -138,6 +152,11 @@ class Sequential
     boot::SineConfig sine_;
     plan::PlannerOptions plannerOpts_;
     plan::ExecutionPlan plan_;
+    /// The lowered stack and its unfused executor. Heap-held so a
+    /// moved Sequential stays valid: the executor points at the
+    /// graph, whose nodes point into the layers layers_ owns.
+    std::unique_ptr<graph::Graph> graph_;
+    std::unique_ptr<graph::GraphExecutor> exec_;
 };
 
 } // namespace tensorfhe::nn

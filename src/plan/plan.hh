@@ -33,7 +33,6 @@ struct PlanStep
     };
 
     Kind kind = Kind::Layer;
-    std::size_t layerIndex = 0; ///< index into Sequential::layers()
     std::string name;
     nn::TensorMeta in;
     nn::TensorMeta out;

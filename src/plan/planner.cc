@@ -17,6 +17,9 @@ namespace
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Limbs that must remain after the last layer.
+constexpr std::size_t kTerminalReserve = 1;
+
 double
 layerWork(const nn::Layer &l, const perf::CostModel &model,
           std::size_t input_lc)
@@ -119,8 +122,6 @@ planSequential(const ckks::CkksContext &ctx,
                const nn::TensorMeta &input, const PlannerOptions &opts)
 {
     requireArg(!layers.empty(), "planner needs a nonempty stack");
-    requireArg(opts.terminalReserve >= 1,
-               "terminal reserve must keep >= 1 limb");
     perf::CostModel model(ctx.params());
     auto &metrics = trace::MetricsRegistry::instance();
     auto &candidates = metrics.counter("plan.candidates_explored");
@@ -146,11 +147,12 @@ planSequential(const ckks::CkksContext &ctx,
     }
 
     // Planner strides from here on: costAt() re-chooses the BSGS
-    // stride per queried level exactly as the rebind will.
-    if (opts.unrestrictedStrides)
-        for (auto &l : layers)
-            if (auto *m = dynamic_cast<nn::MatvecLayer *>(l.get()))
-                m->setPlannedStrides(true);
+    // stride per queried level exactly as the rebind will, with the
+    // root-pattern key restriction lifted (keys come from an
+    // on-demand ckks::KeyStore).
+    for (auto &l : layers)
+        if (auto *m = dynamic_cast<nn::MatvecLayer *>(l.get()))
+            m->setPlannedStrides(true);
 
     // ---- Phase 3: exact DP over (gap, level) states. ----
     std::size_t maxL = ctx.tower().numQ();
@@ -160,7 +162,7 @@ planSequential(const ckks::CkksContext &ctx,
         n + 1, std::vector<double>(maxL + 1, kInf));
     std::vector<std::vector<Decision>> parent(
         n, std::vector<Decision>(maxL + 1));
-    for (std::size_t L = opts.terminalReserve; L <= maxL; ++L)
+    for (std::size_t L = kTerminalReserve; L <= maxL; ++L)
         dp[n][L] = 0.0;
 
     // Refresh landing per bootstrap input level (the predictRefresh
@@ -178,11 +180,9 @@ planSequential(const ckks::CkksContext &ctx,
             auto &l = *layers[i];
             std::size_t min_in = l.minInputLevelCount();
             std::size_t cost = l.levelCost();
-            std::size_t live = opts.lazyBootstrap
-                ? static_cast<std::size_t>(
-                      std::count(liveAtGap[i].begin(),
-                                 liveAtGap[i].end(), true))
-                : liveAtGap[i].size();
+            // Lazy bootstrap: only chunks live downstream refresh.
+            auto live = static_cast<std::size_t>(std::count(
+                liveAtGap[i].begin(), liveAtGap[i].end(), true));
 
             // direct[d]: run the layer with its input at exactly d.
             std::vector<double> direct(maxL + 1, kInf);
@@ -259,13 +259,12 @@ planSequential(const ckks::CkksContext &ctx,
                               false)
                     != liveAtGap[i].end();
                 std::vector<bool> mask;
-                if (opts.lazyBootstrap && anyDead) {
+                if (anyDead) {
                     mask = liveAtGap[i];
                     b->setLiveChunks(mask);
                 }
                 PlanStep st;
                 st.kind = PlanStep::Kind::Bootstrap;
-                st.layerIndex = stack.size();
                 st.name = b->name();
                 st.in = meta;
                 meta = b->compile(ctx, meta);
@@ -279,7 +278,6 @@ planSequential(const ckks::CkksContext &ctx,
                 auto d = std::make_unique<nn::LevelDrop>(dec.runAt);
                 PlanStep st;
                 st.kind = PlanStep::Kind::LevelDrop;
-                st.layerIndex = stack.size();
                 st.name = d->name();
                 st.in = meta;
                 meta = d->compile(ctx, meta);
@@ -289,7 +287,6 @@ planSequential(const ckks::CkksContext &ctx,
             }
             PlanStep st;
             st.kind = PlanStep::Kind::Layer;
-            st.layerIndex = stack.size();
             st.name = layers[i]->name();
             st.in = meta;
             meta = layers[i]->rebind(ctx, meta);
@@ -323,7 +320,7 @@ planSequential(const ckks::CkksContext &ctx,
             }
             prev = &st.out;
         }
-        requireState(prev->levelCount >= opts.terminalReserve,
+        requireState(prev->levelCount >= kTerminalReserve,
                      "planned output violates the terminal reserve");
         requireState(plan.plannedWork()
                          <= survey.greedyWork * (1.0 + 1e-9),

@@ -42,21 +42,17 @@
 namespace tensorfhe::plan
 {
 
+/**
+ * The planner always re-chooses BSGS strides per planned level with
+ * the root-pattern key restriction lifted (route keys through an
+ * on-demand ckks::KeyStore — pre-generated analytic bundles may not
+ * cover the chosen steps), refreshes only chunks live downstream at
+ * each bootstrap, and leaves >= 1 limb after the last layer.
+ */
 struct PlannerOptions
 {
     /** Sine approximation of planner-placed bootstraps. */
     boot::SineConfig sine;
-    /**
-     * Re-choose BSGS strides per planned level with the root-pattern
-     * key restriction lifted (requires routing keys through an
-     * on-demand ckks::KeyStore — pre-generated analytic bundles may
-     * not cover the chosen steps).
-     */
-    bool unrestrictedStrides = true;
-    /** Refresh only chunks live downstream at each bootstrap. */
-    bool lazyBootstrap = true;
-    /** Limbs that must remain after the last layer (>= 1). */
-    std::size_t terminalReserve = 1;
 };
 
 /** The planner's product: the rebuilt stack plus its schedule. */

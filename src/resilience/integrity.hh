@@ -11,13 +11,14 @@
  * what a high-bit memory flip produces; a low-bit flip keeps the
  * residue in range and only the checksum can see it.
  *
- * The graph executor's paranoid mode (graph/executor.hh) wires these
- * in at node boundaries: every produced value is validated against
- * its compiled ValueMeta (level count and scale were propagated at
- * compile time with the evaluators' exact arithmetic) and
- * checksummed; every consumed value is re-checksummed against the
- * stored digest. Detected corruption raises IntegrityError with the
- * site and node attached — never a silently wrong logit.
+ * The graph executor (graph/executor.hh) wires these in at node
+ * boundaries: in every mode, every produced value is checked against
+ * its compiled ValueMeta (checkCtMeta: level count and scale were
+ * propagated at compile time with the evaluators' exact arithmetic);
+ * paranoid mode also validates and checksums it, and re-checksums
+ * every consumed value against the stored digest. Detected
+ * corruption raises IntegrityError with the site and node attached
+ * — never a silently wrong logit.
  */
 
 #ifndef TENSORFHE_RESILIENCE_INTEGRITY_HH

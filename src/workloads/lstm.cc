@@ -4,6 +4,7 @@
 
 #include "ckks/rotations.hh"
 #include "common/logging.hh"
+#include "graph/executor.hh"
 
 namespace tensorfhe::workloads
 {
@@ -118,51 +119,15 @@ EncryptedLstmCell::step(const nn::NnEngine &engine,
                         const nn::CipherTensor &x,
                         const State &prev) const
 {
-    const auto &beval = engine.batched();
-
-    // z = W_x x + W_h h + b: two packed matvecs, one gate vector.
-    auto zx = wx_.apply(engine, x.chunks());
-    auto zh = wh_.apply(engine, prev.h.chunks());
-    auto z = beval.add(zx, zh);
-
-    // Both nonlinearities over the whole gate vector, then one
-    // masked combine selects sigmoid for i/f/o and tanh for g. The
-    // masks carry scale q_last, so the combine lands at exactly the
-    // context scale.
-    auto s = sig_.apply(engine, z);
-    auto t = tanhGate_.apply(engine, z);
-    auto comb = beval.rescale(
-        beval.add(beval.multiplyPlain(s, maskIfo_),
-                  beval.multiplyPlain(t, maskG_)));
-    for (auto &ct : comb)
-        ct.scale = combScale_; // exact by mask construction
-
-    // Align f, o, g onto [0, d) with one hoisted multi-rotation.
-    auto d = static_cast<s64>(cfg_.dim);
-    auto aligned = beval.rotateManyBatch(comb, {d, 2 * d, 3 * d});
-    const auto &i_gate = comb;
-    const auto &f_gate = aligned[0];
-    const auto &o_gate = aligned[1];
-    const auto &g_gate = aligned[2];
-
-    // c' = f (had) c + i (had) g.
-    auto c_prev =
-        beval.dropToLevelCount(prev.c.chunks(), comb[0].levelCount());
-    auto fc = beval.rescale(beval.multiply(f_gate, c_prev));
-    auto ig = beval.rescale(beval.multiply(i_gate, g_gate));
-    auto c_new = beval.add(fc, ig);
-
-    // h' = o (had) tanh(c').
-    auto tc = tanhCell_.apply(engine, c_new);
-    auto o_drop =
-        beval.dropToLevelCount(o_gate, tc[0].levelCount());
-    auto h_new = beval.rescale(beval.multiply(o_drop, tc));
-
+    auto g = buildStepGraph(engine.ctx());
+    graph::GraphExecutor ex(g, graph::scheduleGraph(g, {.fuse = false}));
+    auto res = ex.run(engine,
+                      {x.chunks(), prev.h.chunks(), prev.c.chunks()});
     State out;
     out.h = nn::CipherTensor(input_.shape, input_.layout,
-                             std::move(h_new));
+                             std::move(res.outputs[0]));
     out.c = nn::CipherTensor(input_.shape, input_.layout,
-                             std::move(c_new));
+                             std::move(res.outputs[1]));
     return out;
 }
 
@@ -175,29 +140,36 @@ EncryptedLstmCell::buildStepGraph(const ckks::CkksContext &ctx) const
     auto c = b.input(1, input_.levelCount, input_.scale);
 
     // z = W_x x + W_h h + b: two INDEPENDENT matvec branches the
-    // scheduler can overlap.
-    auto zx = graph::lowerLayer(b, wx_, x);
-    auto zh = graph::lowerLayer(b, wh_, h);
+    // scheduler can overlap, one packed gate vector.
+    auto zx = b.lower(wx_, x);
+    auto zh = b.lower(wh_, h);
     auto z = b.add(zx, zh);
 
-    auto s = graph::lowerLayer(b, sig_, z);
-    auto t = graph::lowerLayer(b, tanhGate_, z);
-    // The masked combine is a 3-op elementwise tree — the fusion
-    // pass folds it into one FusedEle span pass.
+    // Both nonlinearities over the whole gate vector, then one
+    // masked combine selects sigmoid for i/f/o and tanh for g. The
+    // masks carry scale q_last, so the combine lands at exactly the
+    // context scale (reset exactly in metadata). The combine is a
+    // 3-op elementwise tree — the fusion pass folds it into one
+    // FusedEle span pass.
+    auto s = b.lower(sig_, z);
+    auto t = b.lower(tanhGate_, z);
     auto comb = b.setScale(
         b.rescale(b.add(b.mulPlain(s, maskIfo_),
                         b.mulPlain(t, maskG_))),
         combScale_);
 
+    // Align f, o, g onto [0, d) with one hoisted multi-rotation.
     auto d = static_cast<s64>(cfg_.dim);
     auto aligned = b.rotateMany(comb, {d, 2 * d, 3 * d});
 
+    // c' = f (had) c + i (had) g.
     auto c_prev = b.drop(c, b.meta(comb).levelCount);
     auto fc = b.rescale(b.multiply(aligned[0], c_prev));
     auto ig = b.rescale(b.multiply(comb, aligned[2]));
     auto c_new = b.add(fc, ig);
 
-    auto tc = graph::lowerLayer(b, tanhCell_, c_new);
+    // h' = o (had) tanh(c').
+    auto tc = b.lower(tanhCell_, c_new);
     auto o_drop = b.drop(aligned[1], b.meta(tc).levelCount);
     auto h_new = b.rescale(b.multiply(o_drop, tc));
 

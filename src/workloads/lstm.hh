@@ -72,18 +72,24 @@ class EncryptedLstmCell
         std::vector<double> c;
     };
 
-    /** One encrypted cell step. */
+    /**
+     * One encrypted cell step: builds buildStepGraph() and runs it
+     * unfused. x, h and c must sit at the cell's input meta
+     * (std::invalid_argument, before any op runs, otherwise). The
+     * graph is rebuilt per call — microseconds against the step —
+     * because its nodes point into this cell's layers, which move
+     * with the cell.
+     */
     State step(const nn::NnEngine &engine, const nn::CipherTensor &x,
                const State &prev) const;
 
     /**
-     * AOT-compile one cell step into a kernel dataflow graph that
-     * replays step()'s exact schedule (bit-identical when executed).
-     * Inputs bind in order {x, h, c}, all at the cell's input meta
-     * (i.e. the first step from fresh encryptions); outputs are
-     * {h', c'}. The two gate matvecs and the masked combine are the
-     * graph's overlap/fusion showcases. The cell must outlive the
-     * graph.
+     * The cell step as a kernel dataflow graph — the only place its
+     * encrypted schedule is written. Inputs bind in order {x, h, c},
+     * all at the cell's input meta (i.e. the first step from fresh
+     * encryptions); outputs are {h', c'}. The two gate matvecs and
+     * the masked combine are the graph's overlap/fusion showcases.
+     * The cell must outlive the graph.
      */
     graph::Graph buildStepGraph(const ckks::CkksContext &ctx) const;
 

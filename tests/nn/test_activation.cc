@@ -11,6 +11,7 @@
 #include <cmath>
 
 #include "nn/layers.hh"
+#include "run_layer.hh"
 
 namespace tensorfhe::nn
 {
@@ -120,7 +121,7 @@ TEST(PolyActivationLayer, MatchesPlainReferenceUnderEncryption)
     Rng rng(21);
     auto ct = encryptTensor(f.ctx, enc, rng, values, shape,
                             in.levelCount);
-    auto out = act.apply(engine, ct.chunks());
+    auto out = runLayer(engine, act, ct.chunks());
 
     // Level/scale invariants after the layer.
     ASSERT_EQ(out.size(), 1u);
@@ -156,7 +157,7 @@ TEST(PolyActivationLayer, ModeledOpsMatchExecuted)
     auto ct = encryptTensor(f.ctx, enc, rng, values, shape,
                             in.levelCount);
     EvalOpStats::instance().reset();
-    act.apply(engine, ct.chunks());
+    runLayer(engine, act, ct.chunks());
     auto got = EvalOpStats::instance().snapshot();
     auto want = act.modeledOps();
     for (std::size_t k = 0; k < kNumEvalOpKinds; ++k) {
@@ -206,7 +207,7 @@ TEST(PolyActivationLayer, ApplyGuardsTheLastRescaleLevelFloor)
                                  std::vector<double>(8, 0.25), shape,
                                  2); // one below the ladder floor
     try {
-        act.apply(engine, shallow.chunks());
+        runLayer(engine, act, shallow.chunks());
         FAIL() << "expected the level-floor rejection";
     } catch (const std::invalid_argument &e) {
         EXPECT_NE(std::string(e.what()).find("power ladder"),

@@ -13,6 +13,7 @@
 #include "ckks/rotations.hh"
 #include "nn/layers.hh"
 #include "perf/cost.hh"
+#include "run_layer.hh"
 
 namespace tensorfhe::nn
 {
@@ -132,7 +133,7 @@ TEST(DenseLayer, MatchesPlainMatvec)
         v = 2 * f.rng.uniformReal() - 1;
     auto ct = encryptTensor(f.ctx, enc, f.rng, x, {{in_dim}},
                             f.ctx.tower().numQ());
-    auto out = dense.apply(engine, ct.chunks());
+    auto out = runLayer(engine, dense, ct.chunks());
     CipherTensor out_t(out_meta.shape, out_meta.layout, out);
     auto got = decryptTensor(f.ctx, dec, out_t);
     auto want = dense.applyPlain(x);
@@ -166,7 +167,7 @@ TEST(DenseLayer, RoutesThroughBsgsNotPerDiagonal)
     auto ct = encryptTensor(f.ctx, enc, f.rng, x, {{slots}},
                             f.ctx.tower().numQ());
     EvalOpStats::instance().reset();
-    dense.apply(engine, ct.chunks());
+    runLayer(engine, dense, ct.chunks());
     auto stats = EvalOpStats::instance().snapshot();
 
     double bsgs_bound = 2.0 * std::ceil(std::sqrt(
@@ -208,7 +209,7 @@ TEST(Conv2dLayer, MatchesPlainConvolution)
     auto ct = encryptTensor(f.ctx, enc, f.rng, x, {{ic, h, w}},
                             f.ctx.tower().numQ());
     EvalOpStats::instance().reset();
-    auto out = conv.apply(engine, ct.chunks());
+    auto out = runLayer(engine, conv, ct.chunks());
     expectOpsMatch(conv.modeledOps(),
                    EvalOpStats::instance().snapshot());
 
@@ -243,7 +244,7 @@ TEST(AvgPoolLayer, PoolsInPlaceWithStridedOutput)
     auto ct = encryptTensor(f.ctx, enc, f.rng, x, {{c, h, w}},
                             f.ctx.tower().numQ());
     EvalOpStats::instance().reset();
-    auto out = pool.apply(engine, ct.chunks());
+    auto out = runLayer(engine, pool, ct.chunks());
     expectOpsMatch(pool.modeledOps(),
                    EvalOpStats::instance().snapshot());
 
@@ -279,7 +280,7 @@ TEST(SumReduceLayer, SumsAndHonorsScheduleDecision)
     auto ct = encryptTensor(f.ctx, enc, f.rng, x, {{m}},
                             f.ctx.tower().numQ());
     EvalOpStats::instance().reset();
-    auto out = sum.apply(engine, ct.chunks());
+    auto out = runLayer(engine, sum, ct.chunks());
     expectOpsMatch(sum.modeledOps(),
                    EvalOpStats::instance().snapshot());
 
@@ -362,7 +363,7 @@ TEST(DenseLayer, MultiChunkBlockMatvecMatchesPlain)
     ASSERT_EQ(t.chunkCount(), 2u);
 
     EvalOpStats::instance().reset();
-    auto out_cts = dense.apply(engine, t.chunks());
+    auto out_cts = runLayer(engine, dense, t.chunks());
     expectOpsMatch(dense.modeledOps(),
                    EvalOpStats::instance().snapshot());
     ASSERT_EQ(out_cts.size(), 2u);

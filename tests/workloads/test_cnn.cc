@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "../nn/run_layer.hh"
 #include "workloads/cnn.hh"
 
 namespace tensorfhe::workloads
@@ -66,7 +67,7 @@ TEST(EncryptedCnn, LayerByLayerMatchesPlainReference)
     nn::Cts cts = t.chunks();
     std::vector<double> plain = img;
     for (const auto &layer : f.cnn.net().layers()) {
-        cts = layer->apply(f.engine, cts);
+        cts = nn::runLayer(f.engine, *layer, cts);
         plain = layer->applyPlain(plain);
         const auto &m = layer->outputMeta();
         // Level/scale invariants after each layer.
