@@ -222,7 +222,7 @@ main(int argc, char **argv)
     }
 
     // ---------------------------------------------------------------
-    // Deep CNN with the auto-spliced bootstrap.
+    // Deep CNN with the planner-placed bootstrap.
     Overheads cnn;
     {
         ckks::CkksContext ctx(

@@ -6,7 +6,7 @@
  * workloads with exploitable structure — the LSTM cell step (fusable
  * masked gate combine + two independent gate matvecs) and the deep
  * two-chunk CNN (independent per-(out,in)-chunk block-matvec
- * programs around an auto-spliced bootstrap). Reports, per workload:
+ * programs around a planner-placed bootstrap). Reports, per workload:
  *
  *   - kernel launches: eager vs scheduled graph (fusion folds
  *     elementwise trees into single span passes);
@@ -310,7 +310,7 @@ main(int argc, char **argv)
 
     // ---------------------------------------------------------------
     // Deep CNN: two-chunk block matvecs (independent per-chunk BSGS
-    // programs) around an auto-spliced bootstrap.
+    // programs) around a planner-placed bootstrap.
     Comparison cnn;
     {
         TFHE_TRACE_SPAN("workload", "deep-cnn");

@@ -1,13 +1,15 @@
 /**
  * @file
  * Modeled-cost win of the global execution planner (src/plan) over
- * the greedy bootstrap splice, on the two reference workloads:
+ * its greedy survey baseline (ExecutionPlan::greedyWork: refresh just
+ * before the first layer the budget cannot cover, everything at the
+ * highest level it can run at), on the two reference workloads:
  *
  *   - deep_cnn: the bootstrap-in-the-loop CNN
- *     (EncryptedCnnClassifier::deepConfig, 4x8x8 over two chunks)
- *     compiled greedy vs planned. The planner drops the post-refresh
- *     tail to its cheapest feasible level and re-chooses BSGS
- *     strides per level.
+ *     (EncryptedCnnClassifier::deepConfig, 4x8x8 over two chunks),
+ *     planned vs its greedy baseline. The planner drops the
+ *     post-refresh tail to its cheapest feasible level and re-chooses
+ *     BSGS strides per level.
  *   - lstm_gates: an unrolled LSTM-style gate tower (Dense +
  *     sigmoid/tanh approximants) handed a full 21-limb tower — the
  *     scenario where greedy burns the head layers at the tower top
@@ -74,9 +76,8 @@ runDeepCnn()
 {
     ckks::CkksContext ctx(
         workloads::EncryptedCnnClassifier::recommendedDeepParams());
-    auto cfg = workloads::EncryptedCnnClassifier::deepConfig();
-    cfg.usePlanner = true;
-    workloads::EncryptedCnnClassifier cnn(ctx, cfg);
+    workloads::EncryptedCnnClassifier cnn(
+        ctx, workloads::EncryptedCnnClassifier::deepConfig());
     return summarize("deep_cnn", cnn.net());
 }
 
@@ -140,7 +141,7 @@ main(int argc, char **argv)
             json_path = argv[++i];
 
     tensorfhe::bench::banner(
-        "bench_plan — global planner vs greedy splice, modeled cost");
+        "bench_plan — global planner vs greedy baseline, modeled cost");
     obs.armIfRequested();
 
     auto cnn = runDeepCnn();

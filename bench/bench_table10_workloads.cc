@@ -9,9 +9,11 @@
  * The measured sections run the *functional* scaled-down CNN,
  * LSTM-cell and DEEP bootstrap-in-the-loop CNN workloads on real
  * ciphertexts and print their executed operation counts
- * (EvalOpStats) next to the layer plans' modeled counts, flagging
- * any divergence above 10% — the consistency check tying the
- * analytic Table X machinery to code that actually computes.
+ * (EvalOpStats) next to the layer plans' modeled counts — the
+ * consistency check tying the analytic Table X machinery to code
+ * that actually computes. The bench exits nonzero when any executed
+ * count differs from its model, or when the deep CNN's encrypted
+ * argmax disagrees with the plaintext reference.
  *
  * Usage: bench_table10_workloads [--json PATH]
  *   --json PATH appends one machine-readable object per measured
@@ -38,8 +40,9 @@ using namespace tensorfhe::workloads;
 namespace
 {
 
-/** Modeled-vs-executed rows with >10% divergence flags. */
-void
+/** Modeled-vs-executed rows, flagging every divergence; returns
+    whether every executed count equals its model. */
+bool
 compareOps(const char *workload, const OpCounts &modeled,
            const OpCounts &executed)
 {
@@ -58,15 +61,18 @@ compareOps(const char *workload, const OpCounts &modeled,
     };
     std::printf("%-10s %-8s %10s %10s %10s\n", workload, "op",
                 "modeled", "executed", "diverge");
+    bool exact = true;
     for (const auto &r : rows) {
         if (r.model == 0 && r.exec == 0)
             continue;
         double base = std::max(r.model, 1.0);
         double div = std::abs(r.exec - r.model) / base;
+        exact &= r.exec == r.model;
         std::printf("%-10s %-8s %10.0f %10.0f %9.1f%%%s\n", "", r.op,
                     r.model, r.exec, 100.0 * div,
-                    div > 0.10 ? "  <-- DIVERGES >10%" : "");
+                    r.exec != r.model ? "  <-- DIVERGES" : "");
     }
+    return exact;
 }
 
 } // namespace
@@ -122,6 +128,7 @@ main(int argc, char **argv)
 
     bench::section("functional workloads: modeled vs executed op "
                    "counts [measured]");
+    bool ok = true;
     {
         ckks::CkksContext ctx(
             EncryptedCnnClassifier::recommendedParams());
@@ -143,9 +150,8 @@ main(int argc, char **argv)
             v = data.uniformReal();
         EvalOpStats::instance().reset();
         cnn.classifyEncrypted(engine, enc, dec, rng, images);
-        compareOps("CNN",
-                   cnn.modeledCounts(),
-                   toOpCounts(EvalOpStats::instance().snapshot()));
+        ok &= compareOps("CNN", cnn.modeledCounts(),
+                         toOpCounts(EvalOpStats::instance().snapshot()));
     }
     {
         ckks::CkksContext ctx(EncryptedLstmCell::recommendedParams());
@@ -167,17 +173,16 @@ main(int argc, char **argv)
         auto x = nn::encryptTensor(ctx, enc, rng, xv, {{d}}, lc);
         EvalOpStats::instance().reset();
         cell.step(engine, x, state);
-        compareOps("LSTM-cell",
-                   cell.modeledCounts(),
-                   toOpCounts(EvalOpStats::instance().snapshot()));
+        ok &= compareOps("LSTM-cell", cell.modeledCounts(),
+                         toOpCounts(EvalOpStats::instance().snapshot()));
     }
 
     bench::section("deep CNN with bootstrap-in-the-loop [measured]");
     {
         // The Table X ResNet scenario in miniature: a two-chunk
         // tensor through block-BSGS convs, the ledger going negative
-        // mid-network, and >= 1 automatically inserted bootstrap
-        // (fused C2S split riding the shared double-hoisted head).
+        // mid-network, and >= 1 planner-placed bootstrap (fused C2S
+        // split riding the shared double-hoisted head).
         ckks::CkksContext ctx(
             EncryptedCnnClassifier::recommendedDeepParams());
         EncryptedCnnClassifier cnn(
@@ -216,7 +221,7 @@ main(int argc, char **argv)
                 std::abs(preds[0].logits[j] - plain.logits[j]));
         std::size_t boots = cnn.net().bootstrapCount();
 
-        std::printf("  %zu-chunk input, %zu bootstraps inserted, "
+        std::printf("  %zu-chunk input, %zu bootstraps planned, "
                     "argmax %s, worst |logit err| %.2e\n",
                     cnn.inputMeta().chunkCount, boots,
                     preds[0].argmax == plain.argmax ? "agrees"
@@ -228,8 +233,9 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(mod_ups),
                     static_cast<unsigned long long>(mod_downs),
                     snap.conjugate);
-        compareOps("deep-CNN", toOpCounts(cnn.modeledOps()),
-                   toOpCounts(snap));
+        ok &= compareOps("deep-CNN", toOpCounts(cnn.modeledOps()),
+                         toOpCounts(snap));
+        ok &= preds[0].argmax == plain.argmax;
 
         if (!json_path.empty()) {
             bench::JsonWriter json("table10_deep_cnn");
@@ -256,5 +262,8 @@ main(int argc, char **argv)
             std::printf("  wrote %s\n", json_path.c_str());
         }
     }
-    return 0;
+    if (!ok)
+        std::fprintf(stderr, "executed ops diverge from their model, "
+                             "or the deep CNN's argmax disagrees\n");
+    return ok ? 0 : 1;
 }

@@ -57,7 +57,7 @@ HEADLINES = {
     "ntt_simd_speedup": ("simd_backends", "ntt_simd_speedup", "floor", 2.0),
     "ks_inner_product_simd_speedup": ("simd_backends", "ks_inner_product_speedup", "floor", 1.5),
     # Global planner win (bench_plan): modeled cost of the planned
-    # schedule vs the greedy bootstrap splice on the better of the
+    # schedule vs its greedy survey baseline on the better of the
     # two reference workloads (deep CNN / LSTM gate tower). Model
     # evaluation, fully deterministic, so floor-gated absolutely: the
     # planner must keep a >= 10% win.

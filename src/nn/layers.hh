@@ -439,10 +439,10 @@ class PolyActivation : public Layer
  * slots). Values are approximately preserved (|z| <~ 1 required —
  * keep activations calibrated); shape, layout and chunk count pass
  * through, the level count and scale jump to the bootstrapper's
- * exact predicted refresh coordinates. nn::Sequential inserts these
- * automatically when the level ledger would go negative
- * (Sequential::enableAutoBootstrap); they can also be placed by
- * hand.
+ * exact predicted refresh coordinates. The global planner
+ * (Sequential::enablePlanner) places these where the level ledger
+ * would go negative; in an unplanned stack they can also be placed
+ * by hand, and the layers after one compile at its refreshed level.
  */
 class Bootstrap : public Layer
 {
@@ -501,7 +501,8 @@ class Bootstrap : public Layer
  * count (ckks dropToLevelCount — limb truncation, no arithmetic, no
  * stats). The planner emits these where running the downstream
  * suffix on a shorter tower is cheaper than the limbs are worth;
- * they can also be placed by hand. Values and scale pass through.
+ * in an unplanned stack they can also be placed by hand. Values and
+ * scale pass through.
  */
 class LevelDrop : public Layer
 {

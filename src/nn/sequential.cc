@@ -21,15 +21,6 @@ Sequential::add(std::unique_ptr<Layer> layer)
 }
 
 void
-Sequential::enableAutoBootstrap(boot::SineConfig sine)
-{
-    requireArg(!compiled_,
-               "enableAutoBootstrap must precede compile()");
-    autoBoot_ = true;
-    sine_ = sine;
-}
-
-void
 Sequential::enablePlanner(plan::PlannerOptions opts)
 {
     requireArg(!compiled_, "enablePlanner must precede compile()");
@@ -51,7 +42,7 @@ Sequential::compile(const ckks::CkksContext &ctx,
         plan_ = std::move(res.plan);
         output_ = res.output;
     } else {
-        output_ = compileGreedy(ctx, input);
+        output_ = compileInOrder(ctx, input);
     }
     input_ = input;
     compiled_ = true;
@@ -67,94 +58,47 @@ Sequential::compile(const ckks::CkksContext &ctx,
 }
 
 TensorMeta
-Sequential::compileGreedy(const ckks::CkksContext &ctx,
-                          const TensorMeta &input)
+Sequential::compileInOrder(const ckks::CkksContext &ctx,
+                           const TensorMeta &input)
 {
-    if (!autoBoot_) {
-        // Whole-model budget validation up front: walk the level
-        // ledger before any layer builds plans, so a model that
-        // cannot fit the chain fails with the full per-layer picture
-        // instead of dying midway through an inference.
-        std::size_t need = 0;
-        std::ostringstream ledger;
-        for (const auto &l : layers_) {
-            need += l->levelCost();
-            ledger << "\n  " << l->name() << ": " << l->levelCost();
-        }
-        requireBudget(input.levelCount >= need + 1,
-                      "nn/sequential-compile",
-                      "level budget exhausted: input has ",
-                      input.levelCount, " level counts, the stack "
-                                        "consumes ",
-                      need, " and must leave >= 1; per-layer costs:",
-                      ledger.str());
-    }
+    // Per-layer budget check at the propagated input meta, so a
+    // hand-placed Bootstrap restores the budget for the layers after
+    // it. The walk also records the in-order ExecutionPlan.
+    std::ostringstream ledger; // every layer's cost, for the error
+    for (const auto &l : layers_)
+        ledger << "\n  " << l->name() << ": " << l->levelCost();
+    const std::string costs = ledger.str();
 
-    // Bootstrap-aware walk: before each layer, if the running budget
-    // cannot cover its cost plus the terminal reserve (>= 1 after
-    // the last layer) plus the >= 2 floor any LATER bootstrap's
-    // SlotToCoeff needs, splice in a refresh and continue at the
-    // predicted level. The spliced layers become part of the stack.
-    // The walk also records the greedy ExecutionPlan.
     perf::CostModel model(ctx.params());
     std::vector<plan::PlanStep> steps;
-    std::vector<std::unique_ptr<Layer>> compiled;
-    compiled.reserve(layers_.size());
     TensorMeta meta = input;
-    std::ostringstream walked; // post-splice ledger for error paths
-    auto record = [&](plan::PlanStep::Kind kind, const Layer &l,
-                      const TensorMeta &in) {
+    for (const auto &l : layers_) {
+        requireBudget(meta.levelCount >= l->levelCost() + 1,
+                      "nn/sequential-compile",
+                      "level budget exhausted: layer ", l->name(),
+                      " consumes ", l->levelCost(),
+                      " but its input has ", meta.levelCount,
+                      " level counts and must leave >= 1; per-layer "
+                      "costs:",
+                      costs);
         plan::PlanStep st;
-        st.kind = kind;
-        st.name = l.name();
-        st.in = in;
-        st.out = l.outputMeta();
-        st.work = perf::CostModel::work(
-            l.costAt(model, in.levelCount));
-        steps.push_back(std::move(st));
-        walked << "\n  " << l.name() << ": level " << in.levelCount
-               << " -> " << l.outputMeta().levelCount;
-    };
-    for (std::size_t i = 0; i < layers_.size(); ++i) {
-        auto &l = layers_[i];
-        bool last = i + 1 == layers_.size();
-        std::size_t need = l->levelCost() + (last ? 1 : 2);
-        if (autoBoot_ && meta.levelCount < need) {
-            auto b = std::make_unique<Bootstrap>(sine_);
-            TensorMeta pre = meta;
-            meta = b->compile(ctx, meta);
-            // The error must show the ledger INCLUDING the splices
-            // walked so far (the post-splice ledger) — the pre-splice
-            // ledger hid where refreshes actually landed.
-            requireBudget(meta.levelCount >= need,
-                          "nn/sequential-compile",
-                          "layer ", l->name(), " needs ", need,
-                          " level counts but a bootstrap refreshes "
-                          "only to ",
-                          meta.levelCount,
-                          " — the layer cannot fit this chain even "
-                          "after bootstrapping; layers compiled so "
-                          "far:",
-                          walked.str(), "\n  Bootstrap: level ",
-                          pre.levelCount, " -> ", meta.levelCount);
-            record(plan::PlanStep::Kind::Bootstrap, *b, pre);
-            compiled.push_back(std::move(b));
-        }
-        TensorMeta in = meta;
+        st.kind = dynamic_cast<const Bootstrap *>(l.get())
+            ? plan::PlanStep::Kind::Bootstrap
+            : (dynamic_cast<const LevelDrop *>(l.get())
+                   ? plan::PlanStep::Kind::LevelDrop
+                   : plan::PlanStep::Kind::Layer);
+        st.in = meta;
         meta = l->compile(ctx, meta);
-        record(dynamic_cast<const Bootstrap *>(l.get())
-                   ? plan::PlanStep::Kind::Bootstrap
-                   : (dynamic_cast<const LevelDrop *>(l.get())
-                          ? plan::PlanStep::Kind::LevelDrop
-                          : plan::PlanStep::Kind::Layer),
-               *l, in);
-        compiled.push_back(std::move(l));
+        st.name = l->name();
+        st.out = meta;
+        st.work = perf::CostModel::work(
+            l->costAt(model, st.in.levelCount));
+        steps.push_back(std::move(st));
     }
-    layers_ = std::move(compiled);
-    double greedy = 0;
+    double total = 0;
     for (const auto &s : steps)
-        greedy += s.work;
-    plan_ = plan::ExecutionPlan(std::move(steps), greedy);
+        total += s.work;
+    plan_ = plan::ExecutionPlan(std::move(steps), total);
     return meta;
 }
 
@@ -185,15 +129,6 @@ Sequential::requiredConjRotations() const
     for (const auto &l : layers_)
         lists.push_back(l->requiredConjRotations());
     return ckks::unionRotationSteps(lists);
-}
-
-std::size_t
-Sequential::levelCost() const
-{
-    std::size_t total = 0;
-    for (const auto &l : layers_)
-        total += l->levelCost();
-    return total;
 }
 
 std::size_t

@@ -2,10 +2,10 @@
  * @file
  * Sequential: the nn model runner. Owns a layer stack, compiles it
  * against an input TensorMeta (propagating shape/layout/level/scale
- * and validating the whole multiplicative budget up front, before
- * any key is generated or ciphertext touched), surfaces the union
- * rotation-key requirement of every layer, lowers the compiled stack
- * once into a kernel graph, and runs encrypted batches through
+ * and validating every layer's multiplicative budget at compile time,
+ * before any key is generated or ciphertext touched), surfaces the
+ * union rotation-key requirement of every layer, lowers the compiled
+ * stack once into a kernel graph, and runs encrypted batches through
  * graph::GraphExecutor, which checks every node output against its
  * compiled level and scale.
  */
@@ -31,29 +31,16 @@ class Sequential
     void add(std::unique_ptr<Layer> layer);
 
     /**
-     * Let compile() insert nn::Bootstrap layers wherever the level
-     * ledger would go negative: before any layer whose cost (plus
-     * the >= 1 terminal reserve, plus the >= 2 floor a later
-     * bootstrap itself needs) exceeds the running budget, a
-     * bootstrap refresh is spliced in and the walk continues at the
-     * refreshed level. The inserted layers join the stack — their
-     * rotation/conjugation key needs surface through
-     * requiredRotations()/requiredConjRotations(), their ops through
-     * modeledOps(), and run() executes them like any other layer.
-     * Must be called before compile().
-     */
-    void enableAutoBootstrap(boot::SineConfig sine = {});
-
-    /**
-     * Let compile() run the GLOBAL execution planner instead of the
-     * greedy splice: plan::planSequential searches bootstrap
+     * Let compile() run the global execution planner, the only code
+     * that places bootstraps: plan::planSequential searches bootstrap
      * placement, level drops and per-layer levels against
      * perf::CostModel, rebuilds the stack at the planned levels
      * (matvec strides re-chosen per level, root-pattern key
      * restriction lifted — run the net on an on-demand
      * ckks::KeyStore, or generate exactly requiredRotations()) and
-     * records the resulting immutable ExecutionPlan. Subsumes
-     * enableAutoBootstrap. Must be called before compile().
+     * records the resulting immutable ExecutionPlan. The stack must
+     * hold no Bootstrap/LevelDrop layers of its own. Must be called
+     * before compile().
      */
     void enablePlanner(plan::PlannerOptions opts = {});
 
@@ -69,12 +56,14 @@ class Sequential
     }
 
     /**
-     * Compile every layer against the propagated metas, then lower
-     * the compiled stack once (graph::compileSequential) into the
-     * unfused graph run() executes. Throws std::invalid_argument with
-     * the per-layer level ledger when the input's multiplicative
-     * budget cannot cover the stack — the whole-model validation
-     * happens here, up front.
+     * Compile every layer against the propagated metas — through the
+     * planner when enabled, else exactly the layers given, in order —
+     * then lower the compiled stack once (graph::compileSequential)
+     * into the unfused graph run() executes. Without the planner,
+     * each layer must leave >= 1 level at its propagated input meta
+     * (hand-placed Bootstrap layers restore the budget); otherwise
+     * compile throws std::invalid_argument naming the first layer
+     * that does not fit, with every layer's level cost.
      */
     TensorMeta compile(const ckks::CkksContext &ctx,
                        const TensorMeta &input);
@@ -90,11 +79,7 @@ class Sequential
         split steps; empty when no bootstrap is present). */
     std::vector<s64> requiredConjRotations() const;
 
-    /** Total multiplicative levels the stack consumes (bootstrap
-        layers count 0 — they restore the budget). */
-    std::size_t levelCost() const;
-
-    /** Bootstrap layers in the compiled stack (inserted + manual). */
+    /** Bootstrap layers in the compiled stack (planned or hand-placed). */
     std::size_t bootstrapCount() const;
 
     /**
@@ -130,26 +115,23 @@ class Sequential
     /**
      * The immutable schedule compile() chose, one step per compiled
      * layer (valid after compile). Both compile paths build one: the
-     * greedy path records its splice walk (greedyWork ==
+     * in-order path records its own walk (greedyWork ==
      * plannedWork), the planner path its searched schedule
      * (plannedWork <= greedyWork).
      */
     const plan::ExecutionPlan &executionPlan() const;
 
   private:
-    /** The greedy (optionally auto-bootstrapping) compile walk:
-        compiles layers_ in place, records plan_, returns the output
-        meta. */
-    TensorMeta compileGreedy(const ckks::CkksContext &ctx,
-                             const TensorMeta &input);
+    /** The unplanned compile walk: compiles layers_ in order,
+        records plan_, returns the output meta. */
+    TensorMeta compileInOrder(const ckks::CkksContext &ctx,
+                              const TensorMeta &input);
 
     std::vector<std::unique_ptr<Layer>> layers_;
     TensorMeta input_;
     TensorMeta output_;
     bool compiled_ = false;
-    bool autoBoot_ = false;
     bool planner_ = false;
-    boot::SineConfig sine_;
     plan::PlannerOptions plannerOpts_;
     plan::ExecutionPlan plan_;
     /// The lowered stack and its unfused executor. Heap-held so a

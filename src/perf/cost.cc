@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "perf/cost_model.hh"
 
 namespace tensorfhe::perf
 {
@@ -305,7 +306,9 @@ namespace
 {
 
 /** One Taylor + double-angle sine evaluation priced at `lc` (mirrors
-    boot::sineModeledOps; see bootstrapCost for the ladder shape). */
+    boot::sineModeledOps): the Taylor ladder, coefficient steerings,
+    odd product and the double-angle chain, each HMULT relinearizing
+    once. */
 KernelCost
 sineEvalCost(const ckks::CkksParams &p, std::size_t lc,
              std::size_t taylor_terms, std::size_t doublings)
@@ -350,23 +353,6 @@ recombineCost(const ckks::CkksParams &p, std::size_t lc)
 } // namespace
 
 KernelCost
-bootstrapCost(const ckks::CkksParams &p, std::size_t level_count,
-              std::size_t slots, std::size_t taylor_terms,
-              std::size_t doublings)
-{
-    // SlotToCoeff: one fully-populated double-hoisted transform.
-    KernelCost c = bsgsLinearTransformCost(p, level_count, slots);
-    c += coeffToSlotPairCost(p, level_count, slots);
-    // Two sine evaluations (mirrors boot::sineModeledOps): the
-    // Taylor ladder, coefficient steerings, odd product and the
-    // double-angle chain, each HMULT relinearizing once.
-    c += 2.0
-        * sineEvalCost(p, level_count, taylor_terms, doublings);
-    c += recombineCost(p, level_count);
-    return c;
-}
-
-KernelCost
 bootstrapStagedCost(const ckks::CkksParams &p, std::size_t input_lc,
                     std::size_t raised_lc, std::size_t output_lc,
                     std::size_t slots, std::size_t taylor_terms,
@@ -396,11 +382,8 @@ hoistedFoldWins(const ckks::CkksParams &p, std::size_t level_count,
     // Exactly the argmin of rotateFoldCost over the two schedules,
     // so the decision can never pick the one the model prices
     // higher.
-    auto work = [](const KernelCost &c) {
-        return c.coreOps + c.tcuMacs / 8.0 + c.bytes;
-    };
-    return work(rotateFoldCost(p, level_count, m, true))
-        < work(rotateFoldCost(p, level_count, m, false));
+    return CostModel::work(rotateFoldCost(p, level_count, m, true))
+        < CostModel::work(rotateFoldCost(p, level_count, m, false));
 }
 
 KernelCost

@@ -135,27 +135,18 @@ KernelCost blockMatvecBsgsCost(const ckks::CkksParams &p,
                                std::size_t baby, std::size_t giant);
 
 /**
- * One slim bootstrap of a single ciphertext (the cost entry behind
- * nn::Sequential's automatic bootstrap insertion): SlotToCoeff at
- * the root-stride BSGS population, the two FUSED CoeffToSlot split
+ * One slim bootstrap of a single ciphertext: SlotToCoeff at the
+ * root-stride BSGS population, the two FUSED CoeffToSlot split
  * transforms (plain + conjugate branches off one head each), two
  * Taylor + double-angle sine evaluations of the given shape, and the
- * recombine. Kernel work is costed at `level_count` active limbs.
- */
-KernelCost bootstrapCost(const ckks::CkksParams &p,
-                         std::size_t level_count, std::size_t slots,
-                         std::size_t taylor_terms,
-                         std::size_t doublings);
-
-/**
- * Stage-honest bootstrap pricing: unlike bootstrapCost (which prices
- * every stage at one level count), each stage is billed at the level
- * it actually runs at — SlotToCoeff at `input_lc` (the only stage
- * whose cost varies with bootstrap placement), the fused CoeffToSlot
- * pair at `raised_lc` (the post-ModRaise tower), the sine ladder at
- * its entry level `raised_lc - 1`, and the recombine just above the
- * refreshed output `output_lc`. This is the entry the global planner
- * queries when weighing bootstrap placement against level drops.
+ * recombine. Each stage is billed at the level it actually runs at —
+ * SlotToCoeff at `input_lc` (the only stage whose cost varies with
+ * bootstrap placement), the fused CoeffToSlot pair at `raised_lc`
+ * (the post-ModRaise tower), the sine ladder at its entry level
+ * `raised_lc - 1`, and the recombine just above the refreshed output
+ * `output_lc`. This is the entry nn::Bootstrap::costAt and the
+ * global planner query when weighing bootstrap placement against
+ * level drops.
  */
 KernelCost bootstrapStagedCost(const ckks::CkksParams &p,
                                std::size_t input_lc,

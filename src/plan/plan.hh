@@ -6,9 +6,10 @@
  * — carrying the step's input/output metas, its modeled scalar work
  * (perf::CostModel::work of the layer's costAt at the step's input
  * level) and, for lazy bootstraps, the live-chunk mask. The plan is
- * built ONCE at compile time (by the greedy splice walk or by the
- * global planner) and never mutated: execution replays it and checks
- * every step's outcome against the recorded meta.
+ * built ONCE at compile time (by Sequential's unplanned in-order
+ * walk or by the global planner) and never mutated: execution
+ * replays it and checks every step's outcome against the recorded
+ * meta.
  */
 
 #ifndef TENSORFHE_PLAN_PLAN_HH
@@ -28,7 +29,7 @@ struct PlanStep
     enum class Kind
     {
         Layer,     ///< a user layer (matvec, pool, activation, ...)
-        Bootstrap, ///< a refresh (greedy-spliced or planner-placed)
+        Bootstrap, ///< a refresh (planner-placed or hand-placed)
         LevelDrop  ///< planner-placed limb truncation (free)
     };
 
@@ -43,10 +44,10 @@ struct PlanStep
 
 /**
  * The immutable compiled schedule. `plannedWork` totals the steps'
- * modeled work; `greedyWork` is the same total for the greedy-splice
- * baseline schedule of the same model (equal when the greedy path
- * built the plan), so plannedWork <= greedyWork always holds and
- * greedyWork / plannedWork is the planner's modeled win.
+ * modeled work; `greedyWork` is the same total for the planner's
+ * greedy survey baseline of the same model (equal when the unplanned
+ * in-order walk built the plan), so plannedWork <= greedyWork always
+ * holds and greedyWork / plannedWork is the planner's modeled win.
  */
 class ExecutionPlan
 {

@@ -27,14 +27,15 @@ layerWork(const nn::Layer &l, const perf::CostModel &model,
     return perf::CostModel::work(l.costAt(model, input_lc));
 }
 
-/** The greedy-splice survey: compile every layer exactly as
-    Sequential::enableAutoBootstrap would, pricing that schedule. */
+/** The greedy survey: compile every layer in order, refreshing just
+    before any layer the running budget cannot cover, and price that
+    baseline schedule (ExecutionPlan::greedyWork). */
 struct Survey
 {
     std::vector<nn::TensorMeta> inMeta; ///< greedy input per layer
     nn::TensorMeta output;
     double greedyWork = 0.0;
-    std::string ledger; ///< post-splice per-layer ledger (errors)
+    std::string ledger; ///< per-layer ledger with refreshes (errors)
 };
 
 Survey
@@ -122,6 +123,16 @@ planSequential(const ckks::CkksContext &ctx,
                const nn::TensorMeta &input, const PlannerOptions &opts)
 {
     requireArg(!layers.empty(), "planner needs a nonempty stack");
+    for (std::size_t i = 0; i < layers.size(); ++i) {
+        const nn::Layer *l = layers[i].get();
+        requireArg(dynamic_cast<const nn::Bootstrap *>(l) == nullptr
+                       && dynamic_cast<const nn::LevelDrop *>(l)
+                           == nullptr,
+                   "planner: layer ", i, " (", l->name(),
+                   ") is hand-placed; the planner places every "
+                   "refresh and level drop itself — remove it or "
+                   "compile without the planner");
+    }
     perf::CostModel model(ctx.params());
     auto &metrics = trace::MetricsRegistry::instance();
     auto &candidates = metrics.counter("plan.candidates_explored");
@@ -166,7 +177,7 @@ planSequential(const ckks::CkksContext &ctx,
         dp[n][L] = 0.0;
 
     // Refresh landing per bootstrap input level (the predictRefresh
-    // mirror the greedy splice trusts — one source of truth).
+    // mirror nn::Bootstrap::compile trusts — one source of truth).
     std::vector<std::size_t> refreshAt(maxL + 1, 0);
     for (std::size_t L = 2; L <= maxL; ++L)
         refreshAt[L] = boot::Bootstrapper::predictRefresh(

@@ -13,21 +13,24 @@
  *     tail of a network far below the bootstrap refresh level is the
  *     planner's main win;
  *   - bootstrap (L >= 2), landing at the exact refresh level of
- *     boot::Bootstrapper::predictRefresh — the SAME mirror the
- *     greedy splice trusts — optionally followed by a drop. At most
- *     one bootstrap per gap (two in a row is never cheaper).
+ *     boot::Bootstrapper::predictRefresh — the SAME mirror
+ *     nn::Bootstrap::compile trusts — optionally followed by a drop.
+ *     At most one bootstrap per gap (two in a row is never cheaper).
  * Bootstrap cost is priced per live chunk: a backward liveness walk
  * (Layer::liveInputChunks) finds chunks no downstream layer reads,
  * and the planner's Bootstrap layers skip refreshing them
  * (nn::Bootstrap::setLiveChunks).
  *
- * The planner first replays the greedy splice walk (the
- * enableAutoBootstrap baseline) to compile every layer once and
- * price that schedule, then searches, then REBUILDS the stack at the
- * planned levels: layers are rebound (Layer::rebind) at their
- * planned input metas, with matvec layers switched to planner
- * strides (level-priced argmin, no root-pattern key restriction —
- * rotation keys come from an on-demand ckks::KeyStore).
+ * The planner first surveys the greedy baseline — an in-order walk
+ * that refreshes just before any layer the running budget cannot
+ * cover — to compile every layer once and price that schedule, then
+ * searches, then REBUILDS the stack at the planned levels: layers
+ * are rebound (Layer::rebind) at their planned input metas, with
+ * matvec layers switched to planner strides (level-priced argmin, no
+ * root-pattern key restriction — rotation keys come from an
+ * on-demand ckks::KeyStore). The planner is the only code that
+ * places Bootstrap and LevelDrop layers; hand-placed ones belong to
+ * unplanned stacks.
  */
 
 #ifndef TENSORFHE_PLAN_PLANNER_HH
@@ -68,11 +71,13 @@ struct PlanResult
  * `input`. Consumes the layers: they are surveyed (greedy-compiled),
  * then rebound at their planned levels and returned inside the
  * result stack interleaved with planner-inserted Bootstrap /
- * LevelDrop layers. Throws common::BudgetError with the best plan
- * found and the first infeasible layer when no placement fits the
- * chain. Emits trace spans per phase ("plan" category) and plan.*
- * metrics counters (candidates explored, plans pruned, chosen vs
- * greedy cost).
+ * LevelDrop layers. Throws std::invalid_argument naming the layer
+ * when the stack already holds a Bootstrap or LevelDrop (the DP
+ * prices every user layer as a plain level consumer), and
+ * common::BudgetError with the best plan found and the first
+ * infeasible layer when no placement fits the chain. Emits trace
+ * spans per phase ("plan" category) and plan.* metrics counters
+ * (candidates explored, plans pruned, chosen vs greedy cost).
  */
 PlanResult planSequential(const ckks::CkksContext &ctx,
                           std::vector<std::unique_ptr<nn::Layer>> layers,

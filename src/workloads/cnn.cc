@@ -23,9 +23,9 @@ EncryptedCnnClassifier::deepConfig()
     cfg.convChannels = 4; // conv1 keeps 2 chunks (2x2 block matvec)
     cfg.conv2Channels = 2; // conv2 narrows to 1 chunk before pooling
     cfg.classes = 10;
-    cfg.autoBootstrap = true;
-    cfg.inputLevelCount = 5; // conv1 + ReLU drain it; conv2 trips the
-                             // ledger -> bootstrap before conv2
+    cfg.usePlanner = true;
+    cfg.inputLevelCount = 5; // conv1 + ReLU drain it: conv2 cannot
+                             // run without a refresh
     cfg.seed = 0xdee9;
     return cfg;
 }
@@ -74,8 +74,6 @@ EncryptedCnnClassifier::EncryptedCnnClassifier(
         plan::PlannerOptions opts;
         opts.sine = cfg.sine;
         net_.enablePlanner(opts);
-    } else if (cfg.autoBootstrap) {
-        net_.enableAutoBootstrap(cfg.sine);
     }
 
     convBlock(cfg.inChannels, cfg.convChannels);

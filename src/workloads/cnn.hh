@@ -41,14 +41,12 @@ struct CnnConfig
     std::size_t classes = 10;
     std::size_t actDegree = 2; ///< ReLU approximant degree
     u64 seed = 0xc44;          ///< synthetic weight seed
-    /** Let Sequential splice boot::Bootstrapper refreshes wherever
-        the level ledger would go negative. */
-    bool autoBootstrap = false;
     /**
-     * Compile through the global execution planner instead of the
-     * greedy splice (plan::planSequential): searched bootstrap
-     * placement, level drops, lazy per-chunk refresh, unrestricted
-     * BSGS strides. Takes precedence over autoBootstrap.
+     * Compile through the global execution planner
+     * (plan::planSequential): searched bootstrap placement, level
+     * drops, lazy per-chunk refresh, unrestricted BSGS strides.
+     * Without it the stack compiles as built and must fit the
+     * input's level budget.
      */
     bool usePlanner = false;
     boot::SineConfig sine{};
@@ -77,7 +75,7 @@ class EncryptedCnnClassifier
      * a 4x8x8 input spanning TWO ciphertexts flows through
      * conv -> ReLU -> conv -> ReLU -> pool -> dense as block-BSGS
      * matvecs, encrypted at a deliberately low level so the ledger
-     * goes negative mid-network and Sequential splices >= 1
+     * goes negative mid-network and the planner places >= 1
      * bootstrap (over both chunks, batched).
      */
     static CnnConfig deepConfig();

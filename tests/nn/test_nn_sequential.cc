@@ -201,8 +201,8 @@ TEST(Sequential, ElementwiseStackHandlesMultiChunkTensors)
 TEST(Sequential, AutoBootstrapInsertsRefreshWhenLedgerGoesNegative)
 {
     // A bootstrappable chain (N = 2^8, sparse key) and a stack whose
-    // cost exceeds the input budget: without auto-bootstrap compile
-    // throws; with it, a Bootstrap layer is spliced mid-stack and
+    // cost exceeds the input budget: without the planner compile
+    // throws; with it, a Bootstrap layer is placed mid-stack and
     // the encrypted run matches the plaintext reference.
     auto params = ckks::Presets::bootTest();
     params.levels = 20;
@@ -226,7 +226,7 @@ TEST(Sequential, AutoBootstrapInsertsRefreshWhenLedgerGoesNegative)
 
     Sequential net;
     buildNet(net);
-    net.enableAutoBootstrap();
+    net.enablePlanner();
     auto out = net.compile(ctx, in);
     EXPECT_GE(net.bootstrapCount(), 1u);
     EXPECT_GE(out.levelCount, 1u);
@@ -280,14 +280,114 @@ TEST(Sequential, AutoBootstrapRejectsLayersTooDeepForTheChain)
     PolyApprox monster{"x128", std::vector<double>(129, 0.0)};
     monster.coeffs[128] = 1.0;
     net.emplace<PolyActivation>(monster);
-    net.enableAutoBootstrap();
+    net.enablePlanner();
     TensorMeta in = freshMeta(ctx, {{8}});
     in.levelCount = 4;
     try {
         net.compile(ctx, in);
         FAIL() << "expected rejection";
     } catch (const std::invalid_argument &e) {
-        EXPECT_NE(std::string(e.what()).find("after bootstrap"),
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("bootstrap refreshes only to"),
+                  std::string::npos)
+            << msg;
+    }
+}
+
+/** Dense, relu, Bootstrap, Dense, relu, Dense: the refresh is
+    placed by hand where the 5-limb budget runs out. */
+void
+buildHandPlacedNet(Sequential &net)
+{
+    net.emplace<Dense>(randomMatrix(8, 8, 0.1, 41));
+    net.emplace<PolyActivation>(reluApprox(2));
+    net.emplace<Bootstrap>();
+    net.emplace<Dense>(randomMatrix(8, 8, 0.1, 42));
+    net.emplace<PolyActivation>(reluApprox(2));
+    net.emplace<Dense>(randomMatrix(4, 8, 0.1, 43));
+}
+
+TEST(Sequential, HandPlacedBootstrapCompilesAndRuns)
+{
+    // The stack costs 7 against a 5-limb input, but the layers after
+    // the hand-placed refresh compile at its refreshed level: the
+    // budget is checked per layer, not summed over the stack.
+    auto params = ckks::Presets::bootTest();
+    params.levels = 20;
+    params.secretHamming = 8;
+    ckks::CkksContext ctx(params);
+
+    Sequential net;
+    buildHandPlacedNet(net);
+    TensorMeta in = freshMeta(ctx, {{8}});
+    in.levelCount = 5;
+    auto out = net.compile(ctx, in);
+    EXPECT_EQ(net.executionPlan().bootstrapCount(), 1u);
+    EXPECT_EQ(net.bootstrapCount(), 1u);
+    EXPECT_GE(out.levelCount, 1u);
+
+    Rng rng(44);
+    auto sk = ctx.generateSecretKey(rng);
+    auto keys = ctx.generateKeys(sk, rng, net.requiredRotations(),
+                                 net.requiredConjRotations());
+    ckks::Encryptor enc(ctx, keys.pk);
+    ckks::Decryptor dec(ctx, sk);
+    nn::NnEngine engine(ctx, keys);
+
+    std::vector<double> x(8);
+    for (auto &v : x)
+        v = rng.uniformReal() - 0.5;
+    auto t = encryptTensor(ctx, enc, rng, x, {{8}}, in.levelCount);
+    EvalOpStats::instance().reset();
+    auto y = net.run(engine, t);
+    auto snap = EvalOpStats::instance().snapshot();
+    auto got = decryptTensor(ctx, dec, y);
+    auto want = net.runPlain(x);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+        ASSERT_NEAR(got[i], want[i], 1e-2) << "element " << i;
+
+    auto model = net.modeledOps();
+    for (std::size_t k = 0; k < kNumEvalOpKinds; ++k) {
+        auto kind = static_cast<EvalOpKind>(k);
+        EXPECT_EQ(snap.get(kind), model.get(kind))
+            << evalOpKindName(kind);
+    }
+    EvalOpStats::instance().reset();
+}
+
+TEST(Sequential, PlannerRejectsHandPlacedRefreshes)
+{
+    // The planner places every Bootstrap and LevelDrop itself; one
+    // already in the stack is named and rejected before planning.
+    auto params = ckks::Presets::bootTest();
+    params.levels = 20;
+    params.secretHamming = 8;
+    ckks::CkksContext ctx(params);
+    TensorMeta in = freshMeta(ctx, {{8}});
+    in.levelCount = 5;
+
+    Sequential boot;
+    buildHandPlacedNet(boot);
+    boot.enablePlanner();
+    try {
+        boot.compile(ctx, in);
+        FAIL() << "expected rejection";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("layer 2 (Bootstrap)"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    Sequential drop;
+    drop.emplace<LevelDrop>(4);
+    drop.emplace<Dense>(randomMatrix(8, 8, 0.1, 45));
+    drop.enablePlanner();
+    try {
+        drop.compile(ctx, in);
+        FAIL() << "expected rejection";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("layer 0 (LevelDrop)"),
                   std::string::npos)
             << e.what();
     }

@@ -172,13 +172,14 @@ TEST(Cost, BlockMatvecSharesTheFinalModDownAcrossBlocks)
 TEST(Cost, BootstrapCostScalesWithSlotsAndSineShape)
 {
     auto p = paperParams(ntt::NttVariant::Tensor);
-    auto base = bootstrapCost(p, 45, p.slots(), 6, 4);
+    auto base = bootstrapStagedCost(p, 45, 45, 44, p.slots(), 6, 4);
     EXPECT_GT(base.coreOps, 0.0);
     // The DFT stages dominate and grow with the slot count.
-    auto fewer = bootstrapCost(p, 45, p.slots() / 4, 6, 4);
+    auto fewer =
+        bootstrapStagedCost(p, 45, 45, 44, p.slots() / 4, 6, 4);
     EXPECT_LT(fewer.coreOps, base.coreOps);
     // A deeper double-angle chain only adds work.
-    auto deeper = bootstrapCost(p, 45, p.slots(), 6, 6);
+    auto deeper = bootstrapStagedCost(p, 45, 45, 44, p.slots(), 6, 6);
     EXPECT_GT(deeper.coreOps, base.coreOps);
     // The three transforms alone exceed one S2C: the fused split
     // pipeline is costed as 3 BSGS transforms, not 2 + a keyswitch.

@@ -121,11 +121,13 @@ TEST(LazyBootstrap, SkippingDeadChunksBeatsTheGreedyRefresh)
     EXPECT_LT(plan.plannedWork(), plan.greedyWork());
 
     // Modeled ops shrink accordingly: one refreshed chunk's worth of
-    // bootstrap rotations instead of two.
+    // bootstrap rotations instead of two. The eager baseline refreshes
+    // both chunks by hand where the greedy survey does: before the
+    // activation.
     Sequential eager_boot;
+    eager_boot.emplace<Bootstrap>();
     eager_boot.emplace<PolyActivation>(reluApprox(2));
     eager_boot.emplace<Dense>(deadTailMatrix(f.n, f.slots, 31));
-    eager_boot.enableAutoBootstrap();
     eager_boot.compile(f.ctx, f.in);
     EXPECT_LT(f.net.modeledOps().get(EvalOpKind::HRotate),
               eager_boot.modeledOps().get(EvalOpKind::HRotate));

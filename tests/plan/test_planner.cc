@@ -1,7 +1,7 @@
 /**
  * @file
  * Global execution planner tests: the planned schedule never costs
- * more than the greedy splice baseline (and strictly beats it when a
+ * more than the greedy baseline (and strictly beats it when a
  * drop is available), the rebuilt stack runs correctly end to end
  * with executed ops exactly matching the plan's model, graph and
  * eager execution of a planner-built net stay bit-identical, the
@@ -57,7 +57,7 @@ randomMatrix(std::size_t rows, std::size_t cols, double mag, u64 seed)
     return w;
 }
 
-/** The bootstrap-forcing stack of the greedy splice tests: cost 7
+/** The bootstrap-forcing stack of the auto-bootstrap tests: cost 7
     against a 5-limb input, so a refresh must land mid-walk. */
 void
 buildDeepNet(Sequential &net)
@@ -90,12 +90,18 @@ TEST(Planner, PlannedScheduleNeverCostsMoreThanGreedy)
     ckks::CkksContext ctx(bootParams());
     TensorMeta in = freshMeta(ctx, {{8}}, 5);
 
+    // The greedy baseline: buildDeepNet's stack, refreshed by hand
+    // where the budget runs out (before the second Dense).
     Sequential greedy;
-    buildDeepNet(greedy);
-    greedy.enableAutoBootstrap();
+    greedy.emplace<Dense>(randomMatrix(8, 8, 0.1, 21));
+    greedy.emplace<PolyActivation>(reluApprox(2));
+    greedy.emplace<Bootstrap>();
+    greedy.emplace<Dense>(randomMatrix(8, 8, 0.1, 22));
+    greedy.emplace<PolyActivation>(reluApprox(2));
+    greedy.emplace<Dense>(randomMatrix(4, 8, 0.1, 23));
     greedy.compile(ctx, in);
     double greedy_work = greedy.executionPlan().plannedWork();
-    // The greedy path's plan IS its own baseline.
+    // The unplanned path's plan IS its own baseline.
     EXPECT_DOUBLE_EQ(greedy.executionPlan().greedyWork(), greedy_work);
 
     Sequential net;
@@ -105,7 +111,7 @@ TEST(Planner, PlannedScheduleNeverCostsMoreThanGreedy)
 
     const auto &plan = net.executionPlan();
     // The planner's internal greedy survey must price the identical
-    // stack exactly like the greedy compile path did.
+    // schedule exactly like the unplanned compile path did.
     EXPECT_NEAR(plan.greedyWork(), greedy_work, 1e-6 * greedy_work);
     EXPECT_LE(plan.plannedWork(), plan.greedyWork() * (1 + 1e-9));
     EXPECT_GE(plan.bootstrapCount(), 1u);
@@ -262,8 +268,8 @@ TEST(Planner, InfeasibilityNamesTheFirstInfeasibleLayerAndBestPlan)
 
 TEST(Planner, GreedyCompilePathAlsoRecordsAPlan)
 {
-    // Sequential::run always replays an ExecutionPlan — the greedy
-    // path records its splice walk with plannedWork == greedyWork.
+    // Sequential::run always replays an ExecutionPlan — the unplanned
+    // path records its in-order walk with plannedWork == greedyWork.
     auto p = ckks::Presets::tiny();
     p.levels = 5;
     ckks::CkksContext ctx(p);

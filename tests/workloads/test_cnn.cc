@@ -132,8 +132,8 @@ TEST(EncryptedCnn, ModeledCountsConvertToModelVocabulary)
 // ------------------------------------------------------------------
 // Deep bootstrap-in-the-loop CNN (Table X ResNet scenario): the
 // input spans two ciphertexts, the convs run as block BSGS matvecs,
-// and the level ledger goes negative mid-network so Sequential
-// splices a bootstrap over both chunks.
+// and the level ledger goes negative mid-network so the planner
+// places a bootstrap over both chunks.
 
 struct DeepCnnFixture
 {
@@ -199,6 +199,18 @@ TEST(DeepCnn, CompilesWithAMidNetworkBootstrapOverTwoChunks)
     EXPECT_TRUE(found_mid);
     // The bootstrap's conjugate-rotation needs surface on the stack.
     EXPECT_FALSE(f.cnn.requiredConjRotations().empty());
+}
+
+TEST(DeepCnn, CompilesThroughThePlanner)
+{
+    // The planner is the only code that places the refresh: the deep
+    // config enables it, and its searched schedule beats the greedy
+    // survey baseline it started from.
+    auto &f = dfx();
+    EXPECT_TRUE(f.cnn.config().usePlanner);
+    const auto &plan = f.cnn.net().executionPlan();
+    EXPECT_LT(plan.plannedWork(), plan.greedyWork());
+    EXPECT_GE(plan.bootstrapCount(), 1u);
 }
 
 TEST(DeepCnn, EndToEndMatchesPlainReferenceThroughBootstrap)
