@@ -141,7 +141,9 @@ shoupPrecomputeBeta(u64 w, u64 q, int bits)
 
 /**
  * a * w mod q using the Shoup trick: one high-half multiply, one wrap
- * multiply, one conditional subtraction. Requires a < q, w < q.
+ * multiply, one conditional subtraction. Requires w < q < 2^63; a may
+ * be any u64 (the pre-subtraction value is below 2q for every a, so
+ * the result is canonical).
  */
 inline u64
 mulModShoup(u64 a, u64 w, u64 w_shoup, u64 q)

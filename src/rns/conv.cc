@@ -1,10 +1,12 @@
 #include "rns/conv.hh"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/thread_pool.hh"
+#include "simd/simd.hh"
 #include "trace/trace.hh"
 
 namespace tensorfhe::rns
@@ -17,6 +19,46 @@ ThreadPool &
 poolOrGlobal(ThreadPool *pool)
 {
     return pool ? *pool : ThreadPool::global();
+}
+
+/** 0, 1, ..., count-1: Conv target j written to output limb j. */
+std::vector<std::size_t>
+positions(std::size_t count)
+{
+    std::vector<std::size_t> out(count);
+    std::iota(out.begin(), out.end(), std::size_t{0});
+    return out;
+}
+
+/** Fresh Coeff-domain results over `limbs`, plus pointers to them. */
+std::vector<RnsPolynomial>
+makeOutputs(const RnsTower &tower, const std::vector<std::size_t> &limbs,
+            std::size_t batch, std::vector<RnsPolynomial *> &ptrs)
+{
+    std::vector<RnsPolynomial> out;
+    out.reserve(batch);
+    ptrs.resize(batch);
+    for (std::size_t b = 0; b < batch; ++b) {
+        out.emplace_back(tower, limbs, Domain::Coeff);
+        ptrs[b] = &out[b];
+    }
+    return out;
+}
+
+/**
+ * Scale-phase rows of multi-limb sources. Owned by the calling
+ * thread, which alone reads and writes it through one conversion
+ * (pool workers only touch the rows of the call they serve), and
+ * kept at the largest batch x s x n the thread ever converted: the
+ * steady-state trade of ntt_tensor.cc's stage scratch.
+ */
+u64 *
+scaleScratch(std::size_t need)
+{
+    thread_local std::vector<u64> buf;
+    if (buf.size() < need)
+        buf.resize(need);
+    return buf.data();
 }
 
 } // namespace
@@ -44,6 +86,7 @@ BaseConvPlan::BaseConvPlan(const RnsTower &tower,
         hatInvShoup_[i] = shoupPrecompute(hatInv_[i], mi.value());
     }
     hat_.resize(s * t);
+    hatShoup_.resize(s * t);
     for (std::size_t j = 0; j < t; ++j) {
         const Modulus &mj = tower.modulus(dst_[j]);
         for (std::size_t i = 0; i < s; ++i) {
@@ -53,101 +96,99 @@ BaseConvPlan::BaseConvPlan(const RnsTower &tower,
                     prod = mj.mul(prod, tower.prime(src_[i2]) % mj.value());
             }
             hat_[i * t + j] = prod;
+            hatShoup_[i * t + j] = shoupPrecompute(prod, mj.value());
         }
-    }
-}
-
-/** y_i = a_i * hatInv_i mod s_i for every source limb of one slot. */
-void
-BaseConvPlan::scalePhase(const RnsPolynomial &a, u64 *y) const
-{
-    std::size_t n = a.n();
-    for (std::size_t i = 0; i < a.numLimbs(); ++i) {
-        const Modulus &mi = a.limbModulus(i);
-        const u64 *src = a.limb(i);
-        u64 *dst = y + i * n;
-        for (std::size_t c = 0; c < n; ++c)
-            dst[c] = mulModShoup(src[c], hatInv_[i], hatInvShoup_[i],
-                                 mi.value());
-    }
-}
-
-/** out_j = sum_i y_i * hat_ij for one (slot, target-limb) task. */
-void
-BaseConvPlan::accumulatePhase(const u64 *y, std::size_t j, u64 *dst) const
-{
-    std::size_t s = src_.size();
-    std::size_t t = dst_.size();
-    std::size_t n = tower_->n();
-    const Modulus &mj = tower_->modulus(dst_[j]);
-    for (std::size_t c = 0; c < n; ++c) {
-        u128 acc = 0;
-        for (std::size_t i = 0; i < s; ++i)
-            acc += static_cast<u128>(y[i * n + c]) * hat_[i * t + j];
-        dst[c] = mj.reduce(acc);
     }
 }
 
 RnsPolynomial
 BaseConvPlan::apply(const RnsPolynomial &a) const
 {
-    TFHE_ASSERT(a.domain() == Domain::Coeff,
-                "Conv operates in coefficient domain");
-    TFHE_ASSERT(a.limbIndices() == src_,
-                "polynomial does not match the plan's source basis");
-    std::size_t n = a.n();
-    std::size_t s = src_.size();
-    std::size_t t = dst_.size();
-    ScopedKernelTimer timer(KernelKind::Conv, (s + t) * n);
-
-    std::vector<u64> y(s * n);
-    scalePhase(a, y.data());
-
-    RnsPolynomial out(*tower_, dst_, Domain::Coeff);
-    ThreadPool::global().parallelFor(0, t, [&](std::size_t j) {
-        accumulatePhase(y.data(), j, out.limb(j));
-    });
-    return out;
+    return std::move(applyBatch({&a}).front());
 }
 
 std::vector<RnsPolynomial>
 BaseConvPlan::applyBatch(const std::vector<const RnsPolynomial *> &as,
                          ThreadPool *pool) const
 {
+    for (const RnsPolynomial *a : as)
+        TFHE_ASSERT(a->numLimbs() == src_.size(),
+                    "polynomial does not match the plan's source basis");
+    std::vector<RnsPolynomial *> ptrs;
+    auto out = makeOutputs(*tower_, dst_, as.size(), ptrs);
+    applyBatchInto(as, 0, ptrs.data(), positions(dst_.size()), pool);
+    return out;
+}
+
+void
+BaseConvPlan::applyBatchInto(const std::vector<const RnsPolynomial *> &as,
+                             std::size_t srcOff,
+                             RnsPolynomial *const *outs,
+                             const std::vector<std::size_t> &dstPos,
+                             ThreadPool *pool) const
+{
     std::size_t batch = as.size();
     if (batch == 0)
-        return {};
+        return;
     std::size_t n = tower_->n();
     std::size_t s = src_.size();
     std::size_t t = dst_.size();
-    for (const RnsPolynomial *a : as) {
-        TFHE_ASSERT(a->domain() == Domain::Coeff,
+    TFHE_ASSERT(dstPos.size() == t, "one output slot per target limb");
+    for (std::size_t b = 0; b < batch; ++b) {
+        const RnsPolynomial &a = *as[b];
+        const RnsPolynomial &o = *outs[b];
+        TFHE_ASSERT(a.domain() == Domain::Coeff,
                     "Conv operates in coefficient domain");
-        TFHE_ASSERT(a->limbIndices() == src_,
-                    "batched Conv requires the plan's source basis");
+        TFHE_ASSERT(srcOff + s <= a.numLimbs()
+                        && std::equal(src_.begin(), src_.end(),
+                                      a.limbIndices().begin()
+                                          + static_cast<std::ptrdiff_t>(
+                                              srcOff)),
+                    "polynomial does not match the plan's source basis");
+        bool shaped = o.domain() == Domain::Coeff;
+        for (std::size_t j = 0; j < t && shaped; ++j)
+            shaped = dstPos[j] < o.numLimbs()
+                && o.limbIndex(dstPos[j]) == dst_[j];
+        TFHE_ASSERT(shaped, "Conv output not preshaped to the plan's "
+                            "target basis");
     }
     ScopedKernelTimer timer(KernelKind::Conv, batch * (s + t) * n);
-
     ThreadPool &tp = poolOrGlobal(pool);
-    std::vector<u64> y(batch * s * n);
-    tp.parallelFor2D(batch, s, [&](std::size_t b, std::size_t i) {
-        const RnsPolynomial &a = *as[b];
-        const Modulus &mi = a.limbModulus(i);
-        const u64 *src = a.limb(i);
-        u64 *dst = y.data() + (b * s + i) * n;
-        for (std::size_t c = 0; c < n; ++c)
-            dst[c] = mulModShoup(src[c], hatInv_[i], hatInvShoup_[i],
-                                 mi.value());
-    });
+    const simd::Ops &v = simd::ops();
 
-    std::vector<RnsPolynomial> out;
-    out.reserve(batch);
-    for (std::size_t b = 0; b < batch; ++b)
-        out.emplace_back(*tower_, dst_, Domain::Coeff);
+    // Scale phase: y_i = a_i * hatInv_i mod s_i. A row whose factor is
+    // 1 (every row of a one-limb source) is read in place instead.
+    u64 *y = nullptr;
+    if (std::any_of(hatInv_.begin(), hatInv_.end(),
+                    [](u64 h) { return h != 1; })) {
+        y = scaleScratch(batch * s * n);
+        tp.parallelFor2D(batch, s, [&](std::size_t b, std::size_t i) {
+            if (hatInv_[i] == 1)
+                return;
+            const u64 *src = as[b]->limb(srcOff + i);
+            u64 *dst = y + (b * s + i) * n;
+            std::copy(src, src + n, dst);
+            v.mulShoup(dst, hatInv_[i], hatInvShoup_[i], n,
+                       tower_->prime(src_[i]));
+        });
+    }
+    auto row = [&](std::size_t b, std::size_t i) -> const u64 * {
+        return hatInv_[i] == 1 ? as[b]->limb(srcOff + i)
+                               : y + (b * s + i) * n;
+    };
+
+    // Accumulate phase: out_j = sum_i y_i * hat_ij mod t_j. The rows
+    // are canonical mod s_i, not t_j, which the Shoup spans accept.
     tp.parallelFor2D(batch, t, [&](std::size_t b, std::size_t j) {
-        accumulatePhase(y.data() + b * s * n, j, out[b].limb(j));
+        u64 q = tower_->prime(dst_[j]);
+        u64 *dst = outs[b]->limb(dstPos[j]);
+        const u64 *y0 = row(b, 0);
+        std::copy(y0, y0 + n, dst);
+        v.mulShoup(dst, hat_[j], hatShoup_[j], n, q);
+        for (std::size_t i = 1; i < s; ++i)
+            v.mulShoupAccum(dst, row(b, i), hat_[i * t + j],
+                            hatShoup_[i * t + j], n, q);
     });
-    return out;
 }
 
 RnsPolynomial
@@ -230,56 +271,31 @@ ModUpPlan::ModUpPlan(const RnsTower &tower,
       target_(unionBasis(tower, level_count)),
       conv_(tower, digit_limbs_, limbsOutside(target_, digit_limbs_))
 {
-    copySrc_.resize(target_.size());
-    for (std::size_t j = 0; j < target_.size(); ++j) {
-        auto it = std::find(digit_limbs_.begin(), digit_limbs_.end(),
-                            target_[j]);
-        copySrc_[j] = it == digit_limbs_.end()
-            ? npos
-            : static_cast<std::size_t>(it - digit_limbs_.begin());
-    }
+    auto slotOf = [&](std::size_t idx) {
+        auto it = std::find(target_.begin(), target_.end(), idx);
+        TFHE_ASSERT(it != target_.end(),
+                    "digit limbs must lie in the union basis");
+        return static_cast<std::size_t>(it - target_.begin());
+    };
+    for (std::size_t idx : digit_limbs_)
+        copyPos_.push_back(slotOf(idx));
+    for (std::size_t idx : conv_.targetLimbs())
+        convPos_.push_back(slotOf(idx));
 }
 
 RnsPolynomial
 ModUpPlan::apply(const RnsPolynomial &digit) const
 {
-    TFHE_ASSERT(digit.domain() == Domain::Coeff);
-    TFHE_ASSERT(digit.limbIndices() == digit_limbs_,
-                "digit does not match the plan's limb set");
-    TFHE_TRACE_SPAN("rns", "modup");
-    RnsPolynomial converted = conv_.apply(digit);
-
-    RnsPolynomial out(*tower_, target_, Domain::Coeff);
-    std::size_t n = digit.n();
-    std::size_t oi = 0;
-    for (std::size_t j = 0; j < target_.size(); ++j) {
-        if (copySrc_[j] != npos) {
-            std::copy(digit.limb(copySrc_[j]),
-                      digit.limb(copySrc_[j]) + n, out.limb(j));
-        } else {
-            std::copy(converted.limb(oi), converted.limb(oi) + n,
-                      out.limb(j));
-            ++oi;
-        }
-    }
-    return out;
+    return std::move(applyBatch({&digit}).front());
 }
 
 std::vector<RnsPolynomial>
 ModUpPlan::applyBatch(const std::vector<const RnsPolynomial *> &digits,
                       ThreadPool *pool) const
 {
-    std::size_t batch = digits.size();
-    if (batch == 0)
-        return {};
-    std::vector<RnsPolynomial> out;
-    out.reserve(batch);
-    std::vector<RnsPolynomial *> out_ptrs(batch);
-    for (std::size_t b = 0; b < batch; ++b) {
-        out.emplace_back(*tower_, target_, Domain::Coeff);
-        out_ptrs[b] = &out[b];
-    }
-    applyBatchInto(digits, out_ptrs.data(), pool);
+    std::vector<RnsPolynomial *> ptrs;
+    auto out = makeOutputs(*tower_, target_, digits.size(), ptrs);
+    applyBatchInto(digits, ptrs.data(), pool);
     return out;
 }
 
@@ -295,25 +311,18 @@ ModUpPlan::applyBatchInto(const std::vector<const RnsPolynomial *> &digits,
     tsp.arg("batch", static_cast<s64>(batch))
         .arg("limbs", static_cast<s64>(target_.size()));
     std::size_t n = tower_->n();
-    for (std::size_t b = 0; b < batch; ++b)
+    for (std::size_t b = 0; b < batch; ++b) {
+        TFHE_ASSERT(digits[b]->limbIndices() == digit_limbs_,
+                    "digit does not match the plan's limb set");
         TFHE_ASSERT(outs[b]->limbIndices() == target_
                         && outs[b]->domain() == Domain::Coeff,
                     "ModUp output not preshaped to the union basis");
-    auto converted = conv_.applyBatch(digits, pool);
-
-    poolOrGlobal(pool).parallelFor(0, batch, [&](std::size_t b) {
-        const RnsPolynomial &digit = *digits[b];
-        std::size_t oi = 0;
-        for (std::size_t j = 0; j < target_.size(); ++j) {
-            if (copySrc_[j] != npos) {
-                std::copy(digit.limb(copySrc_[j]),
-                          digit.limb(copySrc_[j]) + n, outs[b]->limb(j));
-            } else {
-                std::copy(converted[b].limb(oi),
-                          converted[b].limb(oi) + n, outs[b]->limb(j));
-                ++oi;
-            }
-        }
+    }
+    conv_.applyBatchInto(digits, 0, outs, convPos_, pool);
+    poolOrGlobal(pool).parallelFor2D(batch, digit_limbs_.size(),
+                                     [&](std::size_t b, std::size_t i) {
+        std::copy(digits[b]->limb(i), digits[b]->limb(i) + n,
+                  outs[b]->limb(copyPos_[i]));
     });
 }
 
@@ -369,19 +378,19 @@ ModDownPlan::ModDownPlan(const RnsTower &tower,
                          const std::vector<std::size_t> &union_limbs)
     : tower_(&tower), q_idx_(qPartOfUnion(tower, union_limbs)),
       p_idx_(pPartOfUnion(tower, union_limbs)),
-      conv_(tower, p_idx_, q_idx_)
+      qPos_(positions(q_idx_.size())), conv_(tower, p_idx_, q_idx_)
 {
     std::size_t k = tower.numP();
     for (std::size_t j = 0; j < k; ++j)
         TFHE_ASSERT(p_idx_[j] >= tower.numQ(), "limb order violated");
-    // P^-1 per q-limb is slot-independent: precompute once.
+    // -P^-1 per q-limb is slot-independent: precompute once.
     std::size_t ql = q_idx_.size();
-    pInv_.resize(ql);
-    pInvShoup_.resize(ql);
+    negPInv_.resize(ql);
+    negPInvShoup_.resize(ql);
     for (std::size_t j = 0; j < ql; ++j) {
-        pInv_[j] = tower.pInvModQ(q_idx_[j]);
-        pInvShoup_[j] =
-            shoupPrecompute(pInv_[j], tower.modulus(q_idx_[j]).value());
+        u64 q = tower.modulus(q_idx_[j]).value();
+        negPInv_[j] = q - tower.pInvModQ(q_idx_[j]);
+        negPInvShoup_[j] = shoupPrecompute(negPInv_[j], q);
     }
 }
 
@@ -401,51 +410,16 @@ ModDownPlan::matchesUnionBasis(const RnsPolynomial &a) const
 RnsPolynomial
 ModDownPlan::apply(const RnsPolynomial &a) const
 {
-    TFHE_ASSERT(a.domain() == Domain::Coeff);
-    std::size_t k = p_idx_.size();
-    std::size_t ql = q_idx_.size();
-    TFHE_ASSERT(matchesUnionBasis(a),
-                "polynomial does not match the plan's union basis");
-    TFHE_TRACE_SPAN("rns", "moddown");
-    std::size_t n = a.n();
-
-    // The special-limb part of a.
-    RnsPolynomial a_p(*tower_, p_idx_, Domain::Coeff);
-    for (std::size_t j = 0; j < k; ++j)
-        std::copy(a.limb(ql + j), a.limb(ql + j) + n, a_p.limb(j));
-
-    // Convert a mod P onto the q-limbs, subtract, multiply by P^-1.
-    RnsPolynomial conv = conv_.apply(a_p);
-
-    RnsPolynomial out(*tower_, q_idx_, Domain::Coeff);
-    ThreadPool::global().parallelFor(0, ql, [&](std::size_t j) {
-        const Modulus &mod = tower_->modulus(q_idx_[j]);
-        const u64 *pa = a.limb(j);
-        const u64 *pc = conv.limb(j);
-        u64 *po = out.limb(j);
-        for (std::size_t c = 0; c < n; ++c) {
-            po[c] = mulModShoup(mod.sub(pa[c], pc[c]), pInv_[j],
-                                pInvShoup_[j], mod.value());
-        }
-    });
-    return out;
+    return std::move(applyBatch({&a}).front());
 }
 
 std::vector<RnsPolynomial>
 ModDownPlan::applyBatch(const std::vector<const RnsPolynomial *> &as,
                         ThreadPool *pool) const
 {
-    std::size_t batch = as.size();
-    if (batch == 0)
-        return {};
-    std::vector<RnsPolynomial> out;
-    out.reserve(batch);
-    std::vector<RnsPolynomial *> out_ptrs(batch);
-    for (std::size_t b = 0; b < batch; ++b) {
-        out.emplace_back(*tower_, q_idx_, Domain::Coeff);
-        out_ptrs[b] = &out[b];
-    }
-    applyBatchInto(as, out_ptrs.data(), pool);
+    std::vector<RnsPolynomial *> ptrs;
+    auto out = makeOutputs(*tower_, q_idx_, as.size(), ptrs);
+    applyBatchInto(as, ptrs.data(), pool);
     return out;
 }
 
@@ -460,41 +434,28 @@ ModDownPlan::applyBatchInto(const std::vector<const RnsPolynomial *> &as,
     trace::TraceSpan tsp("rns", "moddown");
     tsp.arg("batch", static_cast<s64>(batch))
         .arg("limbs", static_cast<s64>(q_idx_.size()));
-    std::size_t k = p_idx_.size();
     std::size_t ql = q_idx_.size();
     std::size_t n = tower_->n();
-
-    ThreadPool &tp = poolOrGlobal(pool);
-    std::vector<RnsPolynomial> a_ps;
-    a_ps.reserve(batch);
     for (std::size_t b = 0; b < batch; ++b) {
         TFHE_ASSERT(as[b]->domain() == Domain::Coeff);
         TFHE_ASSERT(matchesUnionBasis(*as[b]),
-                    "batched ModDown requires the plan's union basis");
+                    "ModDown requires the plan's union basis");
         TFHE_ASSERT(outs[b]->limbIndices() == q_idx_
                         && outs[b]->domain() == Domain::Coeff,
                     "ModDown output not preshaped to the q-basis");
-        a_ps.emplace_back(*tower_, p_idx_, Domain::Coeff);
     }
-    tp.parallelFor2D(batch, k, [&](std::size_t b, std::size_t j) {
-        std::copy(as[b]->limb(ql + j), as[b]->limb(ql + j) + n,
-                  a_ps[b].limb(j));
-    });
 
-    std::vector<const RnsPolynomial *> a_p_ptrs(batch);
-    for (std::size_t b = 0; b < batch; ++b)
-        a_p_ptrs[b] = &a_ps[b];
-    auto conv = conv_.applyBatch(a_p_ptrs, pool);
-
-    tp.parallelFor2D(batch, ql, [&](std::size_t b, std::size_t j) {
-        const Modulus &mod = tower_->modulus(q_idx_[j]);
-        const u64 *pa = as[b]->limb(j);
-        const u64 *pc = conv[b].limb(j);
+    // Convert a mod P (the special limbs, read in place) onto the
+    // q-limbs, then finish each limb in place:
+    // (conv_j - a_j) * -P^-1 = (a_j - conv_j) * P^-1 mod q_j.
+    conv_.applyBatchInto(as, ql, outs, qPos_, pool);
+    const simd::Ops &v = simd::ops();
+    poolOrGlobal(pool).parallelFor2D(batch, ql, [&](std::size_t b,
+                                                    std::size_t j) {
+        u64 q = tower_->prime(q_idx_[j]);
         u64 *po = outs[b]->limb(j);
-        for (std::size_t c = 0; c < n; ++c) {
-            po[c] = mulModShoup(mod.sub(pa[c], pc[c]), pInv_[j],
-                                pInvShoup_[j], mod.value());
-        }
+        v.subSpan(po, as[b]->limb(j), n, q);
+        v.mulShoup(po, negPInv_[j], negPInvShoup_[j], n, q);
     });
 }
 

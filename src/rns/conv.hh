@@ -13,11 +13,18 @@
  *
  * The conversion procedures are phase-split: each has a *Plan class
  * holding the precomputation fixed by the (source, target) limb pair
- * — CRT factors, union-basis layout, P^-1 constants — separate from
- * the per-coefficient apply phase. Hoisted key-switching builds one
- * plan and applies it across every rotation, digit, and batch slot;
- * the plan-free functions below remain as one-shot conveniences and
- * are bit-identical to plan construction + apply.
+ * — CRT factors with their Shoup companions, union-basis layout,
+ * P^-1 constants — separate from the per-coefficient apply phase.
+ * Hoisted key-switching builds one plan and applies it across every
+ * rotation, digit, and batch slot.
+ *
+ * Each plan has one conversion body, applyBatchInto: it reads source
+ * limbs in place and writes every converted limb straight into the
+ * caller's preshaped outputs, with its arithmetic on the
+ * runtime-dispatched simd::Ops Shoup spans. Steady-state calls
+ * allocate no limb-sized buffer. apply()/applyBatch() and the
+ * plan-free functions below are thin wrappers that allocate results
+ * and call it, so all are bit-identical to one another.
  */
 
 #ifndef TENSORFHE_RNS_CONV_HH
@@ -38,10 +45,18 @@ namespace tensorfhe::rns
 /**
  * Precomputed CRT factors of the approximate base conversion for one
  * fixed (source, target) limb pair: hatInv_i = (S/s_i)^-1 mod s_i and
- * hat_ij = (S/s_i) mod t_j. The O(s^2 + s*t) scalar work happens once
- * at construction; apply() then performs only the O(s*t*n)
- * per-coefficient phase. apply()/applyBatch() are bit-identical to
- * fastBaseConv()/fastBaseConvBatch().
+ * hat_ij = (S/s_i) mod t_j, each with its beta = 2^64 Shoup
+ * companion. The O(s^2 + s*t) scalar work happens once at
+ * construction; the apply phase then performs only the O(s*t*n)
+ * per-coefficient work:
+ *
+ *   y_i   = a_i * hatInv_i mod s_i   (skipped where hatInv_i == 1,
+ *                                     e.g. every one-limb source)
+ *   out_j = sum_i y_i * hat_ij mod t_j
+ *
+ * as one simd mulShoup plus one mulShoupAccum per further source row.
+ * The Shoup product is canonical for any u64 input, so this equals
+ * the u128 sum reduced by Modulus::reduce, bit for bit.
  */
 class BaseConvPlan
 {
@@ -58,27 +73,40 @@ class BaseConvPlan
     applyBatch(const std::vector<const RnsPolynomial *> &as,
                ThreadPool *pool = nullptr) const;
 
+    /**
+     * The conversion body. Source limb i of slot b is read in place
+     * from as[b]->limb(srcOff + i) (those limbs must be the plan's
+     * source limbs); target limb j is written to
+     * outs[b]->limb(dstPos[j]) (Coeff domain, carrying target limb j
+     * there). Other output limbs are left untouched. Multi-limb
+     * sources scale into a scratch buffer owned by the calling thread
+     * and reused across calls; no call allocates a limb-sized buffer
+     * once that scratch has grown.
+     */
+    void applyBatchInto(const std::vector<const RnsPolynomial *> &as,
+                        std::size_t srcOff, RnsPolynomial *const *outs,
+                        const std::vector<std::size_t> &dstPos,
+                        ThreadPool *pool = nullptr) const;
+
     const std::vector<std::size_t> &sourceLimbs() const { return src_; }
     const std::vector<std::size_t> &targetLimbs() const { return dst_; }
 
   private:
-    void scalePhase(const RnsPolynomial &a, u64 *y) const;
-    void accumulatePhase(const u64 *y, std::size_t j, u64 *dst) const;
-
     const RnsTower *tower_;
     std::vector<std::size_t> src_;
     std::vector<std::size_t> dst_;
     std::vector<u64> hatInv_;      ///< s entries
     std::vector<u64> hatInvShoup_; ///< s entries
     std::vector<u64> hat_;         ///< s x t, row i = source limb i
+    std::vector<u64> hatShoup_;    ///< s x t, Shoup companions of hat_
 };
 
 /**
  * Phase-split ModUp: the union basis {q_0..q_{level}} + {p_0..p_{K-1}},
  * the copied-vs-converted limb layout, and the Conv factors for one
  * digit shape at one level, computed once and reused across every
- * hoisted rotation and batch slot. apply()/applyBatch() are
- * bit-identical to modUp()/modUpBatch().
+ * hoisted rotation and batch slot. apply()/applyBatch() wrap
+ * applyBatchInto and are bit-identical to modUp()/modUpBatch().
  */
 class ModUpPlan
 {
@@ -94,10 +122,11 @@ class ModUpPlan
                ThreadPool *pool = nullptr) const;
 
     /**
-     * applyBatch writing into caller-provided outputs (preshaped to
-     * unionLimbs(), Coeff domain) — the exec::Workspace hook that
-     * keeps steady-state hoists off the allocator. Bit-identical to
-     * applyBatch.
+     * ModUp into caller-provided outputs (preshaped to unionLimbs(),
+     * Coeff domain) — the exec::Workspace hook that keeps
+     * steady-state hoists off the allocator. The digit limbs are
+     * copied verbatim to their union-basis slots and the conversion
+     * writes every other slot directly; no intermediate polynomial.
      */
     void applyBatchInto(const std::vector<const RnsPolynomial *> &digits,
                         RnsPolynomial *const *outs,
@@ -109,18 +138,17 @@ class ModUpPlan
     const RnsTower *tower_;
     std::vector<std::size_t> digit_limbs_;
     std::vector<std::size_t> target_;
-    /** copySrc_[j]: digit-limb position copied into target slot j, or
-        npos when the limb comes from the conversion. */
-    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-    std::vector<std::size_t> copySrc_;
+    std::vector<std::size_t> copyPos_; ///< union slot of digit limb i
+    std::vector<std::size_t> convPos_; ///< union slot of Conv target j
     BaseConvPlan conv_;
 };
 
 /**
  * Phase-split ModDown: the q/p limb split and the p->q Conv factors
- * plus P^-1 (Shoup form) per remaining limb for one union basis.
+ * plus -P^-1 (Shoup form) per remaining limb for one union basis.
  * Hoisted rotation tails share one plan across every step.
- * apply()/applyBatch() are bit-identical to modDown()/modDownBatch().
+ * apply()/applyBatch() wrap applyBatchInto and are bit-identical to
+ * modDown()/modDownBatch().
  */
 class ModDownPlan
 {
@@ -136,9 +164,11 @@ class ModDownPlan
                ThreadPool *pool = nullptr) const;
 
     /**
-     * applyBatch writing into caller-provided outputs (preshaped to
-     * qLimbs(), Coeff domain) — the exec::Workspace hook. Bit-identical
-     * to applyBatch.
+     * ModDown into caller-provided outputs (preshaped to qLimbs(),
+     * Coeff domain) — the exec::Workspace hook. The special limbs of
+     * each input are converted in place straight into its output,
+     * which is then finished in place:
+     *   out_j = (conv_j - a_j) * (q_j - P^-1) = (a_j - conv_j) * P^-1.
      */
     void applyBatchInto(const std::vector<const RnsPolynomial *> &as,
                         RnsPolynomial *const *outs,
@@ -153,8 +183,9 @@ class ModDownPlan
     const RnsTower *tower_;
     std::vector<std::size_t> q_idx_;
     std::vector<std::size_t> p_idx_;
-    std::vector<u64> pInv_;
-    std::vector<u64> pInvShoup_;
+    std::vector<std::size_t> qPos_; ///< 0..ql-1: Conv target j -> out_j
+    std::vector<u64> negPInv_;      ///< q_j - P^-1 mod q_j
+    std::vector<u64> negPInvShoup_; ///< Shoup companions of negPInv_
     BaseConvPlan conv_; ///< p -> q
 };
 

@@ -3,8 +3,9 @@
  * Runtime-dispatched vector backend for modular arithmetic.
  *
  * Every u64 hot loop of the execution layer — the CT/GS NTT
- * butterflies and the span kernels of exec/kernels.cc — routes
- * through the function-pointer table returned by ops(). Three
+ * butterflies, the span kernels of exec/kernels.cc and the Conv
+ * basis conversion of rns/conv.cc — routes through the
+ * function-pointer table returned by ops(). Three
  * backends implement it: a scalar fallback (the exact pre-SIMD
  * formulas), an AVX2 lane and an AVX-512 lane (which adds an
  * AVX-512IFMA sub-path for q < 2^50). The backend is selected ONCE
@@ -93,11 +94,18 @@ struct Ops
                         const u64 *kb, const u64 *ka, std::size_t n,
                         const Modulus &m, bool canonicalize);
 
-    /** a[i] = a[i] * w mod q, w a fixed constant with its beta=2^64
-        Shoup companion. */
+    /**
+     * a[i] = a[i] * w mod q, w < q a fixed constant with its
+     * beta=2^64 Shoup companion. a[i] may be ANY u64, not only a
+     * canonical residue (Conv multiplies residues of another prime,
+     * which can exceed q): the Shoup product is canonical for every
+     * input below 2^64.
+     */
     void (*mulShoup)(u64 *a, u64 w, u64 wShoup, std::size_t n, u64 q);
 
-    /** acc[i] = acc[i] + src[i] * w mod q (P-lift accumulate). */
+    /** acc[i] = acc[i] + src[i] * w mod q (P-lift accumulate, Conv
+        rows). acc is canonical; src[i] may be any u64, as in
+        mulShoup. */
     void (*mulShoupAccum)(u64 *acc, const u64 *src, u64 w, u64 wShoup,
                           std::size_t n, u64 q);
 

@@ -2,13 +2,20 @@
  * @file
  * Tests for fast basis conversion, ModUp / ModDown, and the RESCALE
  * divide-and-round core — the machinery behind the paper's Conv
- * kernel and Alg. 1 / Alg. 6.
+ * kernel and Alg. 1 / Alg. 6 — including bit-identity of the
+ * SIMD-span conversion with the u128 formula on every backend.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
 #include "rns/conv.hh"
+#include "simd/simd.hh"
 
 namespace tensorfhe::rns
 {
@@ -200,6 +207,248 @@ TEST(Conv, RescaleDividesAndRounds)
     ASSERT_EQ(out.numLimbs(), 1u);
     for (std::size_t c = 0; c < tower().n(); ++c)
         ASSERT_EQ(out.limb(0)[c], expect[c] % tower().prime(0));
+}
+
+// ------------------------------------------------------------------
+// The Shoup-span conversion against the u128 formula, bit for bit.
+
+constexpr u64 kSentinel = ~u64(0); // never a residue: proves writes
+
+RnsTower &
+towerWithSpecials(int k)
+{
+    static std::vector<std::unique_ptr<RnsTower>> towers(3);
+    auto &t = towers[static_cast<std::size_t>(k)];
+    if (!t) {
+        TowerConfig cfg;
+        cfg.n = 1 << 6;
+        cfg.levels = 5;
+        cfg.special = k;
+        t = std::make_unique<RnsTower>(cfg);
+    }
+    return *t;
+}
+
+/**
+ * The scalar conversion the SIMD spans replaced:
+ * y_i = a_i * hatInv_i mod s_i, then out_j = Modulus(t_j).reduce(
+ * sum_i y_i * hat_ij) accumulated in u128. The CRT factors are
+ * derived here from u128 products, independently of BaseConvPlan.
+ */
+std::vector<std::vector<u64>>
+referenceConv(const RnsTower &tw, const std::vector<const u64 *> &rows,
+              const std::vector<std::size_t> &src,
+              const std::vector<std::size_t> &dst)
+{
+    std::size_t n = tw.n();
+    std::size_t s = src.size();
+    std::vector<u128> others(s, 1); // S / s_i
+    std::vector<std::vector<u64>> y(s, std::vector<u64>(n));
+    for (std::size_t i = 0; i < s; ++i) {
+        for (std::size_t i2 = 0; i2 < s; ++i2)
+            if (i2 != i)
+                others[i] *= tw.prime(src[i2]);
+        u64 si = tw.prime(src[i]);
+        u64 hat_inv = invMod(static_cast<u64>(others[i] % si), si);
+        for (std::size_t c = 0; c < n; ++c)
+            y[i][c] = static_cast<u64>(
+                static_cast<u128>(rows[i][c]) * hat_inv % si);
+    }
+    std::vector<std::vector<u64>> out(dst.size(), std::vector<u64>(n));
+    for (std::size_t j = 0; j < dst.size(); ++j) {
+        const Modulus &mj = tw.modulus(dst[j]);
+        for (std::size_t c = 0; c < n; ++c) {
+            u128 acc = 0;
+            for (std::size_t i = 0; i < s; ++i)
+                acc += static_cast<u128>(y[i][c])
+                    * static_cast<u64>(others[i] % mj.value());
+            out[j][c] = mj.reduce(acc);
+        }
+    }
+    return out;
+}
+
+RnsPolynomial
+sentinelPoly(const RnsTower &tw, const std::vector<std::size_t> &limbs)
+{
+    RnsPolynomial p(tw, limbs, Domain::Coeff);
+    for (std::size_t i = 0; i < p.numLimbs(); ++i)
+        std::fill(p.limb(i), p.limb(i) + tw.n(), kSentinel);
+    return p;
+}
+
+std::vector<RnsPolynomial>
+sampleBatch(const RnsTower &tw, const std::vector<std::size_t> &limbs,
+            std::size_t batch, u64 seed)
+{
+    Rng rng(seed);
+    std::vector<RnsPolynomial> out;
+    for (std::size_t b = 0; b < batch; ++b)
+        out.push_back(sampleUniform(tw, limbs, Domain::Coeff, rng));
+    return out;
+}
+
+template <class T>
+std::vector<T *>
+ptrsOf(std::vector<RnsPolynomial> &polys)
+{
+    std::vector<T *> out;
+    for (auto &p : polys)
+        out.push_back(&p);
+    return out;
+}
+
+/** Run `check(pool)` under every backend the host supports, each on a
+    1-lane and a 3-worker pool; restores the prior backend. */
+template <class F>
+void
+forEachBackendAndPool(F check)
+{
+    simd::Backend saved = simd::activeBackend();
+    ThreadPool serial(0), wide(3);
+    for (simd::Backend b : simd::supportedBackends()) {
+        EXPECT_TRUE(simd::setBackend(b));
+        for (ThreadPool *pool : {&serial, &wide}) {
+            SCOPED_TRACE(std::string(simd::backendName(b)) + " on "
+                         + std::to_string(pool->lanes()) + " lanes");
+            check(pool);
+        }
+    }
+    simd::setBackend(saved);
+}
+
+constexpr std::size_t kSlots = 3;
+
+TEST(ConvReference, BaseConvPlanMatchesU128Formula)
+{
+    // Sources of 1-3 q-limbs (q_0 is 30-bit, the rest 25-bit) into
+    // the other q-limbs and the 30-bit specials, read at an offset
+    // behind a leading limb and written at their tower positions of a
+    // full-tower output whose other limbs must stay untouched.
+    for (int k : {1, 2}) {
+        const RnsTower &tw = towerWithSpecials(k);
+        std::vector<std::size_t> all(tw.numTotal());
+        for (std::size_t i = 0; i < all.size(); ++i)
+            all[i] = i;
+        for (std::size_t s = 1; s <= 3; ++s) {
+            std::vector<std::size_t> src(all.begin(), all.begin() + s);
+            std::vector<std::size_t> dst(all.begin() + s, all.end());
+            std::vector<std::size_t> in_limbs = {tw.numQ() - 1};
+            in_limbs.insert(in_limbs.end(), src.begin(), src.end());
+            auto as = sampleBatch(tw, in_limbs, kSlots, 10 + s);
+            auto in = ptrsOf<const RnsPolynomial>(as);
+            BaseConvPlan plan(tw, src, dst);
+            forEachBackendAndPool([&](ThreadPool *pool) {
+                std::vector<RnsPolynomial> outs;
+                for (std::size_t b = 0; b < kSlots; ++b)
+                    outs.push_back(sentinelPoly(tw, all));
+                auto out_ptrs = ptrsOf<RnsPolynomial>(outs);
+                plan.applyBatchInto(in, 1, out_ptrs.data(), dst, pool);
+                for (std::size_t b = 0; b < kSlots; ++b) {
+                    std::vector<const u64 *> rows;
+                    for (std::size_t i = 0; i < s; ++i)
+                        rows.push_back(as[b].limb(1 + i));
+                    auto ref = referenceConv(tw, rows, src, dst);
+                    for (std::size_t j = 0; j < dst.size(); ++j)
+                        for (std::size_t c = 0; c < tw.n(); ++c)
+                            ASSERT_EQ(outs[b].limb(dst[j])[c], ref[j][c])
+                                << "k=" << k << " s=" << s << " slot "
+                                << b << " target " << j;
+                    for (std::size_t i = 0; i < s; ++i)
+                        for (std::size_t c = 0; c < tw.n(); ++c)
+                            ASSERT_EQ(outs[b].limb(i)[c], kSentinel);
+                }
+            });
+        }
+    }
+}
+
+TEST(ConvReference, ModUpMatchesU128FormulaAndCopiesDigitVerbatim)
+{
+    std::size_t level_count = 5;
+    for (int k : {1, 2}) {
+        const RnsTower &tw = towerWithSpecials(k);
+        for (std::size_t d = 1; d <= 3; ++d) {
+            std::vector<std::size_t> digit_limbs;
+            for (std::size_t i = 1; i <= d; ++i)
+                digit_limbs.push_back(i);
+            auto digits = sampleBatch(tw, digit_limbs, kSlots, 20 + d);
+            auto in = ptrsOf<const RnsPolynomial>(digits);
+            ModUpPlan plan(tw, digit_limbs, level_count);
+            const auto &target = plan.unionLimbs();
+            std::vector<std::size_t> conv_limbs;
+            for (std::size_t idx : target)
+                if (idx < 1 || idx > d)
+                    conv_limbs.push_back(idx);
+            forEachBackendAndPool([&](ThreadPool *pool) {
+                std::vector<RnsPolynomial> outs;
+                for (std::size_t b = 0; b < kSlots; ++b)
+                    outs.push_back(sentinelPoly(tw, target));
+                auto out_ptrs = ptrsOf<RnsPolynomial>(outs);
+                plan.applyBatchInto(in, out_ptrs.data(), pool);
+                for (std::size_t b = 0; b < kSlots; ++b) {
+                    std::vector<const u64 *> rows;
+                    for (std::size_t i = 0; i < d; ++i)
+                        rows.push_back(digits[b].limb(i));
+                    auto ref =
+                        referenceConv(tw, rows, digit_limbs, conv_limbs);
+                    std::size_t oi = 0;
+                    for (std::size_t j = 0; j < target.size(); ++j) {
+                        bool copied = target[j] >= 1 && target[j] <= d;
+                        const u64 *expect = copied
+                            ? digits[b].limb(target[j] - 1)
+                            : ref[oi++].data();
+                        for (std::size_t c = 0; c < tw.n(); ++c)
+                            ASSERT_EQ(outs[b].limb(j)[c], expect[c])
+                                << "k=" << k << " d=" << d << " slot "
+                                << b << " union limb " << j;
+                    }
+                }
+            });
+        }
+    }
+}
+
+TEST(ConvReference, ModDownMatchesU128Formula)
+{
+    // The source of the p -> q conversion is the 1 or 2 special limbs.
+    for (int k : {1, 2}) {
+        const RnsTower &tw = towerWithSpecials(k);
+        std::vector<std::size_t> q_idx = {0, 1, 2, 3};
+        std::vector<std::size_t> p_idx, union_idx = q_idx;
+        for (std::size_t i = 0; i < tw.numP(); ++i) {
+            p_idx.push_back(tw.specialIndex(i));
+            union_idx.push_back(tw.specialIndex(i));
+        }
+        auto as = sampleBatch(tw, union_idx, kSlots, 30 + k);
+        auto in = ptrsOf<const RnsPolynomial>(as);
+        ModDownPlan plan(tw, union_idx);
+        forEachBackendAndPool([&](ThreadPool *pool) {
+            std::vector<RnsPolynomial> outs;
+            for (std::size_t b = 0; b < kSlots; ++b)
+                outs.push_back(sentinelPoly(tw, q_idx));
+            auto out_ptrs = ptrsOf<RnsPolynomial>(outs);
+            plan.applyBatchInto(in, out_ptrs.data(), pool);
+            for (std::size_t b = 0; b < kSlots; ++b) {
+                std::vector<const u64 *> rows;
+                for (std::size_t i = 0; i < tw.numP(); ++i)
+                    rows.push_back(as[b].limb(q_idx.size() + i));
+                auto conv = referenceConv(tw, rows, p_idx, q_idx);
+                for (std::size_t j = 0; j < q_idx.size(); ++j) {
+                    u64 q = tw.prime(q_idx[j]);
+                    for (std::size_t c = 0; c < tw.n(); ++c) {
+                        u64 diff = subMod(as[b].limb(j)[c], conv[j][c], q);
+                        u64 expect = static_cast<u64>(
+                            static_cast<u128>(diff)
+                            * tw.pInvModQ(q_idx[j]) % q);
+                        ASSERT_EQ(outs[b].limb(j)[c], expect)
+                            << "k=" << k << " slot " << b << " limb "
+                            << j;
+                    }
+                }
+            }
+        });
+    }
 }
 
 } // namespace

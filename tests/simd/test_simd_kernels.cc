@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -283,6 +284,40 @@ TEST_P(SimdSpanKernels, MulShoupAndAccumMatchScalar)
                                    n, q);
         vec->mulShoupAccum(vacc.data(), vacc.data(), w, ws, n, q);
         EXPECT_EQ(vacc, sacc) << "self-alias n=" << n;
+    }
+}
+
+TEST_P(SimdSpanKernels, MulShoupAndAccumAcceptAnyU64Input)
+{
+    // Conv feeds residues of another prime through the Shoup spans,
+    // so a/src need not be below q: any u64 must give the canonical
+    // product, on the scalar oracle (checked against u128 % q) and
+    // bit-identically on the vector backend.
+    Rng rng(8);
+    const u64 edges[] = {0, q - 1, q, 2 * q, u64(1) << 63, ~u64(0)};
+    for (std::size_t n : kLens) {
+        u64 w = rng.uniform(q);
+        u64 ws = shoupPrecompute(w, q);
+        std::vector<u64> a(n), prod(n);
+        for (std::size_t c = 0; c < n; ++c) {
+            a[c] = c < std::size(edges) ? edges[c] : rng.next();
+            prod[c] = static_cast<u64>(static_cast<u128>(a[c]) * w % q);
+        }
+        auto sa = a, va = a;
+        scalarOps()->mulShoup(sa.data(), w, ws, n, q);
+        vec->mulShoup(va.data(), w, ws, n, q);
+        EXPECT_EQ(sa, prod) << "scalar mulShoup n=" << n;
+        EXPECT_EQ(va, sa) << "mulShoup n=" << n;
+
+        auto acc = randomSpan(rng, n, q);
+        std::vector<u64> expect(n);
+        for (std::size_t c = 0; c < n; ++c)
+            expect[c] = addMod(acc[c], prod[c], q);
+        auto sacc = acc, vacc = acc;
+        scalarOps()->mulShoupAccum(sacc.data(), a.data(), w, ws, n, q);
+        vec->mulShoupAccum(vacc.data(), a.data(), w, ws, n, q);
+        EXPECT_EQ(sacc, expect) << "scalar mulShoupAccum n=" << n;
+        EXPECT_EQ(vacc, sacc) << "mulShoupAccum n=" << n;
     }
 }
 
