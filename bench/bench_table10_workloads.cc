@@ -11,15 +11,18 @@
  * ciphertexts and print their executed operation counts
  * (EvalOpStats) next to the layer plans' modeled counts — the
  * consistency check tying the analytic Table X machinery to code
- * that actually computes. The bench exits nonzero when any executed
- * count differs from its model, or when the deep CNN's encrypted
- * argmax disagrees with the plaintext reference.
+ * that actually computes. Beside each workload's counts it prints the
+ * key-switching decomposition the workload ran: dnum, digit width
+ * alpha, special primes K, nominal log2 PQ and the generated key
+ * bytes. The bench exits nonzero when any executed count differs
+ * from its model, or when the deep CNN's encrypted argmax disagrees
+ * with the plaintext reference.
  *
  * Usage: bench_table10_workloads [--json PATH]
  *   --json PATH appends one machine-readable object per measured
  *   workload (bootstrap count, conversion counts, timings, logit
- *   error) to PATH — the CI Release job collects BENCH_PR5.json
- *   this way.
+ *   error, decomposition) to PATH — the CI Release job collects
+ *   BENCH_PR5.json this way.
  */
 
 #include <cmath>
@@ -39,6 +42,46 @@ using namespace tensorfhe::workloads;
 
 namespace
 {
+
+std::size_t
+polyBytes(const rns::RnsPolynomial &p)
+{
+    return p.numLimbs() * p.n() * sizeof(u64);
+}
+
+std::size_t
+switchKeyBytes(const ckks::SwitchKey &k)
+{
+    std::size_t bytes = 0;
+    for (std::size_t j = 0; j < k.digits(); ++j)
+        bytes += polyBytes(k.b[j]) + polyBytes(k.a[j]);
+    return bytes;
+}
+
+/** Bytes of every key in the bundle, public key included. */
+std::size_t
+keyBytes(const ckks::KeyBundle &keys)
+{
+    std::size_t bytes = polyBytes(keys.pk.b) + polyBytes(keys.pk.a)
+        + switchKeyBytes(keys.relin) + switchKeyBytes(keys.conj);
+    for (const auto &[step, k] : keys.rot)
+        bytes += switchKeyBytes(k);
+    for (const auto &[step, k] : keys.conjRot)
+        bytes += switchKeyBytes(k);
+    return bytes;
+}
+
+/** The key-switching decomposition a workload runs, as one row. */
+void
+printDecomposition(const char *workload, const ckks::CkksParams &p,
+                   const ckks::KeyBundle &keys)
+{
+    std::printf("%-10s dnum %d  alpha %zu  K %d  log2 PQ %d  "
+                "keys %.1f MiB\n",
+                workload, p.effectiveDnum(), p.alpha(), p.special,
+                p.nominalLogPQ(),
+                static_cast<double>(keyBytes(keys)) / (1 << 20));
+}
 
 /** Modeled-vs-executed rows, flagging every divergence; returns
     whether every executed count equals its model. */
@@ -150,6 +193,7 @@ main(int argc, char **argv)
             v = data.uniformReal();
         EvalOpStats::instance().reset();
         cnn.classifyEncrypted(engine, enc, dec, rng, images);
+        printDecomposition("CNN", ctx.params(), keys);
         ok &= compareOps("CNN", cnn.modeledCounts(),
                          toOpCounts(EvalOpStats::instance().snapshot()));
     }
@@ -173,6 +217,7 @@ main(int argc, char **argv)
         auto x = nn::encryptTensor(ctx, enc, rng, xv, {{d}}, lc);
         EvalOpStats::instance().reset();
         cell.step(engine, x, state);
+        printDecomposition("LSTM-cell", ctx.params(), keys);
         ok &= compareOps("LSTM-cell", cell.modeledCounts(),
                          toOpCounts(EvalOpStats::instance().snapshot()));
     }
@@ -233,6 +278,7 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(mod_ups),
                     static_cast<unsigned long long>(mod_downs),
                     snap.conjugate);
+        printDecomposition("deep-CNN", ctx.params(), keys);
         ok &= compareOps("deep-CNN", toOpCounts(cnn.modeledOps()),
                          toOpCounts(snap));
         ok &= preds[0].argmax == plain.argmax;
@@ -253,7 +299,12 @@ main(int argc, char **argv)
                 .add("ks_tail_ops", snap.ksTail)
                 .add("worst_logit_err", worst_logit)
                 .add("argmax_agrees",
-                     preds[0].argmax == plain.argmax ? 1.0 : 0.0);
+                     preds[0].argmax == plain.argmax ? 1.0 : 0.0)
+                .add("dnum", ctx.params().effectiveDnum())
+                .add("alpha", static_cast<double>(ctx.params().alpha()))
+                .add("special", ctx.params().special)
+                .add("log2_pq", ctx.params().nominalLogPQ())
+                .add("key_bytes", static_cast<double>(keyBytes(keys)));
             if (!json.appendTo(json_path)) {
                 std::fprintf(stderr, "cannot write %s\n",
                              json_path.c_str());

@@ -20,6 +20,20 @@ CkksParams::alpha() const
     return (l1 + d - 1) / d;
 }
 
+int
+CkksParams::minSpecial() const
+{
+    int digit_bits = firstBits
+        + (static_cast<int>(alpha()) - 1) * scaleBits;
+    return (digit_bits + specialBits - 1) / specialBits;
+}
+
+int
+CkksParams::nominalLogPQ() const
+{
+    return firstBits + levels * scaleBits + special * specialBits;
+}
+
 rns::TowerConfig
 CkksParams::towerConfig() const
 {
@@ -43,15 +57,10 @@ CkksParams::validate() const
                   "need at least one special prime");
     requireBudget(effectiveDnum() >= 1 && effectiveDnum() <= levels + 1,
                   "ckks/params", "dnum out of range");
-    // Key-switching noise control: P must dominate the largest digit
-    // product, Max_j Q_j (paper SII-B, GKS). Compare in bits with the
-    // q_0 digit as worst case.
-    int digit_bits = firstBits
-        + (static_cast<int>(alpha()) - 1) * scaleBits;
-    requireBudget(special * specialBits >= digit_bits, "ckks/params",
-                  "special modulus P too small for dnum: digit needs ",
-                  digit_bits, " bits but P has ",
-                  special * specialBits);
+    requireBudget(special >= minSpecial(), "ckks/params",
+                  "special modulus P too small for dnum ",
+                  effectiveDnum(), ": need K >= ", minSpecial(),
+                  " special primes, have ", special);
 }
 
 namespace
@@ -133,6 +142,8 @@ Presets::tiny()
 CkksParams
 Presets::small()
 {
+    // Keeps the default dnum = L + 1 with one special prime: the
+    // one-limb-digit control the batched HMULT benchmark runs.
     CkksParams p = paperBase(1 << 12, 6);
     return p;
 }

@@ -23,7 +23,7 @@ struct CkksParams
 {
     std::size_t n = 1 << 12;  ///< polynomial degree N
     int levels = 6;           ///< L: maximum multiplicative level
-    int special = 1;          ///< K: special primes
+    int special = 1;          ///< K: special primes (see minSpecial)
     int dnum = 0;             ///< decomposition number; 0 = L + 1
     int scaleBits = 25;       ///< log2 of the encoding scale
     int firstBits = 30;       ///< size of q_0
@@ -41,6 +41,15 @@ struct CkksParams
     std::size_t alpha() const;
     /** Effective dnum (resolves the 0 = L+1 default). */
     int effectiveDnum() const;
+    /**
+     * The special-prime rule: the smallest K whose P = p_0 ... p_{K-1}
+     * covers the widest digit, q_0 plus alpha - 1 scale primes (GKS
+     * noise control, paper SII-B). validate() rejects any smaller K;
+     * parameter sets that choose a dnum take K from here.
+     */
+    int minSpecial() const;
+    /** Nominal log2(PQ): the bit sizes of every q and p prime summed. */
+    int nominalLogPQ() const;
     double scale() const { return static_cast<double>(u64(1) << scaleBits); }
     std::size_t slots() const { return n / 2; }
 

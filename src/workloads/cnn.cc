@@ -12,6 +12,13 @@ EncryptedCnnClassifier::recommendedParams()
 {
     auto p = ckks::Presets::tiny();
     p.levels = 7; // conv 1 + ReLU 2 + pool 1 + dense 1, plus slack
+    // Key switching: 4 digits of 2 limbs over K = 2 special primes
+    // (nominal log2 PQ 235 -> 265 bits vs the 8/1 default). Half the
+    // digits means half the ModUps per hoist and keys of 26 instead
+    // of 46 MiB; measured on 4-image batches: 1.3x items/s, peak RSS
+    // 157 -> 115 MiB, and 1-2 bits more precision.
+    p.dnum = 4;
+    p.special = p.minSpecial();
     return p;
 }
 
@@ -41,6 +48,14 @@ EncryptedCnnClassifier::recommendedDeepParams()
     auto p = ckks::Presets::bootTest();
     p.levels = 20;
     p.secretHamming = 8;
+    // Key switching: 7 digits of 3 limbs over K = 3 special primes
+    // (nominal log2 PQ 622 -> 684 bits vs the 21/1 default). A third
+    // of the digits means a third of the ModUps and union-basis NTTs
+    // per hoist and keys of 42 instead of 116 MiB; measured on one
+    // image: 1.36x items/s at half the peak RSS, precision within
+    // 0.15 bits. 5/5 runs as fast but loses 1.3 bits.
+    p.dnum = 7;
+    p.special = p.minSpecial();
     return p;
 }
 

@@ -66,7 +66,8 @@ class EncryptedCnnClassifier
     /**
      * The functional parameter set the default config runs at:
      * N = 2^10 (512 slots holds the 4x8x8 conv output) with a chain
-     * deep enough for conv + ReLU + pool + dense.
+     * deep enough for conv + ReLU + pool + dense, key-switched with
+     * dnum 4 over 2 special primes.
      */
     static ckks::CkksParams recommendedParams();
 
@@ -80,7 +81,8 @@ class EncryptedCnnClassifier
      */
     static CnnConfig deepConfig();
     /** Bootstrappable chain for deepConfig: N = 2^8, 21 limbs,
-        sparse key with h = 8 so |I| stays inside the sine range. */
+        sparse key with h = 8 so |I| stays inside the sine range,
+        key-switched with dnum 7 over 3 special primes. */
     static ckks::CkksParams recommendedDeepParams();
 
     /** Conjugate-rotation keys the stack needs (bootstrap layers). */

@@ -2,12 +2,15 @@
  * @file
  * Parallel batched execution engine tests: every batched operation
  * must be bit-identical to the serial scalar path, for every NTT
- * variant, on a 1-thread pool and a wider pool, and for batch sizes
- * that do not divide evenly across lanes (non-power-of-two).
+ * variant, at one-limb and multi-limb key-switching digits, on a
+ * 1-thread pool and a wider pool, and for batch sizes that do not
+ * divide evenly across lanes (non-power-of-two).
  */
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "batch/executor.hh"
@@ -217,12 +220,26 @@ TEST(ConvBatch, RescaleByLastLimbBatchMatchesSerial)
 }
 
 // ------------------------------------------------------------------
-// Full batched evaluator vs the scalar path, per NTT variant.
+// Full batched evaluator vs the scalar path, per NTT variant and
+// key-switching decomposition.
+
+/** One engine configuration: NTT variant and dnum (0 = L + 1). */
+struct EngineCase
+{
+    ntt::NttVariant variant;
+    int dnum;
+};
+
+void
+PrintTo(const EngineCase &c, std::ostream *os)
+{
+    *os << ntt::nttVariantName(c.variant) << " dnum " << c.dnum;
+}
 
 struct VariantFixture
 {
-    explicit VariantFixture(ntt::NttVariant v, ThreadPool *pool)
-        : params(makeParams(v)), ctx(params), rng(7),
+    explicit VariantFixture(EngineCase c, ThreadPool *pool)
+        : params(makeParams(c)), ctx(params), rng(7),
           sk(ctx.generateSecretKey(rng)),
           keys(ctx.generateKeys(
               sk, rng,
@@ -231,10 +248,12 @@ struct VariantFixture
     {}
 
     static ckks::CkksParams
-    makeParams(ntt::NttVariant v)
+    makeParams(EngineCase c)
     {
         auto p = ckks::Presets::tiny();
-        p.nttVariant = v;
+        p.nttVariant = c.variant;
+        p.dnum = c.dnum;
+        p.special = p.minSpecial();
         return p;
     }
 
@@ -255,14 +274,13 @@ struct VariantFixture
     BatchedEvaluator batched;
 };
 
-class ParallelExecutor : public ::testing::TestWithParam<ntt::NttVariant>
+class ParallelExecutor : public ::testing::TestWithParam<EngineCase>
 {};
 
 void
-runAllOpsBitIdentical(ntt::NttVariant v, ThreadPool *pool,
-                      std::size_t batch)
+runAllOpsBitIdentical(EngineCase c, ThreadPool *pool, std::size_t batch)
 {
-    VariantFixture f(v, pool);
+    VariantFixture f(c, pool);
     std::vector<ckks::Ciphertext> a, b;
     for (std::size_t i = 0; i < batch; ++i) {
         a.push_back(f.encryptValue(0.1 * double(i + 1), 3));
@@ -291,10 +309,10 @@ runAllOpsBitIdentical(ntt::NttVariant v, ThreadPool *pool,
 }
 
 void
-runRotateManyBatchBitIdentical(ntt::NttVariant v, ThreadPool *pool,
+runRotateManyBatchBitIdentical(EngineCase c, ThreadPool *pool,
                                std::size_t batch)
 {
-    VariantFixture f(v, pool);
+    VariantFixture f(c, pool);
     std::vector<ckks::Ciphertext> a;
     for (std::size_t i = 0; i < batch; ++i)
         a.push_back(f.encryptValue(0.1 * double(i + 1), 3));
@@ -329,7 +347,7 @@ TEST_P(ParallelExecutor, RotateManyBatchBitIdenticalOnOneThreadPool)
 
 TEST(RotateManyBatch, EmptyBatchYieldsEmptyPerStep)
 {
-    VariantFixture f(ntt::NttVariant::Butterfly, nullptr);
+    VariantFixture f({ntt::NttVariant::Butterfly, 0}, nullptr);
     auto many = f.batched.rotateManyBatch({}, {1, 2});
     ASSERT_EQ(many.size(), 2u);
     EXPECT_TRUE(many[0].empty());
@@ -355,17 +373,28 @@ TEST_P(ParallelExecutor, BitIdenticalOnWidePoolNonPowerOfTwoBatch)
     runAllOpsBitIdentical(GetParam(), &pool, 7);
 }
 
+// Tiny (L = 3) at its default 4 one-limb digits over one special
+// prime, and at dnum 2: 2 two-limb digits over the 2 special primes
+// the K rule derives.
 INSTANTIATE_TEST_SUITE_P(
     EngineVariants, ParallelExecutor,
-    ::testing::Values(ntt::NttVariant::Butterfly, ntt::NttVariant::Gemm,
-                      ntt::NttVariant::Tensor),
+    ::testing::Values(EngineCase{ntt::NttVariant::Butterfly, 0},
+                      EngineCase{ntt::NttVariant::Gemm, 0},
+                      EngineCase{ntt::NttVariant::Tensor, 0},
+                      EngineCase{ntt::NttVariant::Butterfly, 2},
+                      EngineCase{ntt::NttVariant::Gemm, 2},
+                      EngineCase{ntt::NttVariant::Tensor, 2}),
     [](const auto &info) {
-        switch (info.param) {
-          case ntt::NttVariant::Butterfly: return "Butterfly";
-          case ntt::NttVariant::Gemm: return "Gemm";
-          case ntt::NttVariant::Tensor: return "Tensor";
-          default: return "Other";
+        std::string name;
+        switch (info.param.variant) {
+          case ntt::NttVariant::Butterfly: name = "Butterfly"; break;
+          case ntt::NttVariant::Gemm: name = "Gemm"; break;
+          case ntt::NttVariant::Tensor: name = "Tensor"; break;
+          default: name = "Other";
         }
+        if (info.param.dnum != 0)
+            name += "_Dnum" + std::to_string(info.param.dnum);
+        return name;
     });
 
 } // namespace
