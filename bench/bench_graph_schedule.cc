@@ -181,14 +181,16 @@ compareWorkload(const nn::NnEngine &engine, std::size_t n, int reps,
     (void)eager();
     (void)ex.run(engine, inputs);
 
-    // Eager capture.
+    // Eager capture, replayed as one stream in recorded order.
     stats.startQueue();
     auto eager_out = eager();
     auto eager_queue = stats.stopQueue();
     c.eagerLaunches = eager_queue.size();
+    std::vector<gpu::ScheduledLaunch> eager_serial;
+    for (const auto &launch : eager_queue)
+        eager_serial.push_back({launch, 0, {}});
     c.eagerStallFraction =
-        gpu::sumBreakdowns(gpu::simulateKernelQueue(eager_queue, n))
-            .totalStallFraction();
+        gpu::replayScheduledQueue(eager_serial, n).totalStallFraction();
 
     // Graph capture + overlapped replay.
     graph::ExecOptions cap;

@@ -352,16 +352,18 @@ main(int argc, char **argv)
                            + c2s_im.giantStepCount())));
 
     // Kernel-queue replay: record one warm apply's dispatch schedule
-    // and run it through the SM pipeline model.
+    // and run it through the SM pipeline model as one stream.
     stats.reset();
     stats.startQueue();
     (void)plan.apply(eval, ct3);
     auto queue = stats.stopQueue();
-    auto breakdowns = gpu::simulateKernelQueue(queue, params.n);
-    auto total = gpu::sumBreakdowns(breakdowns);
+    std::vector<gpu::ScheduledLaunch> serial;
+    for (const auto &launch : queue)
+        serial.push_back({launch, 0, {}});
+    auto replay = gpu::replayScheduledQueue(serial, params.n);
     std::printf("  kernel queue: %zu launches, simulated stall "
                 "fraction %.1f%%\n",
-                queue.size(), 100.0 * total.totalStallFraction());
+                queue.size(), 100.0 * replay.totalStallFraction());
 
     if (!json_path.empty()) {
         bench::JsonWriter json("keyswitch_hoist");
@@ -392,7 +394,7 @@ main(int argc, char **argv)
             .add("single_hoisted_mod_downs", classic_moddowns)
             .add("kernel_queue_launches",
                  static_cast<double>(queue.size()))
-            .add("sim_stall_fraction", total.totalStallFraction())
+            .add("sim_stall_fraction", replay.totalStallFraction())
             .add("sine_split_old_s", old_t)
             .add("sine_split_fused_s", new_t)
             .add("sine_split_old_ks_tails", old_snap.ksTail)

@@ -110,19 +110,6 @@ BatchedEvaluator::addPlain(const Cts &a, const ckks::Plaintext &p) const
 }
 
 BatchedEvaluator::Cts
-BatchedEvaluator::multiplyPlainRescale(const Cts &a,
-                                       const ckks::Plaintext &p) const
-{
-    if (a.empty())
-        return {};
-    std::size_t limbs = requireUniformLevel(a, 2);
-    requireArg(p.levelCount() == limbs, "plaintext level mismatch");
-    Cts out = a;
-    disp_->multiplyPlainRescaleInPlace(out.data(), p, out.size());
-    return out;
-}
-
-BatchedEvaluator::Cts
 BatchedEvaluator::rescale(const Cts &a) const
 {
     if (a.empty())

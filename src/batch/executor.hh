@@ -74,16 +74,6 @@ class BatchedEvaluator
     Cts multiplyPlain(const Cts &a, const ckks::Plaintext &p) const;
     Cts addPlain(const Cts &a, const ckks::Plaintext &p) const;
 
-    /**
-     * Fused CMULT + RESCALE: bit-identical to
-     * rescale(multiplyPlain(a, p)) — same kernels-level arithmetic,
-     * same EvalOpStats/KernelStats accounting, same output scale —
-     * but the Hadamard product and the rescale's INTT share one
-     * cache-hot pass (exec::Dispatcher::multiplyPlainRescaleInPlace).
-     * The graph scheduler emits this for MulPlain -> Rescale chains.
-     */
-    Cts multiplyPlainRescale(const Cts &a, const ckks::Plaintext &p) const;
-
     /** In-place HADD: a[s] += b[s] without copying the batch. */
     void addInPlace(Cts &a, const Cts &b) const;
 

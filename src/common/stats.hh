@@ -59,7 +59,7 @@ struct KernelCounter
  * One recorded kernel dispatch — the unit of the kernel-queue
  * description the exec layer emits. A queue of these is what the
  * GPU pipeline simulator consumes to replay an operation's kernel
- * schedule (gpu::simulateKernelQueue).
+ * schedule (gpu::replayScheduledQueue).
  */
 struct KernelLaunch
 {
@@ -88,7 +88,7 @@ class KernelStats
      * Start capturing the kernel-launch sequence alongside the
      * aggregate counters. The queue is the machine-readable dispatch
      * schedule of everything executed until stopQueue(); benches feed
-     * it to gpu::simulateKernelQueue. Thread-safe; launches from
+     * it to gpu::replayScheduledQueue. Thread-safe; launches from
      * concurrent dispatches interleave in completion order.
      */
     void startQueue();

@@ -207,40 +207,6 @@ Dispatcher::rescaleInPlace(ckks::Ciphertext *as, std::size_t batch) const
 }
 
 void
-Dispatcher::multiplyPlainRescaleInPlace(ckks::Ciphertext *as,
-                                        const ckks::Plaintext &p,
-                                        std::size_t batch) const
-{
-    TFHE_TRACE_SPAN("exec", "multiplyPlainRescale");
-    if (batch == 0)
-        return;
-    EvalOpStats::instance().record(EvalOpKind::CMult, batch);
-    EvalOpStats::instance().record(EvalOpKind::Rescale, batch);
-    std::size_t lc = as[0].levelCount();
-    u64 q_last = ctx_.tower().prime(as[0].c1.limbIndex(lc - 1));
-    auto v = ctx_.nttVariant();
-
-    // CMULT + INTT fused per (slot, component, tower); components
-    // come back in the coefficient domain.
-    hadaMultPlainInttCts(kctx_, as, p, v, batch);
-
-    // From here the dataflow is rescaleInPlace's, verbatim.
-    std::vector<rns::RnsPolynomial *> comps;
-    comps.reserve(2 * batch);
-    for (std::size_t s = 0; s < batch; ++s) {
-        comps.push_back(&as[s].c0);
-        comps.push_back(&as[s].c1);
-    }
-    rns::rescaleByLastLimbBatchInPlace(comps, kctx_.pool);
-    rns::toEvalBatch(comps, v, kctx_.pool);
-    // Same double arithmetic order as the eager pair: the CMULT's
-    // (a.scale * p.scale) product first, then the rescale's divide.
-    for (std::size_t s = 0; s < batch; ++s)
-        as[s].scale = as[s].scale * p.scale
-            / static_cast<double>(q_last);
-}
-
-void
 Dispatcher::multiplyInPlace(ckks::Ciphertext *as,
                             const ckks::Ciphertext *bs,
                             std::size_t batch) const

@@ -194,21 +194,6 @@ class Dispatcher
     /** RESCALE in place (drop last limb, divide scale by q_last). */
     void rescaleInPlace(ckks::Ciphertext *as, std::size_t batch) const;
 
-    /**
-     * Fused CMULT + RESCALE: semantically multiplyPlainInPlace
-     * followed by rescaleInPlace, bit-identical to that sequence, but
-     * the Hadamard product and the INTT to the coefficient domain run
-     * as ONE pass over (slot x component x tower) — the product is
-     * transformed while cache-hot instead of being written out and
-     * re-read by the rescale's batched INTT. Records the same
-     * EvalOpStats (CMult + Rescale), the same KernelStats launches
-     * (HadaMult + Intt + the re-encode Ntt), and the same scale
-     * double ((a.scale * p.scale) / q_last) as the unfused pair.
-     */
-    void multiplyPlainRescaleInPlace(ckks::Ciphertext *as,
-                                     const ckks::Plaintext &p,
-                                     std::size_t batch) const;
-
     /** HMULT + relinearization; result replaces `as`. */
     void multiplyInPlace(ckks::Ciphertext *as, const ckks::Ciphertext *bs,
                          std::size_t batch) const;

@@ -106,46 +106,6 @@ hadaMultPlainCts(const KernelCtx &ctx, ckks::Ciphertext *out,
 }
 
 void
-hadaMultPlainInttCts(const KernelCtx &ctx, ckks::Ciphertext *out,
-                     const ckks::Plaintext &p, ntt::NttVariant v,
-                     std::size_t batch)
-{
-    if (batch == 0)
-        return;
-    std::size_t limbs = out[0].levelCount();
-    std::size_t n = out[0].c0.n();
-    const simd::Ops &vops = simd::ops();
-    auto start = std::chrono::steady_clock::now();
-    // Flatten (slot x component x tower) so each lane's unit of work
-    // is one limb's multiply immediately followed by its transform.
-    ctx.pool->parallelFor2D(batch, 2 * limbs,
-                            [&](std::size_t s, std::size_t k) {
-        rns::RnsPolynomial &comp = k < limbs ? out[s].c0 : out[s].c1;
-        std::size_t i = k % limbs;
-        vops.mulSpan(comp.limb(i), p.poly.limb(i), n,
-                     comp.limbModulus(i));
-        ntt::detail::inverseOneUntimed(
-            comp.tower().nttContext(comp.limbIndex(i)), comp.limb(i), v);
-    });
-    auto stop = std::chrono::steady_clock::now();
-    u64 ns = static_cast<u64>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            stop - start).count());
-    // The replaced launch pair, in its execution order (CMULT core,
-    // then the batched INTT); one fused traversal's wall time is
-    // attributed half to each kind.
-    u64 elements = 2 * batch * limbs * n;
-    KernelStats::instance().record(KernelKind::HadaMult, ns / 2,
-                                   elements);
-    KernelStats::instance().record(KernelKind::Intt, ns - ns / 2,
-                                   elements);
-    for (std::size_t s = 0; s < batch; ++s) {
-        out[s].c0.setDomain(rns::Domain::Coeff);
-        out[s].c1.setDomain(rns::Domain::Coeff);
-    }
-}
-
-void
 multiplyTriple(const KernelCtx &ctx, const ckks::Ciphertext *a,
                const ckks::Ciphertext *b,
                rns::RnsPolynomial *const *d0s,

@@ -62,24 +62,6 @@ void hadaMultPlainCts(const KernelCtx &ctx, ckks::Ciphertext *out,
                       const ckks::Plaintext &p, std::size_t batch);
 
 /**
- * Fused CMULT + INTT core of the Hadamard+rescale path: per
- * (slot, component, tower) cell, out[s].limb(i) is multiplied by
- * p.limb(i) and immediately transformed to the coefficient domain
- * while still cache-hot — one traversal where the unfused sequence
- * writes the product and re-reads it for the batched INTT. Components
- * are left in Domain::Coeff. Bit-identical to hadaMultPlainCts
- * followed by toCoeffBatch (each limb's arithmetic is independent).
- *
- * Accounting is fusion-invariant: records one KernelKind::HadaMult
- * and one KernelKind::Intt launch of 2*B*L*n elements each — exactly
- * the launches it replaces — with the fused wall time split evenly
- * between the two kinds.
- */
-void hadaMultPlainInttCts(const KernelCtx &ctx, ckks::Ciphertext *out,
-                          const ckks::Plaintext &p, ntt::NttVariant v,
-                          std::size_t batch);
-
-/**
  * HMULT product core (paper Alg. 2): d0 = a0*b0, d1 = a0*b1 + a1*b0,
  * d2 = a1*b1 per slot, into preshaped zero polynomials.
  */

@@ -297,21 +297,6 @@ struct ReplayTraces
 
 } // namespace
 
-std::vector<StallBreakdown>
-simulateKernelQueue(const std::vector<KernelLaunch> &queue, std::size_t n,
-                    const PipelineConfig &cfg, ThreadPool *pool)
-{
-    if (queue.empty())
-        return {};
-    // Built once per replay and shared by every launch of their class.
-    ReplayTraces traces(n);
-    std::vector<SmJob> jobs;
-    jobs.reserve(queue.size());
-    for (const auto &launch : queue)
-        jobs.push_back(traces.jobFor(launch));
-    return simulateSmBatch(jobs, cfg, pool);
-}
-
 QueueReplay
 replayScheduledQueue(const std::vector<ScheduledLaunch> &queue,
                      std::size_t n, const PipelineConfig &cfg,

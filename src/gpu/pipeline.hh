@@ -138,23 +138,6 @@ std::vector<StallBreakdown> simulateSmBatch(const std::vector<SmJob> &jobs,
                                             const PipelineConfig &cfg = {},
                                             ThreadPool *pool = nullptr);
 
-/**
- * Replay a recorded kernel queue (the dispatch schedule the unified
- * exec layer emits through KernelStats::startQueue/stopQueue) on the
- * SM model: every launch is mapped to a representative warp trace —
- * NTT/INTT to the butterfly trace, TCU-GEMM to the GEMM trace,
- * everything elementwise (Hada-Mult, Ele-Add/Sub, FrobeniusMap,
- * Conv, Segment, Fusion) to the streaming trace — with the warp
- * count scaled by the launch's element volume. Returns one
- * StallBreakdown per launch, in queue order. Deterministic.
- *
- * @param n poly length used to shape the representative traces
- */
-std::vector<StallBreakdown>
-simulateKernelQueue(const std::vector<KernelLaunch> &queue, std::size_t n,
-                    const PipelineConfig &cfg = {},
-                    ThreadPool *pool = nullptr);
-
 /** Aggregate a queue replay into one breakdown (cycle-weighted sum). */
 StallBreakdown sumBreakdowns(const std::vector<StallBreakdown> &parts);
 
@@ -173,12 +156,9 @@ struct ScheduledLaunch
 
 /**
  * Replay of a scheduled queue: per-launch breakdowns plus the
- * timeline. simulateKernelQueue() replays launches back-to-back — it
- * assumes recorded order IS execution order, which serializes
- * independent branches. This replay honors the scheduler's stream
- * assignment instead: a launch starts when its stream is free AND
- * every dependency has finished, so independent streams overlap and
- * the makespan is the critical path, not the serial sum. Each launch
+ * timeline. A launch starts when its stream is free AND every
+ * dependency has finished, so independent streams overlap and the
+ * makespan is the critical path, not the serial sum. Each launch
  * is additionally charged cfg.launchOverheadCycles, so fusing N
  * elementwise launches into one shows up as N-1 saved overheads.
  */
@@ -202,11 +182,18 @@ struct QueueReplay
 };
 
 /**
- * Replay `queue` on the SM model with the scheduler's stream
- * assignment (the simulateKernelQueue fix for overlap): per-launch
- * simulation is identical to simulateKernelQueue on the bare
- * launches; the timeline obeys stream serialization + dependencies.
- * Deterministic.
+ * Replay a recorded kernel queue (the dispatch schedule the unified
+ * exec layer emits through KernelStats::startQueue/stopQueue) on the
+ * SM model: every launch is mapped to a representative warp trace —
+ * NTT/INTT to the butterfly trace, TCU-GEMM to the GEMM trace,
+ * everything elementwise (Hada-Mult, Ele-Add/Sub, FrobeniusMap,
+ * Conv, Segment, Fusion) to the streaming trace — with the warp
+ * count scaled by the launch's element volume. The timeline obeys
+ * the scheduler's stream assignment and dependencies; a queue with
+ * every launch on stream 0 and no deps replays back-to-back in
+ * recorded order. Deterministic.
+ *
+ * @param n poly length used to shape the representative traces
  */
 QueueReplay
 replayScheduledQueue(const std::vector<ScheduledLaunch> &queue,

@@ -5,12 +5,6 @@
 namespace tensorfhe::graph
 {
 
-namespace
-{
-
-/** Scale after a CMULT + RESCALE at level count `lc` — the same
-    double arithmetic the evaluator performs, so compiled metas match
-    runtime bits. */
 double
 mulRescaleScale(const ckks::CkksContext &ctx, double ct_scale,
                 double pt_scale, std::size_t lc)
@@ -18,8 +12,6 @@ mulRescaleScale(const ckks::CkksContext &ctx, double ct_scale,
     return ct_scale * pt_scale
         / static_cast<double>(ctx.tower().prime(lc - 1));
 }
-
-} // namespace
 
 ValueId
 GraphBuilder::newValue(std::size_t chunk_count, std::size_t level_count,

@@ -111,6 +111,15 @@ class GraphBuilder
 Graph compileSequential(const ckks::CkksContext &ctx,
                         const nn::Sequential &seq);
 
+/**
+ * Scale after a CMULT by a plaintext at `pt_scale` and a RESCALE at
+ * level count `lc` — the same double arithmetic the evaluator
+ * performs, so compiled metas (the builder's and the nn layers')
+ * match runtime bits.
+ */
+double mulRescaleScale(const ckks::CkksContext &ctx, double ct_scale,
+                       double pt_scale, std::size_t lc);
+
 } // namespace tensorfhe::graph
 
 #endif // TENSORFHE_GRAPH_BUILDER_HH

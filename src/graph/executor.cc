@@ -67,10 +67,6 @@ executeNode(const nn::NnEngine &engine, const Graph &g, const Node &n,
         vals[n.outputs[0]] =
             beval.multiplyPlain(vals[n.inputs[0]], *n.pt);
         break;
-      case NodeKind::MulPlainRescale:
-        vals[n.outputs[0]] =
-            beval.multiplyPlainRescale(vals[n.inputs[0]], *n.pt);
-        break;
       case NodeKind::MulConstToScale:
         vals[n.outputs[0]] = beval.multiplyConstToScale(
             vals[n.inputs[0]], n.constant, n.targetScale);

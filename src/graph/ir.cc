@@ -26,7 +26,6 @@ nodeKindName(NodeKind k)
       case NodeKind::BsgsSum: return "BsgsSum";
       case NodeKind::LayerApply: return "LayerApply";
       case NodeKind::FusedEle: return "FusedEle";
-      case NodeKind::MulPlainRescale: return "MulPlainRescale";
       default: TFHE_ASSERT(false); return "?";
     }
 }

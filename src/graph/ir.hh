@@ -76,7 +76,6 @@ enum class NodeKind : int
     BsgsSum,         ///< Dispatcher::applyBsgsSum over term chunks
     LayerApply,      ///< opaque nn::Bootstrap::refresh
     FusedEle,        ///< scheduler-emitted fused elementwise chain
-    MulPlainRescale, ///< scheduler-emitted fused CMULT+RESCALE
     NumKinds
 };
 

@@ -12,6 +12,9 @@ namespace tensorfhe::graph
 namespace
 {
 
+/** Round-robin cap on the streams fresh branches open. */
+constexpr int kMaxStreams = 4;
+
 bool
 fusableKind(NodeKind k)
 {
@@ -191,56 +194,6 @@ growGroup(const Graph &g, const std::vector<std::size_t> &use_count,
     return group;
 }
 
-/**
- * Fuse MulPlain -> Rescale chains into one MulPlainRescale node
- * (BatchedEvaluator::multiplyPlainRescale). Legality: the
- * intermediate product value is single-consumer and not a graph
- * output — exactly the FusedEle interior-edge rule. Runs BEFORE the
- * elementwise pass: a MulPlain feeding a Rescale could only ever be
- * an elementwise group's root (Rescale is not a fusable member), and
- * the mul+rescale fusion saves a full 2*B*L*n memory round trip where
- * elementwise fusion over the same edge saves nothing. Bit-exact and
- * accounting-invariant by the dispatcher's contract.
- */
-void
-mulRescaleFusePass(Graph &g, Schedule &sched)
-{
-    std::vector<std::size_t> use_count(g.values.size(), 0);
-    for (const auto &n : g.nodes) {
-        if (n.dead)
-            continue;
-        for (ValueId v : n.inputs)
-            ++use_count[v];
-    }
-    for (ValueId v : g.outputs)
-        ++use_count[v];
-
-    std::size_t original = g.nodes.size();
-    for (NodeId r = 0; r < original; ++r) {
-        const Node &rn = g.nodes[r];
-        if (rn.dead || rn.kind != NodeKind::Rescale)
-            continue;
-        ValueId v = rn.inputs[0];
-        NodeId p = g.values[v].producer;
-        if (p == kNoNode || g.nodes[p].dead
-            || g.nodes[p].kind != NodeKind::MulPlain
-            || use_count[v] != 1 || g.values[v].isOutput)
-            continue;
-        Node f;
-        f.kind = NodeKind::MulPlainRescale;
-        f.inputs = g.nodes[p].inputs;
-        f.outputs = rn.outputs;
-        f.pt = g.nodes[p].pt;
-        f.layer = rn.layer;
-        g.nodes.push_back(std::move(f));
-        NodeId fid = g.nodes.size() - 1;
-        g.values[g.nodes[fid].outputs[0]].producer = fid;
-        g.nodes[p].dead = true;
-        g.nodes[r].dead = true;
-        ++sched.mulRescaleFused;
-    }
-}
-
 void
 fusePass(Graph &g, Schedule &sched)
 {
@@ -326,7 +279,7 @@ topoOrder(const Graph &g)
 }
 
 void
-assignStreams(const Graph &g, Schedule &sched, int max_streams)
+assignStreams(const Graph &g, Schedule &sched)
 {
     sched.stream.assign(g.nodes.size(), 0);
     std::vector<bool> claimed(g.nodes.size(), false);
@@ -345,7 +298,7 @@ assignStreams(const Graph &g, Schedule &sched, int max_streams)
             break;
         }
         if (s < 0)
-            s = max_streams > 0 ? next++ % max_streams : next++;
+            s = next++ % kMaxStreams;
         sched.stream[n] = s;
         high = std::max(high, s);
     }
@@ -358,12 +311,10 @@ Schedule
 scheduleGraph(Graph &g, const ScheduleOptions &opt)
 {
     Schedule sched;
-    if (opt.fuse) {
-        mulRescaleFusePass(g, sched);
+    if (opt.fuse)
         fusePass(g, sched);
-    }
     sched.order = topoOrder(g);
-    assignStreams(g, sched, opt.maxStreams);
+    assignStreams(g, sched);
     return sched;
 }
 

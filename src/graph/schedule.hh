@@ -1,12 +1,6 @@
 /**
  * @file
- * Graph scheduler: elementwise fusion, mul+rescale fusion, and
- * stream assignment.
- *
- * A MulPlain whose product feeds a single-consumer, non-output
- * Rescale is rewritten to one MulPlainRescale node first
- * (BatchedEvaluator::multiplyPlainRescale — the CMULT and the
- * rescale's INTT share one cache-hot pass); see mulRescaleFusePass.
+ * Graph scheduler: elementwise fusion and stream assignment.
  *
  * Fusion rewrites maximal single-consumer trees of elementwise nodes
  * (Add / Sub / AddPlain / MulPlain — the kinds whose kernels are one
@@ -31,7 +25,7 @@
  * Stream assignment models async overlap for the queue replay: each
  * node inherits the stream of the first producer it is the first
  * consumer of (pipelining), otherwise opens a fresh stream
- * (round-robin, capped) — independent branches like the
+ * (round-robin over 4) — independent branches like the
  * per-out-chunk BsgsSum programs of a block matvec land on distinct
  * streams, which gpu::replayScheduledQueue turns into overlapped
  * timelines. Stream tags never affect execution order or results.
@@ -48,7 +42,6 @@ namespace tensorfhe::graph
 struct ScheduleOptions
 {
     bool fuse = true;
-    int maxStreams = 4;
 };
 
 struct Schedule
@@ -59,8 +52,6 @@ struct Schedule
     std::vector<int> stream;
     std::size_t fusedGroups = 0;  ///< FusedEle nodes emitted
     std::size_t fusedMembers = 0; ///< member ops folded into them
-    /** MulPlain -> Rescale pairs fused into MulPlainRescale nodes. */
-    std::size_t mulRescaleFused = 0;
     int streamsUsed = 0;
 
     /** Elementwise launches eliminated: each group of m members

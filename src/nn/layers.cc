@@ -12,24 +12,6 @@
 namespace tensorfhe::nn
 {
 
-namespace
-{
-
-/**
- * The exact scale produced by multiplyPlain(pt at scale ps) followed
- * by rescale at level `lc` — computed with the same double
- * arithmetic as the evaluator so compiled metas match runtime bits.
- */
-double
-mulRescaleScale(const ckks::CkksContext &ctx, double ct_scale,
-                double pt_scale, std::size_t lc)
-{
-    return ct_scale * pt_scale
-        / static_cast<double>(ctx.tower().prime(lc - 1));
-}
-
-} // namespace
-
 void
 Layer::requireCompiled() const
 {
@@ -122,8 +104,9 @@ MatvecLayer::compile(const ckks::CkksContext &ctx, const TensorMeta &in)
     out_.layout = SlotLayout::contiguous(out_.shape);
     out_.chunkCount = out_chunks;
     out_.levelCount = in.levelCount - 1;
-    out_.scale = mulRescaleScale(ctx, in.scale, ctx.params().scale(),
-                                 in.levelCount);
+    out_.scale = graph::mulRescaleScale(ctx, in.scale,
+                                        ctx.params().scale(),
+                                        in.levelCount);
 
     auto bias = biasVector();
     biases_.assign(out_chunks, std::nullopt);
@@ -515,8 +498,9 @@ AvgPool2d::compile(const ckks::CkksContext &ctx, const TensorMeta &in)
                           window_ * sx};
     out_.chunkCount = 1;
     out_.levelCount = in.levelCount - 1;
-    out_.scale = mulRescaleScale(ctx, in.scale, ctx.params().scale(),
-                                 in.levelCount);
+    out_.scale = graph::mulRescaleScale(ctx, in.scale,
+                                        ctx.params().scale(),
+                                        in.levelCount);
 
     // The window-base mask, folding the 1/window^2 average into the
     // mask values so no extra level is spent.

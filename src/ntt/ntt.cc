@@ -205,12 +205,6 @@ bitReversePermute(u64 *a, std::size_t n)
     }
 }
 
-void
-inverseOneUntimed(const NttContext &ctx, u64 *a, NttVariant v)
-{
-    dispatchOne(ctx, a, v, false);
-}
-
 } // namespace detail
 
 } // namespace tensorfhe::ntt

@@ -150,16 +150,6 @@ void inverseTensorBatch(const TwiddleTable &t, u64 *const *polys,
 /** Natural <-> bit-reversed reordering (in place). */
 void bitReversePermute(u64 *a, std::size_t n);
 
-/**
- * Untimed single-transform inverse dispatch: exactly what
- * NttContext::inverse runs, minus the per-call kernel timer. For
- * fused kernels (the Hadamard x INTT pass of the fused
- * CMULT+RESCALE) that record ONE aggregate Intt launch themselves —
- * going through the timed entry would inflate the launch count the
- * breakdown benches replay.
- */
-void inverseOneUntimed(const NttContext &ctx, u64 *a, NttVariant v);
-
 } // namespace detail
 
 } // namespace tensorfhe::ntt

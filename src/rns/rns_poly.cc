@@ -21,8 +21,8 @@ RnsPolynomial::RnsPolynomial(const RnsTower &tower,
 RnsPolynomial::RnsPolynomial(const RnsTower &tower,
                              std::vector<std::size_t> limbs, Domain domain,
                              std::vector<u64> storage)
-    : tower_(&tower), limbIndices_(std::move(limbs)), domain_(domain),
-      data_(std::move(storage))
+    : tower_(&tower), limbIndices_(std::move(limbs)),
+      data_(std::move(storage)), domain_(domain)
 {
     for (std::size_t idx : limbIndices_)
         TFHE_ASSERT(idx < tower.numTotal(), "limb index out of range");

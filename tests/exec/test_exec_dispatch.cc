@@ -4,8 +4,9 @@
  * are the same execution path (batch = 1 degenerate case), in-place
  * ops tolerate aliasing, the Workspace arena stays allocator-free in
  * steady state, the double-hoisted BSGS drops basis conversions with
- * exact counter accounting, and the kernel queue the layer emits can
- * be replayed on the SM pipeline model.
+ * exact counter accounting, CMULT + RESCALE launches its closed-form
+ * kernel queue, and the kernel queue the layer emits can be replayed
+ * on the SM pipeline model.
  */
 
 #include <gtest/gtest.h>
@@ -139,6 +140,41 @@ TEST(ExecDispatch, RescaleIntoSelfMatchesScalarPerSlot)
         expectCtEq(in_place[s], f.eval.rescale(cts[s]));
 }
 
+TEST(ExecDispatch, CmultThenRescaleQueueMatchesClosedForm)
+{
+    // CMULT + RESCALE is the two-step multiplyPlain -> rescale pair.
+    // Its launches in closed form: CMULT touches both components of
+    // every limb (2BLn), the rescale INTTs all L limbs (2BLn) and NTTs
+    // the surviving L-1 (2B(L-1)n). The breakdown benches replay these
+    // queues, so a rescale that changes its transforms must update
+    // this model on purpose.
+    auto &f = fx();
+    constexpr std::size_t kBatch = 3;
+    batch::BatchedEvaluator beval(f.ctx, f.keys);
+    std::vector<ckks::Ciphertext> cts;
+    for (std::size_t s = 0; s < kBatch; ++s)
+        cts.push_back(f.encryptSlots(700 + s, 3));
+    Rng r(9);
+    std::vector<ckks::Complex> z(f.ctx.slots());
+    for (auto &v : z)
+        v = ckks::Complex(r.uniformReal() - 0.5, r.uniformReal() - 0.5);
+    auto pt = f.ctx.encoder().encode(z, f.ctx.params().scale(), 3);
+
+    std::size_t L = cts[0].levelCount();
+    std::size_t n = cts[0].c0.n();
+    KernelStats::QueueCapture cap;
+    (void)beval.rescale(beval.multiplyPlain(cts, pt));
+    auto queue = cap.take();
+
+    ASSERT_EQ(queue.size(), 3u);
+    EXPECT_EQ(queue[0].kind, KernelKind::HadaMult);
+    EXPECT_EQ(queue[0].elements, 2 * kBatch * L * n);
+    EXPECT_EQ(queue[1].kind, KernelKind::Intt);
+    EXPECT_EQ(queue[1].elements, 2 * kBatch * L * n);
+    EXPECT_EQ(queue[2].kind, KernelKind::Ntt);
+    EXPECT_EQ(queue[2].elements, 2 * kBatch * (L - 1) * n);
+}
+
 TEST(ExecDispatch, SerialAndBatchedShareOneExecutionPathBitForBit)
 {
     auto &f = fx();
@@ -246,14 +282,20 @@ TEST(ExecDispatch, KernelQueueReplaysOnPipelineModel)
     EXPECT_TRUE(saw_ntt);
     EXPECT_TRUE(saw_hada);
 
-    auto parts = gpu::simulateKernelQueue(queue, 1 << 10);
-    ASSERT_EQ(parts.size(), queue.size());
-    auto total = gpu::sumBreakdowns(parts);
+    // Replayed as one stream in recorded order.
+    std::vector<gpu::ScheduledLaunch> serial;
+    for (const auto &launch : queue)
+        serial.push_back({launch, 0, {}});
+    auto replay = gpu::replayScheduledQueue(serial, 1 << 10);
+    ASSERT_EQ(replay.perLaunch.size(), queue.size());
+    auto total = gpu::sumBreakdowns(replay.perLaunch);
     EXPECT_GT(total.totalCycles, 0u);
     EXPECT_GT(total.issuedCycles, 0u);
+    EXPECT_EQ(replay.makespanCycles, replay.serialCycles);
     // Replay is deterministic.
-    auto again = gpu::simulateKernelQueue(queue, 1 << 10);
-    EXPECT_EQ(gpu::sumBreakdowns(again).totalCycles, total.totalCycles);
+    auto again = gpu::replayScheduledQueue(serial, 1 << 10);
+    EXPECT_EQ(gpu::sumBreakdowns(again.perLaunch).totalCycles,
+              total.totalCycles);
 }
 
 } // namespace

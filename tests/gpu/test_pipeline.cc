@@ -150,9 +150,8 @@ TEST(Pipeline, Fig10Shape_GemmNttCutsRawAndOverallCycles)
 }
 
 // ------------------------------------------------------------------
-// Scheduled-queue replay: simulateKernelQueue assumes recorded order
-// IS execution order; replayScheduledQueue honors the graph
-// scheduler's stream assignment and dependencies instead.
+// Scheduled-queue replay: replayScheduledQueue honors the graph
+// scheduler's stream assignment and dependencies.
 
 ScheduledLaunch
 launchOn(int stream, std::vector<std::size_t> deps = {})
@@ -216,23 +215,36 @@ TEST(ScheduledReplay, ChargesLaunchOverheadPerLaunch)
                                      + 2 * cfg.launchOverheadCycles);
 }
 
-TEST(ScheduledReplay, PerLaunchBreakdownsMatchUnscheduledReplay)
+TEST(ScheduledReplay, PerLaunchBreakdownIgnoresStreamsAndDeps)
 {
-    // The per-launch pipeline simulation is identical to
-    // simulateKernelQueue on the bare launches; only the timeline
-    // differs.
-    std::vector<ScheduledLaunch> q{launchOn(0), launchOn(1)};
-    q[0].launch = {KernelKind::Ntt, u64(1) << 18};
-    std::vector<KernelLaunch> bare{q[0].launch, q[1].launch};
-    auto sched = replayScheduledQueue(q, 1 << 10);
-    auto flat = simulateKernelQueue(bare, 1 << 10);
-    ASSERT_EQ(sched.perLaunch.size(), flat.size());
-    for (std::size_t i = 0; i < flat.size(); ++i) {
-        EXPECT_EQ(sched.perLaunch[i].totalCycles,
-                  flat[i].totalCycles);
-        EXPECT_EQ(sched.perLaunch[i].issuedCycles,
-                  flat[i].issuedCycles);
+    // A launch's simulated cost depends only on its kind and volume:
+    // the same launches on one stream, on two streams, or chained by
+    // a dependency get identical per-launch breakdowns; only the
+    // timeline differs.
+    auto place = [](int second_stream, std::vector<std::size_t> deps) {
+        std::vector<ScheduledLaunch> q{launchOn(0),
+                                       launchOn(second_stream,
+                                                std::move(deps))};
+        q[0].launch = {KernelKind::Ntt, u64(1) << 18};
+        return replayScheduledQueue(q, 1 << 10);
+    };
+    auto serial = place(0, {});
+    auto overlapped = place(1, {});
+    auto chained = place(1, {0});
+
+    for (const auto *r : {&overlapped, &chained}) {
+        ASSERT_EQ(r->perLaunch.size(), serial.perLaunch.size());
+        for (std::size_t i = 0; i < serial.perLaunch.size(); ++i) {
+            EXPECT_EQ(r->perLaunch[i].totalCycles,
+                      serial.perLaunch[i].totalCycles);
+            EXPECT_EQ(r->perLaunch[i].issuedCycles,
+                      serial.perLaunch[i].issuedCycles);
+            EXPECT_EQ(r->perLaunch[i].stalls, serial.perLaunch[i].stalls);
+        }
     }
+    EXPECT_EQ(serial.makespanCycles, serial.serialCycles);
+    EXPECT_LT(overlapped.makespanCycles, serial.makespanCycles);
+    EXPECT_EQ(chained.makespanCycles, serial.makespanCycles);
 }
 
 } // namespace

@@ -1,13 +1,12 @@
 /**
  * @file
  * End-to-end per-backend identity: the SAME encrypted inputs pushed
- * through the evaluator pipeline (CMULT, rescale, the fused
- * CMULT+RESCALE, HADD, HMULT+relin key-switch, rotation key-switch)
- * and through the full CNN workload must produce bit-identical
- * ciphertexts and identical executed-op statistics under every
- * backend the host supports. This is the workload-level face of the
- * SIMD contract: switching TFHE_SIMD can change nanoseconds only,
- * never a residue and never a counter.
+ * through the evaluator pipeline (CMULT, rescale, HADD, HMULT+relin
+ * key-switch, rotation key-switch) and through the full CNN workload
+ * must produce bit-identical ciphertexts and identical executed-op
+ * statistics under every backend the host supports. This is the
+ * workload-level face of the SIMD contract: switching TFHE_SIMD can
+ * change nanoseconds only, never a residue and never a counter.
  */
 
 #include <gtest/gtest.h>
@@ -122,7 +121,7 @@ struct PipelineFixture
 
 struct PipelineRun
 {
-    Cts mulPlain, rescaled, fused, added, multiplied, rotated;
+    Cts mulPlain, rescaled, added, multiplied, rotated;
     EvalOpStats::RawCounts opDelta;
 };
 
@@ -135,8 +134,7 @@ runPipeline(const PipelineFixture &f, Backend b)
     auto before = EvalOpStats::instance().rawSnapshot();
     out.mulPlain = beval.multiplyPlain(f.xs, f.pt);
     out.rescaled = beval.rescale(out.mulPlain);
-    out.fused = beval.multiplyPlainRescale(f.xs, f.pt);
-    out.added = beval.add(out.rescaled, out.fused);
+    out.added = beval.add(out.rescaled, out.rescaled);
     out.multiplied = beval.multiply(out.added, out.added);
     out.rotated = beval.rotate(out.multiplied, 1);
     out.opDelta = rawDelta(before);
@@ -155,12 +153,6 @@ TEST(SimdPipeline, EveryBackendMatchesScalarBitsAndOpStats)
     auto &f = pfx();
     auto scalar = runPipeline(f, Backend::Scalar);
 
-    // The fused CMULT+RESCALE equals the two-step path on every
-    // backend (checked on the scalar run here; the exec-layer test
-    // pins the kernel accounting).
-    expectBitIdentical(scalar.fused, scalar.rescaled,
-                       "fused vs two-step (scalar)");
-
     for (Backend b : supportedBackends()) {
         if (b == Backend::Scalar)
             continue;
@@ -168,7 +160,6 @@ TEST(SimdPipeline, EveryBackendMatchesScalarBitsAndOpStats)
         const char *n = backendName(b);
         expectBitIdentical(run.mulPlain, scalar.mulPlain, n);
         expectBitIdentical(run.rescaled, scalar.rescaled, n);
-        expectBitIdentical(run.fused, scalar.fused, n);
         expectBitIdentical(run.added, scalar.added, n);
         expectBitIdentical(run.multiplied, scalar.multiplied, n);
         expectBitIdentical(run.rotated, scalar.rotated, n);

@@ -322,10 +322,11 @@ TEST_F(TraceChromeJson, ExportedEventsMatchTheTraceEventSchema)
         } else {
             FAIL() << "unexpected phase: " << ph;
         }
-        if (e.has("args"))
+        if (e.has("args")) {
             for (const auto &[k, v] : e.at("args").object)
                 EXPECT_EQ(v->kind, JsonValue::Kind::Number)
                     << "non-numeric arg " << k;
+        }
     }
     EXPECT_EQ(complete, 2u);
     EXPECT_EQ(instants, 1u);
