@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/logging.hh"
 #include "common/modarith.hh"
@@ -188,8 +189,8 @@ Dispatcher::rescaleInPlace(ckks::Ciphertext *as, std::size_t batch) const
         return;
     EvalOpStats::instance().record(EvalOpKind::Rescale, batch);
     std::size_t lc = as[0].levelCount();
-    u64 q_last = ctx_.tower().prime(as[0].c1.limbIndex(lc - 1));
-    auto v = ctx_.nttVariant();
+    const auto &limb_idx = as[0].c1.limbIndices();
+    u64 q_last = ctx_.tower().prime(limb_idx[lc - 1]);
 
     std::vector<rns::RnsPolynomial *> comps;
     comps.reserve(2 * batch);
@@ -197,11 +198,15 @@ Dispatcher::rescaleInPlace(ckks::Ciphertext *as, std::size_t batch) const
         comps.push_back(&as[s].c0);
         comps.push_back(&as[s].c1);
     }
-    rns::toCoeffBatch(comps, v, kctx_.pool);
-    // In place: the components keep their buffers, so a rescale
-    // neither allocates nor feeds the arena.
-    rns::rescaleByLastLimbBatchInPlace(comps, kctx_.pool);
-    rns::toEvalBatch(comps, v, kctx_.pool);
+    // In the evaluation domain and in place: only the last limb of
+    // each component is INTT'd, its lifts into the kept limbs are
+    // written to arena rows and NTT'd, and the components keep their
+    // buffers.
+    std::vector<std::size_t> kept(limb_idx.begin(), limb_idx.end() - 1);
+    auto lifts = overwriteRow(2 * batch, kept, rns::Domain::Coeff,
+                              "exec/rescale-lift");
+    rns::rescaleByLastLimbEvalBatchInPlace(comps, ptrsOf({&lifts}).data(),
+                                           ctx_.nttVariant(), kctx_.pool);
     for (std::size_t s = 0; s < batch; ++s)
         as[s].scale = as[s].scale / static_cast<double>(q_last);
 }
@@ -222,8 +227,8 @@ Dispatcher::multiplyInPlace(ckks::Ciphertext *as,
     // are op outputs; d2 is arena scratch for the relinearization.
     auto d0s = outputRow(batch, limb_idx, rns::Domain::Eval);
     auto d1s = outputRow(batch, limb_idx, rns::Domain::Eval);
-    auto d2s = leaseRow(batch, limb_idx, rns::Domain::Eval,
-                        "exec/multiply");
+    auto d2s = overwriteRow(batch, limb_idx, rns::Domain::Eval,
+                            "exec/multiply");
     auto p0 = ptrsOf({&d0s});
     auto p1 = ptrsOf({&d1s});
     multiplyTriple(kctx_, as, bs, p0.data(), p1.data(),
@@ -284,84 +289,67 @@ Dispatcher::hoist(std::vector<Workspace::Pooled> ds) const
     std::size_t batch = ds.size();
     TFHE_ASSERT(batch > 0, "empty hoist");
     std::size_t lc = ds[0]->numLimbs();
-    std::size_t n = ctx_.n();
     std::size_t alpha = ctx_.params().alpha();
-    auto v = ctx_.nttVariant();
+    std::size_t digits = (lc + alpha - 1) / alpha;
+    const auto &limb_idx = ds[0]->limbIndices();
+    const auto &tower = ctx_.tower();
+    bool eval_in = ds[0]->domain() == rns::Domain::Eval;
     EvalOpStats::instance().record(EvalOpKind::KsHoist, batch);
 
-    // Dcomp input to coefficient domain: all (slot x tower) INTTs of
-    // the batch in one dispatch.
-    std::vector<rns::RnsPolynomial *> d_ptrs(batch);
-    for (std::size_t s = 0; s < batch; ++s)
-        d_ptrs[s] = ds[s].get();
-    rns::toCoeffBatch(d_ptrs, v, kctx_.pool);
+    std::vector<rns::RnsPolynomial *> d_ptrs = ptrsOf({&ds});
+    std::vector<const rns::RnsPolynomial *> d_in(d_ptrs.begin(),
+                                                 d_ptrs.end());
 
+    // Dcomp-scale every digit of the input in place, in one (slot x
+    // tower) dispatch: a per-limb scalar commutes with the NTT, so it
+    // applies in whichever domain the input arrives.
+    std::vector<u64> scalars(lc), scalars_shoup(lc);
+    for (std::size_t i = 0; i < lc; ++i) {
+        scalars[i] = ctx_.dcompScalar(i / alpha, limb_idx[i]);
+        scalars_shoup[i] = shoupPrecompute(
+            scalars[i], tower.modulus(limb_idx[i]).value());
+    }
+    mulScalarShoup(kctx_, d_ptrs.data(), scalars, scalars_shoup, batch);
+
+    // Each digit's own limbs enter its ModUp output verbatim, still in
+    // the input's domain; Conv writes every other union limb.
     HoistedBatch h;
     h.levelCount = lc;
-    for (std::size_t j = 0, start = 0; start < lc; ++j, start += alpha) {
-        std::size_t stop = std::min(start + alpha, lc);
-        std::size_t dl = stop - start;
-        std::vector<std::size_t> idx(
-            ds[0]->limbIndices().begin()
-                + static_cast<std::ptrdiff_t>(start),
-            ds[0]->limbIndices().begin()
-                + static_cast<std::ptrdiff_t>(stop));
-
-        // Per-digit constants are slot-independent: Dcomp scalars
-        // (with Shoup precomputations) computed once per batch.
-        std::vector<u64> scalars(dl), scalars_shoup(dl);
-        for (std::size_t i = 0; i < dl; ++i) {
-            scalars[i] = ctx_.dcompScalar(j, idx[i]);
-            scalars_shoup[i] = shoupPrecompute(
-                scalars[i], ctx_.tower().modulus(idx[i]).value());
-        }
-
-        // Slice the digit's limbs out of the batch and scale, both as
-        // flattened (slot x digit-limb) dispatches over arena scratch.
-        std::vector<Workspace::Pooled> raw;
-        std::vector<rns::RnsPolynomial *> raw_ptrs(batch);
-        raw.reserve(batch);
-        for (std::size_t s = 0; s < batch; ++s) {
-            raw.push_back(
-                ws_->zeros(idx, rns::Domain::Coeff, "exec/hoist-raw"));
-            raw_ptrs[s] = raw[s].get();
-        }
-        kctx_.pool->parallelFor2D(batch, dl,
-                                  [&](std::size_t s, std::size_t i) {
-            std::copy(ds[s]->limb(start + i), ds[s]->limb(start + i) + n,
-                      raw_ptrs[s]->limb(i));
-        });
-        mulScalarShoup(kctx_, raw_ptrs.data(), scalars, scalars_shoup,
-                       batch);
-
-        // ModUp to the union basis through the context's memoized
-        // plan, into arena buffers.
-        std::vector<const rns::RnsPolynomial *> raw_in(raw_ptrs.begin(),
-                                                       raw_ptrs.end());
+    h.digits.reserve(digits);
+    for (std::size_t j = 0; j < digits; ++j) {
         const auto &plan = ctx_.modUpPlan(j, lc);
-        std::vector<Workspace::Pooled> ups;
-        std::vector<rns::RnsPolynomial *> up_ptrs(batch);
-        ups.reserve(batch);
-        for (std::size_t s = 0; s < batch; ++s) {
-            ups.push_back(ws_->zeros(plan.unionLimbs(),
-                                     rns::Domain::Coeff,
-                                     "exec/hoist-up"));
-            up_ptrs[s] = ups[s].get();
-        }
-        TFHE_FAULT_POINT("exec/modup");
-        plan.applyBatchInto(raw_in, up_ptrs.data(), kctx_.pool);
-        EvalOpStats::instance().recordModUp(batch);
-        h.digits.push_back(std::move(ups));
+        h.digits.push_back(overwriteRow(batch, plan.unionLimbs(),
+                                        rns::Domain::Eval,
+                                        "exec/hoist-up"));
+        plan.copyDigitInto(d_in, j * alpha, ptrsOf({&h.digits[j]}).data(),
+                           kctx_.pool);
     }
 
-    // Into Eval domain: every (digit x slot x tower) NTT of the head
-    // in ONE batched dispatch.
-    std::vector<rns::RnsPolynomial *> all;
-    all.reserve(h.numDigits() * batch);
-    for (auto &row : h.digits)
-        for (auto &p : row)
-            all.push_back(p.get());
-    rns::toEvalBatch(all, v, kctx_.pool);
+    // The only INTT: the whole input, every (slot x tower) at once (a
+    // no-op for a Coeff input). Conv then reads each digit's slice of
+    // it in place.
+    rns::toCoeffBatch(d_ptrs, ctx_.nttVariant(), kctx_.pool);
+    std::vector<std::size_t> every_slot(ctx_.unionLimbs(lc).size());
+    std::iota(every_slot.begin(), every_slot.end(), std::size_t{0});
+    std::vector<ntt::NttJob> jobs;
+    for (std::size_t j = 0; j < digits; ++j) {
+        const auto &plan = ctx_.modUpPlan(j, lc);
+        auto up_ptrs = ptrsOf({&h.digits[j]});
+        TFHE_FAULT_POINT("exec/modup");
+        plan.convertInto(d_in, j * alpha, up_ptrs.data(), kctx_.pool);
+        EvalOpStats::instance().recordModUp(batch);
+        // An Eval input's copied limbs are already in Eval: only the
+        // converted limbs take the NTT.
+        const auto &slots = eval_in ? plan.convertedSlots() : every_slot;
+        for (rns::RnsPolynomial *up : up_ptrs)
+            for (std::size_t i : slots)
+                jobs.push_back(
+                    {&tower.nttContext(up->limbIndex(i)), up->limb(i)});
+    }
+
+    // Into Eval domain: every transformed (digit x slot x tower) limb
+    // of the head in ONE batched dispatch.
+    ntt::forwardBatch(jobs, ctx_.nttVariant(), kctx_.pool);
     return h;
 }
 
@@ -369,13 +357,9 @@ HoistedBatch
 Dispatcher::hoistCopy(const rns::RnsPolynomial *const *ds,
                       std::size_t batch) const
 {
-    std::vector<Workspace::Pooled> copies;
-    copies.reserve(batch);
+    auto copies = overwriteRow(batch, ds[0]->limbIndices(),
+                               ds[0]->domain(), "exec/hoist-copy");
     std::size_t n = ctx_.n();
-    for (std::size_t s = 0; s < batch; ++s)
-        copies.push_back(ws_->zeros(ds[s]->limbIndices(),
-                                    ds[s]->domain(),
-                                    "exec/hoist-copy"));
     kctx_.pool->parallelFor2D(batch, ds[0]->numLimbs(),
                               [&](std::size_t s, std::size_t i) {
         std::copy(ds[s]->limb(i), ds[s]->limb(i) + n,
@@ -410,7 +394,6 @@ Dispatcher::keySwitchTail(const HoistedView &h, const ckks::SwitchKey &key,
 {
     TFHE_TRACE_SPAN("exec", "ks-tail");
     std::size_t batch = h.batchN;
-    auto v = ctx_.nttVariant();
     auto union_limbs = ctx_.unionLimbs(h.levelCount);
 
     auto acc0 =
@@ -420,22 +403,19 @@ Dispatcher::keySwitchTail(const HoistedView &h, const ckks::SwitchKey &key,
     auto acc_ptrs = ptrsOf({&acc0, &acc1});
     tailRawInto(h, key, acc_ptrs.data(), acc_ptrs.data() + batch);
 
-    // ModDown by P: both accumulators of every slot share one batched
-    // dispatch (identical limb sets), then back to Eval domain.
-    rns::toCoeffBatch(acc_ptrs, v, kctx_.pool);
-
-    std::vector<const rns::RnsPolynomial *> acc_in(acc_ptrs.begin(),
-                                                   acc_ptrs.end());
+    // ModDown by P in the evaluation domain: both accumulators of
+    // every slot share one batched dispatch (identical limb sets),
+    // and only their special limbs are INTT'd.
     const rns::ModDownPlan &plan =
         down ? *down : ctx_.modDownPlan(h.levelCount);
     auto q_idx = ctx_.qLimbs(h.levelCount);
-    auto ks0 = outputRow(batch, q_idx, rns::Domain::Coeff);
-    auto ks1 = outputRow(batch, q_idx, rns::Domain::Coeff);
+    auto ks0 = outputRow(batch, q_idx, rns::Domain::Eval);
+    auto ks1 = outputRow(batch, q_idx, rns::Domain::Eval);
     auto out_ptrs = ptrsOf({&ks0, &ks1});
     TFHE_FAULT_POINT("exec/moddown");
-    plan.applyBatchInto(acc_in, out_ptrs.data(), kctx_.pool);
+    plan.applyEvalBatchInto(acc_ptrs, out_ptrs.data(), ctx_.nttVariant(),
+                            kctx_.pool);
     EvalOpStats::instance().recordModDown(2 * batch);
-    rns::toEvalBatch(out_ptrs, v, kctx_.pool);
     return {std::move(ks0), std::move(ks1)};
 }
 
@@ -447,8 +427,8 @@ Dispatcher::permuteHead(const HoistedView &h, u64 galois) const
     auto union_limbs = ctx_.unionLimbs(h.levelCount);
     std::vector<const rns::RnsPolynomial *> all(h.table.begin(),
                                                 h.table.end());
-    auto flat = leaseRow(all.size(), union_limbs, rns::Domain::Eval,
-                         "exec/permute");
+    auto flat = overwriteRow(all.size(), union_limbs, rns::Domain::Eval,
+                             "exec/permute");
     rns::applyAutomorphismBatchInto(all, galois, ptrsOf({&flat}).data(),
                                     kctx_.pool);
     out.digits.resize(h.numDigits);
@@ -568,8 +548,8 @@ Dispatcher::automorphPooled(
     const std::vector<const rns::RnsPolynomial *> &polys,
     u64 galois) const
 {
-    auto out = leaseRow(polys.size(), polys[0]->limbIndices(),
-                        polys[0]->domain(), "exec/automorph");
+    auto out = overwriteRow(polys.size(), polys[0]->limbIndices(),
+                            polys[0]->domain(), "exec/automorph");
     rns::applyAutomorphismBatchInto(polys, galois, ptrsOf({&out}).data(),
                                     kctx_.pool);
     return out;
@@ -618,6 +598,18 @@ Dispatcher::leaseRow(std::size_t batch,
     row.reserve(batch);
     for (std::size_t s = 0; s < batch; ++s)
         row.push_back(ws_->zeros(limbs, domain, site));
+    return row;
+}
+
+std::vector<Workspace::Pooled>
+Dispatcher::overwriteRow(std::size_t batch,
+                         const std::vector<std::size_t> &limbs,
+                         rns::Domain domain, const char *site) const
+{
+    std::vector<Workspace::Pooled> row;
+    row.reserve(batch);
+    for (std::size_t s = 0; s < batch; ++s)
+        row.push_back(ws_->forOverwrite(limbs, domain, site));
     return row;
 }
 
@@ -810,16 +802,10 @@ Dispatcher::accumulateGroups(const BsgsProgram &program,
                                                         acc1p.end());
         const auto &mdplan = ctx_.modDownPlan(lc);
         auto q_idx = ctx_.qLimbs(lc);
-        std::vector<Workspace::Pooled> md1;
-        std::vector<rns::RnsPolynomial *> md1p(batch);
-        md1.reserve(batch);
-        for (std::size_t s = 0; s < batch; ++s) {
-            md1.push_back(ws_->zeros(q_idx, rns::Domain::Coeff,
-                                     "exec/bsgs-moddown"));
-            md1p[s] = md1[s].get();
-        }
+        auto md1 = overwriteRow(batch, q_idx, rns::Domain::Coeff,
+                                "exec/bsgs-moddown");
         TFHE_FAULT_POINT("exec/moddown");
-        mdplan.applyBatchInto(acc1_in, md1p.data(), kctx_.pool);
+        mdplan.applyBatchInto(acc1_in, ptrsOf({&md1}).data(), kctx_.pool);
         stats.recordModDown(batch);
 
         auto head2 = hoist(std::move(md1));
@@ -835,9 +821,9 @@ Dispatcher::accumulateGroups(const BsgsProgram &program,
         std::vector<const rns::RnsPolynomial *> acc0_in(batch);
         for (std::size_t s = 0; s < batch; ++s)
             acc0_in[s] = acc0p[s];
-        std::vector<Workspace::Pooled> c0rot;
-        std::vector<rns::RnsPolynomial *> c0rotp(batch);
-        pooledUnionRow(batch, union_limbs, c0rot, c0rotp);
+        auto c0rot = overwriteRow(batch, union_limbs, rns::Domain::Eval,
+                                  "exec/automorph");
+        auto c0rotp = ptrsOf({&c0rot});
         rns::applyAutomorphismBatchInto(acc0_in, galois, c0rotp.data(),
                                         kctx_.pool);
 
@@ -861,25 +847,21 @@ Dispatcher::finalizeBsgs(rns::RnsPolynomial *const *G0p,
                          std::size_t batch, std::size_t level_count,
                          double out_scale) const
 {
-    auto v = ctx_.nttVariant();
     std::vector<rns::RnsPolynomial *> g_all;
     g_all.reserve(2 * batch);
     for (std::size_t s = 0; s < batch; ++s)
         g_all.push_back(G0p[s]);
     for (std::size_t s = 0; s < batch; ++s)
         g_all.push_back(G1p[s]);
-    rns::toCoeffBatch(g_all, v, kctx_.pool);
-    std::vector<const rns::RnsPolynomial *> g_in(g_all.begin(),
-                                                 g_all.end());
     const auto &mdplan = ctx_.modDownPlan(level_count);
     auto q_idx = ctx_.qLimbs(level_count);
-    auto final0 = outputRow(batch, q_idx, rns::Domain::Coeff);
-    auto final1 = outputRow(batch, q_idx, rns::Domain::Coeff);
+    auto final0 = outputRow(batch, q_idx, rns::Domain::Eval);
+    auto final1 = outputRow(batch, q_idx, rns::Domain::Eval);
     auto final_ptrs = ptrsOf({&final0, &final1});
     TFHE_FAULT_POINT("exec/moddown");
-    mdplan.applyBatchInto(g_in, final_ptrs.data(), kctx_.pool);
+    mdplan.applyEvalBatchInto(g_all, final_ptrs.data(), ctx_.nttVariant(),
+                              kctx_.pool);
     EvalOpStats::instance().recordModDown(2 * batch);
-    rns::toEvalBatch(final_ptrs, v, kctx_.pool);
 
     std::vector<ckks::Ciphertext> out(batch);
     for (std::size_t s = 0; s < batch; ++s) {

@@ -213,9 +213,12 @@ class Dispatcher
                                             std::size_t batch) const;
 
     /**
-     * Phase 1 of generalized key switching: Dcomp -> Dcomp-scale ->
-     * ModUp -> one fused NTT dispatch over every (digit, slot, tower).
-     * Consumes its scratch inputs (any domain).
+     * Phase 1 of generalized key switching: Dcomp-scale the inputs in
+     * place, copy each digit's own limbs into its ModUp output, one
+     * INTT of the inputs (none for Coeff inputs), Conv of every digit
+     * read in place, and one NTT dispatch over the converted limbs
+     * (every union limb for Coeff inputs). Consumes its scratch
+     * inputs (any domain; both domains build identical digits).
      */
     HoistedBatch hoist(std::vector<Workspace::Pooled> ds) const;
 
@@ -225,8 +228,9 @@ class Dispatcher
 
     /**
      * Phase 2: inner product against `key` (restricted to the union
-     * basis via the context cache) + ModDown + NTT back to Eval. The
-     * outputs are drawn through Workspace::output.
+     * basis via the context cache) + evaluation-domain ModDown, which
+     * transforms only the special limbs and the converted outputs.
+     * The outputs are drawn through Workspace::output.
      * @param down optional shared ModDown plan (rotateMany reuses one
      *             across steps).
      */
@@ -312,12 +316,19 @@ class Dispatcher
                       const ckks::SwitchKey &key,
                       const rns::ModDownPlan *down) const;
 
-    /** One zeroed lease per batch slot over `limbs` in `domain`. */
+    /** One zeroed lease per batch slot over `limbs` in `domain`
+        (accumulators). */
     std::vector<Workspace::Pooled>
     leaseRow(std::size_t batch, const std::vector<std::size_t> &limbs,
              rns::Domain domain, const char *site) const;
 
-    /** One zeroed op output per batch slot (Workspace::output). */
+    /** leaseRow() without the zero-fill (Workspace::forOverwrite), for
+        rows whose every limb the next kernel writes. */
+    std::vector<Workspace::Pooled>
+    overwriteRow(std::size_t batch, const std::vector<std::size_t> &limbs,
+                 rns::Domain domain, const char *site) const;
+
+    /** One unzeroed op output per batch slot (Workspace::output). */
     std::vector<rns::RnsPolynomial>
     outputRow(std::size_t batch, const std::vector<std::size_t> &limbs,
               rns::Domain domain) const;

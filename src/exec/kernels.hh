@@ -63,7 +63,8 @@ void hadaMultPlainCts(const KernelCtx &ctx, ckks::Ciphertext *out,
 
 /**
  * HMULT product core (paper Alg. 2): d0 = a0*b0, d1 = a0*b1 + a1*b0,
- * d2 = a1*b1 per slot, into preshaped zero polynomials.
+ * d2 = a1*b1 per slot, written over every limb of preshaped
+ * polynomials (their prior contents are never read).
  */
 void multiplyTriple(const KernelCtx &ctx, const ckks::Ciphertext *a,
                     const ckks::Ciphertext *b,

@@ -119,6 +119,20 @@ Workspace::Pooled
 Workspace::zeros(const std::vector<std::size_t> &limbs,
                  rns::Domain domain, const char *site)
 {
+    return checkout(limbs, domain, site, true);
+}
+
+Workspace::Pooled
+Workspace::forOverwrite(const std::vector<std::size_t> &limbs,
+                        rns::Domain domain, const char *site)
+{
+    return checkout(limbs, domain, site, false);
+}
+
+Workspace::Pooled
+Workspace::checkout(const std::vector<std::size_t> &limbs,
+                    rns::Domain domain, const char *site, bool zeroed)
+{
     TFHE_FAULT_POINT("workspace/alloc");
     std::size_t need = limbs.size() * tower_->n();
     auto buf = take(&Shard::free, need);
@@ -129,13 +143,15 @@ Workspace::zeros(const std::vector<std::size_t> &limbs,
     // counters must not claim a checkout that never happened
     // (alloc/reuse totals are what the steady-state benches and the
     // race stress assert against).
-    Pooled out = buf ? Pooled(this,
-                              rns::RnsPolynomial(*tower_, limbs, domain,
-                                                 std::move(*buf)),
-                              site)
-                     : Pooled(this,
-                              rns::RnsPolynomial(*tower_, limbs, domain),
-                              site);
+    rns::RnsPolynomial poly;
+    if (!buf)
+        poly = rns::RnsPolynomial(*tower_, limbs, domain);
+    else if (zeroed)
+        poly = rns::RnsPolynomial(*tower_, limbs, domain, std::move(*buf));
+    else
+        poly = rns::RnsPolynomial::forOverwrite(*tower_, limbs, domain,
+                                                std::move(*buf));
+    Pooled out(this, std::move(poly), site);
     (buf ? reuses_ : allocs_).fetch_add(1, std::memory_order_relaxed);
     beginLease(site);
     return out;
@@ -148,7 +164,8 @@ Workspace::output(const std::vector<std::size_t> &limbs,
     auto buf = take(&Shard::donated, limbs.size() * tower_->n());
     if (!buf)
         return rns::RnsPolynomial(*tower_, limbs, domain);
-    rns::RnsPolynomial out(*tower_, limbs, domain, std::move(*buf));
+    auto out = rns::RnsPolynomial::forOverwrite(*tower_, limbs, domain,
+                                                std::move(*buf));
     reuses_.fetch_add(1, std::memory_order_relaxed);
     return out;
 }
@@ -195,6 +212,17 @@ Workspace::resetStats()
     allocs_.store(0, std::memory_order_relaxed);
     reuses_.store(0, std::memory_order_relaxed);
     returns_.store(0, std::memory_order_relaxed);
+}
+
+void
+Workspace::poison(u64 word)
+{
+    for (auto &shard : shards_) {
+        std::lock_guard<std::mutex> lock(shard.mu);
+        for (FreeList *list : {&shard.free, &shard.donated})
+            for (auto &[capacity, buf] : *list)
+                buf.assign(capacity, word);
+    }
 }
 
 void

@@ -136,16 +136,28 @@ class Workspace
      * a pooled buffer of sufficient capacity when one is available
      * (no allocator call); otherwise allocates fresh and counts it.
      * `site` names the checkout for the lease tracker's leak report.
+     * Accumulators take this checkout: they add into their zeros.
      */
     Pooled zeros(const std::vector<std::size_t> &limbs,
                  rns::Domain domain, const char *site = "unnamed");
 
     /**
-     * A zeroed polynomial for an op output, which leaves the arena
-     * with its caller. It takes a donated buffer when one fits
-     * (counted as a reuse), so donations flow back out through
-     * outputs; otherwise it allocates like any polynomial, uncounted,
-     * since that buffer never was arena scratch.
+     * zeros() without the zero-fill: a reused buffer keeps whatever
+     * it held. Only for buffers whose every limb the next kernel
+     * writes before anything reads it (copies, ModUp outputs,
+     * automorphism outputs, product rows), which zeroing would fill
+     * just to have it overwritten.
+     */
+    Pooled forOverwrite(const std::vector<std::size_t> &limbs,
+                        rns::Domain domain, const char *site = "unnamed");
+
+    /**
+     * A polynomial for an op output, which leaves the arena with its
+     * caller. It takes a donated buffer when one fits (counted as a
+     * reuse), so donations flow back out through outputs; otherwise
+     * it allocates like any polynomial, uncounted, since that buffer
+     * never was arena scratch. Not zeroed, like forOverwrite(): every
+     * caller writes each limb of its output.
      */
     rns::RnsPolynomial output(const std::vector<std::size_t> &limbs,
                               rns::Domain domain);
@@ -195,6 +207,15 @@ class Workspace
     void trim();
 
     /**
+     * Fill every pooled buffer, released and donated, out to its
+     * capacity with `word`. With a word that is never a residue
+     * (~0), a run that reads any unwritten cell of a forOverwrite()
+     * lease or an output() differs from a fresh-arena run; tests use
+     * this to prove those buffers are written in full.
+     */
+    void poison(u64 word);
+
+    /**
      * Toggle lease-site tracking (on by default in debug builds;
      * off in release, where the per-checkout map update is real hot-
      * path cost). Tests turn it on to assert the engine returns every
@@ -219,6 +240,10 @@ class Workspace
 
     /** Return a released lease's storage to the caller's shard. */
     void recycle(rns::RnsPolynomial &&p, const char *site);
+
+    /** The body of zeros() and forOverwrite(). */
+    Pooled checkout(const std::vector<std::size_t> &limbs,
+                    rns::Domain domain, const char *site, bool zeroed);
 
     void beginLease(const char *site);
     void endLease(const char *site);

@@ -137,15 +137,13 @@ BaseConvPlan::applyBatchInto(const std::vector<const RnsPolynomial *> &as,
     for (std::size_t b = 0; b < batch; ++b) {
         const RnsPolynomial &a = *as[b];
         const RnsPolynomial &o = *outs[b];
-        TFHE_ASSERT(a.domain() == Domain::Coeff,
-                    "Conv operates in coefficient domain");
         TFHE_ASSERT(srcOff + s <= a.numLimbs()
                         && std::equal(src_.begin(), src_.end(),
                                       a.limbIndices().begin()
                                           + static_cast<std::ptrdiff_t>(
                                               srcOff)),
                     "polynomial does not match the plan's source basis");
-        bool shaped = o.domain() == Domain::Coeff;
+        bool shaped = true;
         for (std::size_t j = 0; j < t && shaped; ++j)
             shaped = dstPos[j] < o.numLimbs()
                 && o.limbIndex(dstPos[j]) == dst_[j];
@@ -304,26 +302,58 @@ ModUpPlan::applyBatchInto(const std::vector<const RnsPolynomial *> &digits,
                           RnsPolynomial *const *outs,
                           ThreadPool *pool) const
 {
-    std::size_t batch = digits.size();
+    for (std::size_t b = 0; b < digits.size(); ++b) {
+        TFHE_ASSERT(digits[b]->limbIndices() == digit_limbs_,
+                    "digit does not match the plan's limb set");
+        TFHE_ASSERT(digits[b]->domain() == Domain::Coeff
+                        && outs[b]->domain() == Domain::Coeff,
+                    "ModUp operates in the coefficient domain");
+    }
+    convertInto(digits, 0, outs, pool);
+    copyDigitInto(digits, 0, outs, pool);
+}
+
+void
+ModUpPlan::copyDigitInto(const std::vector<const RnsPolynomial *> &as,
+                         std::size_t srcOff, RnsPolynomial *const *outs,
+                         ThreadPool *pool) const
+{
+    std::size_t batch = as.size();
+    std::size_t n = tower_->n();
+    for (std::size_t b = 0; b < batch; ++b) {
+        const auto &limbs = as[b]->limbIndices();
+        TFHE_ASSERT(srcOff + digit_limbs_.size() <= limbs.size()
+                        && std::equal(digit_limbs_.begin(),
+                                      digit_limbs_.end(),
+                                      limbs.begin()
+                                          + static_cast<std::ptrdiff_t>(
+                                              srcOff)),
+                    "digit does not match the plan's limb set");
+        TFHE_ASSERT(outs[b]->limbIndices() == target_,
+                    "ModUp output not preshaped to the union basis");
+    }
+    poolOrGlobal(pool).parallelFor2D(batch, digit_limbs_.size(),
+                                     [&](std::size_t b, std::size_t i) {
+        const u64 *src = as[b]->limb(srcOff + i);
+        std::copy(src, src + n, outs[b]->limb(copyPos_[i]));
+    });
+}
+
+void
+ModUpPlan::convertInto(const std::vector<const RnsPolynomial *> &as,
+                       std::size_t srcOff, RnsPolynomial *const *outs,
+                       ThreadPool *pool) const
+{
+    std::size_t batch = as.size();
     if (batch == 0)
         return;
     trace::TraceSpan tsp("rns", "modup");
     tsp.arg("batch", static_cast<s64>(batch))
         .arg("limbs", static_cast<s64>(target_.size()));
-    std::size_t n = tower_->n();
-    for (std::size_t b = 0; b < batch; ++b) {
-        TFHE_ASSERT(digits[b]->limbIndices() == digit_limbs_,
-                    "digit does not match the plan's limb set");
-        TFHE_ASSERT(outs[b]->limbIndices() == target_
-                        && outs[b]->domain() == Domain::Coeff,
+    for (std::size_t b = 0; b < batch; ++b)
+        TFHE_ASSERT(outs[b]->limbIndices() == target_,
                     "ModUp output not preshaped to the union basis");
-    }
-    conv_.applyBatchInto(digits, 0, outs, convPos_, pool);
-    poolOrGlobal(pool).parallelFor2D(batch, digit_limbs_.size(),
-                                     [&](std::size_t b, std::size_t i) {
-        std::copy(digits[b]->limb(i), digits[b]->limb(i) + n,
-                  outs[b]->limb(copyPos_[i]));
-    });
+    conv_.applyBatchInto(as, srcOff, outs, convPos_, pool);
 }
 
 RnsPolynomial
@@ -435,7 +465,6 @@ ModDownPlan::applyBatchInto(const std::vector<const RnsPolynomial *> &as,
     tsp.arg("batch", static_cast<s64>(batch))
         .arg("limbs", static_cast<s64>(q_idx_.size()));
     std::size_t ql = q_idx_.size();
-    std::size_t n = tower_->n();
     for (std::size_t b = 0; b < batch; ++b) {
         TFHE_ASSERT(as[b]->domain() == Domain::Coeff);
         TFHE_ASSERT(matchesUnionBasis(*as[b]),
@@ -446,12 +475,66 @@ ModDownPlan::applyBatchInto(const std::vector<const RnsPolynomial *> &as,
     }
 
     // Convert a mod P (the special limbs, read in place) onto the
-    // q-limbs, then finish each limb in place:
-    // (conv_j - a_j) * -P^-1 = (a_j - conv_j) * P^-1 mod q_j.
+    // q-limbs, then finish each limb in place.
     conv_.applyBatchInto(as, ql, outs, qPos_, pool);
+    finish(as, outs, pool);
+}
+
+void
+ModDownPlan::applyEvalBatchInto(const std::vector<RnsPolynomial *> &as,
+                                RnsPolynomial *const *outs,
+                                ntt::NttVariant v, ThreadPool *pool) const
+{
+    std::size_t batch = as.size();
+    if (batch == 0)
+        return;
+    trace::TraceSpan tsp("rns", "moddown");
+    tsp.arg("batch", static_cast<s64>(batch))
+        .arg("limbs", static_cast<s64>(q_idx_.size()));
+    std::size_t ql = q_idx_.size();
+    std::size_t k = p_idx_.size();
+    for (std::size_t b = 0; b < batch; ++b) {
+        TFHE_ASSERT(as[b]->domain() == Domain::Eval);
+        TFHE_ASSERT(matchesUnionBasis(*as[b]),
+                    "ModDown requires the plan's union basis");
+        TFHE_ASSERT(outs[b]->limbIndices() == q_idx_,
+                    "ModDown output not preshaped to the q-basis");
+    }
+
+    // Only the Conv source leaves Eval: the special limbs, in place.
+    std::vector<ntt::NttJob> jobs;
+    jobs.reserve(batch * k);
+    for (RnsPolynomial *a : as)
+        for (std::size_t i = 0; i < k; ++i)
+            jobs.push_back({&tower_->nttContext(p_idx_[i]),
+                            a->limb(ql + i)});
+    ntt::inverseBatch(jobs, v, pool);
+
+    std::vector<const RnsPolynomial *> in(as.begin(), as.end());
+    conv_.applyBatchInto(in, ql, outs, qPos_, pool);
+
+    // The converted limbs join the q-limbs in Eval for the finish.
+    jobs.clear();
+    jobs.reserve(batch * ql);
+    for (std::size_t b = 0; b < batch; ++b) {
+        for (std::size_t j = 0; j < ql; ++j)
+            jobs.push_back({&tower_->nttContext(q_idx_[j]),
+                            outs[b]->limb(j)});
+        outs[b]->setDomain(Domain::Eval);
+    }
+    ntt::forwardBatch(jobs, v, pool);
+    finish(in, outs, pool);
+}
+
+void
+ModDownPlan::finish(const std::vector<const RnsPolynomial *> &as,
+                    RnsPolynomial *const *outs, ThreadPool *pool) const
+{
+    // (conv_j - a_j) * -P^-1 = (a_j - conv_j) * P^-1 mod q_j.
+    std::size_t n = tower_->n();
     const simd::Ops &v = simd::ops();
-    poolOrGlobal(pool).parallelFor2D(batch, ql, [&](std::size_t b,
-                                                    std::size_t j) {
+    poolOrGlobal(pool).parallelFor2D(as.size(), q_idx_.size(),
+                                     [&](std::size_t b, std::size_t j) {
         u64 q = tower_->prime(q_idx_[j]);
         u64 *po = outs[b]->limb(j);
         v.subSpan(po, as[b]->limb(j), n, q);
@@ -557,6 +640,87 @@ rescaleByLastLimbBatchInPlace(const std::vector<RnsPolynomial *> &as,
             pa[c] = mulModShoup(mod.sub(pa[c], lifted), qinv[j],
                                 qinv_shoup[j], q);
         }
+    });
+    for (RnsPolynomial *a : as)
+        a->dropLastLimbs(1);
+}
+
+void
+rescaleByLastLimbEvalBatchInPlace(const std::vector<RnsPolynomial *> &as,
+                                  RnsPolynomial *const *lifts,
+                                  ntt::NttVariant v, ThreadPool *pool)
+{
+    std::size_t batch = as.size();
+    if (batch == 0)
+        return;
+    const RnsPolynomial &front = *as[0];
+    TFHE_ASSERT(front.numLimbs() >= 2, "cannot rescale a one-limb poly");
+    const RnsTower &tower = front.tower();
+    std::size_t last = front.numLimbs() - 1;
+    std::size_t n = front.n();
+    u64 q_last = tower.prime(front.limbIndex(last));
+    u64 half = q_last / 2;
+
+    std::vector<std::size_t> q_idx(front.limbIndices().begin(),
+                                   front.limbIndices().begin() + last);
+    // Per remaining limb, slot-independent: q_last^-1, the Shoup
+    // companion of 1 (a reduction of any u64 mod q_j), and -half.
+    std::vector<u64> qinv(last), qinv_shoup(last), one_shoup(last),
+        neg_half(last);
+    for (std::size_t j = 0; j < last; ++j) {
+        const Modulus &mod = tower.modulus(q_idx[j]);
+        u64 q = mod.value();
+        qinv[j] = mod.inv(q_last % q);
+        qinv_shoup[j] = shoupPrecompute(qinv[j], q);
+        one_shoup[j] = shoupPrecompute(1, q);
+        neg_half[j] = mod.sub(0, half % q);
+    }
+
+    std::vector<ntt::NttJob> jobs;
+    jobs.reserve(batch * last);
+    for (std::size_t b = 0; b < batch; ++b) {
+        TFHE_ASSERT(as[b]->domain() == Domain::Eval);
+        TFHE_ASSERT(as[b]->limbIndices() == front.limbIndices(),
+                    "batched RESCALE requires a uniform limb set");
+        TFHE_ASSERT(lifts[b]->limbIndices() == q_idx,
+                    "rescale lift rows not preshaped to the kept limbs");
+        jobs.push_back({&tower.nttContext(front.limbIndex(last)),
+                        as[b]->limb(last)});
+    }
+    ntt::inverseBatch(jobs, v, pool);
+
+    // Centred lift of the last limb into each q_j: v' = v + half mod
+    // q_last is the centred value shifted into [0, q_last), and
+    // (v' - half) mod q_j is the reference's lift. The shift back
+    // rides as +(-half mod q_j) on the u64 sum (both terms are below
+    // 2^63), which the Shoup product by 1 reduces canonically.
+    const simd::Ops &ops = simd::ops();
+    poolOrGlobal(pool).parallelFor2D(batch, last, [&](std::size_t b,
+                                                      std::size_t j) {
+        const u64 *pl = as[b]->limb(last);
+        u64 *po = lifts[b]->limb(j);
+        u64 shift = neg_half[j];
+        for (std::size_t c = 0; c < n; ++c) {
+            u64 t = pl[c] + half;
+            po[c] = (t >= q_last ? t - q_last : t) + shift;
+        }
+        ops.mulShoup(po, 1, one_shoup[j], n, tower.prime(q_idx[j]));
+    });
+
+    jobs.clear();
+    for (std::size_t b = 0; b < batch; ++b)
+        for (std::size_t j = 0; j < last; ++j)
+            jobs.push_back({&tower.nttContext(q_idx[j]),
+                            lifts[b]->limb(j)});
+    ntt::forwardBatch(jobs, v, pool);
+
+    // a_j = (a_j - lift_j) * q_last^-1, both in Eval.
+    poolOrGlobal(pool).parallelFor2D(batch, last, [&](std::size_t b,
+                                                      std::size_t j) {
+        u64 q = tower.prime(q_idx[j]);
+        u64 *pa = as[b]->limb(j);
+        ops.subSpan(pa, lifts[b]->limb(j), n, q);
+        ops.mulShoup(pa, qinv[j], qinv_shoup[j], n, q);
     });
     for (RnsPolynomial *a : as)
         a->dropLastLimbs(1);

@@ -18,13 +18,21 @@
  * Hoisted key-switching builds one plan and applies it across every
  * rotation, digit, and batch slot.
  *
- * Each plan has one conversion body, applyBatchInto: it reads source
- * limbs in place and writes every converted limb straight into the
- * caller's preshaped outputs, with its arithmetic on the
- * runtime-dispatched simd::Ops Shoup spans. Steady-state calls
- * allocate no limb-sized buffer. apply()/applyBatch() and the
- * plan-free functions below are thin wrappers that allocate results
- * and call it, so all are bit-identical to one another.
+ * Every conversion runs through one body, BaseConvPlan::
+ * applyBatchInto: it reads source limbs in place and writes every
+ * converted limb straight into the caller's preshaped outputs, with
+ * its arithmetic on the runtime-dispatched simd::Ops Shoup spans.
+ * Steady-state calls allocate no limb-sized buffer. apply()/
+ * applyBatch() and the plan-free functions below are thin wrappers
+ * that allocate results and call it, so all are bit-identical to one
+ * another.
+ *
+ * The coefficient-domain ModDown and RESCALE are the references for
+ * the evaluation-domain forms the dispatcher runs
+ * (ModDownPlan::applyEvalBatchInto,
+ * rescaleByLastLimbEvalBatchInPlace), which transform only the limbs
+ * whose domain the math needs and are bit-identical to the reference
+ * bracketed by INTT/NTT.
  */
 
 #ifndef TENSORFHE_RNS_CONV_HH
@@ -77,11 +85,14 @@ class BaseConvPlan
      * The conversion body. Source limb i of slot b is read in place
      * from as[b]->limb(srcOff + i) (those limbs must be the plan's
      * source limbs); target limb j is written to
-     * outs[b]->limb(dstPos[j]) (Coeff domain, carrying target limb j
-     * there). Other output limbs are left untouched. Multi-limb
-     * sources scale into a scratch buffer owned by the calling thread
-     * and reused across calls; no call allocates a limb-sized buffer
-     * once that scratch has grown.
+     * outs[b]->limb(dstPos[j]) (which must carry target limb j).
+     * Other output limbs are left untouched. The limbs read and
+     * written hold coefficient-domain residues whatever the
+     * polynomials' domain flags say: the evaluation-domain ModUp and
+     * ModDown transform exactly the limbs they convert and keep the
+     * rest in Eval. Multi-limb sources scale into a scratch buffer
+     * owned by the calling thread and reused across calls; no call
+     * allocates a limb-sized buffer once that scratch has grown.
      */
     void applyBatchInto(const std::vector<const RnsPolynomial *> &as,
                         std::size_t srcOff, RnsPolynomial *const *outs,
@@ -123,16 +134,39 @@ class ModUpPlan
 
     /**
      * ModUp into caller-provided outputs (preshaped to unionLimbs(),
-     * Coeff domain) — the exec::Workspace hook that keeps
-     * steady-state hoists off the allocator. The digit limbs are
-     * copied verbatim to their union-basis slots and the conversion
-     * writes every other slot directly; no intermediate polynomial.
+     * Coeff domain): convertInto() and copyDigitInto() of whole
+     * Coeff-domain digits. No intermediate polynomial.
      */
     void applyBatchInto(const std::vector<const RnsPolynomial *> &digits,
                         RnsPolynomial *const *outs,
                         ThreadPool *pool = nullptr) const;
 
+    /*
+     * The two halves of a ModUp, for inputs that carry the digit at
+     * limbs [srcOff, srcOff + digit size) of a wider polynomial — the
+     * exec::Dispatcher hoist reads every digit in place from one
+     * Dcomp-scaled input. Outputs are preshaped to unionLimbs().
+     */
+
+    /** Copy the digit limbs verbatim, in whatever domain they are,
+        to their union-basis slots. */
+    void copyDigitInto(const std::vector<const RnsPolynomial *> &as,
+                       std::size_t srcOff, RnsPolynomial *const *outs,
+                       ThreadPool *pool = nullptr) const;
+
+    /** Conv of the digit limbs, which must hold coefficient-domain
+        residues, into every other union slot (convertedSlots()). */
+    void convertInto(const std::vector<const RnsPolynomial *> &as,
+                     std::size_t srcOff, RnsPolynomial *const *outs,
+                     ThreadPool *pool = nullptr) const;
+
     const std::vector<std::size_t> &unionLimbs() const { return target_; }
+
+    /** The union slots convertInto() writes, ascending. */
+    const std::vector<std::size_t> &convertedSlots() const
+    {
+        return convPos_;
+    }
 
   private:
     const RnsTower *tower_;
@@ -174,11 +208,30 @@ class ModDownPlan
                         RnsPolynomial *const *outs,
                         ThreadPool *pool = nullptr) const;
 
+    /**
+     * ModDown of Eval-domain inputs into caller-provided outputs
+     * (preshaped to qLimbs(), returned in Eval). Only the K special
+     * limbs need the coefficient domain, as the Conv source: they are
+     * INTT'd in place, which consumes the inputs. The ql converted
+     * limbs take one NTT, and the finish runs against the q-limbs
+     * where they are, in Eval. The NTT is linear mod each q_j and
+     * every value stays canonical, so this is bit-identical to
+     * INTT -> applyBatchInto -> NTT, with ql fewer INTTs per input.
+     */
+    void applyEvalBatchInto(const std::vector<RnsPolynomial *> &as,
+                            RnsPolynomial *const *outs,
+                            ntt::NttVariant v, ThreadPool *pool) const;
+
     /** The surviving q-limbs (the outputs' limb set). */
     const std::vector<std::size_t> &qLimbs() const { return q_idx_; }
 
   private:
     bool matchesUnionBasis(const RnsPolynomial &a) const;
+
+    /** out_j = (out_j - a_j) * -P^-1 = (a_j - conv_j) * P^-1 in
+        place, both operands in one domain. */
+    void finish(const std::vector<const RnsPolynomial *> &as,
+                RnsPolynomial *const *outs, ThreadPool *pool) const;
 
     const RnsTower *tower_;
     std::vector<std::size_t> q_idx_;
@@ -260,6 +313,19 @@ modDownBatch(const std::vector<const RnsPolynomial *> &as,
  */
 void rescaleByLastLimbBatchInPlace(const std::vector<RnsPolynomial *> &as,
                                    ThreadPool *pool = nullptr);
+
+/**
+ * The batched RESCALE core in the evaluation domain, in place: each
+ * Eval-domain polynomial becomes NTT(rescaleByLastLimb(INTT(a))), bit
+ * for bit, with one INTT instead of L and L-1 NTTs. Only the last
+ * limb is INTT'd (in place; it is dropped). Its centred lift into each
+ * q_j is written to lifts[b]->limb(j) — caller scratch preshaped to
+ * a's first L-1 limbs, any contents — and all lifts take one NTT
+ * dispatch; then a_j = (a_j - lift_j) * q_last^-1 in Eval.
+ */
+void rescaleByLastLimbEvalBatchInPlace(
+    const std::vector<RnsPolynomial *> &as, RnsPolynomial *const *lifts,
+    ntt::NttVariant v, ThreadPool *pool = nullptr);
 
 } // namespace tensorfhe::rns
 

@@ -29,6 +29,22 @@ RnsPolynomial::RnsPolynomial(const RnsTower &tower,
     data_.assign(limbIndices_.size() * tower.n(), 0);
 }
 
+RnsPolynomial
+RnsPolynomial::forOverwrite(const RnsTower &tower,
+                            std::vector<std::size_t> limbs, Domain domain,
+                            std::vector<u64> storage)
+{
+    RnsPolynomial p;
+    p.tower_ = &tower;
+    p.limbIndices_ = std::move(limbs);
+    p.domain_ = domain;
+    for (std::size_t idx : p.limbIndices_)
+        TFHE_ASSERT(idx < tower.numTotal(), "limb index out of range");
+    storage.resize(p.limbIndices_.size() * tower.n());
+    p.data_ = std::move(storage);
+    return p;
+}
+
 std::vector<u64>
 RnsPolynomial::takeStorage()
 {

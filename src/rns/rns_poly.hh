@@ -47,6 +47,17 @@ class RnsPolynomial
                   Domain domain, std::vector<u64> storage);
 
     /**
+     * Polynomial over `limbs` reusing `storage` WITHOUT clearing it:
+     * each coefficient is whatever the buffer held there (zero past
+     * its old size). For buffers the caller writes in full before
+     * reading — the exec::Workspace non-zeroing checkout.
+     */
+    static RnsPolynomial forOverwrite(const RnsTower &tower,
+                                      std::vector<std::size_t> limbs,
+                                      Domain domain,
+                                      std::vector<u64> storage);
+
+    /**
      * Steal the coefficient buffer (for return to an arena), leaving
      * this polynomial empty.
      */

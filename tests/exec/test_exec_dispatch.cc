@@ -4,14 +4,18 @@
  * are the same execution path (batch = 1 degenerate case), in-place
  * ops tolerate aliasing, the Workspace arena stays allocator-free in
  * steady state, the double-hoisted BSGS drops basis conversions with
- * exact counter accounting, CMULT + RESCALE launches its closed-form
- * kernel queue, and the kernel queue the layer emits can be replayed
- * on the SM pipeline model.
+ * exact counter accounting, CMULT + RESCALE and HMULT + RESCALE launch
+ * their closed-form transforms, both hoist input domains build the
+ * same digits, unzeroed scratch is always written in full, and the
+ * kernel queue the layer emits can be replayed on the SM pipeline
+ * model.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <string>
 
 #include "batch/executor.hh"
 #include "boot/linear.hh"
@@ -144,8 +148,9 @@ TEST(ExecDispatch, CmultThenRescaleQueueMatchesClosedForm)
 {
     // CMULT + RESCALE is the two-step multiplyPlain -> rescale pair.
     // Its launches in closed form: CMULT touches both components of
-    // every limb (2BLn), the rescale INTTs all L limbs (2BLn) and NTTs
-    // the surviving L-1 (2B(L-1)n). The breakdown benches replay these
+    // every limb (2BLn); the evaluation-domain rescale INTTs only the
+    // last limb of each component (2Bn) and NTTs its lifts into the
+    // surviving L-1 (2B(L-1)n). The breakdown benches replay these
     // queues, so a rescale that changes its transforms must update
     // this model on purpose.
     auto &f = fx();
@@ -170,9 +175,112 @@ TEST(ExecDispatch, CmultThenRescaleQueueMatchesClosedForm)
     EXPECT_EQ(queue[0].kind, KernelKind::HadaMult);
     EXPECT_EQ(queue[0].elements, 2 * kBatch * L * n);
     EXPECT_EQ(queue[1].kind, KernelKind::Intt);
-    EXPECT_EQ(queue[1].elements, 2 * kBatch * L * n);
+    EXPECT_EQ(queue[1].elements, 2 * kBatch * n);
     EXPECT_EQ(queue[2].kind, KernelKind::Ntt);
     EXPECT_EQ(queue[2].elements, 2 * kBatch * (L - 1) * n);
+}
+
+TEST(ExecDispatch, HmultThenRescaleQueueMatchesClosedForm)
+{
+    // The transforms of HMULT + RESCALE in closed form, with dnum
+    // digits over L limbs and K special primes. The hoist INTTs its
+    // Eval input once (BLn) and NTTs only the converted limbs of each
+    // digit (B(dnum(L+K) - L)n); the evaluation-domain ModDown INTTs
+    // the K special limbs of both accumulators (2BKn) and NTTs the L
+    // converted limbs (2BLn); the rescale INTTs one limb per component
+    // (2Bn) and NTTs its L-1 lifts (2B(L-1)n). No other launch is a
+    // transform.
+    auto &f = fx();
+    constexpr std::size_t kBatch = 3;
+    batch::BatchedEvaluator beval(f.ctx, f.keys);
+    std::vector<ckks::Ciphertext> a, b;
+    for (std::size_t s = 0; s < kBatch; ++s) {
+        a.push_back(f.encryptSlots(720 + s, 3));
+        b.push_back(f.encryptSlots(730 + s, 3));
+    }
+    std::size_t L = a[0].levelCount();
+    std::size_t n = a[0].c0.n();
+    std::size_t K = f.ctx.tower().numP();
+    std::size_t alpha = f.ctx.params().alpha();
+    std::size_t dnum = (L + alpha - 1) / alpha;
+
+    KernelStats::QueueCapture cap;
+    (void)beval.rescale(beval.multiply(a, b));
+    std::vector<KernelLaunch> transforms;
+    for (const auto &launch : cap.take())
+        if (launch.kind == KernelKind::Ntt
+            || launch.kind == KernelKind::Intt)
+            transforms.push_back(launch);
+
+    struct Expect
+    {
+        KernelKind kind;
+        std::size_t elements;
+    };
+    const Expect expect[] = {
+        {KernelKind::Intt, kBatch * L * n},
+        {KernelKind::Ntt, kBatch * (dnum * (L + K) - L) * n},
+        {KernelKind::Intt, 2 * kBatch * K * n},
+        {KernelKind::Ntt, 2 * kBatch * L * n},
+        {KernelKind::Intt, 2 * kBatch * n},
+        {KernelKind::Ntt, 2 * kBatch * (L - 1) * n},
+    };
+    ASSERT_EQ(transforms.size(), std::size(expect));
+    for (std::size_t i = 0; i < transforms.size(); ++i) {
+        EXPECT_EQ(transforms[i].kind, expect[i].kind) << "transform " << i;
+        EXPECT_EQ(transforms[i].elements, expect[i].elements)
+            << "transform " << i;
+    }
+}
+
+TEST(ExecDispatch, HoistOfEvalAndCoeffInputsGivesIdenticalDigits)
+{
+    // Relinearization and rotations hoist Eval-domain inputs, whose
+    // digit limbs are copied in Eval so only the converted limbs take
+    // the NTT; BSGS giant steps hoist a Coeff-domain ModDown output and
+    // NTT every union limb. Both must build the same head, with
+    // one-limb digits (K = 1) and two-limb digits (K = 2).
+    for (int dnum : {0, 2}) {
+        ckks::CkksParams p = ckks::Presets::tiny();
+        p.dnum = dnum;
+        p.special = p.minSpecial();
+        ckks::CkksContext ctx(p);
+        Rng rng(41);
+        auto sk = ctx.generateSecretKey(rng);
+        auto keys = ctx.generateKeys(sk, rng, {});
+        Dispatcher disp(ctx, keys);
+        std::size_t lc = 3;
+        std::size_t alpha = p.alpha();
+        for (std::size_t batch : {std::size_t(1), std::size_t(3)}) {
+            SCOPED_TRACE("dnum " + std::to_string(dnum) + ", batch "
+                         + std::to_string(batch));
+            std::vector<rns::RnsPolynomial> evals, coeffs;
+            for (std::size_t s = 0; s < batch; ++s) {
+                evals.push_back(rns::sampleUniform(
+                    ctx.tower(), ctx.qLimbs(lc), rns::Domain::Eval, rng));
+                coeffs.push_back(evals.back());
+                coeffs.back().toCoeff(ctx.nttVariant());
+            }
+            std::vector<const rns::RnsPolynomial *> eval_ptrs, coeff_ptrs;
+            for (std::size_t s = 0; s < batch; ++s) {
+                eval_ptrs.push_back(&evals[s]);
+                coeff_ptrs.push_back(&coeffs[s]);
+            }
+            auto from_eval = disp.hoistCopy(eval_ptrs.data(), batch);
+            auto from_coeff = disp.hoistCopy(coeff_ptrs.data(), batch);
+            ASSERT_EQ(from_eval.numDigits(), (lc + alpha - 1) / alpha);
+            ASSERT_EQ(from_coeff.numDigits(), from_eval.numDigits());
+            for (std::size_t j = 0; j < from_eval.numDigits(); ++j)
+                for (std::size_t s = 0; s < batch; ++s) {
+                    const auto &x = *from_eval.digits[j][s];
+                    const auto &y = *from_coeff.digits[j][s];
+                    EXPECT_EQ(x.domain(), rns::Domain::Eval);
+                    EXPECT_EQ(y.domain(), rns::Domain::Eval);
+                    EXPECT_EQ(x.limbIndices(), ctx.unionLimbs(lc));
+                    expectPolyEq(x, y);
+                }
+        }
+    }
 }
 
 TEST(ExecDispatch, SerialAndBatchedShareOneExecutionPathBitForBit)
@@ -296,6 +404,110 @@ TEST(ExecDispatch, KernelQueueReplaysOnPipelineModel)
     auto again = gpu::replayScheduledQueue(serial, 1 << 10);
     EXPECT_EQ(gpu::sumBreakdowns(again.perLaunch).totalCycles,
               total.totalCycles);
+}
+
+// ------------------------------------------------------------------
+// Unzeroed scratch is always written in full. Hoist copies, ModUp
+// outputs, product rows, rescale lifts and automorphism outputs come
+// from Workspace::forOverwrite and op outputs from Workspace::output;
+// neither zeroes a reused buffer. Every pooled buffer of a warm arena
+// is filled with the ~0 sentinel, which is never a residue, right
+// before each step runs again: a cell some kernel read before writing
+// would carry the sentinel into the result, which must match a
+// fresh-arena run bit for bit.
+
+using Cts = std::vector<ckks::Ciphertext>;
+using Step =
+    std::function<Cts(const batch::BatchedEvaluator &, const Cts &)>;
+
+/**
+ * `steps` chained from three fresh ciphertexts on a fresh arena,
+ * against the same chain on a warm arena poisoned before every step:
+ * each step's checkouts then meet the sentinel wherever they reuse a
+ * buffer, not stale residues an earlier step left there.
+ */
+void
+expectPoisonedArenaMatchesFresh(const std::vector<Step> &steps)
+{
+    auto &f = fx();
+    Cts input;
+    for (std::size_t s = 0; s < 3; ++s)
+        input.push_back(f.encryptSlots(900 + s, 3));
+    auto chain = [&](const batch::BatchedEvaluator &e, bool poison) {
+        Cts x = input;
+        for (const auto &step : steps) {
+            if (poison)
+                e.dispatcher().workspace().poison(~u64(0));
+            x = step(e, x);
+        }
+        return x;
+    };
+    batch::BatchedEvaluator fresh(f.ctx, f.keys);
+    Cts want = chain(fresh, false);
+
+    batch::BatchedEvaluator warm(f.ctx, f.keys);
+    (void)chain(warm, false); // the arena now holds the working set
+    Cts got = chain(warm, true);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t s = 0; s < got.size(); ++s)
+        expectCtEq(got[s], want[s]);
+}
+
+Cts
+flatten(std::vector<Cts> rows)
+{
+    Cts out;
+    for (auto &row : rows)
+        for (auto &ct : row)
+            out.push_back(std::move(ct));
+    return out;
+}
+
+TEST(UnzeroedScratch, MultiplyRescaleMatchesFreshArena)
+{
+    Cts b;
+    for (std::size_t s = 0; s < 3; ++s)
+        b.push_back(fx().encryptSlots(910 + s, 3));
+    expectPoisonedArenaMatchesFresh(
+        {[&](const batch::BatchedEvaluator &e, const Cts &x) {
+             return e.multiply(x, b);
+         },
+         [](const batch::BatchedEvaluator &e, const Cts &x) {
+             return e.rescale(x);
+         }});
+}
+
+TEST(UnzeroedScratch, RotateManyMatchesFreshArena)
+{
+    expectPoisonedArenaMatchesFresh(
+        {[](const batch::BatchedEvaluator &e, const Cts &x) {
+            return flatten(e.rotateManyBatch(x, {0, 1, 5}));
+        }});
+}
+
+TEST(UnzeroedScratch, ConjugateMatchesFreshArena)
+{
+    expectPoisonedArenaMatchesFresh(
+        {[](const batch::BatchedEvaluator &e, const Cts &x) {
+            return e.dispatcher().conjugate(x.data(), x.size());
+        }});
+}
+
+TEST(UnzeroedScratch, ApplyBsgsMatchesFreshArena)
+{
+    expectPoisonedArenaMatchesFresh(
+        {[](const batch::BatchedEvaluator &e, const Cts &x) {
+            return fx().plan.applyBatch(e, x);
+        }});
+}
+
+TEST(UnzeroedScratch, ApplyBsgsFanoutMatchesFreshArena)
+{
+    expectPoisonedArenaMatchesFresh(
+        {[](const batch::BatchedEvaluator &e, const Cts &x) {
+            return flatten(boot::LinearTransformPlan::applyBatchFanout(
+                e, {&fx().plan, &fx().plan}, x));
+        }});
 }
 
 } // namespace

@@ -210,17 +210,62 @@ TEST(Workspace, OutputsDrawOnlyDonatedBuffers)
     auto fresh = ws.output(limbs(2), rns::Domain::Eval);
     EXPECT_EQ(ws.stats().reuses, 0u);
     EXPECT_EQ(ws.stats().allocs, 0u); // an output is not arena scratch
-    // A donated buffer is drained by the next output, zeroed.
+    // A donated buffer is drained by the next output, unzeroed:
+    // every caller writes each limb of its output.
     fresh.limb(0)[0] = 5;
     ws.donate(std::move(fresh));
     auto out = ws.output(limbs(2), rns::Domain::Eval);
     EXPECT_EQ(ws.stats().reuses, 1u);
-    EXPECT_EQ(out.limb(0)[0], 0u);
+    EXPECT_EQ(out.limb(0)[0], 5u);
     EXPECT_EQ(out.domain(), rns::Domain::Eval);
     // The scratch buffer is still there for the next checkout.
     auto p = ws.zeros(limbs(2), rns::Domain::Eval);
     EXPECT_EQ(ws.stats().reuses, 2u);
     EXPECT_EQ(ws.stats().allocs, 0u);
+}
+
+TEST(Workspace, ForOverwriteSkipsTheZeroFill)
+{
+    Workspace ws(tower());
+    {
+        auto p = ws.zeros(limbs(2), rns::Domain::Eval);
+        p->limb(1)[3] = 7;
+    }
+    {
+        // The reused buffer comes back as it was left.
+        auto p = ws.forOverwrite(limbs(2), rns::Domain::Coeff);
+        EXPECT_EQ(p->numLimbs(), 2u);
+        EXPECT_EQ(p->domain(), rns::Domain::Coeff);
+        EXPECT_EQ(p->limb(1)[3], 7u);
+    }
+    auto z = ws.zeros(limbs(2), rns::Domain::Eval);
+    EXPECT_EQ(z->limb(1)[3], 0u);
+    EXPECT_EQ(ws.stats().allocs, 1u);
+    EXPECT_EQ(ws.stats().reuses, 2u);
+}
+
+TEST(Workspace, PoisonFillsEveryPooledBufferToItsCapacity)
+{
+    constexpr u64 kSentinel = ~u64(0);
+    Workspace ws(tower());
+    // A three-limb buffer released at one limb: its size is one limb,
+    // its capacity three.
+    { auto wide = ws.zeros(limbs(3), rns::Domain::Eval); }
+    { auto narrow = ws.forOverwrite(limbs(1), rns::Domain::Eval); }
+    ws.donate(ws.output(limbs(2), rns::Domain::Eval));
+    ws.poison(kSentinel);
+
+    auto all = [&](const rns::RnsPolynomial &p) {
+        for (std::size_t i = 0; i < p.numLimbs(); ++i)
+            for (std::size_t c = 0; c < p.n(); ++c)
+                if (p.limb(i)[c] != kSentinel)
+                    return false;
+        return true;
+    };
+    auto scratch = ws.forOverwrite(limbs(3), rns::Domain::Eval);
+    EXPECT_TRUE(all(*scratch));
+    EXPECT_TRUE(all(ws.output(limbs(2), rns::Domain::Eval)));
+    EXPECT_EQ(ws.stats().allocs, 1u);
 }
 
 TEST(Workspace, LeaseTrackingNamesSitesAfterInducedAllocFault)

@@ -3,7 +3,9 @@
  * Tests for fast basis conversion, ModUp / ModDown, and the RESCALE
  * divide-and-round core — the machinery behind the paper's Conv
  * kernel and Alg. 1 / Alg. 6 — including bit-identity of the
- * SIMD-span conversion with the u128 formula on every backend.
+ * SIMD-span conversion with the u128 formula on every backend, and of
+ * the evaluation-domain ModDown and RESCALE with their
+ * coefficient-domain references.
  */
 
 #include <gtest/gtest.h>
@@ -217,7 +219,7 @@ constexpr u64 kSentinel = ~u64(0); // never a residue: proves writes
 RnsTower &
 towerWithSpecials(int k)
 {
-    static std::vector<std::unique_ptr<RnsTower>> towers(3);
+    static std::vector<std::unique_ptr<RnsTower>> towers(4);
     auto &t = towers[static_cast<std::size_t>(k)];
     if (!t) {
         TowerConfig cfg;
@@ -447,6 +449,126 @@ TEST(ConvReference, ModDownMatchesU128Formula)
                     }
                 }
             }
+        });
+    }
+}
+
+// ------------------------------------------------------------------
+// The evaluation-domain RESCALE and ModDown against their
+// coefficient-domain references bracketed by INTT/NTT, bit for bit.
+
+void
+expectPolyEq(const RnsPolynomial &got, const RnsPolynomial &want)
+{
+    ASSERT_EQ(got.limbIndices(), want.limbIndices());
+    ASSERT_EQ(got.domain(), want.domain());
+    for (std::size_t i = 0; i < got.numLimbs(); ++i)
+        for (std::size_t c = 0; c < got.n(); ++c)
+            ASSERT_EQ(got.limb(i)[c], want.limb(i)[c])
+                << "limb " << i << " coeff " << c;
+}
+
+/** `check(variant, batch, pool)` for every NTT variant and batches of
+    1 and 3, under every backend and pool. */
+template <class F>
+void
+forEachVariantAndBatch(F check)
+{
+    forEachBackendAndPool([&](ThreadPool *pool) {
+        for (ntt::NttVariant v :
+             {ntt::NttVariant::Reference, ntt::NttVariant::Butterfly,
+              ntt::NttVariant::Gemm, ntt::NttVariant::Tensor})
+            for (std::size_t batch : {std::size_t(1), kSlots}) {
+                SCOPED_TRACE(std::string(ntt::nttVariantName(v))
+                             + ", batch " + std::to_string(batch));
+                check(v, batch, pool);
+            }
+    });
+}
+
+TEST(EvalDomain, RescaleMatchesCoefficientReferenceBitForBit)
+{
+    const RnsTower &tw = towerWithSpecials(1);
+    // The q-chain ends on its smallest prime. Ending on the 30-bit
+    // special prime instead puts the last prime above q_1..q_3 (and
+    // below q_0), so the lift reduces residues larger than q_j.
+    std::size_t p0 = tw.specialIndex(0);
+    std::vector<std::vector<std::size_t>> limb_sets = {{0, 1, 2, 3, 4, 5},
+                                                       {0, 1, 2, 3, p0}};
+    auto below = [&](std::size_t i) { return tw.prime(i) < tw.prime(p0); };
+    ASSERT_TRUE(std::any_of(limb_sets[1].begin(), limb_sets[1].end() - 1,
+                            below));
+    ASSERT_FALSE(std::all_of(limb_sets[1].begin(), limb_sets[1].end() - 1,
+                             below));
+
+    for (const auto &limbs : limb_sets) {
+        std::size_t last = limbs.size() - 1;
+        u64 q_last = tw.prime(limbs[last]);
+        std::vector<std::size_t> kept(limbs.begin(), limbs.end() - 1);
+        forEachVariantAndBatch([&](ntt::NttVariant v, std::size_t batch,
+                                   ThreadPool *pool) {
+            auto inputs = sampleBatch(tw, limbs, batch, 40 + batch);
+            // The rounding boundary of the centred lift, and its ends.
+            for (auto &a : inputs) {
+                u64 *pl = a.limb(last);
+                pl[0] = q_last / 2;
+                pl[1] = q_last / 2 + 1;
+                pl[2] = 0;
+                pl[3] = q_last - 1;
+            }
+
+            auto want = inputs;
+            auto want_ptrs = ptrsOf<RnsPolynomial>(want);
+            rescaleByLastLimbBatchInPlace(want_ptrs, pool);
+            toEvalBatch(want_ptrs, v, pool);
+
+            auto got = inputs;
+            auto got_ptrs = ptrsOf<RnsPolynomial>(got);
+            toEvalBatch(got_ptrs, v, pool);
+            std::vector<RnsPolynomial> lifts;
+            for (std::size_t b = 0; b < batch; ++b)
+                lifts.push_back(sentinelPoly(tw, kept));
+            rescaleByLastLimbEvalBatchInPlace(
+                got_ptrs, ptrsOf<RnsPolynomial>(lifts).data(), v, pool);
+            for (std::size_t b = 0; b < batch; ++b)
+                expectPolyEq(got[b], want[b]);
+        });
+    }
+}
+
+TEST(EvalDomain, ModDownMatchesCoefficientReferenceBitForBit)
+{
+    for (int k : {1, 2, 3}) {
+        const RnsTower &tw = towerWithSpecials(k);
+        std::vector<std::size_t> q_idx = {0, 1, 2, 3};
+        std::vector<std::size_t> union_idx = q_idx;
+        for (std::size_t i = 0; i < tw.numP(); ++i)
+            union_idx.push_back(tw.specialIndex(i));
+        ModDownPlan plan(tw, union_idx);
+        forEachVariantAndBatch([&](ntt::NttVariant v, std::size_t batch,
+                                   ThreadPool *pool) {
+            SCOPED_TRACE("K = " + std::to_string(k));
+            auto inputs = sampleBatch(tw, union_idx, batch, 50 + k);
+
+            std::vector<RnsPolynomial> want;
+            for (std::size_t b = 0; b < batch; ++b)
+                want.emplace_back(tw, q_idx, Domain::Coeff);
+            auto want_ptrs = ptrsOf<RnsPolynomial>(want);
+            plan.applyBatchInto(ptrsOf<const RnsPolynomial>(inputs),
+                                want_ptrs.data(), pool);
+            toEvalBatch(want_ptrs, v, pool);
+
+            auto evals = inputs;
+            auto eval_ptrs = ptrsOf<RnsPolynomial>(evals);
+            toEvalBatch(eval_ptrs, v, pool);
+            std::vector<RnsPolynomial> got;
+            for (std::size_t b = 0; b < batch; ++b)
+                got.push_back(sentinelPoly(tw, q_idx));
+            plan.applyEvalBatchInto(eval_ptrs,
+                                    ptrsOf<RnsPolynomial>(got).data(), v,
+                                    pool);
+            for (std::size_t b = 0; b < batch; ++b)
+                expectPolyEq(got[b], want[b]);
         });
     }
 }
