@@ -83,6 +83,18 @@ CkksContext::galoisForRotation(s64 r) const
     return g;
 }
 
+u64
+CkksContext::galoisInverse(u64 galois) const
+{
+    u64 m = 2 * params_.n;
+    requireArg(galois % 2 == 1 && galois < m, "bad Galois element ",
+               galois);
+    u64 inverse = 1;
+    for (std::size_t i = 1; i < params_.n; ++i)
+        inverse = (inverse * galois) % m;
+    return inverse;
+}
+
 std::vector<std::size_t>
 CkksContext::qLimbs(std::size_t count) const
 {
@@ -149,26 +161,27 @@ CkksContext::modDownPlan(std::size_t level_count) const
 }
 
 std::shared_ptr<const RestrictedSwitchKey>
-CkksContext::restrictedKey(const SwitchKey &key,
-                           std::size_t level_count) const
+CkksContext::restrictedKey(const SwitchKey &key, std::size_t level_count,
+                           u64 galois) const
 {
     auto build = [&] {
         auto union_limbs = unionLimbs(level_count);
+        u64 inverse = galoisInverse(galois);
         auto out = std::make_shared<RestrictedSwitchKey>();
         out->b.reserve(key.digits());
         out->a.reserve(key.digits());
         for (std::size_t j = 0; j < key.digits(); ++j) {
             out->b.push_back(
-                rns::restrictToLimbs(key.b[j], union_limbs));
+                rns::restrictToLimbs(key.b[j], union_limbs, inverse));
             out->a.push_back(
-                rns::restrictToLimbs(key.a[j], union_limbs));
+                rns::restrictToLimbs(key.a[j], union_limbs, inverse));
         }
         return out;
     };
     if (key.id == 0)
         return build();
 
-    auto map_key = std::make_pair(key.id, level_count);
+    RestrictionKey map_key{key.id, level_count, galois};
     {
         std::lock_guard<std::mutex> lock(planMu_);
         auto it = keyRestrictions_.find(map_key);

@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <tuple>
 #include <vector>
 
 #include "ckks/encoder.hh"
@@ -58,10 +59,13 @@ struct SwitchKey
 
 /**
  * A switch key's digits restricted to one union basis — the form the
- * key-switch tail inner product consumes. Cached per (key id, level)
- * in CkksContext so repeated tails (BSGS transforms, nn layers, every
- * relinearization of a polynomial evaluation) stop re-copying the
- * digit polynomials.
+ * key-switch tail inner product consumes. Cached per (key id, level,
+ * Galois element) in CkksContext so repeated tails (BSGS transforms,
+ * nn layers, every relinearization of a polynomial evaluation) stop
+ * re-copying the digit polynomials. An entry for a Galois element
+ * g != 1 holds the digits permuted by g^-1, so a rotation's inner
+ * product runs on the unpermuted hoisted head and only its result is
+ * permuted by g.
  */
 struct RestrictedSwitchKey
 {
@@ -102,6 +106,9 @@ class CkksContext
     u64 galoisForRotation(s64 r) const;
     /** Galois element of complex conjugation: 2N - 1. */
     u64 galoisForConjugation() const { return 2 * params_.n - 1; }
+    /** Inverse of a Galois element: g^(N-1) mod 2N, since the group
+        of odd residues mod 2N has order N. */
+    u64 galoisInverse(u64 galois) const;
 
     /** Limb indices {0..count-1} of the q-chain. */
     std::vector<std::size_t> qLimbs(std::size_t count) const;
@@ -146,13 +153,18 @@ class CkksContext
 
     /**
      * `key`'s digits restricted to the union basis of `level_count`,
-     * memoized per (key id, level). Keys with id 0 are restricted
-     * fresh on every call (never cached). The cache is bounded: when
-     * it exceeds an internal cap the oldest entries are dropped —
+     * memoized per (key id, level, galois). With galois != 1 the
+     * digits are also permuted by galoisInverse(galois), in the same
+     * gather: the inner product of a hoisted head with them, permuted
+     * by galois, equals the inner product of the galois-permuted head
+     * with `key`, slot for slot. Keys with id 0 are restricted fresh
+     * on every call (never cached). The cache is bounded: when it
+     * exceeds an internal cap the oldest entries are dropped —
      * returned values stay alive through the shared_ptr regardless.
      */
     std::shared_ptr<const RestrictedSwitchKey>
-    restrictedKey(const SwitchKey &key, std::size_t level_count) const;
+    restrictedKey(const SwitchKey &key, std::size_t level_count,
+                  u64 galois = 1) const;
 
     /** Cache sizes, exposed for tests and capacity audits. */
     std::size_t modUpPlanCacheSize() const;
@@ -199,13 +211,13 @@ class CkksContext
         modUpPlans_; ///< keyed by (digit, level_count)
     mutable std::map<std::size_t, std::unique_ptr<rns::ModDownPlan>>
         modDownPlans_; ///< keyed by level_count
-    /// Keyed by (key id, level_count); insertion-ordered for the
-    /// FIFO eviction that bounds resident restricted-key bytes.
-    mutable std::map<std::pair<u64, std::size_t>,
+    /// Keyed by (key id, level_count, galois); insertion-ordered for
+    /// the FIFO eviction that bounds resident restricted-key bytes.
+    using RestrictionKey = std::tuple<u64, std::size_t, u64>;
+    mutable std::map<RestrictionKey,
                      std::shared_ptr<const RestrictedSwitchKey>>
         keyRestrictions_;
-    mutable std::vector<std::pair<u64, std::size_t>>
-        keyRestrictionOrder_;
+    mutable std::vector<RestrictionKey> keyRestrictionOrder_;
 };
 
 } // namespace tensorfhe::ckks

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <tuple>
 
 #include "common/logging.hh"
 #include "common/modarith.hh"
@@ -39,6 +40,13 @@ ptrsOf(std::initializer_list<std::vector<T> *> rows)
         for (auto &p : *row)
             out.push_back(polyOf(p));
     return out;
+}
+
+/** `count` polynomials as kernel inputs. */
+std::vector<const rns::RnsPolynomial *>
+readOnly(rns::RnsPolynomial *const *ps, std::size_t count)
+{
+    return {ps, ps + count};
 }
 
 } // namespace
@@ -370,7 +378,7 @@ Dispatcher::hoistCopy(const rns::RnsPolynomial *const *ds,
 
 void
 Dispatcher::tailRawInto(const HoistedView &h, const ckks::SwitchKey &key,
-                        rns::RnsPolynomial *const *acc0,
+                        u64 galois, rns::RnsPolynomial *const *acc0,
                         rns::RnsPolynomial *const *acc1) const
 {
     requireArg(h.numDigits <= key.digits(),
@@ -378,7 +386,7 @@ Dispatcher::tailRawInto(const HoistedView &h, const ckks::SwitchKey &key,
                h.numDigits);
     TFHE_FAULT_POINT("exec/keyswitch-tail");
     EvalOpStats::instance().record(EvalOpKind::KsTail, h.batchN);
-    auto rk = ctx_.restrictedKey(key, h.levelCount);
+    auto rk = ctx_.restrictedKey(key, h.levelCount, galois);
     // Lazy accumulation across the digit rows: one reduction to
     // canonical per accumulator cell (on the last row) instead of one
     // per term.
@@ -388,57 +396,53 @@ Dispatcher::tailRawInto(const HoistedView &h, const ckks::SwitchKey &key,
                               j + 1 == h.numDigits);
 }
 
+std::vector<Workspace::Pooled>
+Dispatcher::permutedTail(
+    const HoistedView &h, const ckks::SwitchKey &key, u64 galois,
+    const std::function<void(rns::RnsPolynomial *const *)> &fold) const
+{
+    std::size_t batch = h.batchN;
+    auto acc = leaseRow(2 * batch, ctx_.unionLimbs(h.levelCount),
+                        rns::Domain::Eval, "exec/ks-acc");
+    auto acc_ptrs = ptrsOf({&acc});
+    tailRawInto(h, key, galois, acc_ptrs.data(), acc_ptrs.data() + batch);
+    if (fold)
+        fold(acc_ptrs.data());
+    return automorphPooled(readOnly(acc_ptrs.data(), 2 * batch), galois);
+}
+
+std::pair<std::vector<rns::RnsPolynomial>, std::vector<rns::RnsPolynomial>>
+Dispatcher::modDownPair(const std::vector<rns::RnsPolynomial *> &qp,
+                        std::size_t level_count,
+                        const rns::ModDownPlan *down) const
+{
+    // Both halves of every slot share one batched dispatch (identical
+    // limb sets), and only their special limbs are INTT'd.
+    std::size_t batch = qp.size() / 2;
+    const rns::ModDownPlan &plan =
+        down ? *down : ctx_.modDownPlan(level_count);
+    auto q_idx = ctx_.qLimbs(level_count);
+    auto out0 = outputRow(batch, q_idx, rns::Domain::Eval);
+    auto out1 = outputRow(batch, q_idx, rns::Domain::Eval);
+    auto out_ptrs = ptrsOf({&out0, &out1});
+    TFHE_FAULT_POINT("exec/moddown");
+    plan.applyEvalBatchInto(qp, out_ptrs.data(), ctx_.nttVariant(),
+                            kctx_.pool);
+    EvalOpStats::instance().recordModDown(2 * batch);
+    return {std::move(out0), std::move(out1)};
+}
+
 std::pair<std::vector<rns::RnsPolynomial>, std::vector<rns::RnsPolynomial>>
 Dispatcher::keySwitchTail(const HoistedView &h, const ckks::SwitchKey &key,
                           const rns::ModDownPlan *down) const
 {
     TFHE_TRACE_SPAN("exec", "ks-tail");
     std::size_t batch = h.batchN;
-    auto union_limbs = ctx_.unionLimbs(h.levelCount);
-
-    auto acc0 =
-        leaseRow(batch, union_limbs, rns::Domain::Eval, "exec/ks-acc");
-    auto acc1 =
-        leaseRow(batch, union_limbs, rns::Domain::Eval, "exec/ks-acc");
-    auto acc_ptrs = ptrsOf({&acc0, &acc1});
-    tailRawInto(h, key, acc_ptrs.data(), acc_ptrs.data() + batch);
-
-    // ModDown by P in the evaluation domain: both accumulators of
-    // every slot share one batched dispatch (identical limb sets),
-    // and only their special limbs are INTT'd.
-    const rns::ModDownPlan &plan =
-        down ? *down : ctx_.modDownPlan(h.levelCount);
-    auto q_idx = ctx_.qLimbs(h.levelCount);
-    auto ks0 = outputRow(batch, q_idx, rns::Domain::Eval);
-    auto ks1 = outputRow(batch, q_idx, rns::Domain::Eval);
-    auto out_ptrs = ptrsOf({&ks0, &ks1});
-    TFHE_FAULT_POINT("exec/moddown");
-    plan.applyEvalBatchInto(acc_ptrs, out_ptrs.data(), ctx_.nttVariant(),
-                            kctx_.pool);
-    EvalOpStats::instance().recordModDown(2 * batch);
-    return {std::move(ks0), std::move(ks1)};
-}
-
-HoistedBatch
-Dispatcher::permuteHead(const HoistedView &h, u64 galois) const
-{
-    HoistedBatch out;
-    out.levelCount = h.levelCount;
-    auto union_limbs = ctx_.unionLimbs(h.levelCount);
-    std::vector<const rns::RnsPolynomial *> all(h.table.begin(),
-                                                h.table.end());
-    auto flat = overwriteRow(all.size(), union_limbs, rns::Domain::Eval,
-                             "exec/permute");
-    rns::applyAutomorphismBatchInto(all, galois, ptrsOf({&flat}).data(),
-                                    kctx_.pool);
-    out.digits.resize(h.numDigits);
-    for (std::size_t j = 0; j < h.numDigits; ++j) {
-        out.digits[j].reserve(h.batchN);
-        for (std::size_t s = 0; s < h.batchN; ++s)
-            out.digits[j].push_back(
-                std::move(flat[j * h.batchN + s]));
-    }
-    return out;
+    auto acc = leaseRow(2 * batch, ctx_.unionLimbs(h.levelCount),
+                        rns::Domain::Eval, "exec/ks-acc");
+    auto acc_ptrs = ptrsOf({&acc});
+    tailRawInto(h, key, 1, acc_ptrs.data(), acc_ptrs.data() + batch);
+    return modDownPair(acc_ptrs, h.levelCount, down);
 }
 
 // ------------------------------------------------------------------
@@ -522,10 +526,13 @@ Dispatcher::automorphFromHead(const ckks::Ciphertext *as,
                               u64 galois, const ckks::SwitchKey &key,
                               const rns::ModDownPlan *down) const
 {
-    // One shared permutation over every (digit, slot) and over the c0
-    // components.
-    auto rotated = permuteHead(head, galois);
-    auto [ks0, ks1] = keySwitchTail(HoistedView::of(rotated), key, down);
+    std::vector<rns::RnsPolynomial> ks0, ks1;
+    {
+        TFHE_TRACE_SPAN("exec", "ks-tail");
+        auto pair = permutedTail(head, key, galois);
+        std::tie(ks0, ks1) =
+            modDownPair(ptrsOf({&pair}), head.levelCount, down);
+    }
     std::vector<const rns::RnsPolynomial *> c0s(batch);
     for (std::size_t s = 0; s < batch; ++s)
         c0s[s] = &as[s].c0;
@@ -633,77 +640,60 @@ Dispatcher::buildBabyTables(const std::vector<BsgsStep> &steps,
 {
     BabyTables t;
     t.steps = steps;
+    t.batch = batch;
     std::size_t lc = as[0]->levelCount();
     t.levelCount = lc;
-    auto union_limbs = ctx_.unionLimbs(lc);
     const PLift &plift = pLift(lc);
     auto &stats = EvalOpStats::instance();
+    std::vector<const rns::RnsPolynomial *> c0s(batch), c1s(batch);
+    for (std::size_t s = 0; s < batch; ++s) {
+        c0s[s] = &as[s]->c0;
+        c1s[s] = &as[s]->c1;
+    }
 
-    auto pooledRow = [&](std::vector<Workspace::Pooled> &row,
-                         std::vector<rns::RnsPolynomial *> &ptrs) {
-        pooledUnionRow(batch, union_limbs, row, ptrs);
-    };
-
-    // head-1: one hoist serves every baby step. Per step: permute
-    // the head, raw tail against its key (NO ModDown - the pair
-    // stays on the extended QP basis), and fold P * rot_b(c0) into
-    // the c0 half so the eventual ModDown yields exactly rot_b(ct).
+    // head-1: one hoist serves every baby step. Per step: raw tail of
+    // the unpermuted head against the step's pre-permuted key (NO
+    // ModDown - the pair stays on the extended QP basis), P * c0
+    // folded into the c0 half, and one permutation of the pair, so
+    // the eventual ModDown yields exactly rot_b(ct).
     // Conjugate-composed steps ride the same head with the composed
     // Galois element and the conj / conjRot key. The tails are
     // plan-independent: every program whose steps are covered reads
     // this one table (the sine-stage fanout shares it across the
     // Re/Im split plans).
     std::size_t n_baby = t.steps.size();
-    t.T0.resize(n_baby);
-    t.T1.resize(n_baby);
-    t.T0p.resize(n_baby);
-    t.T1p.resize(n_baby);
+    t.T.resize(n_baby);
+    t.Tp.resize(n_baby);
     if (n_baby > 0) {
-        std::vector<const rns::RnsPolynomial *> c1s(batch);
-        std::vector<const rns::RnsPolynomial *> c0s(batch);
-        for (std::size_t s = 0; s < batch; ++s) {
-            c1s[s] = &as[s]->c1;
-            c0s[s] = &as[s]->c0;
-        }
         auto head = hoistCopy(c1s.data(), batch);
         auto view = HoistedView::of(head);
+        auto liftC0 = [&](rns::RnsPolynomial *const *acc0) {
+            addPLifted(kctx_, acc0, c0s.data(), plift.pmodq,
+                       plift.pmodqShoup, batch);
+        };
         for (std::size_t bi = 0; bi < n_baby; ++bi) {
             const BsgsStep &step = t.steps[bi];
             auto key_pin = babyStepKey(step);
-            const ckks::SwitchKey &key = *key_pin;
             stats.record(step.conj ? EvalOpKind::Conjugate
                                    : EvalOpKind::HRotate,
                          batch);
             u64 galois = step.conj
                 ? ctx_.galoisForConjRotation(step.step)
                 : ctx_.galoisForRotation(step.step);
-            auto rotated = permuteHead(view, galois);
-            pooledRow(t.T0[bi], t.T0p[bi]);
-            pooledRow(t.T1[bi], t.T1p[bi]);
-            tailRawInto(HoistedView::of(rotated), key,
-                        t.T0p[bi].data(), t.T1p[bi].data());
-
-            // P * rot_b(c0) into the q-part of the c0 accumulator.
-            auto c0r = automorphPooled(c0s, galois);
-            auto c0r_ptrs = ptrsOf({&c0r});
-            addPLifted(kctx_, t.T0p[bi].data(), c0r_ptrs.data(),
-                       plift.pmodq, plift.pmodqShoup, batch);
+            t.T[bi] = permutedTail(view, *key_pin, galois, liftC0);
+            t.Tp[bi] = ptrsOf({&t.T[bi]});
         }
     }
 
     // The plain b = 0 term: P * ct lifted onto the union basis.
     if (need_b0) {
         t.hasB0 = true;
-        pooledRow(t.B0, t.B0p);
-        pooledRow(t.B1, t.B1p);
-        std::vector<const rns::RnsPolynomial *> c0s(batch), c1s(batch);
-        for (std::size_t s = 0; s < batch; ++s) {
-            c0s[s] = &as[s]->c0;
-            c1s[s] = &as[s]->c1;
-        }
-        addPLifted(kctx_, t.B0p.data(), c0s.data(), plift.pmodq,
+        t.B = leaseRow(2 * batch, ctx_.unionLimbs(lc), rns::Domain::Eval,
+                       "exec/bsgs-union");
+        t.Bp = ptrsOf({&t.B});
+        addPLifted(kctx_, t.Bp.data(), c0s.data(), plift.pmodq,
                    plift.pmodqShoup, batch);
-        addPLifted(kctx_, t.B1p.data(), c1s.data(), plift.pmodq,
+        addPLifted(kctx_, t.Bp.data() + batch, c1s.data(), plift.pmodq,
                    plift.pmodqShoup, batch);
     }
     return t;
@@ -714,14 +704,14 @@ Dispatcher::BabyTables::pair(s64 baby, bool conj) const
 {
     if (baby == 0 && !conj) {
         TFHE_ASSERT(hasB0, "BSGS tables missing the b = 0 term");
-        return {B0p.data(), B1p.data()};
+        return {Bp.data(), Bp.data() + batch};
     }
     BsgsStep want{baby, conj};
     auto it = std::lower_bound(steps.begin(), steps.end(), want);
     TFHE_ASSERT(it != steps.end() && *it == want,
                 "BSGS tables missing a baby step");
     std::size_t bi = static_cast<std::size_t>(it - steps.begin());
-    return {T0p[bi].data(), T1p[bi].data()};
+    return {Tp[bi].data(), Tp[bi].data() + batch};
 }
 
 void
@@ -745,7 +735,7 @@ Dispatcher::accumulateGroups(const BsgsProgram &program,
 
     // Each group's diagonal products sum on QP, shifted groups pay
     // one c1-only ModDown + head-2 hoist + raw tail, and the group's
-    // c0 half rides as a pure permutation into the shared global
+    // c0 half rides the tail's permutation into the shared global
     // accumulator pair (G0p, G1p).
     for (const auto &group : program.groups) {
         // acc = sum_b diag'_{k,b} (had) T_b on the extended basis.
@@ -760,36 +750,28 @@ Dispatcher::accumulateGroups(const BsgsProgram &program,
                 stats.record(EvalOpKind::HAdd, batch);
             first_entry = false;
             auto [s0, s1] = tables.pair(entry.baby, entry.conj);
-            std::vector<const rns::RnsPolynomial *> src0(batch),
-                src1(batch);
-            for (std::size_t s = 0; s < batch; ++s) {
-                src0[s] = s0[s];
-                src1[s] = s1[s];
-            }
-            hadaAccumPlain(kctx_, acc0p.data(), src0.data(), *entry.pt,
-                           batch);
-            hadaAccumPlain(kctx_, acc1p.data(), src1.data(), *entry.pt,
-                           batch);
+            hadaAccumPlain(kctx_, acc0p.data(), readOnly(s0, batch).data(),
+                           *entry.pt, batch);
+            hadaAccumPlain(kctx_, acc1p.data(), readOnly(s1, batch).data(),
+                           *entry.pt, batch);
         }
 
         if (!first_group)
             stats.record(EvalOpKind::HAdd, batch);
 
         if (group.shift == 0) {
-            std::vector<const rns::RnsPolynomial *> a0(batch), a1(batch);
-            for (std::size_t s = 0; s < batch; ++s) {
-                a0[s] = acc0p[s];
-                a1[s] = acc1p[s];
-            }
-            addPolysInPlace(kctx_, G0p, a0.data(), batch);
-            addPolysInPlace(kctx_, G1p, a1.data(), batch);
+            addPolysInPlace(kctx_, G0p, readOnly(acc0p.data(), batch).data(),
+                            batch);
+            addPolysInPlace(kctx_, G1p, readOnly(acc1p.data(), batch).data(),
+                            batch);
             first_group = false;
             continue;
         }
 
         // Giant rotation of the group sum: ModDown the c1 half only,
-        // hoist it (head-2 of this group), permute, raw tail; the c0
-        // half is permuted directly on QP - its ModDown stays
+        // hoist it (head-2 of this group) and run its raw tail against
+        // the pre-permuted key; the c0 half joins that tail's c0 half
+        // on QP before the pair's one permutation - its ModDown stays
         // deferred to the single final one.
         stats.record(EvalOpKind::HRotate, batch);
         auto giant_key = store_->rotation(group.shift);
@@ -798,45 +780,26 @@ Dispatcher::accumulateGroups(const BsgsProgram &program,
         u64 galois = ctx_.galoisForRotation(group.shift);
 
         rns::toCoeffBatch(acc1p, v, kctx_.pool);
-        std::vector<const rns::RnsPolynomial *> acc1_in(acc1p.begin(),
-                                                        acc1p.end());
         const auto &mdplan = ctx_.modDownPlan(lc);
-        auto q_idx = ctx_.qLimbs(lc);
-        auto md1 = overwriteRow(batch, q_idx, rns::Domain::Coeff,
+        auto md1 = overwriteRow(batch, ctx_.qLimbs(lc), rns::Domain::Coeff,
                                 "exec/bsgs-moddown");
         TFHE_FAULT_POINT("exec/moddown");
-        mdplan.applyBatchInto(acc1_in, ptrsOf({&md1}).data(), kctx_.pool);
+        mdplan.applyBatchInto(readOnly(acc1p.data(), batch),
+                              ptrsOf({&md1}).data(), kctx_.pool);
         stats.recordModDown(batch);
 
         auto head2 = hoist(std::move(md1));
-        auto rotated = permuteHead(HoistedView::of(head2), galois);
-        std::vector<Workspace::Pooled> g0, g1;
-        std::vector<rns::RnsPolynomial *> g0p, g1p;
-        pooledRow(g0, g0p);
-        pooledRow(g1, g1p);
-        tailRawInto(HoistedView::of(rotated), *giant_key, g0p.data(),
-                    g1p.data());
-
-        // Permute the QP c0 half of the group sum.
-        std::vector<const rns::RnsPolynomial *> acc0_in(batch);
-        for (std::size_t s = 0; s < batch; ++s)
-            acc0_in[s] = acc0p[s];
-        auto c0rot = overwriteRow(batch, union_limbs, rns::Domain::Eval,
-                                  "exec/automorph");
-        auto c0rotp = ptrsOf({&c0rot});
-        rns::applyAutomorphismBatchInto(acc0_in, galois, c0rotp.data(),
-                                        kctx_.pool);
-
-        std::vector<const rns::RnsPolynomial *> add0(batch), add1(batch),
-            addc(batch);
-        for (std::size_t s = 0; s < batch; ++s) {
-            add0[s] = g0p[s];
-            add1[s] = g1p[s];
-            addc[s] = c0rotp[s];
-        }
-        addPolysInPlace(kctx_, G0p, add0.data(), batch);
-        addPolysInPlace(kctx_, G0p, addc.data(), batch);
-        addPolysInPlace(kctx_, G1p, add1.data(), batch);
+        auto acc0_in = readOnly(acc0p.data(), batch);
+        auto rotated = permutedTail(
+            HoistedView::of(head2), *giant_key, galois,
+            [&](rns::RnsPolynomial *const *g0) {
+                addPolysInPlace(kctx_, g0, acc0_in.data(), batch);
+            });
+        auto rp = ptrsOf({&rotated});
+        addPolysInPlace(kctx_, G0p, readOnly(rp.data(), batch).data(),
+                        batch);
+        addPolysInPlace(kctx_, G1p,
+                        readOnly(rp.data() + batch, batch).data(), batch);
         first_group = false;
     }
 }
@@ -847,21 +810,9 @@ Dispatcher::finalizeBsgs(rns::RnsPolynomial *const *G0p,
                          std::size_t batch, std::size_t level_count,
                          double out_scale) const
 {
-    std::vector<rns::RnsPolynomial *> g_all;
-    g_all.reserve(2 * batch);
-    for (std::size_t s = 0; s < batch; ++s)
-        g_all.push_back(G0p[s]);
-    for (std::size_t s = 0; s < batch; ++s)
-        g_all.push_back(G1p[s]);
-    const auto &mdplan = ctx_.modDownPlan(level_count);
-    auto q_idx = ctx_.qLimbs(level_count);
-    auto final0 = outputRow(batch, q_idx, rns::Domain::Eval);
-    auto final1 = outputRow(batch, q_idx, rns::Domain::Eval);
-    auto final_ptrs = ptrsOf({&final0, &final1});
-    TFHE_FAULT_POINT("exec/moddown");
-    mdplan.applyEvalBatchInto(g_all, final_ptrs.data(), ctx_.nttVariant(),
-                              kctx_.pool);
-    EvalOpStats::instance().recordModDown(2 * batch);
+    std::vector<rns::RnsPolynomial *> g_all(G0p, G0p + batch);
+    g_all.insert(g_all.end(), G1p, G1p + batch);
+    auto [final0, final1] = modDownPair(g_all, level_count);
 
     std::vector<ckks::Ciphertext> out(batch);
     for (std::size_t s = 0; s < batch; ++s) {

@@ -18,6 +18,7 @@
 #ifndef TENSORFHE_EXEC_DISPATCH_HH
 #define TENSORFHE_EXEC_DISPATCH_HH
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -53,9 +54,9 @@ struct HoistedBatch
 
 /**
  * Non-owning (digit x slot) view of a hoisted head — the shape the
- * key-switch tail consumes. Lets the tail run over a HoistedBatch,
- * over externally-owned digits (ckks::HoistedDigits, batch = 1), or
- * over a permuted copy, through one code path.
+ * key-switch tail consumes. Lets the tail run over a HoistedBatch or
+ * over externally-owned digits (ckks::HoistedDigits, batch = 1)
+ * through one code path.
  */
 struct HoistedView
 {
@@ -292,24 +293,47 @@ class Dispatcher
     const PLift &pLift(std::size_t level_count) const;
 
     /** Raw key-switch tail: inner product only, Eval domain, union
-        basis, no ModDown — accumulates into preshaped zero polys. */
+        basis, no ModDown — accumulates into preshaped zero polys.
+        With galois != 1 it reads the key pre-permuted by galois^-1
+        (CkksContext::restrictedKey), so permuting the accumulators by
+        galois gives the tail of the galois-permuted head. */
     void tailRawInto(const HoistedView &h, const ckks::SwitchKey &key,
-                     rns::RnsPolynomial *const *acc0,
+                     u64 galois, rns::RnsPolynomial *const *acc0,
                      rns::RnsPolynomial *const *acc1) const;
 
-    /** Permute a hoisted head by one Galois element (shared FrobeniusMap
-        across every (digit, slot)), into pooled buffers. */
-    HoistedBatch permuteHead(const HoistedView &h, u64 galois) const;
+    /**
+     * The raw QP tail of the head permuted by `galois`, with the
+     * permutation applied once, after the inner product: the tail
+     * runs on the unpermuted head into zeroed scratch, `fold` may add
+     * slot-wise terms to its c0 halves, and ONE FrobeniusMap launch
+     * permutes the pair into 2*batch unzeroed rows (c0 halves, then
+     * c1 halves). The inner product and any fold are slot-wise mod-q
+     * operations, so the rows equal the tail of the permuted head
+     * plus the permuted fold, bit for bit.
+     */
+    std::vector<Workspace::Pooled>
+    permutedTail(const HoistedView &h, const ckks::SwitchKey &key,
+                 u64 galois,
+                 const std::function<void(rns::RnsPolynomial *const *)>
+                     &fold = {}) const;
+
+    /** Evaluation-domain ModDown of 2*batch QP rows (c0 halves, then
+        c1 halves) in one batched dispatch, into op outputs. */
+    std::pair<std::vector<rns::RnsPolynomial>,
+              std::vector<rns::RnsPolynomial>>
+    modDownPair(const std::vector<rns::RnsPolynomial *> &qp,
+                std::size_t level_count,
+                const rns::ModDownPlan *down = nullptr) const;
 
     /** One Galois automorphism of every polynomial (uniform shape),
-        into pooled buffers. */
+        in one FrobeniusMap launch, into unzeroed pooled buffers. */
     std::vector<Workspace::Pooled>
     automorphPooled(const std::vector<const rns::RnsPolynomial *> &polys,
                     u64 galois) const;
 
     /** The batch mapped by `galois` off the hoisted head of its c1s:
-        permuted head, key-switch tail against `key`, plus the permuted
-        c0. The outputs' buffers are drawn from the arena. */
+        the permuted tail against `key` and its ModDown, plus the
+        permuted c0. The outputs' buffers are drawn from the arena. */
     std::vector<ckks::Ciphertext>
     automorphFromHead(const ckks::Ciphertext *as, std::size_t batch,
                       const HoistedView &head, u64 galois,
@@ -341,16 +365,18 @@ class Dispatcher
     /** Shared baby-step tail tables of one input batch: per step the
         raw (ModDown-deferred) keyswitch pair on the union basis,
         plus the P-lifted b = 0 term. Plan-independent — any program
-        whose steps are covered can read them. */
+        whose steps are covered can read them. Each pair is one row
+        of 2*batch polynomials: the c0 halves, then the c1 halves. */
     struct BabyTables
     {
         std::vector<BsgsStep> steps; ///< sorted
-        std::vector<std::vector<Workspace::Pooled>> T0, T1;
-        std::vector<std::vector<rns::RnsPolynomial *>> T0p, T1p;
-        std::vector<Workspace::Pooled> B0, B1;
-        std::vector<rns::RnsPolynomial *> B0p, B1p;
+        std::vector<std::vector<Workspace::Pooled>> T; ///< per step
+        std::vector<std::vector<rns::RnsPolynomial *>> Tp;
+        std::vector<Workspace::Pooled> B; ///< the b = 0 pair
+        std::vector<rns::RnsPolynomial *> Bp;
         bool hasB0 = false;
         std::size_t levelCount = 0;
+        std::size_t batch = 0;
 
         std::pair<rns::RnsPolynomial *const *,
                   rns::RnsPolynomial *const *>

@@ -526,17 +526,25 @@ GraphExecutor::prestageWorkspace(const nn::NnEngine &engine,
     std::vector<std::size_t> limbs(tower.numTotal());
     std::iota(limbs.begin(), limbs.end(), 0);
 
-    std::size_t widest = 1;
+    // The most leases one node holds at once, per ciphertext of its
+    // batch: a key switch holds its hoisted head (one lease per
+    // digit) and at most 8 working rows besides (accumulators, the
+    // permuted pair, a transform's group sums, ModUp and rescale
+    // staging). A BsgsSum also holds one term's baby table: a QP pair
+    // per baby step, plus the b = 0 pair.
+    std::size_t alpha = engine.ctx().params().alpha();
+    std::size_t count = 0;
     for (const auto &n : g.nodes) {
-        if (n.dead)
+        if (n.dead || n.inputs.empty())
             continue;
-        for (ValueId v : n.outputs)
-            widest = std::max(widest,
-                              g.values[v].chunkCount * batch);
+        const ValueMeta &in = g.values[n.inputs[0]];
+        std::size_t rows = (in.levelCount + alpha - 1) / alpha + 8;
+        std::size_t table = 0;
+        for (const auto *plan : n.plans)
+            table = std::max(table, 2 * (plan->babyStepCount()
+                                         + plan->conjStepCount() + 1));
+        count = std::max(count, (rows + table) * in.chunkCount * batch);
     }
-    // Two live components per ciphertext plus slack for the
-    // per-digit hoist scratch.
-    std::size_t count = 2 * widest + 8;
     engine.batched().dispatcher().workspace().prestage(
         limbs, rns::Domain::Eval, count);
 }

@@ -30,7 +30,7 @@
  *     gpu::replayScheduledQueue overlaps on the GPU model;
  *   - prestageWorkspace() walks the graph's scratch demand once and
  *     seeds the exec::Workspace arena, so even the first run of a
- *     compiled graph hits steady-state (>90%) buffer reuse.
+ *     compiled graph checks out no newly allocated buffer.
  *
  * Resilience (this layer is where the fault story composes):
  *
@@ -134,9 +134,10 @@ class GraphExecutor
     /**
      * Seed the engine's workspace arena with the largest scratch
      * shape the tower admits (the key-switch union basis), enough
-     * buffers for the graph's widest value: the arena's best fit
-     * (one ordered-map lookup) then serves every smaller checkout
-     * from the pool.
+     * buffers for the most leases any node holds at once (its batch
+     * times its key-switch digits, working rows and, for a BsgsSum,
+     * baby table): the arena's best fit (one ordered-map lookup)
+     * then serves every checkout of a cold run from the pool.
      */
     void prestageWorkspace(const nn::NnEngine &engine,
                            std::size_t batch) const;

@@ -127,6 +127,27 @@ elementwise(RnsPolynomial &a, const RnsPolynomial &b, KernelKind kind,
     });
 }
 
+/** The FrobeniusMap gather of X -> X^galois in the evaluation domain:
+    out[j] = in[pi[j]] with pi(j) = ((galois*(2j+1) mod 2N)-1)/2. */
+std::vector<std::size_t>
+frobeniusGather(std::size_t n, u64 galois)
+{
+    u64 m = 2 * n;
+    TFHE_ASSERT(galois % 2 == 1 && galois < m, "bad Galois element");
+    // galois*(2j+1) mod 2N advances by 2*galois mod 2N per slot, so
+    // no slot pays a division.
+    u64 step = (2 * galois) % m;
+    u64 e = galois;
+    std::vector<std::size_t> pi(n);
+    for (std::size_t j = 0; j < n; ++j) {
+        pi[j] = (e - 1) / 2;
+        e += step;
+        if (e >= m)
+            e -= m;
+    }
+    return pi;
+}
+
 } // namespace
 
 void
@@ -232,13 +253,24 @@ liftSigned(const RnsTower &tower, const std::vector<std::size_t> &limbs,
 
 RnsPolynomial
 restrictToLimbs(const RnsPolynomial &a,
-                const std::vector<std::size_t> &limbs)
+                const std::vector<std::size_t> &limbs, u64 galois)
 {
     RnsPolynomial out(a.tower(), limbs, a.domain());
+    std::vector<std::size_t> pi;
+    if (galois != 1) {
+        TFHE_ASSERT(a.domain() == Domain::Eval,
+                    "a permuted restriction gathers Eval slots");
+        pi = frobeniusGather(a.n(), galois);
+    }
     for (std::size_t i = 0; i < limbs.size(); ++i) {
         TFHE_ASSERT(a.limbIndex(limbs[i]) == limbs[i]);
-        std::copy(a.limb(limbs[i]), a.limb(limbs[i]) + a.n(),
-                  out.limb(i));
+        const u64 *src = a.limb(limbs[i]);
+        u64 *dst = out.limb(i);
+        if (pi.empty())
+            std::copy(src, src + a.n(), dst);
+        else
+            for (std::size_t j = 0; j < a.n(); ++j)
+                dst[j] = src[pi[j]];
     }
     return out;
 }
@@ -308,9 +340,7 @@ applyAutomorphismBatchInto(const std::vector<const RnsPolynomial *> &as,
         ScopedKernelTimer timer(KernelKind::FrobeniusMap,
                                 batch * front.numLimbs() * n);
         // The FrobeniusMap permutation is shared by the whole batch.
-        std::vector<std::size_t> pi(n);
-        for (std::size_t j = 0; j < n; ++j)
-            pi[j] = ((galois * (2 * j + 1)) % m - 1) / 2;
+        auto pi = frobeniusGather(n, galois);
         tp.parallelFor2D(batch, front.numLimbs(),
                          [&](std::size_t b, std::size_t i) {
             const u64 *src = as[b]->limb(i);
@@ -352,9 +382,7 @@ applyAutomorphism(const RnsPolynomial &a, u64 galois)
         // FrobeniusMap kernel (paper SIV-A): pure slot permutation.
         ScopedKernelTimer timer(KernelKind::FrobeniusMap,
                                 a.numLimbs() * n);
-        std::vector<std::size_t> pi(n);
-        for (std::size_t j = 0; j < n; ++j)
-            pi[j] = ((galois * (2 * j + 1)) % m - 1) / 2;
+        auto pi = frobeniusGather(n, galois);
         for (std::size_t i = 0; i < a.numLimbs(); ++i) {
             const u64 *src = a.limb(i);
             u64 *dst = out.limb(i);

@@ -149,9 +149,14 @@ RnsPolynomial liftSigned(const RnsTower &tower,
 RnsPolynomial applyAutomorphism(const RnsPolynomial &a, u64 galois);
 
 /** Copy of `a` restricted to the given tower limb indices (which must
-    be present in `a` at matching positions). */
+    be present in `a` at matching positions). With galois != 1 (Eval
+    domain only) the copy is gathered through the FrobeniusMap
+    permutation in the same pass, so it equals
+    applyAutomorphism(restrictToLimbs(a, limbs), galois). It records
+    no kernel launch: it prepares keys, it does not evaluate. */
 RnsPolynomial restrictToLimbs(const RnsPolynomial &a,
-                              const std::vector<std::size_t> &limbs);
+                              const std::vector<std::size_t> &limbs,
+                              u64 galois = 1);
 
 /*
  * Batched counterparts used by the parallel batched execution engine:

@@ -3,7 +3,9 @@
  * Hoisted key-switching tests: hoist + keySwitchTail must compose to
  * keySwitch bit for bit, rotateHoisted must be bit-identical to the
  * serial rotate for every step shape (negative, wrap-around, zero,
- * repeated), and sharing one decompose+ModUp head across steps must
+ * repeated), rotations and conjugation (serial and batched) must
+ * equal the generic tail over the explicitly permuted head bit for
+ * bit, and sharing one decompose+ModUp head across steps must
  * actually shrink the NTT / Conv work (checked via kernel counters).
  */
 
@@ -11,6 +13,7 @@
 
 #include <cmath>
 
+#include "batch/executor.hh"
 #include "ckks/crypto.hh"
 #include "ckks/evaluator.hh"
 #include "common/stats.hh"
@@ -94,6 +97,86 @@ TEST(Hoisting, KeySwitchEqualsHoistPlusTail)
         auto [t0, t1] = f.eval.keySwitchTail(h, f.keys.relin);
         expectPolyEq(s0, t0);
         expectPolyEq(s1, t1);
+    }
+}
+
+/**
+ * The automorphism `galois` of `ct` composed from generic parts: the
+ * digits of hoist(c1), each permuted by the FrobeniusMap, through the
+ * plain keySwitchTail, plus the permuted c0. The dispatcher permutes
+ * only the inner product's result instead; both must agree bit for
+ * bit.
+ */
+Ciphertext
+permutedHeadComposition(const HoistFixture &f, const Ciphertext &ct,
+                        u64 galois, const SwitchKey &key)
+{
+    auto h = f.eval.hoist(ct.c1);
+    for (auto &digit : h.digits)
+        digit = rns::applyAutomorphism(digit, galois);
+    auto [ks0, ks1] = f.eval.keySwitchTail(h, key);
+    Ciphertext out;
+    out.c0 = std::move(ks0);
+    rns::eleAddInPlace(out.c0, rns::applyAutomorphism(ct.c0, galois));
+    out.c1 = std::move(ks1);
+    out.scale = ct.scale;
+    return out;
+}
+
+/** Rotation steps with their normalized key steps: positive,
+    negative and wrap-around. */
+std::vector<std::pair<s64, s64>>
+compositionSteps(std::size_t slots)
+{
+    s64 n = static_cast<s64>(slots);
+    return {{1, 1}, {5, 5}, {-1, n - 1}, {n + 3, 3}};
+}
+
+TEST(Hoisting, RotationsMatchThePermutedHeadComposition)
+{
+    auto &f = fx();
+    for (std::size_t lc : {std::size_t(2), std::size_t(3)}) {
+        auto ct = f.encryptRandom(1.0, 60 + lc, lc);
+        for (auto [step, key_step] : compositionSteps(f.ctx.slots())) {
+            SCOPED_TRACE("level count " + std::to_string(lc) + ", step "
+                         + std::to_string(step));
+            expectCtEq(f.eval.rotate(ct, step),
+                       permutedHeadComposition(
+                           f, ct, f.ctx.galoisForRotation(key_step),
+                           f.keys.rot.at(key_step)));
+        }
+        SCOPED_TRACE("conjugation at level count " + std::to_string(lc));
+        expectCtEq(f.eval.conjugate(ct),
+                   permutedHeadComposition(
+                       f, ct, f.ctx.galoisForConjugation(), f.keys.conj));
+    }
+}
+
+TEST(Hoisting, BatchedRotationsMatchThePermutedHeadComposition)
+{
+    auto &f = fx();
+    batch::BatchedEvaluator beval(f.ctx, f.keys);
+    auto steps = compositionSteps(f.ctx.slots());
+    std::vector<s64> plain_steps;
+    for (auto [step, key_step] : steps)
+        plain_steps.push_back(step);
+    for (std::size_t lc : {std::size_t(2), std::size_t(3)}) {
+        std::vector<Ciphertext> cts;
+        for (std::size_t s = 0; s < 3; ++s)
+            cts.push_back(f.encryptRandom(1.0, 70 + 10 * lc + s, lc));
+        auto rotated = beval.rotateManyBatch(cts, plain_steps);
+        ASSERT_EQ(rotated.size(), steps.size());
+        for (std::size_t i = 0; i < steps.size(); ++i)
+            for (std::size_t s = 0; s < cts.size(); ++s) {
+                SCOPED_TRACE("level count " + std::to_string(lc)
+                             + ", step " + std::to_string(steps[i].first)
+                             + ", slot " + std::to_string(s));
+                expectCtEq(rotated[i][s],
+                           permutedHeadComposition(
+                               f, cts[s],
+                               f.ctx.galoisForRotation(steps[i].second),
+                               f.keys.rot.at(steps[i].second)));
+            }
     }
 }
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Context-cached conversion plans and key restrictions: the memoized
- * ModUpPlan/ModDownPlan shapes, the (key, level) restriction cache,
- * switch-key identities, and result stability across cached reuse.
+ * ModUpPlan/ModDownPlan shapes, the (key, level, Galois element)
+ * restriction cache, switch-key identities, and result stability
+ * across cached reuse.
  */
 
 #include <gtest/gtest.h>
@@ -95,6 +96,47 @@ TEST(PlanCache, KeyRestrictionsAreMemoizedPerKeyAndLevel)
     auto d = f.ctx.restrictedKey(anon, lc);
     EXPECT_EQ(f.ctx.keyRestrictionCacheSize(), 2u);
     ASSERT_EQ(d->b.size(), a->b.size());
+}
+
+TEST(PlanCache, KeyRestrictionsArePrePermutedPerGaloisElement)
+{
+    CacheFixture f;
+    std::size_t lc = f.ctx.tower().numQ();
+    const SwitchKey &key = f.keys.rot.at(3);
+    u64 g = f.ctx.galoisForRotation(3);
+    u64 g_inv = f.ctx.galoisInverse(g);
+
+    auto plain = f.ctx.restrictedKey(key, lc, 1);
+    auto permuted = f.ctx.restrictedKey(key, lc, g);
+    EXPECT_NE(plain.get(), permuted.get());
+    EXPECT_EQ(f.ctx.keyRestrictionCacheSize(), 2u);
+    EXPECT_EQ(f.ctx.restrictedKey(key, lc).get(), plain.get());
+    EXPECT_EQ(f.ctx.restrictedKey(key, lc, g).get(), permuted.get());
+    EXPECT_EQ(f.ctx.keyRestrictionCacheSize(), 2u);
+
+    // The g entry holds the galois-1 digits permuted by g^-1.
+    ASSERT_EQ(permuted->b.size(), plain->b.size());
+    for (std::size_t j = 0; j < plain->b.size(); ++j) {
+        for (auto [got, base] :
+             {std::pair{&permuted->b[j], &plain->b[j]},
+              std::pair{&permuted->a[j], &plain->a[j]}}) {
+            auto want = rns::applyAutomorphism(*base, g_inv);
+            ASSERT_EQ(got->limbIndices(), want.limbIndices());
+            for (std::size_t i = 0; i < want.numLimbs(); ++i)
+                for (std::size_t c = 0; c < want.n(); ++c)
+                    ASSERT_EQ(got->limb(i)[c], want.limb(i)[c])
+                        << "digit " << j << " limb " << i;
+        }
+    }
+
+    u64 m = 2 * f.ctx.n();
+    std::vector<u64> elements = {f.ctx.galoisForConjugation()};
+    for (const auto &[step, rot] : f.keys.rot) {
+        elements.push_back(f.ctx.galoisForRotation(step));
+        elements.push_back(f.ctx.galoisForConjRotation(step));
+    }
+    for (u64 e : elements)
+        EXPECT_EQ(e * f.ctx.galoisInverse(e) % m, 1u) << "element " << e;
 }
 
 TEST(PlanCache, CachedRotationsAreDeterministic)

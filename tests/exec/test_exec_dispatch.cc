@@ -5,7 +5,8 @@
  * ops tolerate aliasing, the Workspace arena stays allocator-free in
  * steady state, the double-hoisted BSGS drops basis conversions with
  * exact counter accounting, CMULT + RESCALE and HMULT + RESCALE launch
- * their closed-form transforms, both hoist input domains build the
+ * their closed-form transforms, rotations and BSGS steps launch their
+ * closed-form FrobeniusMaps, both hoist input domains build the
  * same digits, unzeroed scratch is always written in full, and the
  * kernel queue the layer emits can be replayed on the SM pipeline
  * model.
@@ -230,6 +231,58 @@ TEST(ExecDispatch, HmultThenRescaleQueueMatchesClosedForm)
         EXPECT_EQ(transforms[i].kind, expect[i].kind) << "transform " << i;
         EXPECT_EQ(transforms[i].elements, expect[i].elements)
             << "transform " << i;
+    }
+}
+
+TEST(ExecDispatch, FrobeniusMapQueueMatchesClosedForm)
+{
+    // Every key-switching automorphism permutes once, after the inner
+    // product: the QP pair of each step (2B(L+K)n) is the only
+    // permuted key-switch data. rotateMany and conjugate also permute
+    // c0 (BLn); a BSGS baby or giant step folds its c0 term into the
+    // pair first, so it makes one launch. No launch scales with dnum:
+    // permuting the hoisted head instead would move dnum*B(L+K)n.
+    auto &f = fx();
+    constexpr std::size_t kBatch = 3;
+    batch::BatchedEvaluator beval(f.ctx, f.keys);
+    std::vector<ckks::Ciphertext> cts;
+    for (std::size_t s = 0; s < kBatch; ++s)
+        cts.push_back(f.encryptSlots(740 + s, 3));
+    std::size_t L = cts[0].levelCount();
+    std::size_t n = cts[0].c0.n();
+    std::size_t K = f.ctx.tower().numP();
+    std::size_t dnum = (L + f.ctx.params().alpha() - 1)
+        / f.ctx.params().alpha();
+    ASSERT_GT(dnum, 2u);
+    std::size_t pair = 2 * kBatch * (L + K) * n;
+
+    auto frobenius = [](std::vector<KernelLaunch> queue) {
+        std::vector<std::size_t> elements;
+        for (const auto &launch : queue)
+            if (launch.kind == KernelKind::FrobeniusMap)
+                elements.push_back(launch.elements);
+        return elements;
+    };
+    std::vector<s64> steps = {1, 5};
+    std::vector<std::size_t> per_rotation;
+    for (std::size_t i = 0; i < steps.size() + 1; ++i) {
+        per_rotation.push_back(pair);
+        per_rotation.push_back(kBatch * L * n);
+    }
+    {
+        KernelStats::QueueCapture cap;
+        (void)beval.rotateManyBatch(cts, steps);
+        (void)beval.dispatcher().conjugate(cts.data(), kBatch);
+        EXPECT_EQ(frobenius(cap.take()), per_rotation);
+    }
+    {
+        KernelStats::QueueCapture cap;
+        (void)f.plan.applyBatch(beval, cts);
+        std::size_t steps_run = f.plan.babyStepCount()
+            + f.plan.conjStepCount() + f.plan.giantStepCount();
+        ASSERT_GT(f.plan.giantStepCount(), 0u);
+        EXPECT_EQ(frobenius(cap.take()),
+                  std::vector<std::size_t>(steps_run, pair));
     }
 }
 

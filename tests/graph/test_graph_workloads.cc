@@ -157,6 +157,28 @@ TEST(GraphCnn, PrestagedWorkspaceHitsSteadyStateReuseCold)
         << stats.reuses << " reuses vs " << stats.allocs << " allocs";
 }
 
+TEST(GraphCnn, PrestagedColdRunAllocatesNothing)
+{
+    // The prestage covers the peak lease demand of every node,
+    // including the baby tables a running BsgsSum holds, so a cold
+    // run is served entirely from the pool.
+    auto &f = cfx();
+    auto g = compileSequential(f.ctx, f.cnn.net());
+    auto sched = scheduleGraph(g);
+    GraphExecutor ex(g, sched);
+
+    std::vector<nn::CipherTensor> batch{f.encryptImage(331),
+                                        f.encryptImage(332)};
+    auto &ws = f.engine.batched().dispatcher().workspace();
+    ws.trim();
+    ex.prestageWorkspace(f.engine, batch.size());
+    ws.resetStats();
+    ex.run(f.engine, {flatten(batch)});
+    auto stats = ws.stats();
+    EXPECT_GT(stats.reuses, 0u);
+    EXPECT_EQ(stats.allocs, 0u) << stats.reuses << " reuses";
+}
+
 // ------------------------------------------------------------------
 // LSTM cell step: the fusion (masked gate combine) and overlap (two
 // independent gate matvecs) showcases.
@@ -271,6 +293,26 @@ TEST(GraphLstm, FusionSavesLaunchesWithIdenticalBitsAndStats)
         gpu::replayScheduledQueue(fres.schedule, f.ctx.params().n);
     EXPECT_GT(replay.streamsUsed, 1);
     EXPECT_LT(replay.makespanCycles, replay.serialCycles);
+}
+
+TEST(GraphLstm, PrestagedColdRunAllocatesNothing)
+{
+    auto &f = lfx();
+    auto g = f.cell.buildStepGraph(f.ctx);
+    auto sched = scheduleGraph(g);
+    GraphExecutor ex(g, sched);
+
+    auto x = f.encryptState(91);
+    EncryptedLstmCell::State prev{f.encryptState(92),
+                                  f.encryptState(93)};
+    auto &ws = f.engine.batched().dispatcher().workspace();
+    ws.trim();
+    ex.prestageWorkspace(f.engine, 1);
+    ws.resetStats();
+    ex.run(f.engine, {x.chunks(), prev.h.chunks(), prev.c.chunks()});
+    auto stats = ws.stats();
+    EXPECT_GT(stats.reuses, 0u);
+    EXPECT_EQ(stats.allocs, 0u) << stats.reuses << " reuses";
 }
 
 // ------------------------------------------------------------------
