@@ -12,7 +12,7 @@
 #include "ckks/crypto.hh"
 #include "ckks/evaluator.hh"
 #include "common/stats.hh"
-#include "perf/cost.hh"
+#include "perf/cost_model.hh"
 
 using namespace tensorfhe;
 
@@ -38,19 +38,19 @@ main()
     {
         const char *name;
         std::function<void()> run;
-        perf::OpKind kind;
+        EvalOpKind kind;
     };
     OpRun runs[] = {
         {"HMULT", [&] { auto r = eval.multiply(ct, ct2); },
-         perf::OpKind::HMult},
+         EvalOpKind::HMult},
         {"HROTATE", [&] { auto r = eval.rotate(ct, 1); },
-         perf::OpKind::HRotate},
+         EvalOpKind::HRotate},
         {"RESCALE", [&] { auto r = eval.rescale(ct); },
-         perf::OpKind::Rescale},
+         EvalOpKind::Rescale},
         {"HADD", [&] { auto r = eval.add(ct, ct2); },
-         perf::OpKind::HAdd},
+         EvalOpKind::HAdd},
         {"CMULT", [&] { auto r = eval.multiplyPlain(ct, pt); },
-         perf::OpKind::CMult},
+         EvalOpKind::CMult},
     };
 
     std::printf("%-9s", "op");
@@ -62,6 +62,7 @@ main()
         std::printf(" %12s", kernelKindName(k));
     std::printf("   model NTT share\n");
 
+    perf::CostModel costs(ctx.params());
     for (auto &r : runs) {
         auto &stats = KernelStats::instance();
         stats.reset();
@@ -76,7 +77,7 @@ main()
             std::printf(" %11.1f%%", 100.0 * frac);
         }
         std::printf("   %13.1f%%\n",
-                    100.0 * perf::nttShare(r.kind, ctx.params(), lc));
+                    100.0 * costs.nttShare(r.kind, lc));
     }
     std::printf("\npaper: NTT dominates HMULT (92.1%%) and HROTATE "
                 "(95.4%%); non-NTT kernels are minor.\n");

@@ -27,9 +27,11 @@ modelRow(const char *name, const ckks::CkksParams &p,
          const DeviceTimeModel &model)
 {
     std::printf("%-22s", name);
-    for (OpKind op : {OpKind::HMult, OpKind::HRotate, OpKind::Rescale,
-                      OpKind::HAdd, OpKind::CMult}) {
-        double s = model.seconds(opCost(op, p, 45), 128);
+    CostModel costs(p);
+    for (EvalOpKind op : {EvalOpKind::HMult, EvalOpKind::HRotate,
+                          EvalOpKind::Rescale, EvalOpKind::HAdd,
+                          EvalOpKind::CMult}) {
+        double s = model.seconds(costs.op(op, 45), 128);
         std::printf(" %11.1f", s * 1e3);
     }
     std::printf("   [model]\n");
@@ -105,7 +107,7 @@ main()
         pd.nttVariant = ntt::NttVariant::Tensor;
         pd.dnum = dnum;
         pd.special = static_cast<int>(pd.alpha()); // keep P > max Q_j
-        double s = a100.seconds(keySwitchCost(pd, 45), 128);
+        double s = a100.seconds(CostModel(pd).keySwitch(45), 128);
         std::printf("dnum=%2d (alpha=%2zu, K=%d): %8.1f ms\n", dnum,
                     pd.alpha(), pd.special, s * 1e3);
     }

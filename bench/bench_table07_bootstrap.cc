@@ -37,19 +37,18 @@ main()
         p.nttVariant = v;
         auto counts = workloads::bootstrapOpCounts(p.slots());
         auto lc = std::size_t(0.6 * (p.levels + 1));
+        perf::CostModel costs(p);
         double per_op_batch = 0;
         per_op_batch += counts.hmult
-            * a100.seconds(perf::opCost(perf::OpKind::HMult, p, lc), 128);
+            * a100.seconds(costs.op(EvalOpKind::HMult, lc), 128);
         per_op_batch += counts.cmult
-            * a100.seconds(perf::opCost(perf::OpKind::CMult, p, lc), 128);
+            * a100.seconds(costs.op(EvalOpKind::CMult, lc), 128);
         per_op_batch += counts.hadd
-            * a100.seconds(perf::opCost(perf::OpKind::HAdd, p, lc), 128);
+            * a100.seconds(costs.op(EvalOpKind::HAdd, lc), 128);
         per_op_batch += (counts.hrotate + counts.conjugate)
-            * a100.seconds(perf::opCost(perf::OpKind::HRotate, p, lc),
-                           128);
+            * a100.seconds(costs.op(EvalOpKind::HRotate, lc), 128);
         per_op_batch += counts.rescale
-            * a100.seconds(perf::opCost(perf::OpKind::Rescale, p, lc),
-                           128);
+            * a100.seconds(costs.op(EvalOpKind::Rescale, lc), 128);
         std::printf("model %-18s %12.0f   [model, ms]\n",
                     ntt::nttVariantName(v), per_op_batch * 1e3);
     }

@@ -45,7 +45,7 @@ main()
         double ntt_s = a100.throughput(
             nttCost(p.n, lc, ntt::NttVariant::Tensor), 128);
         double hmult_s = a100.throughput(
-            opCost(OpKind::HMult, p, lc), 128);
+            CostModel(p).op(EvalOpKind::HMult, lc), 128);
 
         // Measured: real kernels at the set's exact dimensions.
         ckks::CkksContext ctx(p);

@@ -86,8 +86,8 @@ printDecomposition(const char *workload, const ckks::CkksParams &p,
 /** Modeled-vs-executed rows, flagging every divergence; returns
     whether every executed count equals its model. */
 bool
-compareOps(const char *workload, const OpCounts &modeled,
-           const OpCounts &executed)
+compareOps(const char *workload, const EvalOpCounts &modeled,
+           const EvalOpCounts &executed)
 {
     struct Row
     {
@@ -194,8 +194,8 @@ main(int argc, char **argv)
         EvalOpStats::instance().reset();
         cnn.classifyEncrypted(engine, enc, dec, rng, images);
         printDecomposition("CNN", ctx.params(), keys);
-        ok &= compareOps("CNN", cnn.modeledCounts(),
-                         toOpCounts(EvalOpStats::instance().snapshot()));
+        ok &= compareOps("CNN", cnn.modeledOps(),
+                         EvalOpStats::instance().snapshot());
     }
     {
         ckks::CkksContext ctx(EncryptedLstmCell::recommendedParams());
@@ -218,8 +218,8 @@ main(int argc, char **argv)
         EvalOpStats::instance().reset();
         cell.step(engine, x, state);
         printDecomposition("LSTM-cell", ctx.params(), keys);
-        ok &= compareOps("LSTM-cell", cell.modeledCounts(),
-                         toOpCounts(EvalOpStats::instance().snapshot()));
+        ok &= compareOps("LSTM-cell", cell.modeledOps(),
+                         EvalOpStats::instance().snapshot());
     }
 
     bench::section("deep CNN with bootstrap-in-the-loop [measured]");
@@ -279,8 +279,7 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(mod_downs),
                     snap.conjugate);
         printDecomposition("deep-CNN", ctx.params(), keys);
-        ok &= compareOps("deep-CNN", toOpCounts(cnn.modeledOps()),
-                         toOpCounts(snap));
+        ok &= compareOps("deep-CNN", cnn.modeledOps(), snap);
         ok &= preds[0].argmax == plain.argmax;
 
         if (!json_path.empty()) {

@@ -28,12 +28,14 @@ main()
     p.nttVariant = ntt::NttVariant::Tensor;
 
     bench::section("OPs/W per CKKS operation (batch 128)");
-    OpKind kinds[] = {OpKind::HMult, OpKind::HRotate, OpKind::Rescale,
-                      OpKind::HAdd, OpKind::CMult};
+    CostModel costs(p);
+    EvalOpKind kinds[] = {EvalOpKind::HMult, EvalOpKind::HRotate,
+                          EvalOpKind::Rescale, EvalOpKind::HAdd,
+                          EvalOpKind::CMult};
     std::printf("%-9s %12s %12s\n", "op", "model", "paper");
     for (int i = 0; i < 5; ++i) {
-        double thr = a100.throughput(opCost(kinds[i], p, 45), 128);
-        std::printf("%-9s %12.2f %12.2f\n", opKindName(kinds[i]),
+        double thr = a100.throughput(costs.op(kinds[i], 45), 128);
+        std::printf("%-9s %12.2f %12.2f\n", evalOpKindName(kinds[i]),
                     energy.opsPerWatt(thr),
                     paper::kTable11Ops[i].opsPerWatt);
     }

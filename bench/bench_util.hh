@@ -139,9 +139,9 @@ class JsonWriter
         std::FILE *f = std::fopen(path.c_str(), "a");
         if (!f)
             return false;
-        std::fprintf(f, "%s}\n", out_.str().c_str());
-        std::fclose(f);
-        return true;
+        bool written = std::fprintf(f, "%s}\n", out_.str().c_str()) >= 0;
+        written &= std::fclose(f) == 0;
+        return written;
     }
 
   private:

@@ -20,9 +20,10 @@
  *   - head-2: each nonzero giant step pays one c1-only ModDown plus
  *     its own hoisted head, and ONE final ModDown pair + RESCALE
  *     closes the transform.
- * The giant stride g is chosen by perf::matvecBsgsCost over the
- * plan's actual diagonal population, so the hoist/ModUp count drops
- * versus the classic sqrt-stride schedule (baby steps became cheap).
+ * The giant stride g is chosen by perf::CostModel::chooseBsgsStride
+ * over the plan's actual diagonal population, so the hoist/ModUp
+ * count drops versus the classic sqrt-stride schedule (baby steps
+ * became cheap).
  */
 
 #ifndef TENSORFHE_BOOT_LINEAR_HH

@@ -9,7 +9,7 @@
  *
  *   - TransientFault: the operation may succeed if re-executed
  *     (device hiccup, failed allocation). The resilient executor
- *     retries the node with backoff; SSA inputs are still live, so a
+ *     retries the node at once; SSA inputs are still live, so a
  *     retried node is bit-identical to an uninterrupted run.
  *   - IntegrityError: a ciphertext failed validation (residue out of
  *     range, metadata drift, checksum mismatch). Retrying the

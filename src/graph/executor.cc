@@ -265,7 +265,7 @@ GraphExecutor::runSchedule(const nn::NnEngine &engine,
 
         for (int attempt = 1;; ++attempt) {
             // Node span: one per attempt, so a retried node shows as
-            // repeated spans with the backoff gap between them.
+            // repeated spans.
             trace::TraceSpan nodeSpan("graph", nodeKindName(n.kind));
             nodeSpan.arg("node", static_cast<s64>(id))
                 .arg("stream", static_cast<s64>(sched_.stream[id]))
@@ -364,7 +364,6 @@ GraphExecutor::runSchedule(const nn::NnEngine &engine,
                 // re-running its consumer — surface it (recovery is
                 // resumeFrom, whose copies predate the corruption).
                 retryable = attempt < opt.retry.maxAttempts
-                    && opt.retry.retryIntegrity
                     && e.site() != "graph/value-store";
                 rollback();
                 if (!retryable)
@@ -374,14 +373,6 @@ GraphExecutor::runSchedule(const nn::NnEngine &engine,
             }
             ++res.retriesUsed;
             resilience::bump(resilience::Counters::instance().retries);
-            {
-                // The backoff gap gets its own span so retry storms
-                // render as visible idle stretches on the timeline.
-                trace::TraceSpan sp("graph", "backoff");
-                sp.arg("node", static_cast<s64>(id))
-                    .arg("attempt", attempt + 1);
-                resilience::backoff(opt.retry, attempt + 1);
-            }
         }
 
         // Free what no later node reads, as call-by-call evaluation

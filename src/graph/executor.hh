@@ -35,9 +35,9 @@
  * Resilience (this layer is where the fault story composes):
  *
  *   - a node that raises TransientFault — or IntegrityError on its
- *     own freshly produced output — is retried up to
- *     RetryPolicy::maxAttempts with backoff. The graph is SSA and
- *     the node kinds are pure (inputs are read, never mutated), so a
+ *     own freshly produced output — is retried at once, up to
+ *     RetryPolicy::maxAttempts. The graph is SSA and the node kinds
+ *     are pure (inputs are read, never mutated), so a
  *     successful retry is bit-identical to an uninterrupted run; the
  *     failed attempt's EvalOpStats are rolled back and its captured
  *     launches discarded, so the accounting is identical too.

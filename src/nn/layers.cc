@@ -7,7 +7,6 @@
 #include "common/logging.hh"
 #include "common/modarith.hh"
 #include "graph/builder.hh"
-#include "perf/cost.hh"
 
 namespace tensorfhe::nn
 {
@@ -239,7 +238,7 @@ MatvecLayer::costAt(const perf::CostModel &model,
         }
         total += model.blockMatvec(input_lc, nb, diags, baby, giant);
         if (biases_[i])
-            total += model.op(perf::OpKind::HAdd, input_lc - 1);
+            total += model.op(EvalOpKind::HAdd, input_lc - 1);
     }
     return total;
 }
@@ -578,10 +577,10 @@ AvgPool2d::costAt(const perf::CostModel &model,
     requireCompiled();
     auto rounds = static_cast<double>(steps_.size());
     perf::KernelCost c =
-        rounds * (model.op(perf::OpKind::HRotate, input_lc)
-                  + model.op(perf::OpKind::HAdd, input_lc));
-    c += model.op(perf::OpKind::CMult, input_lc);
-    c += model.op(perf::OpKind::Rescale, input_lc);
+        rounds * (model.op(EvalOpKind::HRotate, input_lc)
+                  + model.op(EvalOpKind::HAdd, input_lc));
+    c += model.op(EvalOpKind::CMult, input_lc);
+    c += model.op(EvalOpKind::Rescale, input_lc);
     return c;
 }
 
@@ -611,7 +610,8 @@ SumReduce::compile(const ckks::CkksContext &ctx, const TensorMeta &in)
         expect *= in.shape.dims[i];
     }
 
-    hoisted_ = perf::hoistedFoldWins(ctx.params(), in.levelCount, m);
+    hoisted_ =
+        perf::CostModel(ctx.params()).hoistedFoldWins(in.levelCount, m);
     steps_.clear();
     if (hoisted_) {
         for (std::size_t k = 1; k < m; ++k)
@@ -684,7 +684,7 @@ SumReduce::costAt(const perf::CostModel &model,
     requireCompiled();
     // rotateFold() re-decides hoisted-vs-doubling at the queried
     // level, exactly as a rebind there would (compile runs the same
-    // perf::hoistedFoldWins argmin).
+    // CostModel::hoistedFoldWins argmin).
     return model.rotateFold(input_lc, in_.shape.numel());
 }
 

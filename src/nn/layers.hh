@@ -365,7 +365,7 @@ class AvgPool2d : public Layer
  * Sum over every element of a uniformly-strided tensor, landing at
  * the layout's base slot. Schedules either the hoisted
  * multi-rotation sum or the doubling fold, chosen by the shared
- * perf::hoistedFoldWins cost model (the LR gradient folds use the
+ * perf::CostModel::hoistedFoldWins (the LR gradient folds use the
  * same decision). Consumes no level.
  */
 class SumReduce : public Layer

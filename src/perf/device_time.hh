@@ -4,7 +4,9 @@
  * on a GPGPU device model (roofline over DRAM bandwidth, CUDA-core
  * integer throughput and TCU INT8 throughput, plus per-launch
  * overhead), with utilization factors calibrated once against the
- * paper's published A100 numbers (see EXPERIMENTS.md).
+ * paper's published A100 numbers: the Calibration defaults below,
+ * which bench_table06_op_latency prints as model rows beside the
+ * published Table VI rows.
  */
 
 #ifndef TENSORFHE_PERF_DEVICE_TIME_HH
@@ -12,7 +14,7 @@
 
 #include "gpu/device.hh"
 #include "gpu/occupancy.hh"
-#include "perf/cost.hh"
+#include "perf/cost_model.hh"
 
 namespace tensorfhe::perf
 {

@@ -12,38 +12,15 @@
 #ifndef TENSORFHE_RESILIENCE_RETRY_HH
 #define TENSORFHE_RESILIENCE_RETRY_HH
 
-#include <chrono>
-#include <thread>
-
 namespace tensorfhe::resilience
 {
 
 struct RetryPolicy
 {
-    /** Total attempts per node (1 = fail fast, no retry). */
+    /** Total attempts per node (1 = fail fast, no retry). A retry
+        runs at once, with no backoff. */
     int maxAttempts = 1;
-    /** Sleep before retry k is base * multiplier^(k-1). */
-    std::chrono::microseconds backoffBase{0};
-    double backoffMultiplier = 2.0;
-    /** Also retry IntegrityError raised while validating the node's
-        own output (a corrupted STORED input never repairs itself, so
-        input-verification failures are surfaced regardless). */
-    bool retryIntegrity = true;
 };
-
-/** Sleep out the backoff before attempt `attempt` (2-based: the
-    first re-execution is attempt 2). */
-inline void
-backoff(const RetryPolicy &p, int attempt)
-{
-    if (p.backoffBase.count() <= 0 || attempt < 2)
-        return;
-    auto delay = p.backoffBase;
-    for (int i = 2; i < attempt; ++i)
-        delay = std::chrono::microseconds(static_cast<long long>(
-            static_cast<double>(delay.count()) * p.backoffMultiplier));
-    std::this_thread::sleep_for(delay);
-}
 
 } // namespace tensorfhe::resilience
 

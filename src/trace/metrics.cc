@@ -271,8 +271,9 @@ MetricsRegistry::writeSnapshotJson(const std::string &path) const
         return false;
     std::string json = snapshotJson();
     std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    return written == json.size();
+    // fclose flushes the stdio buffer: a full disk surfaces here.
+    bool closed = std::fclose(f) == 0;
+    return written == json.size() && closed;
 }
 
 void

@@ -314,8 +314,8 @@ Tracer::chromeJson(const std::vector<ExternalSpan> &gpuLanes) const
         }
     }
     // The GPU model's scheduled replay: one process, one lane per
-    // stream, so overlap (and the gaps retries/backoff leave) is
-    // visible next to the host spans that produced it.
+    // stream, so overlap (and the gaps retries leave) is visible next
+    // to the host spans that produced it.
     int maxLane = -1;
     for (const auto &e : gpuLanes)
         maxLane = std::max(maxLane, e.lane);
@@ -341,8 +341,9 @@ Tracer::writeChromeJson(const std::string &path,
         return false;
     std::string json = chromeJson(gpuLanes);
     std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    return written == json.size();
+    // fclose flushes the stdio buffer: a full disk surfaces here.
+    bool closed = std::fclose(f) == 0;
+    return written == json.size() && closed;
 }
 
 } // namespace tensorfhe::trace

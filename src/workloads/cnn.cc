@@ -166,10 +166,4 @@ EncryptedCnnClassifier::classifyPlain(
     return p;
 }
 
-OpCounts
-EncryptedCnnClassifier::modeledCounts() const
-{
-    return toOpCounts(net_.modeledOps());
-}
-
 } // namespace tensorfhe::workloads

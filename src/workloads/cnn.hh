@@ -126,8 +126,6 @@ class EncryptedCnnClassifier
 
     /** Predicted executed ops of one encrypted sample. */
     EvalOpCounts modeledOps() const { return net_.modeledOps(); }
-    /** Same, in the op-count-model vocabulary (Table X machinery). */
-    OpCounts modeledCounts() const;
 
   private:
     CnnConfig cfg_;

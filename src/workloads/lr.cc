@@ -4,7 +4,7 @@
 
 #include "ckks/rotations.hh"
 #include "common/logging.hh"
-#include "perf/cost.hh"
+#include "perf/cost_model.hh"
 
 namespace tensorfhe::workloads
 {
@@ -28,14 +28,14 @@ sigmoidPoly(double z)
  * gradient pass, scheduled as either a hoisted multi-rotation sum or
  * the classic doubling fold (identical slot values either way; keys
  * for both schedules come from lrRequiredRotations). The schedule
- * decision is the shared perf::hoistedFoldWins cost model.
+ * decision is the shared perf::CostModel::hoistedFoldWins.
  */
 ckks::Ciphertext
 foldRotations(const ckks::Evaluator &eval, const ckks::CkksContext &ctx,
               ckks::Ciphertext ct, std::size_t f, s64 dir)
 {
     std::size_t slots = ctx.slots();
-    if (perf::hoistedFoldWins(ctx.params(), ct.levelCount(), f)) {
+    if (perf::CostModel(ctx.params()).hoistedFoldWins(ct.levelCount(), f)) {
         std::vector<s64> steps;
         for (std::size_t k = 1; k < f; ++k)
             steps.push_back(dir * static_cast<s64>(k));

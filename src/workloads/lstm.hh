@@ -99,8 +99,6 @@ class EncryptedLstmCell
 
     /** Predicted executed ops of one step. */
     EvalOpCounts modeledOps() const;
-    /** Same, in the op-count-model vocabulary. */
-    OpCounts modeledCounts() const { return toOpCounts(modeledOps()); }
 
   private:
     LstmConfig cfg_;

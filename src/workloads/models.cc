@@ -1,13 +1,14 @@
 #include "workloads/models.hh"
 
+#include <algorithm>
 #include <cmath>
 
-#include "ckks/params.hh"
+#include "perf/cost_model.hh"
 
 namespace tensorfhe::workloads
 {
 
-OpCounts
+EvalOpCounts
 bootstrapOpCounts(std::size_t slots)
 {
     // Slim bootstrap (paper Fig. 6): SlotToCoeff -> ModRaise ->
@@ -21,7 +22,7 @@ bootstrapOpCounts(std::size_t slots)
     // conjugation keyswitches.
     double radix = std::cbrt(static_cast<double>(slots));
     double stage_rot = 2.0 * std::sqrt(radix);
-    OpCounts c;
+    EvalOpCounts c;
     // One S2C direction + two fused C2S split directions, 3 stages
     // each; the split directions' conjugate branches double their
     // diagonal products and add conjugate-composed steps.
@@ -38,19 +39,6 @@ bootstrapOpCounts(std::size_t slots)
     c.hadd += 20 + 1;
     c.rescale += 12 + 2 * 5 + 1;
     return c;
-}
-
-OpCounts
-toOpCounts(const EvalOpCounts &c)
-{
-    OpCounts out;
-    out.hmult = c.hmult;
-    out.cmult = c.cmult;
-    out.hadd = c.hadd;
-    out.hrotate = c.hrotate;
-    out.rescale = c.rescale;
-    out.conjugate = c.conjugate;
-    return out;
 }
 
 namespace
@@ -81,7 +69,7 @@ resnet20Model()
     w.params = ckks::Presets::paperResNet20();
     applyWorkloadKeySwitch(w.params);
     w.batch = 64; // 64 packed images (paper SV)
-    OpCounts per_conv;
+    EvalOpCounts per_conv;
     per_conv.hrotate = 9 * 32;  // 3x3 kernel x multiplexed channels
     per_conv.cmult = 9 * 32;
     per_conv.hadd = 9 * 32;
@@ -89,7 +77,7 @@ resnet20Model()
     per_conv.rescale = 9 + 3;
     w.counts += 19 * per_conv;
     // Average pool + FC.
-    OpCounts fc;
+    EvalOpCounts fc;
     fc.hrotate = 16;
     fc.cmult = 16;
     fc.hadd = 16;
@@ -112,7 +100,7 @@ logisticRegressionModel()
     w.params = ckks::Presets::paperLogisticRegression();
     applyWorkloadKeySwitch(w.params);
     w.batch = 64;
-    OpCounts per_iter;
+    EvalOpCounts per_iter;
     double f = 256;             // feature dimension of HELR
     per_iter.hrotate = 2 * std::log2(f); // fold + broadcast sums
     per_iter.hmult = 4;         // X*w, sigmoid (2), gradient
@@ -136,7 +124,7 @@ lstmModel()
     w.params = ckks::Presets::paperLstm();
     applyWorkloadKeySwitch(w.params);
     w.batch = 32;
-    OpCounts per_cell;
+    EvalOpCounts per_cell;
     // Four gates, each with input and recurrent 128x128 matmuls: 8
     // BSGS matrix-vector products per cell.
     double bsgs = 2 * std::sqrt(128.0);
@@ -169,17 +157,22 @@ packedBootstrappingModel()
 namespace
 {
 
-double
-opSeconds(perf::OpKind op, const WorkloadModel &w,
-          const perf::DeviceTimeModel &model)
+/** Average level: ops run across the whole chain; use 60% of full
+    depth as the representative level count. */
+std::size_t
+representativeLevel(const WorkloadModel &w)
 {
-    // Average level: ops run across the whole chain; use 60% of full
-    // depth as the representative level count.
     auto lc = static_cast<std::size_t>(
         0.6 * (static_cast<double>(w.params.levels) + 1));
-    if (lc < 2)
-        lc = 2;
-    auto cost = perf::opCost(op, w.params, lc);
+    return std::max<std::size_t>(lc, 2);
+}
+
+double
+opSeconds(EvalOpKind kind, const WorkloadModel &w,
+          const perf::DeviceTimeModel &model)
+{
+    auto cost =
+        perf::CostModel(w.params).op(kind, representativeLevel(w));
     return model.seconds(cost, w.batch) / static_cast<double>(w.batch);
 }
 
@@ -189,13 +182,13 @@ double
 workloadSeconds(const WorkloadModel &w, const perf::DeviceTimeModel &model)
 {
     double t = 0;
-    t += w.counts.hmult * opSeconds(perf::OpKind::HMult, w, model);
-    t += w.counts.cmult * opSeconds(perf::OpKind::CMult, w, model);
-    t += w.counts.hadd * opSeconds(perf::OpKind::HAdd, w, model);
-    t += w.counts.hrotate * opSeconds(perf::OpKind::HRotate, w, model);
-    t += w.counts.rescale * opSeconds(perf::OpKind::Rescale, w, model);
+    t += w.counts.hmult * opSeconds(EvalOpKind::HMult, w, model);
+    t += w.counts.cmult * opSeconds(EvalOpKind::CMult, w, model);
+    t += w.counts.hadd * opSeconds(EvalOpKind::HAdd, w, model);
+    t += w.counts.hrotate * opSeconds(EvalOpKind::HRotate, w, model);
+    t += w.counts.rescale * opSeconds(EvalOpKind::Rescale, w, model);
     t += w.counts.conjugate
-        * opSeconds(perf::OpKind::Conjugate, w, model);
+        * opSeconds(EvalOpKind::Conjugate, w, model);
     return t * static_cast<double>(w.batch);
 }
 
@@ -203,52 +196,52 @@ KernelShares
 workloadKernelShares(const WorkloadModel &w)
 {
     // Aggregate core work per kernel class across the op mix.
-    auto lc = static_cast<std::size_t>(
-        0.6 * (static_cast<double>(w.params.levels) + 1));
-    if (lc < 2)
-        lc = 2;
+    perf::CostModel cost_model(w.params);
+    std::size_t lc = representativeLevel(w);
     struct
     {
-        perf::OpKind kind;
+        EvalOpKind kind;
         double count;
     } mix[] = {
-        {perf::OpKind::HMult, w.counts.hmult},
-        {perf::OpKind::CMult, w.counts.cmult},
-        {perf::OpKind::HAdd, w.counts.hadd},
-        {perf::OpKind::HRotate, w.counts.hrotate},
-        {perf::OpKind::Rescale, w.counts.rescale},
-        {perf::OpKind::Conjugate, w.counts.conjugate},
+        {EvalOpKind::HMult, w.counts.hmult},
+        {EvalOpKind::CMult, w.counts.cmult},
+        {EvalOpKind::HAdd, w.counts.hadd},
+        {EvalOpKind::HRotate, w.counts.hrotate},
+        {EvalOpKind::Rescale, w.counts.rescale},
+        {EvalOpKind::Conjugate, w.counts.conjugate},
     };
     KernelShares s;
     double total = 0;
     for (const auto &m : mix) {
         if (m.count == 0)
             continue;
-        auto cost = perf::opCost(m.kind, w.params, lc);
+        auto cost = cost_model.op(m.kind, lc);
         double work = m.count * (cost.coreOps + cost.tcuMacs / 8.0);
-        double ntt_frac = perf::nttShare(m.kind, w.params, lc);
+        double ntt_frac = cost_model.nttShare(m.kind, lc);
         s.ntt += work * ntt_frac;
         double rest = work * (1.0 - ntt_frac);
         switch (m.kind) {
-          case perf::OpKind::HMult:
+          case EvalOpKind::HMult:
             s.hadaMult += rest * 0.7;
             s.conv += rest * 0.2;
             s.eleAdd += rest * 0.1;
             break;
-          case perf::OpKind::CMult:
+          case EvalOpKind::CMult:
             s.hadaMult += rest;
             break;
-          case perf::OpKind::HAdd:
+          case EvalOpKind::HAdd:
             s.eleAdd += rest;
             break;
-          case perf::OpKind::HRotate:
-          case perf::OpKind::Conjugate:
+          case EvalOpKind::HRotate:
+          case EvalOpKind::Conjugate:
             s.frobenius += rest * 0.3;
             s.hadaMult += rest * 0.4;
             s.conv += rest * 0.3;
             break;
-          case perf::OpKind::Rescale:
+          case EvalOpKind::Rescale:
             s.eleAdd += rest;
+            break;
+          default:
             break;
         }
         total += work;
@@ -268,13 +261,13 @@ workloadOpShares(const WorkloadModel &w, const perf::DeviceTimeModel &model)
 {
     OpShares s;
     s.hmult = w.counts.hmult
-        * opSeconds(perf::OpKind::HMult, w, model);
+        * opSeconds(EvalOpKind::HMult, w, model);
     s.hrotate = (w.counts.hrotate + w.counts.conjugate)
-        * opSeconds(perf::OpKind::HRotate, w, model);
+        * opSeconds(EvalOpKind::HRotate, w, model);
     s.rescale = w.counts.rescale
-        * opSeconds(perf::OpKind::Rescale, w, model);
-    s.hadd = w.counts.hadd * opSeconds(perf::OpKind::HAdd, w, model);
-    s.cmult = w.counts.cmult * opSeconds(perf::OpKind::CMult, w, model);
+        * opSeconds(EvalOpKind::Rescale, w, model);
+    s.hadd = w.counts.hadd * opSeconds(EvalOpKind::HAdd, w, model);
+    s.cmult = w.counts.cmult * opSeconds(EvalOpKind::CMult, w, model);
     double total = s.hmult + s.hrotate + s.rescale + s.hadd + s.cmult;
     if (total > 0) {
         s.hmult /= total;

@@ -6,8 +6,8 @@
  *
  * The counts are reconstructions from the cited papers' published
  * structure (layer shapes, iteration counts, BSGS decompositions);
- * EXPERIMENTS.md documents each derivation. They feed Table X and
- * Figs. 12-13 through the device time model.
+ * the comments beside each model in models.cc give its derivation.
+ * They feed Table X and Figs. 12-13 through the device time model.
  *
  * Two kinds of workload live in this directory and should not be
  * confused:
@@ -17,9 +17,9 @@
  *   - functional workloads (lr.hh, cnn.hh, lstm.hh): scaled-down
  *     instances that really compute on ciphertexts, verified against
  *     plaintext references. Their executed-op statistics
- *     (EvalOpStats) cross-check the analytic counts here via
- *     toOpCounts(); bench_table10_workloads prints both side by
- *     side.
+ *     (EvalOpStats) share this header's vocabulary, EvalOpCounts;
+ *     bench_table10_workloads prints their modeled and executed
+ *     counts side by side.
  */
 
 #ifndef TENSORFHE_WORKLOADS_MODELS_HH
@@ -27,59 +27,24 @@
 
 #include <string>
 
+#include "ckks/params.hh"
 #include "common/stats.hh"
-#include "perf/cost.hh"
 #include "perf/device_time.hh"
 
 namespace tensorfhe::workloads
 {
 
-/** Homomorphic operation counts of a full workload run. */
-struct OpCounts
-{
-    double hmult = 0;
-    double cmult = 0;
-    double hadd = 0;
-    double hrotate = 0;
-    double rescale = 0;
-    double conjugate = 0;
-
-    OpCounts &
-    operator+=(const OpCounts &o)
-    {
-        hmult += o.hmult;
-        cmult += o.cmult;
-        hadd += o.hadd;
-        hrotate += o.hrotate;
-        rescale += o.rescale;
-        conjugate += o.conjugate;
-        return *this;
-    }
-
-    friend OpCounts
-    operator*(double k, const OpCounts &c)
-    {
-        return {k * c.hmult, k * c.cmult, k * c.hadd, k * c.hrotate,
-                k * c.rescale, k * c.conjugate};
-    }
-};
-
-/** One slim bootstrap (paper Fig. 6) at the given slot count. */
-OpCounts bootstrapOpCounts(std::size_t slots);
-
-/**
- * Executed/predicted functional-path statistics mapped into the
- * model vocabulary (key-switch phase counters are dropped; they have
- * no analytic-model counterpart).
- */
-OpCounts toOpCounts(const EvalOpCounts &c);
+/** One slim bootstrap (paper Fig. 6) at the given slot count. The
+    paper-scale models count Table II operations only, so ksHoist
+    and ksTail stay 0. */
+EvalOpCounts bootstrapOpCounts(std::size_t slots);
 
 struct WorkloadModel
 {
     std::string name;
     ckks::CkksParams params;
     std::size_t batch = 1;  ///< packed inputs (paper SV)
-    OpCounts counts;        ///< total op counts for the full run
+    EvalOpCounts counts;    ///< total op counts for the full run
     double bootstraps = 0;  ///< number of bootstrap invocations
 };
 

@@ -12,7 +12,7 @@
 
 #include "ckks/rotations.hh"
 #include "nn/layers.hh"
-#include "perf/cost.hh"
+#include "perf/cost_model.hh"
 #include "run_layer.hh"
 
 namespace tensorfhe::nn
@@ -263,8 +263,8 @@ TEST(SumReduceLayer, SumsAndHonorsScheduleDecision)
     auto out_meta = sum.compile(f.ctx, freshMeta(f.ctx, {{m}}));
     EXPECT_EQ(out_meta.levelCount, f.ctx.tower().numQ());
     EXPECT_EQ(sum.hoisted(),
-              perf::hoistedFoldWins(f.ctx.params(),
-                                    f.ctx.tower().numQ(), m));
+              perf::CostModel(f.ctx.params())
+                  .hoistedFoldWins(f.ctx.tower().numQ(), m));
 
     auto keys = f.keysFor(sum.requiredRotations());
     nn::NnEngine engine(f.ctx, keys);

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 #include "common/stats.hh"
@@ -244,6 +245,18 @@ TEST(MetricsRegistry, SnapshotJsonNestsDottedNames)
     std::fclose(f);
     std::remove(path.c_str());
     reg.resetCustom();
+}
+
+TEST(MetricsRegistry, WriteToFullDiskReportsFailure)
+{
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "/dev/full is absent";
+    auto &reg = MetricsRegistry::instance();
+    reg.resetCustom();
+    // Under one stdio buffer, fwrite only buffers the payload: the
+    // full disk surfaces when fclose flushes it.
+    ASSERT_LT(reg.snapshotJson().size(), 4096u);
+    EXPECT_FALSE(reg.writeSnapshotJson("/dev/full"));
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -380,6 +381,21 @@ TEST_F(TraceChromeJson, DynamicAndEscapableNamesStayValidJson)
             found = true;
         }
     EXPECT_TRUE(found);
+}
+
+TEST_F(TraceChromeJson, WriteToFullDiskReportsFailure)
+{
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "/dev/full is absent";
+    Tracer::instance().arm();
+    {
+        TraceSpan sp("graph", "HRotate");
+    }
+    Tracer::instance().disarm();
+    // Under one stdio buffer, fwrite only buffers the payload: the
+    // full disk surfaces when fclose flushes it.
+    ASSERT_LT(Tracer::instance().chromeJson().size(), 4096u);
+    EXPECT_FALSE(Tracer::instance().writeChromeJson("/dev/full"));
 }
 
 } // namespace

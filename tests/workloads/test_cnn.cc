@@ -119,14 +119,10 @@ TEST(EncryptedCnn, ExecutedOpsMatchLayerPlans)
     }
 }
 
-TEST(EncryptedCnn, ModeledCountsConvertToModelVocabulary)
+TEST(EncryptedCnn, ModelsNoConjugations)
 {
     auto &f = fx();
-    auto counts = f.cnn.modeledCounts();
-    auto ops = f.cnn.modeledOps();
-    EXPECT_EQ(counts.hrotate, ops.hrotate);
-    EXPECT_EQ(counts.cmult, ops.cmult);
-    EXPECT_EQ(counts.conjugate, 0.0);
+    EXPECT_EQ(f.cnn.modeledOps().conjugate, 0.0);
 }
 
 // ------------------------------------------------------------------
