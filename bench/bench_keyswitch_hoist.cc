@@ -207,9 +207,10 @@ main(int argc, char **argv)
         ctx.encoder().encode(z, params.scale(), 3), rng);
 
     // Naive diagonal method: one full rotation + fresh encode per
-    // nonzero diagonal (the pre-BSGS applyLinear).
+    // nonzero diagonal (the pre-BSGS applyLinear), over the matrix
+    // the plan was built from.
+    const auto m = boot::specialFftMatrix(ctx.encoder());
     auto naive_transform = [&] {
-        const auto &m = plan.matrix();
         ckks::Ciphertext acc;
         bool first = true;
         for (std::size_t d = 0; d < slots; ++d) {

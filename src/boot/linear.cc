@@ -122,8 +122,10 @@ LinearTransformPlan::LinearTransformPlan(const ckks::CkksContext &ctx,
 
 LinearTransformPlan::LinearTransformPlan(const ckks::CkksContext &ctx,
                                          SlotMatrix m,
-                                         const StrideOptions &opt)
-    : LinearTransformPlan(ctx, std::move(m), SlotMatrix{}, opt)
+                                         const StrideOptions &opt,
+                                         std::vector<s64> fold_steps)
+    : LinearTransformPlan(ctx, std::move(m), SlotMatrix{}, opt,
+                          std::move(fold_steps))
 {}
 
 LinearTransformPlan::LinearTransformPlan(const ckks::CkksContext &ctx,
@@ -134,11 +136,12 @@ LinearTransformPlan::LinearTransformPlan(const ckks::CkksContext &ctx,
 
 LinearTransformPlan::LinearTransformPlan(const ckks::CkksContext &ctx,
                                          SlotMatrix m, SlotMatrix conj_m,
-                                         const StrideOptions &opt)
-    : ctx_(ctx), m_(std::move(m))
+                                         const StrideOptions &opt,
+                                         std::vector<s64> fold_steps)
+    : ctx_(ctx), folds_(std::move(fold_steps))
 {
     std::size_t slots = ctx.slots();
-    TFHE_ASSERT(m_.size() == slots);
+    TFHE_ASSERT(m.size() == slots);
     TFHE_ASSERT(conj_m.empty() || conj_m.size() == slots);
 
     // Extract the nonzero diagonals of both branches first
@@ -147,7 +150,7 @@ LinearTransformPlan::LinearTransformPlan(const ckks::CkksContext &ctx,
     // diagonal index share the giant step, only the baby key differs.
     std::vector<std::size_t> plain_idx, conj_idx;
     std::vector<std::vector<Complex>> plain_vals, conj_vals;
-    extractDiagonals(m_, slots, plain_idx, plain_vals);
+    extractDiagonals(m, slots, plain_idx, plain_vals);
     if (!conj_m.empty())
         extractDiagonals(conj_m, slots, conj_idx, conj_vals);
     TFHE_ASSERT(!plain_idx.empty() || !conj_idx.empty(),
@@ -308,7 +311,8 @@ LinearTransformPlan::diagonalIndices() const
 std::vector<s64>
 LinearTransformPlan::requiredRotations() const
 {
-    return ckks::unionRotationSteps({babySteps_, giantSteps_});
+    return ckks::unionRotationSteps({babySteps_, giantSteps_, folds_},
+                                    ctx_.slots());
 }
 
 std::vector<s64>
@@ -345,8 +349,21 @@ EvalOpCounts
 LinearTransformPlan::modeledApplyOps() const
 {
     EvalOpCounts c = modeledAccumOps();
+    c += modeledFoldOps();
     c.hadd -= 1; // the first group initializes the accumulator
     c.rescale = 1;
+    return c;
+}
+
+EvalOpCounts
+LinearTransformPlan::modeledFoldOps() const
+{
+    auto folds = static_cast<double>(folds_.size());
+    EvalOpCounts c;
+    c.hrotate = folds;
+    c.ksHoist = folds;
+    c.ksTail = folds;
+    c.hadd = folds;
     return c;
 }
 
@@ -388,6 +405,7 @@ LinearTransformPlan::program(std::size_t level_count) const
     for (s64 b : conjSteps_)
         prog.babySteps.push_back({b, true});
     std::sort(prog.babySteps.begin(), prog.babySteps.end());
+    prog.foldSteps = folds_;
     for (std::size_t i = 0; i < diags_.size();) {
         std::size_t k = diags_[i].k;
         exec::BsgsGroup group;
@@ -483,6 +501,7 @@ LinearTransformPlan::modeledFanoutOps(
         c.cmult += diags;
         c.hadd += diags - 1; // per-plan accumulator starts fresh
         c.rescale += 1;
+        c += p->modeledFoldOps();
     }
     return c;
 }

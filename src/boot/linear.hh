@@ -102,18 +102,25 @@ struct StrideOptions
  *
  * The encoded diagonal plaintexts (extended to the key-switch union
  * basis for the QP-domain products) are memoized per ciphertext
- * level inside the plan; so are the dense special-FFT matrices,
- * built once at plan construction via the factories below. apply()
- * consumes one multiplicative level.
+ * level inside the plan. The dense matrix itself is not kept: the
+ * plan holds only its nonzero diagonals. apply() consumes one
+ * multiplicative level.
  */
 class LinearTransformPlan
 {
   public:
     LinearTransformPlan(const ckks::CkksContext &ctx, SlotMatrix m);
 
-    /** Plan with an explicit stride policy (the planner's entry). */
+    /**
+     * Plan with an explicit stride policy (the planner's entry) and
+     * optional closing folds: each fold step f adds rot_f of the
+     * transform's output onto itself after the final ModDown pair and
+     * before the RESCALE (a wide nn matvec sums its row copies this
+     * way). Folds are not BSGS steps: the stride policy ignores them.
+     */
     LinearTransformPlan(const ckks::CkksContext &ctx, SlotMatrix m,
-                        const StrideOptions &opt);
+                        const StrideOptions &opt,
+                        std::vector<s64> fold_steps = {});
 
     /**
      * Conjugate-symmetric plan: y = M z + conj(M) conj(z) = 2 Re(M z).
@@ -128,7 +135,8 @@ class LinearTransformPlan
                         SlotMatrix conj_m);
 
     LinearTransformPlan(const ckks::CkksContext &ctx, SlotMatrix m,
-                        SlotMatrix conj_m, const StrideOptions &opt);
+                        SlotMatrix conj_m, const StrideOptions &opt,
+                        std::vector<s64> fold_steps = {});
 
     /** Plan for the special FFT matrix U (SlotToCoeff). */
     static LinearTransformPlan specialFft(const ckks::CkksContext &ctx);
@@ -183,7 +191,8 @@ class LinearTransformPlan
     static EvalOpCounts
     modeledFanoutOps(const std::vector<const LinearTransformPlan *> &ps);
 
-    /** Rotation steps apply() needs plain keys for (baby + giant). */
+    /** Rotation steps apply() needs plain keys for (baby, giant and
+        fold steps). */
     std::vector<s64> requiredRotations() const;
     /**
      * Conjugate-composed baby steps apply() needs KeyBundle.conjRot
@@ -191,8 +200,6 @@ class LinearTransformPlan
      * step-0 conjugation rides the always-present conj key).
      */
     std::vector<s64> requiredConjRotations() const;
-
-    const SlotMatrix &matrix() const { return m_; }
 
     /** Giant stride g (cost-model-chosen); baby steps span [0, g). */
     std::size_t giantStride() const { return g_; }
@@ -213,6 +220,8 @@ class LinearTransformPlan
     std::size_t giantStepCount() const { return giantSteps_.size(); }
     /** Giant groups, counting the unshifted (k = 0) one. */
     std::size_t groupCount() const { return groupCount_; }
+    /** Closing rotate-and-add fold steps, in execution order. */
+    const std::vector<s64> &foldSteps() const { return folds_; }
     /** Levels with a cached encoded-diagonal set (for tests). */
     std::size_t cachedLevelCount() const;
 
@@ -222,10 +231,13 @@ class LinearTransformPlan
      * AccumOps() is the share one accumulation contributes inside an
      * applyBsgsSum (counting the inter-group HAdd for EVERY group);
      * a standalone apply is accum minus the first group's HAdd plus
-     * the single final RESCALE.
+     * the closing folds and the single final RESCALE.
      */
     EvalOpCounts modeledAccumOps() const;
     EvalOpCounts modeledApplyOps() const;
+    /** The closing folds' share, paid once per output: one hoisted
+        HROTATE (head + tail) and one HADD per fold step. */
+    EvalOpCounts modeledFoldOps() const;
 
     /**
      * Compile the cached diagonals into the exec program for one
@@ -249,13 +261,13 @@ class LinearTransformPlan
     encodedDiagonals(std::size_t level_count) const;
 
     const ckks::CkksContext &ctx_;
-    SlotMatrix m_;
     std::size_t g_ = 0;
     std::size_t groupCount_ = 0;
     std::vector<Diagonal> diags_;       ///< sorted by (k, conj, b)
     std::vector<s64> babySteps_;        ///< distinct nonzero plain b
     std::vector<s64> conjSteps_;        ///< distinct conj b (incl. 0)
     std::vector<s64> giantSteps_;       ///< distinct nonzero k*g
+    std::vector<s64> folds_;            ///< closing fold steps
     mutable std::mutex mu_;
     /// Per-level encoded diagonals, union-basis, aligned with diags_.
     mutable std::map<std::size_t, std::vector<ckks::Plaintext>> cache_;

@@ -808,7 +808,8 @@ std::vector<ckks::Ciphertext>
 Dispatcher::finalizeBsgs(rns::RnsPolynomial *const *G0p,
                          rns::RnsPolynomial *const *G1p,
                          std::size_t batch, std::size_t level_count,
-                         double out_scale) const
+                         double out_scale,
+                         const std::vector<s64> &folds) const
 {
     std::vector<rns::RnsPolynomial *> g_all(G0p, G0p + batch);
     g_all.insert(g_all.end(), G1p, G1p + batch);
@@ -819,6 +820,14 @@ Dispatcher::finalizeBsgs(rns::RnsPolynomial *const *G0p,
         out[s].c0 = std::move(final0[s]);
         out[s].c1 = std::move(final1[s]);
         out[s].scale = out_scale;
+    }
+    // The folds run before the RESCALE: each one's key-switch noise
+    // then lands at the squared scale, where it is negligible, rather
+    // than at the output scale, where every later fold would add it
+    // up again.
+    for (s64 step : folds) {
+        auto rotated = rotateMany(out.data(), batch, {step});
+        addInPlace(out.data(), rotated[0].data(), batch);
     }
     rescaleInPlace(out.data(), batch);
     return out;
@@ -857,10 +866,20 @@ Dispatcher::applyBsgsSum(const BsgsProgram *const *programs,
                          const ckks::Ciphertext *const *inputs,
                          std::size_t terms, std::size_t batch) const
 {
+    TFHE_ASSERT(terms > 0, "empty BSGS sum");
+    const auto &folds = programs[0]->foldSteps;
+    std::size_t diagonals = 0;
+    for (std::size_t t = 0; t < terms; ++t) {
+        TFHE_ASSERT(programs[t]->foldSteps == folds,
+                    "BSGS sum terms must share one fold list");
+        for (const auto &g : programs[t]->groups)
+            diagonals += g.entries.size();
+    }
     trace::TraceSpan tsp_("exec", "applyBsgsSum");
     tsp_.arg("batch", static_cast<s64>(batch))
-        .arg("terms", static_cast<s64>(terms));
-    TFHE_ASSERT(terms > 0, "empty BSGS sum");
+        .arg("terms", static_cast<s64>(terms))
+        .arg("diagonals", static_cast<s64>(diagonals))
+        .arg("folds", static_cast<s64>(folds.size()));
     std::vector<ckks::Ciphertext> out(batch);
     if (batch == 0)
         return out;
@@ -895,7 +914,7 @@ Dispatcher::applyBsgsSum(const BsgsProgram *const *programs,
                          G1p.data(), first_group);
     }
     return finalizeBsgs(G0p.data(), G1p.data(), batch, lc,
-                        in_scale * pt_scale);
+                        in_scale * pt_scale, folds);
 }
 
 std::vector<std::vector<ckks::Ciphertext>>
@@ -950,7 +969,8 @@ Dispatcher::applyBsgsFanout(const BsgsProgram *const *programs,
         double pt_scale =
             programs[p]->groups[0].entries[0].pt->scale;
         out[p] = finalizeBsgs(G0p.data(), G1p.data(), batch, lc,
-                              in_scale * pt_scale);
+                              in_scale * pt_scale,
+                              programs[p]->foldSteps);
     }
     return out;
 }

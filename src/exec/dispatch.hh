@@ -125,6 +125,10 @@ struct BsgsProgram
         step 0, which is a plain conjugation). */
     std::vector<BsgsStep> babySteps;
     std::vector<BsgsGroup> groups;
+    /** Rotate-and-add folds closing the transform, in order: after
+        the final ModDown pair each adds rot_step of the output onto
+        itself, and the RESCALE comes last. */
+    std::vector<s64> foldSteps;
 };
 
 class Dispatcher
@@ -245,11 +249,12 @@ class Dispatcher
      * every baby step (raw tails, ModDown deferred — outputs stay on
      * the extended QP basis), diagonal products and giant-group sums
      * accumulate on QP, each nonzero giant step pays one c1-only
-     * ModDown + head-2 hoist + raw tail, and ONE final ModDown pair +
-     * RESCALE closes the transform. Cuts the per-transform basis
-     * conversions from ~2 per keyswitch (2*(baby+giant) ModDowns) to
-     * giant + 2, and — with the cost-model-chosen giant stride — the
-     * ModUp/hoist count versus the classic sqrt-stride BSGS.
+     * ModDown + head-2 hoist + raw tail, and ONE final ModDown pair,
+     * the program's folds and one RESCALE close the transform. Cuts
+     * the per-transform basis conversions from ~2 per keyswitch
+     * (2*(baby+giant) ModDowns) to giant + 2, and — with the
+     * cost-model-chosen giant stride — the ModUp/hoist count versus
+     * the classic sqrt-stride BSGS.
      */
     std::vector<ckks::Ciphertext> applyBsgs(const BsgsProgram &program,
                                             const ckks::Ciphertext *as,
@@ -262,7 +267,8 @@ class Dispatcher
      * matvec's out-chunk is sum_j M_{ij} x_j, each addend a compiled
      * program, partial sums never paying their own ModDown.
      * inputs[t * batch + s] is batch slot s of term t; all inputs
-     * must share one level and scale.
+     * must share one level and scale, and all programs one fold list
+     * (the sum's folds run once, on the summed output).
      */
     std::vector<ckks::Ciphertext>
     applyBsgsSum(const BsgsProgram *const *programs,
@@ -408,11 +414,13 @@ class Dispatcher
                           rns::RnsPolynomial *const *G1p,
                           bool &first_group) const;
 
-    /** The single final ModDown pair + RESCALE closing a transform. */
+    /** The single final ModDown pair, the fold steps and the
+        RESCALE closing a transform. */
     std::vector<ckks::Ciphertext>
     finalizeBsgs(rns::RnsPolynomial *const *G0p,
                  rns::RnsPolynomial *const *G1p, std::size_t batch,
-                 std::size_t level_count, double out_scale) const;
+                 std::size_t level_count, double out_scale,
+                 const std::vector<s64> &folds) const;
 
     const ckks::CkksContext &ctx_;
     std::shared_ptr<const ckks::KeyStore> store_;

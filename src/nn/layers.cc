@@ -43,6 +43,61 @@ Layer::rebind(const ckks::CkksContext &ctx, const TensorMeta &in)
 // ------------------------------------------------------------------
 // MatvecLayer
 
+namespace
+{
+
+/** Magnitude below which a weight populates no diagonal (the plan's
+    own empty-diagonal threshold). */
+constexpr double kZeroWeight = 1e-12;
+
+std::size_t
+nextPowerOfTwo(std::size_t x)
+{
+    std::size_t p = 1;
+    while (p < x)
+        p *= 2;
+    return p;
+}
+
+void
+sortUnique(std::vector<std::size_t> &v)
+{
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+}
+
+/**
+ * Where weight (r, c) of a one-block embedded matrix lands in a
+ * form's compressed square matrix, as (row, column); its diagonal is
+ * (column - row) mod slots. A tall column may land past the slots:
+ * that form then has no room for its copies and is not a candidate.
+ */
+std::pair<std::size_t, std::size_t>
+place(MatvecLayer::Form form, std::size_t block, bool next_copy,
+      std::size_t r, std::size_t c, std::size_t slots)
+{
+    switch (form) {
+      case MatvecLayer::Form::Tall: {
+        // Column c of copy k sits at k*q + c. Row r reads the copy in
+        // its own q-block, or the first one at or after slot r.
+        std::size_t q = block;
+        return {r, next_copy ? r + (c + q - r % q) % q : r - r % q + c};
+      }
+      case MatvecLayer::Form::Wide: {
+        // Row r's weights sit on the rows t = r (mod p): weight c on
+        // the one whose extended diagonal j = c - t lies in [0, p).
+        std::size_t p = block;
+        std::size_t j = (c + p - r % p) % p;
+        return {(c + slots - j) % slots, c};
+      }
+      case MatvecLayer::Form::Square:
+        break;
+    }
+    return {r, c};
+}
+
+} // namespace
+
 TensorMeta
 MatvecLayer::compile(const ckks::CkksContext &ctx, const TensorMeta &in)
 {
@@ -58,6 +113,8 @@ MatvecLayer::compile(const ckks::CkksContext &ctx, const TensorMeta &in)
                in.levelCount);
 
     in_ = in;
+    slots_ = slots;
+    topLevel_ = ctx.tower().numQ();
     // Output capacity must be fixed before buildMatrix(): the matrix
     // writers index rows by output slot.
     out_.shape = outputShape(in.shape);
@@ -67,37 +124,43 @@ MatvecLayer::compile(const ckks::CkksContext &ctx, const TensorMeta &in)
     std::size_t cols = in.chunkCount * slots;
 
     auto m = buildMatrix(ctx, in, rows, cols);
+    boot::StrideOptions opt;
+    if (plannedStrides_) {
+        opt.costingLevel = in.levelCount;
+        opt.restrictToRootPattern = false;
+    }
 
-    // Slice the global matrix into per-(out-chunk, in-chunk) blocks;
-    // identically-zero blocks compile to no plan (and no work).
     blocks_.resize(out_chunks);
-    for (std::size_t i = 0; i < out_chunks; ++i) {
-        blocks_[i].resize(in.chunkCount);
-        bool any = false;
-        for (std::size_t j = 0; j < in.chunkCount; ++j) {
-            boot::SlotMatrix block(
-                slots,
-                std::vector<ckks::Complex>(slots, ckks::Complex(0, 0)));
-            double mag = 0;
-            for (std::size_t r = 0; r < slots; ++r)
-                for (std::size_t c = 0; c < slots; ++c) {
-                    block[r][c] = m[i * slots + r][j * slots + c];
-                    mag = std::max(mag, std::abs(block[r][c]));
-                }
-            if (mag < 1e-12)
-                continue;
-            boot::StrideOptions opt;
-            if (plannedStrides_) {
-                opt.costingLevel = in.levelCount;
-                opt.restrictToRootPattern = false;
+    if (out_chunks == 1 && in.chunkCount == 1) {
+        blocks_[0].resize(1);
+        compileSingleBlock(ctx, in, std::move(m), opt);
+    } else {
+        // Slice the global matrix into per-(out-chunk, in-chunk)
+        // blocks; identically-zero blocks compile to no plan (and no
+        // work).
+        for (std::size_t i = 0; i < out_chunks; ++i) {
+            blocks_[i].resize(in.chunkCount);
+            bool any = false;
+            for (std::size_t j = 0; j < in.chunkCount; ++j) {
+                boot::SlotMatrix block(
+                    slots, std::vector<ckks::Complex>(
+                               slots, ckks::Complex(0, 0)));
+                double mag = 0;
+                for (std::size_t r = 0; r < slots; ++r)
+                    for (std::size_t c = 0; c < slots; ++c) {
+                        block[r][c] = m[i * slots + r][j * slots + c];
+                        mag = std::max(mag, std::abs(block[r][c]));
+                    }
+                if (mag < kZeroWeight)
+                    continue;
+                blocks_[i][j] =
+                    std::make_unique<boot::LinearTransformPlan>(
+                        ctx, std::move(block), opt);
+                any = true;
             }
-            blocks_[i][j] =
-                std::make_unique<boot::LinearTransformPlan>(
-                    ctx, std::move(block), opt);
-            any = true;
+            requireArg(any, name(), " output chunk ", i,
+                       " receives no input (all blocks zero)");
         }
-        requireArg(any, name(), " output chunk ", i,
-                   " receives no input (all blocks zero)");
     }
 
     out_.layout = SlotLayout::contiguous(out_.shape);
@@ -106,6 +169,9 @@ MatvecLayer::compile(const ckks::CkksContext &ctx, const TensorMeta &in)
     out_.scale = graph::mulRescaleScale(ctx, in.scale,
                                         ctx.params().scale(),
                                         in.levelCount);
+    // Rows past the output are zero in the square and tall forms; the
+    // wide form's folds leave partial sums there.
+    out_.zeroPadded = form_ != Form::Wide;
 
     auto bias = biasVector();
     biases_.assign(out_chunks, std::nullopt);
@@ -131,16 +197,126 @@ MatvecLayer::compile(const ckks::CkksContext &ctx, const TensorMeta &in)
     return out_;
 }
 
+void
+MatvecLayer::compileSingleBlock(const ckks::CkksContext &ctx,
+                                const TensorMeta &in, boot::SlotMatrix m,
+                                const boot::StrideOptions &opt)
+{
+    std::size_t slots = slots_;
+    std::vector<std::pair<std::size_t, std::size_t>> weights;
+    for (std::size_t r = 0; r < slots; ++r)
+        for (std::size_t c = 0; c < slots; ++c)
+            if (std::abs(m[r][c]) >= kZeroWeight)
+                weights.emplace_back(r, c);
+    requireArg(!weights.empty(), name(),
+               " output chunk 0 receives no input (all blocks zero)");
+
+    // Every form's diagonal population, counted from the weights
+    // alone: only the chosen form builds a plan.
+    auto populate = [&](Candidate &k) {
+        std::size_t reach = 0;
+        for (auto [r, c] : weights) {
+            auto [t, u] = place(k.form, k.block, k.nextCopy, r, c, slots);
+            reach = std::max(reach, u + 1);
+            k.diagonals.push_back((u + slots - t) % slots);
+        }
+        sortUnique(k.diagonals);
+        return reach;
+    };
+    candidates_.clear();
+    candidates_.emplace_back();
+    populate(candidates_.back());
+    if (in.zeroPadded) {
+        std::size_t q = nextPowerOfTwo(in.layout.slotSpan(in.shape));
+        for (bool next_copy : {false, true}) {
+            Candidate k{Form::Tall, q, next_copy, {}, {}};
+            std::size_t copies =
+                nextPowerOfTwo((populate(k) + q - 1) / q);
+            if (copies < 2 || copies * q > slots)
+                continue; // nothing to replicate, or no room for it
+            for (std::size_t n = 1; n < copies; n *= 2)
+                k.steps.push_back(static_cast<s64>(slots - n * q));
+            candidates_.push_back(std::move(k));
+        }
+    }
+    std::size_t p = nextPowerOfTwo(out_.shape.numel());
+    if (p < slots) {
+        Candidate k{Form::Wide, p, false, {}, {}};
+        populate(k);
+        for (std::size_t f = p; f < slots; f *= 2)
+            k.steps.push_back(static_cast<s64>(f));
+        candidates_.push_back(std::move(k));
+    }
+
+    const Candidate &k =
+        *chooseForm(perf::CostModel(ctx.params()), in.levelCount).first;
+    form_ = k.form;
+    if (form_ != Form::Square) {
+        boot::SlotMatrix packed(
+            slots, std::vector<ckks::Complex>(slots, ckks::Complex(0, 0)));
+        for (std::size_t r = 0; r < slots; ++r)
+            for (std::size_t c = 0; c < slots; ++c) {
+                if (m[r][c] == ckks::Complex(0, 0))
+                    continue;
+                auto [t, u] =
+                    place(k.form, k.block, k.nextCopy, r, c, slots);
+                packed[t][u] += m[r][c];
+            }
+        m = std::move(packed);
+    }
+    if (form_ == Form::Tall)
+        replicate_ = k.steps;
+    blocks_[0][0] = std::make_unique<boot::LinearTransformPlan>(
+        ctx, std::move(m), opt,
+        form_ == Form::Wide ? k.steps : std::vector<s64>{});
+}
+
+std::pair<const MatvecLayer::Candidate *, perf::KernelCost>
+MatvecLayer::chooseForm(const perf::CostModel &model,
+                        std::size_t input_lc) const
+{
+    // Price each form as a rebind at this level would build it: the
+    // stride argmin at the same costing level and key pattern as the
+    // plan constructor, plus the rotate-and-add doublings or folds,
+    // which run at the input level count.
+    std::size_t stride_lc = plannedStrides_ ? input_lc : topLevel_;
+    const Candidate *best = nullptr;
+    perf::KernelCost best_cost;
+    double best_work = 0;
+    for (const auto &k : candidates_) {
+        auto stride = model.chooseBsgsStride(stride_lc, k.diagonals,
+                                             slots_, !plannedStrides_);
+        perf::KernelCost c = model.blockMatvec(
+            input_lc, 1, k.diagonals.size(), stride.baby, stride.giant);
+        c += model.rotateFold(input_lc, std::size_t{1} << k.steps.size(),
+                              /*hoisted=*/false);
+        double w = perf::CostModel::work(c);
+        if (best == nullptr || w < best_work) {
+            best = &k;
+            best_cost = c;
+            best_work = w;
+        }
+    }
+    return {best, best_cost};
+}
+
+MatvecLayer::Form
+MatvecLayer::form() const
+{
+    requireCompiled();
+    return form_;
+}
+
 std::vector<s64>
 MatvecLayer::requiredRotations() const
 {
     requireCompiled();
-    std::vector<std::vector<s64>> lists;
+    std::vector<std::vector<s64>> lists{replicate_};
     for (const auto &row : blocks_)
         for (const auto &b : row)
             if (b)
                 lists.push_back(b->requiredRotations());
-    return ckks::unionRotationSteps(lists);
+    return ckks::unionRotationSteps(lists, slots_);
 }
 
 const boot::LinearTransformPlan &
@@ -172,6 +348,9 @@ MatvecLayer::lower(graph::GraphBuilder &b, graph::ValueId in) const
     // scheduler can overlap): every nonzero input block accumulates
     // on QP, one final ModDown + RESCALE, then the chunk's bias.
     auto chunks = b.unpack(in);
+    // Tall form: lay copies of the (zero-padded) input side by side.
+    for (s64 step : replicate_)
+        chunks[0] = b.add(chunks[0], b.rotate(chunks[0], step));
     std::vector<graph::ValueId> outs;
     outs.reserve(blocks_.size());
     for (std::size_t i = 0; i < blocks_.size(); ++i) {
@@ -195,12 +374,23 @@ EvalOpCounts
 MatvecLayer::modeledOps() const
 {
     requireCompiled();
+    // Each doubling is one single-step rotateMany plus one HADD.
+    auto doublings = static_cast<double>(replicate_.size());
     EvalOpCounts total;
+    total.hrotate = doublings;
+    total.ksHoist = doublings;
+    total.ksTail = doublings;
+    total.hadd = doublings;
     for (std::size_t i = 0; i < blocks_.size(); ++i) {
         EvalOpCounts chunk;
+        const boot::LinearTransformPlan *first = nullptr;
         for (const auto &b : blocks_[i])
-            if (b)
+            if (b) {
                 chunk += b->modeledAccumOps();
+                first = first ? first : b.get();
+            }
+        // The sum's folds run once, on the summed output.
+        chunk += first->modeledFoldOps();
         chunk.hadd -= 1; // the first group initializes the accumulator
         chunk.rescale += 1;
         if (biases_[i])
@@ -216,6 +406,13 @@ MatvecLayer::costAt(const perf::CostModel &model,
 {
     requireCompiled();
     perf::KernelCost total;
+    if (!candidates_.empty()) {
+        // The form (and stride) a rebind at this level would pick.
+        total = chooseForm(model, input_lc).second;
+        if (biases_[0])
+            total += model.op(EvalOpKind::HAdd, input_lc - 1);
+        return total;
+    }
     for (std::size_t i = 0; i < blocks_.size(); ++i) {
         std::size_t nb = 0, diags = 0, baby = 0, giant = 0;
         for (const auto &b : blocks_[i]) {
@@ -227,7 +424,7 @@ MatvecLayer::costAt(const perf::CostModel &model,
                 // Replicate the stride a rebind at this level would
                 // pick — same argmin, same population.
                 auto choice = model.chooseBsgsStride(
-                    input_lc, b->diagonalIndices(), b->matrix().size(),
+                    input_lc, b->diagonalIndices(), slots_,
                     /*restrict_to_root_pattern=*/false);
                 baby += choice.baby;
                 giant += choice.giant;
@@ -265,6 +462,9 @@ MatvecLayer::resetPlans()
 {
     blocks_.clear();
     biases_.clear();
+    candidates_.clear();
+    form_ = Form::Square;
+    replicate_.clear();
 }
 
 // ------------------------------------------------------------------
@@ -500,6 +700,7 @@ AvgPool2d::compile(const ckks::CkksContext &ctx, const TensorMeta &in)
     out_.scale = graph::mulRescaleScale(ctx, in.scale,
                                         ctx.params().scale(),
                                         in.levelCount);
+    out_.zeroPadded = true; // the mask zeroes all but the outputs
 
     // The window-base mask, folding the 1/window^2 average into the
     // mask values so no extra level is spent.
@@ -628,6 +829,7 @@ SumReduce::compile(const ckks::CkksContext &ctx, const TensorMeta &in)
     out_.chunkCount = 1;
     out_.levelCount = in.levelCount;
     out_.scale = in.scale;
+    out_.zeroPadded = false; // the folds leave partial sums behind
     compiled_ = true;
     return out_;
 }
@@ -752,6 +954,8 @@ PolyActivation::compile(const ckks::CkksContext &ctx,
     out_ = in;
     out_.levelCount = in.levelCount - maxDepth_ - 1;
     out_.scale = ctx.params().scale(); // exact, by term steering
+    // p(0) = 0 keeps zero slots zero; a constant term fills them.
+    out_.zeroPadded = in.zeroPadded && !hasConstant_;
     compiled_ = true;
     return out_;
 }
@@ -874,6 +1078,7 @@ Bootstrap::compile(const ckks::CkksContext &ctx, const TensorMeta &in)
         boot::Bootstrapper::predictRefresh(ctx, sine_, in.levelCount);
     out_.levelCount = refresh.levelCount;
     out_.scale = refresh.scale;
+    out_.zeroPadded = false; // the refresh leaves error in every slot
     compiled_ = true;
     return out_;
 }

@@ -23,11 +23,21 @@
  * Matrix-shaped layers (Dense, Conv2d) lower to a single
  * boot::LinearTransformPlan BSGS matvec: ~2*sqrt(slots) key-switch
  * tails per application instead of one full keyswitch per nonzero
- * diagonal, with per-level cached diagonal plaintexts. Pooling and
+ * diagonal, with per-level cached diagonal plaintexts. A one-block
+ * matvec compiles in whichever of three forms (square, tall, wide;
+ * see MatvecLayer) the cost model prices cheapest, so its diagonal
+ * count follows the weights rather than the slot layout. Pooling and
  * reductions run as rotate-folds on the affine slot layout; pooled
  * outputs stay in strided slots and the next matrix layer reads them
  * in place. Bootstrap lowers to one opaque node whose refresh() is
  * the only hand-written eager body.
+ *
+ * compile() also states TensorMeta::zeroPadded for its output: set by
+ * square and tall matvecs (rows past the output are zero, the bias
+ * sits on logical slots) and by AvgPool2d (its mask zeroes every slot
+ * but the pooled outputs); kept by LevelDrop and by a PolyActivation
+ * without a constant term; cleared by wide matvecs, SumReduce,
+ * Bootstrap and activations with a constant term.
  */
 
 #ifndef TENSORFHE_NN_LAYERS_HH
@@ -200,10 +210,39 @@ class Layer
  * flow through the same double-hoisted path as single-chunk ones.
  * The optional bias rides one plaintext addition per output chunk.
  * Consumes one level.
+ *
+ * A single-block layer (one input chunk, one output chunk) compiles
+ * in whichever form perf::CostModel prices cheapest at its input
+ * level; each form is an ordinary LinearTransformPlan over a
+ * compressed square matrix:
+ *   - Square: the embedded matrix itself. Its diagonal count follows
+ *     the slot layout, not the weights.
+ *   - Tall: needs an input that is zero past its slot span
+ *     (TensorMeta::zeroPadded). Rotate-and-add doublings by -q, -2q,
+ *     ... lay copies of the input side by side (q the power of two at
+ *     or above the span), and each weight moves to a copy its row
+ *     reads, so the diagonal index becomes a column offset. The
+ *     weights sit either in the row's own q-block (< 2q diagonals,
+ *     ceil(rows/q) copies) or at the next copy of their column at or
+ *     after the row (< q diagonals, one more copy); both are priced.
+ *   - Wide: the rows pad to a power of two p; the p extended
+ *     diagonals M[t mod p][t + j] and log2(slots/p) rotate-and-add
+ *     folds (p, 2p, ..., slots/2), run inside the BSGS program before
+ *     its RESCALE, leave output row r in slot r. Slots from the row
+ *     count upward hold partial sums.
+ * Multi-block layers keep the square form.
  */
 class MatvecLayer : public Layer
 {
   public:
+    /** The layout a single-block matvec compiles to (see above). */
+    enum class Form
+    {
+        Square,
+        Tall,
+        Wide
+    };
+
     TensorMeta compile(const ckks::CkksContext &ctx,
                        const TensorMeta &in) override;
     std::vector<s64> requiredRotations() const override;
@@ -226,6 +265,10 @@ class MatvecLayer : public Layer
      */
     void setPlannedStrides(bool on) { plannedStrides_ = on; }
     bool plannedStrides() const { return plannedStrides_; }
+
+    /** The compiled form (valid after compile; always Square for a
+        multi-block layer). */
+    Form form() const;
 
     /** The compiled BSGS plan of a single-block layer (valid after
         compile; for tests). */
@@ -250,16 +293,49 @@ class MatvecLayer : public Layer
     void resetPlans() override;
 
   private:
+    /**
+     * One candidate form of a single-block layer: where each weight
+     * lands in the compressed square matrix (see place() in
+     * layers.cc), that matrix's diagonal population, and the
+     * rotate-and-add steps around the plan.
+     */
+    struct Candidate
+    {
+        Form form = Form::Square;
+        std::size_t block = 0; ///< q (tall) or p (wide); 0 for square
+        bool nextCopy = false; ///< tall: next copy at or after the row
+        std::vector<std::size_t> diagonals; ///< sorted distinct
+        std::vector<s64> steps; ///< tall doublings or wide folds
+    };
+
+    /** Compile a one-block matrix in its cheapest form. */
+    void compileSingleBlock(const ckks::CkksContext &ctx,
+                            const TensorMeta &in, boot::SlotMatrix m,
+                            const boot::StrideOptions &opt);
+    /** The candidate a compile at `input_lc` picks, priced there;
+        ties keep the earlier candidate (square first). */
+    std::pair<const Candidate *, perf::KernelCost>
+    chooseForm(const perf::CostModel &model, std::size_t input_lc) const;
+
     bool plannedStrides_ = false;
+    std::size_t slots_ = 0;
+    std::size_t topLevel_ = 0; ///< tower top: the unplanned stride level
     /// blocks_[i][j]: plan of out-chunk i from in-chunk j (null when
     /// the block is identically zero and skipped).
     std::vector<std::vector<std::unique_ptr<boot::LinearTransformPlan>>>
         blocks_;
     /// Per-out-chunk encoded bias (nullopt = no bias on that chunk).
     std::vector<std::optional<ckks::Plaintext>> biases_;
+    /// Single-block layers: every form compile may pick (empty for a
+    /// block matvec), so costAt can re-choose at any level.
+    std::vector<Candidate> candidates_;
+    Form form_ = Form::Square;
+    /// Tall form: the doubling steps that replicate the input.
+    std::vector<s64> replicate_;
 };
 
-/** Fully-connected y = W x + b via one BSGS matvec. */
+/** Fully-connected y = W x + b via one BSGS matvec (any of the
+    three forms). */
 class Dense : public MatvecLayer
 {
   public:
@@ -292,7 +368,9 @@ class Dense : public MatvecLayer
  * tensor, lowered to one packed BSGS matvec: the convolution is a
  * linear map on the packed slot vector, so its slot matrix feeds the
  * same LinearTransformPlan path as Dense — the rotation-sum over
- * kernel taps becomes the plan's diagonal structure.
+ * kernel taps becomes the plan's diagonal structure. In the tall form
+ * every output channel reads its own copy of the input, so the
+ * diagonals are just the kernel's tap offsets.
  */
 class Conv2d : public MatvecLayer
 {
@@ -333,8 +411,9 @@ class Conv2d : public MatvecLayer
  * doubling fold per axis sums each window in place, one masked CMULT
  * scales by 1/window^2 and zeroes the dropped positions. The output
  * stays in strided slots (strides multiplied by the window), so the
- * next matrix layer reads it without a repacking pass. Consumes one
- * level.
+ * next matrix layer reads it without a repacking pass; every other
+ * slot is masked to zero, so the output is zero-padded whatever the
+ * input held. Consumes one level.
  */
 class AvgPool2d : public Layer
 {

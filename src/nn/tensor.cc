@@ -86,7 +86,10 @@ CipherTensor::scale() const
 TensorMeta
 CipherTensor::meta() const
 {
-    return {shape_, layout_, chunkCount(), levelCount(), scale()};
+    // A tensor cannot vouch for its padding; only compile-time metas
+    // promise it (TensorMeta::zeroPadded).
+    return {shape_, layout_, chunkCount(), levelCount(), scale(),
+            /*zeroPadded=*/false};
 }
 
 CipherTensor

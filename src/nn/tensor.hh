@@ -73,6 +73,15 @@ struct TensorMeta
     std::size_t chunkCount = 1; ///< ciphertexts per sample
     std::size_t levelCount = 0;
     double scale = 0.0;
+    /**
+     * Every slot at or past layout.slotSpan(shape) decrypts to zero
+     * (fresh encryptTensor outputs do). A compile-time promise, not
+     * checked at run time: a tall matvec replicates its input with
+     * rotate-and-add doublings that add those slots onto the logical
+     * ones, so it relies on it. False (no promise) by default; each
+     * layer's compile() states it for its output.
+     */
+    bool zeroPadded = false;
 };
 
 /**

@@ -121,6 +121,7 @@ EncryptedCnnClassifier::EncryptedCnnClassifier(
     input.levelCount = cfg.inputLevelCount > 0 ? cfg.inputLevelCount
                                                : ctx.tower().numQ();
     input.scale = ctx.params().scale();
+    input.zeroPadded = true; // classifyEncrypted's encryptTensor inputs
     net_.compile(ctx, input);
 }
 

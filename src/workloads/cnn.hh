@@ -94,6 +94,8 @@ class EncryptedCnnClassifier
 
     const CnnConfig &config() const { return cfg_; }
     const nn::Sequential &net() const { return net_; }
+    /** Meta images are encrypted at (contiguous, zero past the
+        image: encryptTensor outputs). */
     const nn::TensorMeta &inputMeta() const { return net_.inputMeta(); }
 
     /** Rotation keys the whole stack needs (deduplicated union). */

@@ -73,6 +73,9 @@ EncryptedLstmCell::EncryptedLstmCell(const ckks::CkksContext &ctx,
     input_.chunkCount = 1;
     input_.levelCount = ctx.tower().numQ();
     input_.scale = ctx.params().scale();
+    // x, h and c arrive as fresh encryptTensor outputs, so the gate
+    // matvecs may take the tall form.
+    input_.zeroPadded = true;
 
     // Compile the gate pipeline and fix the combine constants.
     auto z_meta = wx_.compile(ctx, input_);

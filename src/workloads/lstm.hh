@@ -54,7 +54,8 @@ class EncryptedLstmCell
 
     const LstmConfig &config() const { return cfg_; }
 
-    /** Meta x, h and c must be encrypted at (contiguous, top level). */
+    /** Meta x, h and c must be encrypted at (contiguous, top level,
+        zero past the state dimension: encryptTensor outputs). */
     const nn::TensorMeta &inputMeta() const { return input_; }
 
     /** Rotation keys one step needs (deduplicated union). */

@@ -125,6 +125,20 @@ TEST(EncryptedCnn, ModelsNoConjugations)
     EXPECT_EQ(f.cnn.modeledOps().conjugate, 0.0);
 }
 
+TEST(EncryptedCnn, MatvecsTakeTheRectangularForms)
+{
+    // The encryptTensor input is zero past the image, so the conv
+    // replicates it (tall); the Dense over the pooled strided layout
+    // folds (wide).
+    auto &f = fx();
+    EXPECT_TRUE(f.cnn.inputMeta().zeroPadded);
+    const auto &layers = f.cnn.net().layers();
+    const auto &conv = dynamic_cast<const nn::Conv2d &>(*layers.front());
+    const auto &dense = dynamic_cast<const nn::Dense &>(*layers.back());
+    EXPECT_EQ(conv.form(), nn::MatvecLayer::Form::Tall);
+    EXPECT_EQ(dense.form(), nn::MatvecLayer::Form::Wide);
+}
+
 // ------------------------------------------------------------------
 // Deep bootstrap-in-the-loop CNN (Table X ResNet scenario): the
 // input spans two ciphertexts, the convs run as block BSGS matvecs,

@@ -104,6 +104,13 @@ TEST(EncryptedLstmCell, ExecutedOpsMatchPrediction)
     }
 }
 
+TEST(EncryptedLstmCell, StateInputsAreZeroPadded)
+{
+    // x, h and c arrive as fresh encryptTensor outputs: the gate
+    // matvecs may replicate them (the tall form).
+    EXPECT_TRUE(fx().cell.inputMeta().zeroPadded);
+}
+
 TEST(EncryptedLstmCell, RotationUnionIsDeduplicated)
 {
     auto &f = fx();
