@@ -322,8 +322,7 @@ main(int argc, char **argv)
             ctx, workloads::EncryptedCnnClassifier::deepConfig());
         Rng rng(0x6b);
         auto sk = ctx.generateSecretKey(rng);
-        auto keys = ctx.generateKeys(sk, rng, net.requiredRotations(),
-                                     net.requiredConjRotations());
+        auto keys = ctx.generateKeys(sk, rng, net.requiredRotations());
         ckks::Encryptor enc(ctx, keys.pk);
         nn::NnEngine engine(ctx, keys);
 

@@ -8,8 +8,9 @@
  *
  * Usage: bench_keyswitch_hoist [reps] [--json PATH]
  *   reps = measurement repetitions (default 3; CI smoke runs 1). The
- *          naive-vs-hoisted rotation timings interleave the two paths
- *          and keep each one's minimum over max(reps, 15) rounds.
+ *          naive-vs-hoisted rotation timings and the two sine-stage
+ *          splits interleave their two paths and keep each one's
+ *          minimum over max(reps, 15) rounds.
  *   --json PATH appends one machine-readable result object (op
  *   counts + timings + conversion accounting) to PATH — the CI
  *   Release job collects BENCH_PR4.json this way.
@@ -24,9 +25,8 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "boot/linear.hh"
+#include "boot/bootstrap.hh"
 #include "ckks/crypto.hh"
-#include "ckks/rotations.hh"
 #include "common/stats.hh"
 #include "gpu/pipeline.hh"
 
@@ -95,13 +95,7 @@ main(int argc, char **argv)
     std::vector<s64> all_steps;
     for (std::size_t d = 1; d < slots; ++d)
         all_steps.push_back(static_cast<s64>(d));
-    // Conjugate-composed keys for the fused sine-stage split plans.
-    auto c2s_re = boot::LinearTransformPlan::coeffToSlotReal(ctx);
-    auto c2s_im = boot::LinearTransformPlan::coeffToSlotImag(ctx);
-    auto conj_steps = ckks::unionRotationSteps(
-        {c2s_re.requiredConjRotations(),
-         c2s_im.requiredConjRotations()});
-    auto keys = ctx.generateKeys(sk, rng, all_steps, conj_steps);
+    auto keys = ctx.generateKeys(sk, rng, all_steps);
     ckks::Encryptor enc(ctx, keys.pk);
     ckks::Evaluator eval(ctx, keys);
 
@@ -282,14 +276,14 @@ main(int argc, char **argv)
     u64 mod_ups = ops.modUps();
 
     // ---------------------------------------------------------------
-    // Sine-stage split (bootstrap CoeffToSlot): the unfused pipeline
-    // pays C2S + a standalone conjugation keyswitch + two split
-    // CMULT/RESCALE pairs (one extra level); the fused split plans
-    // ride the conjugation as composed baby steps off the SAME
-    // double-hoisted head — giant+2 conversions per transform, like
-    // any other matvec.
-    bench::section("sine-stage split: unfused C2S+conjugate vs fused "
-                   "double-hoisted split plans");
+    // Sine-stage split (bootstrap CoeffToSlot): both splits run one
+    // C2S transform and one conjugation, then take w + conj w and
+    // w - conj w. The unfused split closes each stream with a
+    // constant CMULT + RESCALE, spending a second level; the exact
+    // split multiplies w - conj w by the monomial -i at scale 1 and
+    // spends only the transform's level.
+    bench::section("sine-stage split: split CMULTs (2 levels) vs exact "
+                   "-i monomial (1 level)");
     auto uinv = boot::LinearTransformPlan::specialFftInverse(ctx);
     ckks::Ciphertext old_u, old_v;
     auto old_split = [&] {
@@ -301,56 +295,44 @@ main(int argc, char **argv)
         old_u = eval.multiplyConstToScale(sum, 1.0, target);
         old_v = eval.multiplyConstToScale(diff, 1.0, target);
     };
+    batch::BatchedEvaluator beval(ctx, keys);
+    auto minus_i = boot::minusIMonomial(ctx, ct3.levelCount() - 1);
     ckks::Ciphertext new_u, new_v;
-    auto fused_split = [&] {
-        // Both split plans read ONE shared head + raw-tail table
-        // (sine-stage double hoisting).
-        auto re_prog = c2s_re.program(ct3.levelCount());
-        auto im_prog = c2s_im.program(ct3.levelCount());
-        const exec::BsgsProgram *progs[] = {&re_prog, &im_prog};
-        auto out =
-            eval.dispatcher().applyBsgsFanout(progs, 2, &ct3, 1);
-        new_u = std::move(out[0][0]);
-        new_v = std::move(out[1][0]);
+    auto conj_split = [&] {
+        auto [u, v] = boot::coeffToSlotSplit(beval, uinv, minus_i, {ct3});
+        new_u = std::move(u[0]);
+        new_v = std::move(v[0]);
     };
 
     ops.reset();
     old_split();
     auto old_snap = ops.snapshot();
     u64 old_md = ops.modDowns();
-    double old_t = bench::timeMean(reps, old_split);
     ops.reset();
-    fused_split();
+    conj_split();
     auto new_snap = ops.snapshot();
     u64 new_md = ops.modDowns();
-    double new_t = bench::timeMean(reps, fused_split);
     ops.reset();
+    double old_t = 0, new_t = 0;
+    for (int r = 0; r < rounds; ++r) {
+        minTime(old_t, old_split);
+        minTime(new_t, conj_split);
+    }
 
-    double fused_giants =
-        static_cast<double>(c2s_re.giantStepCount())
-        + static_cast<double>(c2s_im.giantStepCount());
-    std::printf("  %-34s %10s  KS %3.0f  ModDown %llu  levels %zu\n",
-                "unfused C2S + conj + split", fmtSeconds(old_t).c_str(),
+    std::printf("  %-34s %10s  KS tails %3.0f  ModDown %llu  "
+                "levels %zu\n",
+                "C2S + conj + split CMULTs", fmtSeconds(old_t).c_str(),
                 old_snap.ksTail,
                 static_cast<unsigned long long>(old_md),
                 ct3.levelCount() - old_u.levelCount());
-    std::printf("  %-34s %10s  KS %3.0f  ModDown %llu  levels %zu\n",
-                "fused split plans (giant+2 each)",
-                fmtSeconds(new_t).c_str(), new_snap.ksTail,
+    std::printf("  %-34s %10s  KS tails %3.0f  ModDown %llu  "
+                "levels %zu\n",
+                "C2S + conj + exact -i split", fmtSeconds(new_t).c_str(),
+                new_snap.ksTail,
                 static_cast<unsigned long long>(new_md),
                 ct3.levelCount() - new_u.levelCount());
-    std::printf("  fused conversions = giants(%.0f) + 2 per output; "
-                "single-hoisted schedule would pay 2*(baby+giant) = "
-                "%.0f\n",
-                fused_giants,
-                2.0
-                    * (static_cast<double>(c2s_re.babyStepCount()
-                                           + c2s_re.conjStepCount()
-                                           + c2s_re.giantStepCount())
-                       + static_cast<double>(
-                           c2s_im.babyStepCount()
-                           + c2s_im.conjStepCount()
-                           + c2s_im.giantStepCount())));
+    std::printf("  speedup: %.2fx wall (min of %d interleaved rounds)\n",
+                old_t / new_t, rounds);
 
     // Kernel-queue replay: record one warm apply's dispatch schedule
     // and run it through the SM pipeline model as one stream.
@@ -397,18 +379,19 @@ main(int argc, char **argv)
                  static_cast<double>(queue.size()))
             .add("sim_stall_fraction", replay.totalStallFraction())
             .add("sine_split_old_s", old_t)
-            .add("sine_split_fused_s", new_t)
+            .add("sine_split_conj_s", new_t)
             .add("sine_split_old_ks_tails", old_snap.ksTail)
-            .add("sine_split_fused_ks_tails", new_snap.ksTail)
+            .add("sine_split_conj_ks_tails", new_snap.ksTail)
             .add("sine_split_old_mod_downs",
                  static_cast<double>(old_md))
-            .add("sine_split_fused_mod_downs",
+            .add("sine_split_conj_mod_downs",
                  static_cast<double>(new_md))
-            .add("sine_split_fused_giant_steps", fused_giants)
+            .add("sine_split_conj_giant_steps",
+                 static_cast<double>(uinv.giantStepCount()))
             .add("sine_split_old_levels",
                  static_cast<double>(ct3.levelCount()
                                      - old_u.levelCount()))
-            .add("sine_split_fused_levels",
+            .add("sine_split_conj_levels",
                  static_cast<double>(ct3.levelCount()
                                      - new_u.levelCount()));
         if (!json.appendTo(json_path)) {

@@ -60,8 +60,7 @@ main()
     Rng rng(5);
     auto sk = ctx.generateSecretKey(rng);
     auto keys = ctx.generateKeys(
-        sk, rng, boot::Bootstrapper::requiredRotations(ctx.slots()),
-        boot::Bootstrapper::requiredConjRotations(ctx.slots()));
+        sk, rng, boot::Bootstrapper::requiredRotations(ctx.slots()));
     ckks::Encryptor enc(ctx, keys.pk);
     ckks::Decryptor dec(ctx, sk);
     boot::Bootstrapper boots(ctx, keys);

@@ -226,16 +226,15 @@ main(int argc, char **argv)
     {
         // The Table X ResNet scenario in miniature: a two-chunk
         // tensor through block-BSGS convs, the ledger going negative
-        // mid-network, and >= 1 planner-placed bootstrap (fused C2S
-        // split riding the shared double-hoisted head).
+        // mid-network, and >= 1 planner-placed bootstrap (its C2S
+        // split conjugates each chunk once).
         ckks::CkksContext ctx(
             EncryptedCnnClassifier::recommendedDeepParams());
         EncryptedCnnClassifier cnn(
             ctx, EncryptedCnnClassifier::deepConfig());
         Rng rng(45);
         auto sk = ctx.generateSecretKey(rng);
-        auto keys = ctx.generateKeys(sk, rng, cnn.requiredRotations(),
-                                     cnn.requiredConjRotations());
+        auto keys = ctx.generateKeys(sk, rng, cnn.requiredRotations());
         ckks::Encryptor enc(ctx, keys.pk);
         ckks::Decryptor dec(ctx, sk);
         nn::NnEngine engine(ctx, keys);
@@ -273,7 +272,7 @@ main(int argc, char **argv)
                                                     : "DISAGREES",
                     worst_logit);
         std::printf("  wall %s   ModUp %llu   ModDown %llu   "
-                    "conjugate-composed steps %.0f\n",
+                    "conjugations %.0f\n",
                     bench::fmtSeconds(secs).c_str(),
                     static_cast<unsigned long long>(mod_ups),
                     static_cast<unsigned long long>(mod_downs),

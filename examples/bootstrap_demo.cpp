@@ -28,8 +28,7 @@ main()
     Rng rng(17);
     auto sk = ctx.generateSecretKey(rng);
     auto keys = ctx.generateKeys(
-        sk, rng, boot::Bootstrapper::requiredRotations(ctx.slots()),
-        boot::Bootstrapper::requiredConjRotations(ctx.slots()));
+        sk, rng, boot::Bootstrapper::requiredRotations(ctx.slots()));
     Encryptor enc(ctx, keys.pk);
     Decryptor dec(ctx, sk);
     Evaluator eval(ctx, keys);

@@ -1,6 +1,7 @@
 #include "boot/bootstrap.hh"
 
 #include <cmath>
+#include <tuple>
 
 #include "ckks/rotations.hh"
 #include "common/logging.hh"
@@ -14,12 +15,12 @@ namespace
 
 /**
  * The fixed part of the sine pre-scale kappa = pi * hidden_scale /
- * (q0 * 2^r), folded into the split-plan diagonals: with hidden =
+ * (q0 * 2^r), folded into the C2S plan's diagonals: with hidden =
  * pts the factor is exact, and the runtime hidden/pts remainder is
  * pure scale metadata (bootstrapBatch).
  */
 double
-splitFactor(const ckks::CkksContext &ctx, const SineConfig &sine)
+c2sFactor(const ckks::CkksContext &ctx, const SineConfig &sine)
 {
     return M_PI * ctx.params().scale()
         / (static_cast<double>(ctx.tower().prime(0))
@@ -28,12 +29,31 @@ splitFactor(const ckks::CkksContext &ctx, const SineConfig &sine)
 
 } // namespace
 
+ckks::Plaintext
+minusIMonomial(const ckks::CkksContext &ctx, std::size_t level_count)
+{
+    return ctx.encoder().encodeConstant(Complex(0, -1), 1.0,
+                                        level_count);
+}
+
+std::pair<std::vector<ckks::Ciphertext>, std::vector<ckks::Ciphertext>>
+coeffToSlotSplit(const batch::BatchedEvaluator &beval,
+                 const LinearTransformPlan &c2s,
+                 const ckks::Plaintext &minus_i,
+                 const std::vector<ckks::Ciphertext> &cts)
+{
+    auto w = c2s.applyBatch(beval, cts);
+    auto conj_w = beval.dispatcher().conjugate(w.data(), w.size());
+    auto t_v = beval.multiplyPlain(beval.sub(w, conj_w), minus_i);
+    beval.addInPlace(w, conj_w);
+    return {std::move(w), std::move(t_v)};
+}
+
 Bootstrapper::Bootstrapper(const ckks::CkksContext &ctx, SineConfig sine)
     : ctx_(ctx), sine_(sine), u_(LinearTransformPlan::specialFft(ctx)),
-      c2sRe_(LinearTransformPlan::coeffToSlotReal(
-          ctx, splitFactor(ctx, sine))),
-      c2sIm_(LinearTransformPlan::coeffToSlotImag(
-          ctx, splitFactor(ctx, sine)))
+      c2s_(LinearTransformPlan::specialFftInverse(
+          ctx, c2sFactor(ctx, sine))),
+      minusI_(minusIMonomial(ctx, ctx.tower().numQ() - 1))
 {
     requireArg(ctx.tower().numQ() > postRaiseLevelCost() + 1,
                "parameter chain too short for bootstrapping: need > ",
@@ -57,10 +77,7 @@ Bootstrapper::requiredRotations(std::size_t slots)
     // chooser may pick a LARGER stride than g, but only when the
     // resulting steps stay inside this root pattern (babies < g,
     // giants multiples of g — the containment check in
-    // chooseGiantStride), so these grants always suffice. The fused
-    // C2S split plans' giant steps are plain rotations inside the
-    // same pattern; their conjugate-composed baby steps are
-    // advertised separately by requiredConjRotations().
+    // chooseGiantStride), so these grants always suffice.
     auto g = static_cast<std::size_t>(
         std::ceil(std::sqrt(static_cast<double>(slots))));
     std::vector<s64> baby, giant;
@@ -71,25 +88,11 @@ Bootstrapper::requiredRotations(std::size_t slots)
     return ckks::unionRotationSteps({baby, giant}, slots);
 }
 
-std::vector<s64>
-Bootstrapper::requiredConjRotations(std::size_t slots)
-{
-    // Conjugate-composed baby steps of the fused C2S split plans:
-    // the conj branch's babies live in [1, g) like the plain ones
-    // (the b = 0 conjugation rides the always-present conj key).
-    auto g = static_cast<std::size_t>(
-        std::ceil(std::sqrt(static_cast<double>(slots))));
-    std::vector<s64> steps;
-    for (std::size_t b = 1; b < g && b < slots; ++b)
-        steps.push_back(static_cast<s64>(b));
-    return steps;
-}
-
 std::size_t
 Bootstrapper::postRaiseLevelCost() const
 {
-    // CoeffToSlot split (1, kappa folded into scale metadata) + sine
-    // + recombine (1).
+    // CoeffToSlot (1; the split and kappa spend none) + sine +
+    // recombine (1).
     return sineLevelsUsed(sine_) + 2;
 }
 
@@ -165,7 +168,14 @@ Bootstrapper::modeledOps() const
 {
     EvalOpCounts c;
     c += u_.modeledApplyOps();
-    c += LinearTransformPlan::modeledFanoutOps({&c2sRe_, &c2sIm_});
+    c += c2s_.modeledApplyOps();
+    // The split: one conjugation (a hoisted key switch), w + conj w,
+    // w - conj w and the -i CMULT.
+    c.conjugate += 1;
+    c.ksHoist += 1;
+    c.ksTail += 1;
+    c.hadd += 2;
+    c.cmult += 1;
     c += 2.0 * sineModeledOps(sine_);
     // Recombine: two CMULTs (back, i*back), one HADD, one RESCALE.
     c.cmult += 2;
@@ -214,32 +224,23 @@ Bootstrapper::bootstrapBatch(const batch::BatchedEvaluator &beval,
             raised.push_back(modRaise(ct));
     }
 
-    // Stage 3: fused CoeffToSlot + Re/Im split — the plans carry the
-    // fixed factor pi*pts/(q0*2^r) of the sine pre-scale kappa in
-    // their diagonals; the remaining hidden_scale/pts ratio is pure
-    // scale metadata, so slot values become exactly kappa * 2Re /
-    // kappa * 2Im of the hidden coefficients with NO split CMULT and
-    // no extra level. The conjugate branch rides the same hoisted
-    // BSGS head as the plain diagonals (composed conj-rotation
-    // steps), so the stage costs giant + 2 basis conversions per
-    // transform.
+    // Stage 3: CoeffToSlot + Re/Im split - the plan carries the fixed
+    // factor pi*pts/(q0*2^r) of the sine pre-scale kappa in its
+    // diagonals; the remaining hidden_scale/pts ratio is pure scale
+    // metadata, so slot values become exactly kappa * 2Re / kappa *
+    // 2Im of the hidden coefficients with no split level.
     double hidden_scale = packed[0].scale;
     std::size_t full = ctx_.tower().numQ();
     double t_scale =
         pts * pts / static_cast<double>(ctx_.tower().prime(full - 1));
-    // The Re/Im plans share one hoisted head and one raw-tail table
-    // (their baby and conjugate steps coincide): sine-stage double
-    // hoisting.
-    std::vector<std::vector<ckks::Ciphertext>> split;
+    std::vector<ckks::Ciphertext> t_u, t_v;
     {
         TFHE_TRACE_SPAN("boot", "c2s-split");
-        split = LinearTransformPlan::applyBatchFanout(
-            beval, {&c2sRe_, &c2sIm_}, raised);
+        std::tie(t_u, t_v) =
+            coeffToSlotSplit(beval, c2s_, minusI_, raised);
     }
-    auto t_u = std::move(split[0]);
-    auto t_v = std::move(split[1]);
     // Stored scale is hidden*pts/q_last; claiming pts^2/q_last reads
-    // the values multiplied by hidden/pts — the kappa remainder.
+    // the values multiplied by hidden/pts - the kappa remainder.
     for (auto &ct : t_u)
         ct.scale = t_scale;
     for (auto &ct : t_v)

@@ -7,15 +7,14 @@
  * of boot/linear.hh; the modular-reduction stage uses the Taylor +
  * double-angle sine of boot/sine.hh.
  *
- * The sine stage's Re/Im split is FUSED into CoeffToSlot: two
- * conjugate-symmetric plans (coeffToSlotReal / coeffToSlotImag)
- * produce the sine inputs directly off the mod-raised ciphertext,
- * the conjugation riding the double-hoisted BSGS head as composed
- * conj-rotation baby steps (KeyBundle.conjRot). This removes the
- * standalone conjugation keyswitch and the split-constant CMULT
- * level of the unfused pipeline — the sine stage's rotations now
- * cost giant + 2 basis conversions per transform like any other
- * matvec (the kappa pre-scale is pure scale metadata).
+ * CoeffToSlot hands the sine stage its two real streams with the
+ * split of Chen, Chillotti and Song (Eurocrypt 2019): one BSGS
+ * transform w = kappa U^-1 z, one conjugation of w on the
+ * always-present conjugation key, t_u = w + conj w = 2 Re w and
+ * t_v = -i (w - conj w) = 2 Im w. The -i is the integer monomial
+ * +-X^{N/2} at scale 1, so its CMULT is exact and spends no level:
+ * the stage costs the transform's one level and nothing more (the
+ * kappa pre-scale is pure scale metadata).
  *
  * Everything is batched: bootstrapBatch() refreshes a whole stream
  * of ciphertexts (batch slots x tensor chunks) through one shared
@@ -28,6 +27,7 @@
 
 #include <memory>
 #include <optional>
+#include <utility>
 
 #include "boot/linear.hh"
 #include "boot/sine.hh"
@@ -35,32 +35,51 @@
 namespace tensorfhe::boot
 {
 
+/**
+ * The exact -i of the CoeffToSlot split over `level_count` limbs: the
+ * constant -i encoded at scale 1, which is the integer monomial
+ * +-X^{N/2} (X^{N/2} takes one unit imaginary value at every slot
+ * root). A CMULT by it is a negacyclic shift of both ciphertext
+ * components: no noise, no level and no change of scale.
+ */
+ckks::Plaintext minusIMonomial(const ckks::CkksContext &ctx,
+                               std::size_t level_count);
+
+/**
+ * CoeffToSlot with the sine stage's Re/Im split: w = M z by `c2s`,
+ * one conjugation of w, then t_u = w + conj w = 2 Re w and
+ * t_v = -i (w - conj w) = 2 Im w. Consumes the transform's one level;
+ * `minus_i` is minusIMonomial at the transform's output level.
+ * Returns (t_u, t_v).
+ */
+std::pair<std::vector<ckks::Ciphertext>, std::vector<ckks::Ciphertext>>
+coeffToSlotSplit(const batch::BatchedEvaluator &beval,
+                 const LinearTransformPlan &c2s,
+                 const ckks::Plaintext &minus_i,
+                 const std::vector<ckks::Ciphertext> &cts);
+
 class Bootstrapper
 {
   public:
     /**
-     * Plan-only construction: compiles the S2C / fused-C2S plans but
-     * holds no key material. bootstrapBatch() runs on any caller-
-     * provided BatchedEvaluator whose keys cover requiredRotations()
-     * + requiredConjRotations() + conjugation; the serial bootstrap()
-     * convenience is unavailable.
+     * Plan-only construction: compiles the S2C / C2S plans but holds
+     * no key material. bootstrapBatch() runs on any caller-provided
+     * BatchedEvaluator whose keys cover requiredRotations() and
+     * conjugation; the serial bootstrap() convenience is unavailable.
      */
     explicit Bootstrapper(const ckks::CkksContext &ctx,
                           SineConfig sine = {});
 
     /**
      * @param keys must contain rotation keys for every step in
-     *             requiredRotations(ctx.slots()), conjugate-rotation
-     *             keys for requiredConjRotations(ctx.slots()), and
-     *             the conjugation key.
+     *             requiredRotations(ctx.slots()) and the conjugation
+     *             key.
      */
     Bootstrapper(const ckks::CkksContext &ctx,
                  const ckks::KeyBundle &keys, SineConfig sine = {});
 
-    /** Plain rotation steps bootstrap needs keys for. */
+    /** Rotation steps bootstrap needs keys for. */
     static std::vector<s64> requiredRotations(std::size_t slots);
-    /** Conjugate-composed steps (KeyBundle.conjRot) it needs. */
-    static std::vector<s64> requiredConjRotations(std::size_t slots);
 
     /**
      * Refresh `ct` (any level >= 2, slots holding values with
@@ -71,8 +90,8 @@ class Bootstrapper
     ckks::Ciphertext bootstrap(const ckks::Ciphertext &ct) const;
 
     /**
-     * Batched refresh: every ciphertext rides the shared S2C /
-     * fused-C2S programs and one power ladder through the evaluator's
+     * Batched refresh: every ciphertext rides the shared S2C / C2S
+     * programs and one power ladder through the evaluator's
      * (slot x tower) work-queue. Bit-identical to bootstrap() per
      * slot. All inputs must share one level and scale.
      */
@@ -111,26 +130,25 @@ class Bootstrapper
     /**
      * Exact executed-op counts of one bootstrap per ciphertext,
      * mirroring what the dispatch layer records (plan-derived BSGS
-     * counts + the sine ladder + the recombine).
+     * counts + the C2S split + the sine ladder + the recombine).
      */
     EvalOpCounts modeledOps() const;
 
     const SineConfig &sine() const { return sine_; }
     /** The compiled plans (for benches / conversion accounting). */
     const LinearTransformPlan &s2cPlan() const { return u_; }
-    const LinearTransformPlan &c2sRealPlan() const { return c2sRe_; }
-    const LinearTransformPlan &c2sImagPlan() const { return c2sIm_; }
+    const LinearTransformPlan &c2sPlan() const { return c2s_; }
 
   private:
     const ckks::CkksContext &ctx_;
     SineConfig sine_;
-    /// BSGS plans: the special FFT (S2C) and the two fused C2S split
-    /// transforms; dense matrices and encoded diagonal plaintexts are
-    /// memoized here (built once per bootstrapper, shared by every
-    /// bootstrap call).
+    /// BSGS plans: the special FFT (S2C) and kappa U^-1 (C2S); their
+    /// encoded diagonal plaintexts are memoized here (built once per
+    /// bootstrapper, shared by every bootstrap call).
     LinearTransformPlan u_;
-    LinearTransformPlan c2sRe_;
-    LinearTransformPlan c2sIm_;
+    LinearTransformPlan c2s_;
+    /// The split's -i: minusIMonomial at the C2S output level.
+    ckks::Plaintext minusI_;
     /// Serial-convenience engine (key-bundle constructor only).
     std::optional<batch::BatchedEvaluator> beval_;
 };

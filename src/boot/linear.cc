@@ -116,109 +116,57 @@ extractDiagonals(const SlotMatrix &m, std::size_t slots,
 
 LinearTransformPlan::LinearTransformPlan(const ckks::CkksContext &ctx,
                                          SlotMatrix m)
-    : LinearTransformPlan(ctx, std::move(m), SlotMatrix{},
-                          StrideOptions{})
+    : LinearTransformPlan(ctx, std::move(m), StrideOptions{})
 {}
 
 LinearTransformPlan::LinearTransformPlan(const ckks::CkksContext &ctx,
                                          SlotMatrix m,
                                          const StrideOptions &opt,
                                          std::vector<s64> fold_steps)
-    : LinearTransformPlan(ctx, std::move(m), SlotMatrix{}, opt,
-                          std::move(fold_steps))
-{}
-
-LinearTransformPlan::LinearTransformPlan(const ckks::CkksContext &ctx,
-                                         SlotMatrix m, SlotMatrix conj_m)
-    : LinearTransformPlan(ctx, std::move(m), std::move(conj_m),
-                          StrideOptions{})
-{}
-
-LinearTransformPlan::LinearTransformPlan(const ckks::CkksContext &ctx,
-                                         SlotMatrix m, SlotMatrix conj_m,
-                                         const StrideOptions &opt,
-                                         std::vector<s64> fold_steps)
     : ctx_(ctx), folds_(std::move(fold_steps))
 {
     std::size_t slots = ctx.slots();
     TFHE_ASSERT(m.size() == slots);
-    TFHE_ASSERT(conj_m.empty() || conj_m.size() == slots);
 
-    // Extract the nonzero diagonals of both branches first
-    // (stride-independent), then pick one giant stride from the
-    // combined population — plain and conjugate entries of the same
-    // diagonal index share the giant step, only the baby key differs.
-    std::vector<std::size_t> plain_idx, conj_idx;
-    std::vector<std::vector<Complex>> plain_vals, conj_vals;
-    extractDiagonals(m, slots, plain_idx, plain_vals);
-    if (!conj_m.empty())
-        extractDiagonals(conj_m, slots, conj_idx, conj_vals);
-    TFHE_ASSERT(!plain_idx.empty() || !conj_idx.empty(),
-                "matrix was entirely zero");
-
-    std::vector<std::size_t> all_idx = plain_idx;
-    all_idx.insert(all_idx.end(), conj_idx.begin(), conj_idx.end());
-    std::sort(all_idx.begin(), all_idx.end());
-    all_idx.erase(std::unique(all_idx.begin(), all_idx.end()),
-                  all_idx.end());
-    g_ = chooseGiantStride(ctx, all_idx, slots, opt);
+    // Extract the nonzero diagonals first (stride-independent), then
+    // pick the giant stride from their population.
+    std::vector<std::size_t> idx;
+    std::vector<std::vector<Complex>> vals;
+    extractDiagonals(m, slots, idx, vals);
+    TFHE_ASSERT(!idx.empty(), "matrix was entirely zero");
+    g_ = chooseGiantStride(ctx, idx, slots, opt);
 
     // BSGS regrouping: diagonal d = k*g + b stored pre-rotated by
     // -k*g so the giant rotation can be applied after the plaintext
-    // products.
-    auto regroup = [&](const std::vector<std::size_t> &idx,
-                       const std::vector<std::vector<Complex>> &vals,
-                       bool conj) {
-        for (std::size_t i = 0; i < idx.size(); ++i) {
-            std::size_t d = idx[i];
-            Diagonal entry;
-            entry.k = d / g_;
-            entry.b = d % g_;
-            entry.conj = conj;
-            // rot_{-k*g}(diag): slot j of the stored diagonal lands
-            // back on diag[j] after the giant rotation by k*g.
-            entry.values.resize(slots);
-            std::size_t shift = entry.k * g_; // < slots since d < slots
-            for (std::size_t j = 0; j < slots; ++j)
-                entry.values[j] =
-                    vals[i][(j + slots - shift) % slots];
-            diags_.push_back(std::move(entry));
-        }
-    };
-    regroup(plain_idx, plain_vals, false);
-    regroup(conj_idx, conj_vals, true);
-    // Group by giant step; the (k, conj, b) order also fixes the
+    // products. Ascending d is already (k, b) order, which fixes the
     // cache layout of encodedDiagonals().
-    std::stable_sort(diags_.begin(), diags_.end(),
-                     [](const Diagonal &x, const Diagonal &y) {
-                         if (x.k != y.k)
-                             return x.k < y.k;
-                         if (x.conj != y.conj)
-                             return x.conj < y.conj;
-                         return x.b < y.b;
-                     });
+    for (std::size_t i = 0; i < idx.size(); ++i) {
+        std::size_t d = idx[i];
+        Diagonal entry;
+        entry.k = d / g_;
+        entry.b = d % g_;
+        // rot_{-k*g}(diag): slot j of the stored diagonal lands back
+        // on diag[j] after the giant rotation by k*g.
+        entry.values.resize(slots);
+        std::size_t shift = entry.k * g_; // < slots since d < slots
+        for (std::size_t j = 0; j < slots; ++j)
+            entry.values[j] = vals[i][(j + slots - shift) % slots];
+        diags_.push_back(std::move(entry));
+    }
 
     // The distinct rotation steps apply() touches, fixed once here.
-    std::vector<s64> baby, conj_baby, giant;
+    std::vector<s64> baby, giant;
     for (const Diagonal &d : diags_) {
-        if (d.conj)
-            conj_baby.push_back(static_cast<s64>(d.b));
-        else if (d.b != 0)
+        if (d.b != 0)
             baby.push_back(static_cast<s64>(d.b));
         if (d.k != 0)
             giant.push_back(static_cast<s64>(d.k * g_));
     }
     babySteps_ = ckks::normalizeRotationSteps(std::move(baby));
     giantSteps_ = ckks::normalizeRotationSteps(std::move(giant));
-    // Conjugate steps keep step 0 (the pure conjugation is a real
-    // keyswitch, not the identity), so no normalizeRotationSteps.
-    std::sort(conj_baby.begin(), conj_baby.end());
-    conj_baby.erase(std::unique(conj_baby.begin(), conj_baby.end()),
-                    conj_baby.end());
-    conjSteps_ = std::move(conj_baby);
 
     std::size_t groups = 0;
-    std::size_t last_k = diags_.empty() ? 0 : diags_[0].k + 1;
+    std::size_t last_k = diags_[0].k + 1;
     for (const Diagonal &d : diags_) {
         if (d.k != last_k) {
             ++groups;
@@ -235,64 +183,14 @@ LinearTransformPlan::specialFft(const ckks::CkksContext &ctx)
 }
 
 LinearTransformPlan
-LinearTransformPlan::specialFftInverse(const ckks::CkksContext &ctx)
+LinearTransformPlan::specialFftInverse(const ckks::CkksContext &ctx,
+                                       double factor)
 {
-    return LinearTransformPlan(ctx,
-                               specialFftInverseMatrix(ctx.encoder()));
-}
-
-namespace
-{
-
-SlotMatrix
-conjugated(SlotMatrix m)
-{
-    for (auto &row : m)
-        for (auto &v : row)
-            v = std::conj(v);
-    return m;
-}
-
-SlotMatrix
-timesMinusI(SlotMatrix m)
-{
-    for (auto &row : m)
-        for (auto &v : row)
-            v = Complex(v.imag(), -v.real());
-    return m;
-}
-
-SlotMatrix
-scaled(SlotMatrix m, double factor)
-{
+    auto m = specialFftInverseMatrix(ctx.encoder());
     for (auto &row : m)
         for (auto &v : row)
             v *= factor;
-    return m;
-}
-
-} // namespace
-
-LinearTransformPlan
-LinearTransformPlan::coeffToSlotReal(const ckks::CkksContext &ctx,
-                                     double factor)
-{
-    auto u_inv =
-        scaled(specialFftInverseMatrix(ctx.encoder()), factor);
-    auto conj_m = conjugated(u_inv);
-    return LinearTransformPlan(ctx, std::move(u_inv),
-                               std::move(conj_m));
-}
-
-LinearTransformPlan
-LinearTransformPlan::coeffToSlotImag(const ckks::CkksContext &ctx,
-                                     double factor)
-{
-    // -i U^-1 z + conj(-i U^-1) conj(z) = 2 Im(U^-1 z).
-    auto a = timesMinusI(
-        scaled(specialFftInverseMatrix(ctx.encoder()), factor));
-    auto conj_m = conjugated(a);
-    return LinearTransformPlan(ctx, std::move(a), std::move(conj_m));
+    return LinearTransformPlan(ctx, std::move(m));
 }
 
 std::vector<std::size_t>
@@ -301,10 +199,7 @@ LinearTransformPlan::diagonalIndices() const
     std::vector<std::size_t> idx;
     idx.reserve(diags_.size());
     for (const auto &d : diags_)
-        if (!d.conj)
-            idx.push_back(d.k * g_ + d.b);
-    std::sort(idx.begin(), idx.end());
-    idx.erase(std::unique(idx.begin(), idx.end()), idx.end());
+        idx.push_back(d.k * g_ + d.b);
     return idx;
 }
 
@@ -315,29 +210,17 @@ LinearTransformPlan::requiredRotations() const
                                     ctx_.slots());
 }
 
-std::vector<s64>
-LinearTransformPlan::requiredConjRotations() const
-{
-    std::vector<s64> steps;
-    for (s64 s : conjSteps_)
-        if (s != 0)
-            steps.push_back(s);
-    return steps;
-}
-
 EvalOpCounts
 LinearTransformPlan::modeledAccumOps() const
 {
     double baby = static_cast<double>(babySteps_.size());
-    double conj = static_cast<double>(conjSteps_.size());
     double shifted = static_cast<double>(giantSteps_.size());
     double groups = static_cast<double>(groupCount_);
     double diags = static_cast<double>(diags_.size());
     EvalOpCounts c;
     c.hrotate = baby + shifted;
-    c.conjugate = conj;
-    c.ksHoist = (baby + conj > 0 ? 1 : 0) + shifted;
-    c.ksTail = baby + conj + shifted;
+    c.ksHoist = (baby > 0 ? 1 : 0) + shifted;
+    c.ksTail = baby + shifted;
     c.cmult = diags;
     // Entry-level HAdds within each group plus one inter-group HAdd
     // per group (the caller subtracts the very first group's).
@@ -400,19 +283,15 @@ LinearTransformPlan::program(std::size_t level_count) const
 {
     const auto &pts = encodedDiagonals(level_count);
     exec::BsgsProgram prog;
-    for (s64 b : babySteps_)
-        prog.babySteps.push_back({b, false});
-    for (s64 b : conjSteps_)
-        prog.babySteps.push_back({b, true});
-    std::sort(prog.babySteps.begin(), prog.babySteps.end());
+    prog.babySteps = babySteps_;
     prog.foldSteps = folds_;
     for (std::size_t i = 0; i < diags_.size();) {
         std::size_t k = diags_[i].k;
         exec::BsgsGroup group;
         group.shift = static_cast<s64>(k * g_);
         for (; i < diags_.size() && diags_[i].k == k; ++i)
-            group.entries.push_back({static_cast<s64>(diags_[i].b),
-                                     diags_[i].conj, &pts[i]});
+            group.entries.push_back(
+                {static_cast<s64>(diags_[i].b), &pts[i]});
         prog.groups.push_back(std::move(group));
     }
     return prog;
@@ -440,70 +319,6 @@ LinearTransformPlan::applyBatch(
                    "batched ops require a uniform level");
     return beval.dispatcher().applyBsgs(program(lc), cts.data(),
                                         cts.size());
-}
-
-std::vector<std::vector<ckks::Ciphertext>>
-LinearTransformPlan::applyBatchFanout(
-    const batch::BatchedEvaluator &beval,
-    const std::vector<const LinearTransformPlan *> &ps,
-    const std::vector<ckks::Ciphertext> &cts)
-{
-    requireArg(!ps.empty(), "empty plan fanout");
-    if (cts.empty())
-        return std::vector<std::vector<ckks::Ciphertext>>(ps.size());
-    std::size_t lc = cts[0].levelCount();
-    for (const auto &ct : cts)
-        requireArg(ct.levelCount() == lc,
-                   "batched ops require a uniform level");
-    std::vector<exec::BsgsProgram> programs;
-    std::vector<const exec::BsgsProgram *> ptrs;
-    programs.reserve(ps.size());
-    for (const auto *p : ps)
-        programs.push_back(p->program(lc));
-    for (const auto &p : programs)
-        ptrs.push_back(&p);
-    return beval.dispatcher().applyBsgsFanout(ptrs.data(), ptrs.size(),
-                                              cts.data(), cts.size());
-}
-
-EvalOpCounts
-LinearTransformPlan::modeledFanoutOps(
-    const std::vector<const LinearTransformPlan *> &ps)
-{
-    // Shared baby tables over the union step sets: one head, one raw
-    // tail per distinct (step, conj).
-    std::vector<s64> baby_union, conj_union;
-    for (const auto *p : ps) {
-        baby_union.insert(baby_union.end(), p->babySteps_.begin(),
-                          p->babySteps_.end());
-        conj_union.insert(conj_union.end(), p->conjSteps_.begin(),
-                          p->conjSteps_.end());
-    }
-    auto uniq = [](std::vector<s64> &v) {
-        std::sort(v.begin(), v.end());
-        v.erase(std::unique(v.begin(), v.end()), v.end());
-    };
-    uniq(baby_union);
-    uniq(conj_union);
-
-    EvalOpCounts c;
-    c.hrotate = static_cast<double>(baby_union.size());
-    c.conjugate = static_cast<double>(conj_union.size());
-    c.ksHoist = baby_union.empty() && conj_union.empty() ? 0 : 1;
-    c.ksTail =
-        static_cast<double>(baby_union.size() + conj_union.size());
-    for (const auto *p : ps) {
-        double shifted = static_cast<double>(p->giantSteps_.size());
-        double diags = static_cast<double>(p->diags_.size());
-        c.hrotate += shifted;
-        c.ksHoist += shifted;
-        c.ksTail += shifted;
-        c.cmult += diags;
-        c.hadd += diags - 1; // per-plan accumulator starts fresh
-        c.rescale += 1;
-        c += p->modeledFoldOps();
-    }
-    return c;
 }
 
 ckks::Ciphertext

@@ -122,40 +122,14 @@ class LinearTransformPlan
                         const StrideOptions &opt,
                         std::vector<s64> fold_steps = {});
 
-    /**
-     * Conjugate-symmetric plan: y = M z + conj(M) conj(z) = 2 Re(M z).
-     * The conj(z) branch rides the SAME double-hoisted head as the
-     * plain branch — its baby steps are conjugate-composed rotations
-     * (KeyBundle.conj / conjRot keys) — so the transform costs
-     * giant + 2 basis conversions like any other matvec instead of a
-     * standalone conjugation keyswitch. This is how the bootstrapper
-     * folds the sine-stage Re/Im split into CoeffToSlot.
-     */
-    LinearTransformPlan(const ckks::CkksContext &ctx, SlotMatrix m,
-                        SlotMatrix conj_m);
-
-    LinearTransformPlan(const ckks::CkksContext &ctx, SlotMatrix m,
-                        SlotMatrix conj_m, const StrideOptions &opt,
-                        std::vector<s64> fold_steps = {});
-
     /** Plan for the special FFT matrix U (SlotToCoeff). */
     static LinearTransformPlan specialFft(const ckks::CkksContext &ctx);
-    /** Plan for U^-1 (CoeffToSlot). */
-    static LinearTransformPlan
-    specialFftInverse(const ckks::CkksContext &ctx);
     /**
-     * Fused CoeffToSlot + Re split: factor * 2 Re(U^-1 z). Applied to
-     * the mod-raised ciphertext it hands the sine stage its real
-     * stream directly; the bootstrapper folds the fixed part of the
-     * sine pre-scale kappa into `factor` and the input-scale-
-     * dependent remainder into pure scale metadata.
+     * Plan for factor * U^-1 (CoeffToSlot). The bootstrapper folds
+     * the fixed part of the sine pre-scale kappa into `factor`.
      */
     static LinearTransformPlan
-    coeffToSlotReal(const ckks::CkksContext &ctx, double factor = 1.0);
-    /** Fused CoeffToSlot + Im split: factor * 2 Im(U^-1 z) =
-        factor * (-i U^-1 z + conj(-i U^-1) conj(z)). */
-    static LinearTransformPlan
-    coeffToSlotImag(const ckks::CkksContext &ctx, double factor = 1.0);
+    specialFftInverse(const ckks::CkksContext &ctx, double factor = 1.0);
 
     /**
      * Homomorphic y = M z. Requires rotation keys for every step in
@@ -173,49 +147,23 @@ class LinearTransformPlan
     applyBatch(const batch::BatchedEvaluator &beval,
                const std::vector<ckks::Ciphertext> &cts) const;
 
-    /**
-     * Several plans over ONE input batch with shared baby-step work
-     * (exec::Dispatcher::applyBsgsFanout): the hoisted head and the
-     * raw baby/conjugate tails are built once for all plans — the
-     * bootstrapper's C2S Re/Im split pair rides this. Returns one
-     * output batch per plan, plan-major.
-     */
-    static std::vector<std::vector<ckks::Ciphertext>>
-    applyBatchFanout(const batch::BatchedEvaluator &beval,
-                     const std::vector<const LinearTransformPlan *> &ps,
-                     const std::vector<ckks::Ciphertext> &cts);
-
-    /** Exact executed-op counts of one applyBatchFanout per batch
-        slot: the union baby/conjugate tails counted once, each
-        plan's groups and final RESCALE counted per plan. */
-    static EvalOpCounts
-    modeledFanoutOps(const std::vector<const LinearTransformPlan *> &ps);
-
     /** Rotation steps apply() needs plain keys for (baby, giant and
         fold steps). */
     std::vector<s64> requiredRotations() const;
-    /**
-     * Conjugate-composed baby steps apply() needs KeyBundle.conjRot
-     * keys for (empty unless the plan has a conjugate branch; the
-     * step-0 conjugation rides the always-present conj key).
-     */
-    std::vector<s64> requiredConjRotations() const;
 
     /** Giant stride g (cost-model-chosen); baby steps span [0, g). */
     std::size_t giantStride() const { return g_; }
-    /** Nonzero diagonals the transform touches (both branches). */
+    /** Nonzero diagonals the transform touches. */
     std::size_t diagonalCount() const { return diags_.size(); }
     /**
-     * Sorted distinct diagonal indices d = k*g + b of the plain
-     * branch — the population the stride argmin ran on. The planner
-     * re-runs chooseBsgsStride on these to price the SAME transform
-     * at other levels without recompiling the plan.
+     * Sorted distinct diagonal indices d = k*g + b — the population
+     * the stride argmin ran on. The planner re-runs chooseBsgsStride
+     * on these to price the SAME transform at other levels without
+     * recompiling the plan.
      */
     std::vector<std::size_t> diagonalIndices() const;
-    /** Distinct nonzero plain baby steps apply() rotates by. */
+    /** Distinct nonzero baby steps apply() rotates by. */
     std::size_t babyStepCount() const { return babySteps_.size(); }
-    /** Distinct conjugate-composed baby steps (incl. step 0). */
-    std::size_t conjStepCount() const { return conjSteps_.size(); }
     /** Distinct nonzero giant steps apply() rotates by. */
     std::size_t giantStepCount() const { return giantSteps_.size(); }
     /** Giant groups, counting the unshifted (k = 0) one. */
@@ -253,7 +201,6 @@ class LinearTransformPlan
     {
         std::size_t k;
         std::size_t b;
-        bool conj = false; ///< applies to conj(z) via composed steps
         std::vector<Complex> values;
     };
 
@@ -263,9 +210,8 @@ class LinearTransformPlan
     const ckks::CkksContext &ctx_;
     std::size_t g_ = 0;
     std::size_t groupCount_ = 0;
-    std::vector<Diagonal> diags_;       ///< sorted by (k, conj, b)
-    std::vector<s64> babySteps_;        ///< distinct nonzero plain b
-    std::vector<s64> conjSteps_;        ///< distinct conj b (incl. 0)
+    std::vector<Diagonal> diags_;       ///< sorted by (k, b)
+    std::vector<s64> babySteps_;        ///< distinct nonzero b
     std::vector<s64> giantSteps_;       ///< distinct nonzero k*g
     std::vector<s64> folds_;            ///< closing fold steps
     mutable std::mutex mu_;

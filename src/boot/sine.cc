@@ -49,14 +49,6 @@ ladderDepths(int terms)
 } // namespace
 
 std::size_t
-sineLevelCost(const SineConfig &cfg)
-{
-    // Power ladder (~4) + coefficient layer (1) + odd product (1) +
-    // doublings + final halving (1) + slack (1).
-    return 8 + static_cast<std::size_t>(cfg.doublings);
-}
-
-std::size_t
 sineLevelsUsed(const SineConfig &cfg)
 {
     auto depth = ladderDepths(cfg.taylorTerms);

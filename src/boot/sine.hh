@@ -37,10 +37,6 @@ struct SineConfig
     int doublings = 4;
 };
 
-/** Levels a sine evaluation consumes, conservative upper bound (for
-    chain-length checks; the exact ledger is sineLevelsUsed). */
-std::size_t sineLevelCost(const SineConfig &cfg);
-
 /** Exact levels evalScaledSine consumes from its input level (pure
     function of the ladder shape; budget planners mirror this). */
 std::size_t sineLevelsUsed(const SineConfig &cfg);

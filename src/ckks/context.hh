@@ -83,9 +83,9 @@ struct KeyBundle
     /**
      * Conjugate-composed rotation keys: step r targets
      * s(X^((2N-1)*5^r)), the automorphism "conjugate then rotate by
-     * r". The fused CoeffToSlot split plans of the bootstrapper ride
-     * these so the sine-stage conjugation shares the double-hoisted
-     * BSGS head instead of paying its own full keyswitch.
+     * r". Generated only for the steps a caller passes as
+     * generateKeys' conj_rotations; no evaluator path reads them (the
+     * bootstrapper's CoeffToSlot split conjugates with `conj`).
      */
     std::map<s64, SwitchKey> conjRot;
 };

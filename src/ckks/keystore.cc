@@ -33,14 +33,11 @@ KeyStore::KeyStore(const CkksContext &ctx, SecretKey sk, KeyBundle base,
 {}
 
 SwitchKey
-KeyStore::generate(s64 step, bool conj_branch) const
+KeyStore::generate(s64 step) const
 {
     // Seed from the galois element (the automorphism's identity, so
-    // equivalent step encodings share a key stream) and the branch.
-    u64 galois = conj_branch ? ctx_->galoisForConjRotation(step)
-                             : ctx_->galoisForRotation(step);
-    u64 derived =
-        mix64(seed_ ^ mix64(galois ^ (conj_branch ? 0x1ull << 63 : 0)));
+    // equivalent step encodings share a key stream).
+    u64 derived = mix64(seed_ ^ mix64(ctx_->galoisForRotation(step)));
     // A transient keygen fault (fault-injection campaigns, a failed
     // device allocation in a real deployment) is retried with a FRESH
     // deterministic Rng, so a retried generation is bit-identical to
@@ -49,9 +46,7 @@ KeyStore::generate(s64 step, bool conj_branch) const
         try {
             TFHE_FAULT_POINT("keystore/generate");
             Rng rng(derived);
-            return conj_branch
-                ? ctx_->generateConjRotationKey(sk_, step, rng)
-                : ctx_->generateRotationKey(sk_, step, rng);
+            return ctx_->generateRotationKey(sk_, step, rng);
         } catch (const TransientFault &) {
             if (attempt + 1 >= kMaxGenAttempts)
                 throw;
@@ -60,9 +55,9 @@ KeyStore::generate(s64 step, bool conj_branch) const
 }
 
 std::shared_ptr<const SwitchKey>
-KeyStore::lookup(const std::map<s64, SwitchKey> &pre, s64 step,
-                 bool conj_branch) const
+KeyStore::rotation(s64 step) const
 {
+    const auto &pre = base().rot;
     auto it = pre.find(step);
     if (it != pre.end())
         // Alias the caller-owned / store-owned bundle: no control
@@ -71,10 +66,9 @@ KeyStore::lookup(const std::map<s64, SwitchKey> &pre, s64 step,
     if (!onDemand())
         return nullptr;
 
-    CacheKey ck{step, conj_branch};
     {
         std::lock_guard<std::mutex> lock(mu_);
-        auto hit = cache_.find(ck);
+        auto hit = cache_.find(step);
         if (hit != cache_.end()) {
             lru_.splice(lru_.begin(), lru_, hit->second);
             return hit->second->second;
@@ -83,42 +77,30 @@ KeyStore::lookup(const std::map<s64, SwitchKey> &pre, s64 step,
     // Generate outside the lock (keygen is the expensive part); a
     // racing thread may generate the same key — both results are
     // bit-identical, the second insert is dropped.
-    SwitchKey fresh = generate(step, conj_branch);
+    SwitchKey fresh = generate(step);
     std::lock_guard<std::mutex> lock(mu_);
     ++generations_;
-    auto hit = cache_.find(ck);
+    auto hit = cache_.find(step);
     if (hit != cache_.end()) {
         lru_.splice(lru_.begin(), lru_, hit->second);
         return hit->second->second;
     }
-    auto id_it = ids_.find(ck);
+    auto id_it = ids_.find(step);
     if (id_it != ids_.end())
         // Regeneration after eviction: restore the first-generation
         // id so the context's restricted-key cache stays coherent.
         fresh.id = id_it->second;
     else
-        ids_.emplace(ck, fresh.id);
+        ids_.emplace(step, fresh.id);
     auto sp = std::make_shared<const SwitchKey>(std::move(fresh));
-    lru_.emplace_front(ck, sp);
-    cache_[ck] = lru_.begin();
+    lru_.emplace_front(step, sp);
+    cache_[step] = lru_.begin();
     if (capacity_ != 0 && lru_.size() > capacity_) {
         cache_.erase(lru_.back().first);
         lru_.pop_back();
         ++evictions_;
     }
     return sp;
-}
-
-std::shared_ptr<const SwitchKey>
-KeyStore::rotation(s64 step) const
-{
-    return lookup(base().rot, step, false);
-}
-
-std::shared_ptr<const SwitchKey>
-KeyStore::conjRotation(s64 step) const
-{
-    return lookup(base().conjRot, step, true);
 }
 
 std::size_t

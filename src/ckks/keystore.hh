@@ -9,18 +9,18 @@
  *    and returns null for any step the bundle lacks. Zero overhead —
  *    lookups alias the caller-owned bundle.
  *
- *  - ON-DEMAND: rotation and conjugate-rotation keys are generated
- *    lazily from the secret key the first time a step is requested,
- *    with at most `capacity` generated keys resident (LRU eviction;
- *    keys handed out stay alive through their shared_ptr pins
- *    regardless). Generation is DETERMINISTIC: the per-key RNG is
- *    seeded from (store seed, galois element, branch), and the
- *    SwitchKey id assigned on first generation is remembered, so a
- *    key regenerated after eviction is bit-identical — including the
- *    id that keys the context's restricted-key cache, which therefore
- *    stays coherent across evictions. Key generation passes the
- *    "keystore/generate" fault point and retries transient failures
- *    (bounded), so a fault-injected keygen never corrupts the store.
+ *  - ON-DEMAND: rotation keys are generated lazily from the secret
+ *    key the first time a step is requested, with at most `capacity`
+ *    generated keys resident (LRU eviction; keys handed out stay
+ *    alive through their shared_ptr pins regardless). Generation is
+ *    DETERMINISTIC: the per-key RNG is seeded from (store seed,
+ *    galois element), and the SwitchKey id assigned on first
+ *    generation is remembered, so a key regenerated after eviction is
+ *    bit-identical — including the id that keys the context's
+ *    restricted-key cache, which therefore stays coherent across
+ *    evictions. Key generation passes the "keystore/generate" fault
+ *    point and retries transient failures (bounded), so a
+ *    fault-injected keygen never corrupts the store.
  *
  * The on-demand mode is what frees the BSGS stride chooser from the
  * root-stride key-pattern constraint: a planner-chosen stride may
@@ -52,10 +52,10 @@ class KeyStore
 
     /**
      * On-demand store: pk/relin/conj (and any pre-generated rotation
-     * keys) come from `base`; missing rotation / conjugate-rotation
-     * keys are generated deterministically from `seed` on first
-     * request, at most `capacity` generated keys resident (LRU;
-     * capacity 0 = unbounded).
+     * keys) come from `base`; missing rotation keys are generated
+     * deterministically from `seed` on first request, at most
+     * `capacity` generated keys resident (LRU; capacity 0 =
+     * unbounded).
      */
     KeyStore(const CkksContext &ctx, SecretKey sk, KeyBundle base,
              u64 seed, std::size_t capacity);
@@ -74,10 +74,6 @@ class KeyStore
      */
     std::shared_ptr<const SwitchKey> rotation(s64 step) const;
 
-    /** Conjugate-composed rotation key for `step` (step 0 is the
-        plain conjugation — use conj()). */
-    std::shared_ptr<const SwitchKey> conjRotation(s64 step) const;
-
     bool onDemand() const { return ctx_ != nullptr; }
     std::size_t capacity() const { return capacity_; }
 
@@ -95,11 +91,7 @@ class KeyStore
         return owned_ ? *owned_ : *view_;
     }
 
-    std::shared_ptr<const SwitchKey>
-    lookup(const std::map<s64, SwitchKey> &pre, s64 step,
-           bool conj_branch) const;
-
-    SwitchKey generate(s64 step, bool conj_branch) const;
+    SwitchKey generate(s64 step) const;
 
     const CkksContext *ctx_ = nullptr; ///< null = static view
     const KeyBundle *view_ = nullptr;  ///< static mode, caller-owned
@@ -108,26 +100,15 @@ class KeyStore
     u64 seed_ = 0;
     std::size_t capacity_ = 0;
 
-    struct CacheKey
-    {
-        s64 step;
-        bool conj;
-        bool
-        operator<(const CacheKey &o) const
-        {
-            return step != o.step ? step < o.step : conj < o.conj;
-        }
-    };
-
     mutable std::mutex mu_;
-    /// MRU-first recency list of generated keys; cache_ points in.
-    mutable std::list<std::pair<CacheKey,
-                                std::shared_ptr<const SwitchKey>>>
+    /// MRU-first recency list of generated keys (by step); cache_
+    /// points in.
+    mutable std::list<std::pair<s64, std::shared_ptr<const SwitchKey>>>
         lru_;
-    mutable std::map<CacheKey, decltype(lru_)::iterator> cache_;
+    mutable std::map<s64, decltype(lru_)::iterator> cache_;
     /// First-generation ids, remembered forever so regeneration is
     /// bit-identical (including the restricted-key-cache id).
-    mutable std::map<CacheKey, u64> ids_;
+    mutable std::map<s64, u64> ids_;
     mutable std::size_t generations_ = 0;
     mutable std::size_t evictions_ = 0;
 };

@@ -566,22 +566,10 @@ Dispatcher::automorphPooled(
 // Double-hoisted BSGS
 
 std::shared_ptr<const ckks::SwitchKey>
-Dispatcher::babyStepKey(const BsgsStep &step) const
+Dispatcher::stepKey(s64 step) const
 {
-    if (!step.conj) {
-        auto key = store_->rotation(step.step);
-        requireArg(key != nullptr, "no rotation key for step ",
-                   step.step);
-        return key;
-    }
-    if (step.step == 0)
-        // The always-present conjugation key lives in the bundle; an
-        // empty-deleter alias keeps the return type uniform.
-        return {std::shared_ptr<const ckks::SwitchKey>{},
-                &store_->conj()};
-    auto key = store_->conjRotation(step.step);
-    requireArg(key != nullptr, "no conjugate-rotation key for step ",
-               step.step);
+    auto key = store_->rotation(step);
+    requireArg(key != nullptr, "no rotation key for step ", step);
     return key;
 }
 
@@ -633,7 +621,7 @@ Dispatcher::outputRow(std::size_t batch,
 }
 
 Dispatcher::BabyTables
-Dispatcher::buildBabyTables(const std::vector<BsgsStep> &steps,
+Dispatcher::buildBabyTables(const std::vector<s64> &steps,
                             bool need_b0,
                             const ckks::Ciphertext *const *as,
                             std::size_t batch) const
@@ -656,11 +644,6 @@ Dispatcher::buildBabyTables(const std::vector<BsgsStep> &steps,
     // ModDown - the pair stays on the extended QP basis), P * c0
     // folded into the c0 half, and one permutation of the pair, so
     // the eventual ModDown yields exactly rot_b(ct).
-    // Conjugate-composed steps ride the same head with the composed
-    // Galois element and the conj / conjRot key. The tails are
-    // plan-independent: every program whose steps are covered reads
-    // this one table (the sine-stage fanout shares it across the
-    // Re/Im split plans).
     std::size_t n_baby = t.steps.size();
     t.T.resize(n_baby);
     t.Tp.resize(n_baby);
@@ -672,15 +655,11 @@ Dispatcher::buildBabyTables(const std::vector<BsgsStep> &steps,
                        plift.pmodqShoup, batch);
         };
         for (std::size_t bi = 0; bi < n_baby; ++bi) {
-            const BsgsStep &step = t.steps[bi];
-            auto key_pin = babyStepKey(step);
-            stats.record(step.conj ? EvalOpKind::Conjugate
-                                   : EvalOpKind::HRotate,
-                         batch);
-            u64 galois = step.conj
-                ? ctx_.galoisForConjRotation(step.step)
-                : ctx_.galoisForRotation(step.step);
-            t.T[bi] = permutedTail(view, *key_pin, galois, liftC0);
+            s64 step = t.steps[bi];
+            auto key_pin = stepKey(step);
+            stats.record(EvalOpKind::HRotate, batch);
+            t.T[bi] = permutedTail(view, *key_pin,
+                                   ctx_.galoisForRotation(step), liftC0);
             t.Tp[bi] = ptrsOf({&t.T[bi]});
         }
     }
@@ -700,15 +679,14 @@ Dispatcher::buildBabyTables(const std::vector<BsgsStep> &steps,
 }
 
 std::pair<rns::RnsPolynomial *const *, rns::RnsPolynomial *const *>
-Dispatcher::BabyTables::pair(s64 baby, bool conj) const
+Dispatcher::BabyTables::pair(s64 baby) const
 {
-    if (baby == 0 && !conj) {
+    if (baby == 0) {
         TFHE_ASSERT(hasB0, "BSGS tables missing the b = 0 term");
         return {Bp.data(), Bp.data() + batch};
     }
-    BsgsStep want{baby, conj};
-    auto it = std::lower_bound(steps.begin(), steps.end(), want);
-    TFHE_ASSERT(it != steps.end() && *it == want,
+    auto it = std::lower_bound(steps.begin(), steps.end(), baby);
+    TFHE_ASSERT(it != steps.end() && *it == baby,
                 "BSGS tables missing a baby step");
     std::size_t bi = static_cast<std::size_t>(it - steps.begin());
     return {Tp[bi].data(), Tp[bi].data() + batch};
@@ -749,7 +727,7 @@ Dispatcher::accumulateGroups(const BsgsProgram &program,
             if (!first_entry)
                 stats.record(EvalOpKind::HAdd, batch);
             first_entry = false;
-            auto [s0, s1] = tables.pair(entry.baby, entry.conj);
+            auto [s0, s1] = tables.pair(entry.baby);
             hadaAccumPlain(kctx_, acc0p.data(), readOnly(s0, batch).data(),
                            *entry.pt, batch);
             hadaAccumPlain(kctx_, acc1p.data(), readOnly(s1, batch).data(),
@@ -774,9 +752,7 @@ Dispatcher::accumulateGroups(const BsgsProgram &program,
         // on QP before the pair's one permutation - its ModDown stays
         // deferred to the single final one.
         stats.record(EvalOpKind::HRotate, batch);
-        auto giant_key = store_->rotation(group.shift);
-        requireArg(giant_key != nullptr, "no rotation key for step ",
-                   group.shift);
+        auto giant_key = stepKey(group.shift);
         u64 galois = ctx_.galoisForRotation(group.shift);
 
         rns::toCoeffBatch(acc1p, v, kctx_.pool);
@@ -841,7 +817,7 @@ programNeedsB0(const BsgsProgram &p)
 {
     for (const auto &g : p.groups)
         for (const auto &e : g.entries)
-            if (e.baby == 0 && !e.conj)
+            if (e.baby == 0)
                 return true;
     return false;
 }
@@ -915,64 +891,6 @@ Dispatcher::applyBsgsSum(const BsgsProgram *const *programs,
     }
     return finalizeBsgs(G0p.data(), G1p.data(), batch, lc,
                         in_scale * pt_scale, folds);
-}
-
-std::vector<std::vector<ckks::Ciphertext>>
-Dispatcher::applyBsgsFanout(const BsgsProgram *const *programs,
-                            std::size_t count,
-                            const ckks::Ciphertext *as,
-                            std::size_t batch) const
-{
-    trace::TraceSpan tsp_("exec", "applyBsgsFanout");
-    tsp_.arg("batch", static_cast<s64>(batch))
-        .arg("programs", static_cast<s64>(count));
-    TFHE_ASSERT(count > 0, "empty BSGS fanout");
-    std::vector<std::vector<ckks::Ciphertext>> out(count);
-    if (batch == 0)
-        return out;
-    std::size_t lc = as[0].levelCount();
-    double in_scale = as[0].scale;
-    requireArg(lc >= 2,
-               "linear transform consumes one level: cannot apply at "
-               "level 0");
-    for (std::size_t s = 0; s < batch; ++s)
-        requireArg(as[s].levelCount() == lc
-                       && std::abs(as[s].scale - in_scale)
-                           <= 1e-6 * in_scale,
-                   "BSGS fanout requires a uniform level and scale");
-    auto union_limbs = ctx_.unionLimbs(lc);
-
-    // One shared baby table over the union step set: the head and
-    // every raw tail are paid once for ALL programs.
-    std::vector<BsgsStep> steps;
-    bool need_b0 = false;
-    for (std::size_t p = 0; p < count; ++p) {
-        steps.insert(steps.end(), programs[p]->babySteps.begin(),
-                     programs[p]->babySteps.end());
-        need_b0 = need_b0 || programNeedsB0(*programs[p]);
-    }
-    std::sort(steps.begin(), steps.end());
-    steps.erase(std::unique(steps.begin(), steps.end()), steps.end());
-    std::vector<const ckks::Ciphertext *> ptrs(batch);
-    for (std::size_t s = 0; s < batch; ++s)
-        ptrs[s] = &as[s];
-    auto tables = buildBabyTables(steps, need_b0, ptrs.data(), batch);
-
-    for (std::size_t p = 0; p < count; ++p) {
-        std::vector<Workspace::Pooled> G0, G1;
-        std::vector<rns::RnsPolynomial *> G0p, G1p;
-        pooledUnionRow(batch, union_limbs, G0, G0p);
-        pooledUnionRow(batch, union_limbs, G1, G1p);
-        bool first_group = true;
-        accumulateGroups(*programs[p], tables, batch, G0p.data(),
-                         G1p.data(), first_group);
-        double pt_scale =
-            programs[p]->groups[0].entries[0].pt->scale;
-        out[p] = finalizeBsgs(G0p.data(), G1p.data(), batch, lc,
-                              in_scale * pt_scale,
-                              programs[p]->foldSteps);
-    }
-    return out;
 }
 
 } // namespace tensorfhe::exec

@@ -78,37 +78,12 @@ struct HoistedView
  * A compiled BSGS linear transform: the nonzero diagonals regrouped
  * d = k*g + b, with the per-level encoded diagonal plaintexts
  * (extended to the key-switch union basis) owned by the compiling
- * plan. entry.baby == 0 (non-conj) means the unrotated input;
- * group.shift == 0 means no giant rotation.
- *
- * A baby step may carry `conj = true`: the step is the composed
- * automorphism conjugate-then-rotate(baby), served off the SAME
- * hoisted head as the plain steps (keys come from KeyBundle.conj /
- * conjRot). This is how the bootstrapper's fused CoeffToSlot split
- * plans evaluate M z + conj(M) conj(z) without a standalone
- * conjugation keyswitch.
+ * plan. entry.baby == 0 means the unrotated input; group.shift == 0
+ * means no giant rotation.
  */
-struct BsgsStep
-{
-    s64 step;
-    bool conj = false;
-
-    friend bool
-    operator<(const BsgsStep &a, const BsgsStep &b)
-    {
-        return a.conj != b.conj ? a.conj < b.conj : a.step < b.step;
-    }
-    friend bool
-    operator==(const BsgsStep &a, const BsgsStep &b)
-    {
-        return a.step == b.step && a.conj == b.conj;
-    }
-};
-
 struct BsgsEntry
 {
     s64 baby;
-    bool conj = false;
     const ckks::Plaintext *pt; ///< union-basis encoded diagonal
 };
 
@@ -120,10 +95,9 @@ struct BsgsGroup
 
 struct BsgsProgram
 {
-    /** Sorted distinct baby steps needing a raw keyswitch tail: all
-        nonzero plain steps plus every conj step (including conj of
-        step 0, which is a plain conjugation). */
-    std::vector<BsgsStep> babySteps;
+    /** Sorted distinct nonzero baby steps, each needing a raw
+        keyswitch tail. */
+    std::vector<s64> babySteps;
     std::vector<BsgsGroup> groups;
     /** Rotate-and-add folds closing the transform, in order: after
         the final ModDown pair each adds rot_step of the output onto
@@ -275,21 +249,6 @@ class Dispatcher
                  const ckks::Ciphertext *const *inputs,
                  std::size_t terms, std::size_t batch) const;
 
-    /**
-     * Several BSGS programs over ONE input, sharing the baby-step
-     * work: the hoisted head and every raw baby/conjugate tail are
-     * built once (they are plan-independent rotations of the input)
-     * and each program only pays its own diagonal products, giant
-     * steps and final ModDown pair + RESCALE. This is the sine-stage
-     * double hoisting: the bootstrapper's fused C2S Re/Im split
-     * plans read one shared tail table. Returns one output batch per
-     * program.
-     */
-    std::vector<std::vector<ckks::Ciphertext>>
-    applyBsgsFanout(const BsgsProgram *const *programs,
-                    std::size_t count, const ckks::Ciphertext *as,
-                    std::size_t batch) const;
-
   private:
     struct PLift
     {
@@ -363,19 +322,17 @@ class Dispatcher
     outputRow(std::size_t batch, const std::vector<std::size_t> &limbs,
               rns::Domain domain) const;
 
-    /** The switch key of one BSGS baby step (rot / conj / conjRot),
-        pinned against KeyStore LRU eviction for the caller's use. */
-    std::shared_ptr<const ckks::SwitchKey>
-    babyStepKey(const BsgsStep &step) const;
+    /** The rotation key of one BSGS step, pinned against KeyStore
+        LRU eviction for the caller's use. */
+    std::shared_ptr<const ckks::SwitchKey> stepKey(s64 step) const;
 
-    /** Shared baby-step tail tables of one input batch: per step the
-        raw (ModDown-deferred) keyswitch pair on the union basis,
-        plus the P-lifted b = 0 term. Plan-independent — any program
-        whose steps are covered can read them. Each pair is one row
-        of 2*batch polynomials: the c0 halves, then the c1 halves. */
+    /** Baby-step tail tables of one input batch: per step the raw
+        (ModDown-deferred) keyswitch pair on the union basis, plus the
+        P-lifted b = 0 term. Each pair is one row of 2*batch
+        polynomials: the c0 halves, then the c1 halves. */
     struct BabyTables
     {
-        std::vector<BsgsStep> steps; ///< sorted
+        std::vector<s64> steps; ///< sorted
         std::vector<std::vector<Workspace::Pooled>> T; ///< per step
         std::vector<std::vector<rns::RnsPolynomial *>> Tp;
         std::vector<Workspace::Pooled> B; ///< the b = 0 pair
@@ -386,12 +343,12 @@ class Dispatcher
 
         std::pair<rns::RnsPolynomial *const *,
                   rns::RnsPolynomial *const *>
-        pair(s64 baby, bool conj) const;
+        pair(s64 baby) const;
     };
 
-    /** Build the shared tables: one hoisted head, one raw tail per
-        step (head-1 of the double-hoisted schedule). */
-    BabyTables buildBabyTables(const std::vector<BsgsStep> &steps,
+    /** Build the tables: one hoisted head, one raw tail per step
+        (head-1 of the double-hoisted schedule). */
+    BabyTables buildBabyTables(const std::vector<s64> &steps,
                                bool need_b0,
                                const ckks::Ciphertext *const *as,
                                std::size_t batch) const;

@@ -532,8 +532,7 @@ GraphExecutor::prestageWorkspace(const nn::NnEngine &engine,
         std::size_t rows = (in.levelCount + alpha - 1) / alpha + 8;
         std::size_t table = 0;
         for (const auto *plan : n.plans)
-            table = std::max(table, 2 * (plan->babyStepCount()
-                                         + plan->conjStepCount() + 1));
+            table = std::max(table, 2 * (plan->babyStepCount() + 1));
         count = std::max(count, (rows + table) * in.chunkCount * batch);
     }
     engine.batched().dispatcher().workspace().prestage(

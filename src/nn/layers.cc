@@ -429,7 +429,7 @@ MatvecLayer::costAt(const perf::CostModel &model,
                 baby += choice.baby;
                 giant += choice.giant;
             } else {
-                baby += b->babyStepCount() + b->conjStepCount();
+                baby += b->babyStepCount();
                 giant += b->giantStepCount();
             }
         }
@@ -1107,13 +1107,6 @@ Bootstrap::requiredRotations() const
 {
     requireCompiled();
     return boot::Bootstrapper::requiredRotations(slots_);
-}
-
-std::vector<s64>
-Bootstrap::requiredConjRotations() const
-{
-    requireCompiled();
-    return boot::Bootstrapper::requiredConjRotations(slots_);
 }
 
 graph::ValueId

@@ -115,14 +115,6 @@ class Layer
         after compile). */
     virtual std::vector<s64> requiredRotations() const { return {}; }
 
-    /** Conjugate-composed rotation steps the lowered schedule needs
-        KeyBundle.conjRot keys for (the bootstrap layer's fused C2S
-        split; empty for ordinary layers). */
-    virtual std::vector<s64> requiredConjRotations() const
-    {
-        return {};
-    }
-
     /** Multiplicative levels consumed (valid after compile; a
         bootstrap layer reports 0 — it restores the budget). */
     virtual std::size_t levelCost() const = 0;
@@ -532,7 +524,6 @@ class Bootstrap : public Layer
     TensorMeta compile(const ckks::CkksContext &ctx,
                        const TensorMeta &in) override;
     std::vector<s64> requiredRotations() const override;
-    std::vector<s64> requiredConjRotations() const override;
     /** Consumes no budget — it restores it (see outputMeta). */
     std::size_t levelCost() const override { return 0; }
     std::size_t minInputLevelCount() const override { return 2; }

@@ -120,17 +120,6 @@ Sequential::requiredRotations() const
     return ckks::unionRotationSteps(lists);
 }
 
-std::vector<s64>
-Sequential::requiredConjRotations() const
-{
-    requireState(compiled_, "model used before compile()");
-    std::vector<std::vector<s64>> lists;
-    lists.reserve(layers_.size());
-    for (const auto &l : layers_)
-        lists.push_back(l->requiredConjRotations());
-    return ckks::unionRotationSteps(lists);
-}
-
 std::size_t
 Sequential::bootstrapCount() const
 {

@@ -75,10 +75,6 @@ class Sequential
      */
     std::vector<s64> requiredRotations() const;
 
-    /** Union conjugate-rotation key set (bootstrap layers' fused C2S
-        split steps; empty when no bootstrap is present). */
-    std::vector<s64> requiredConjRotations() const;
-
     /** Bootstrap layers in the compiled stack (planned or hand-placed). */
     std::size_t bootstrapCount() const;
 

@@ -347,11 +347,13 @@ CostModel::sineEval(std::size_t lc, std::size_t taylor_terms,
 }
 
 KernelCost
-CostModel::coeffToSlotPair(std::size_t lc, std::size_t slots) const
+CostModel::coeffToSlot(std::size_t lc, std::size_t slots) const
 {
-    std::size_t g = rootStride(slots);
-    std::size_t n2 = (slots + g - 1) / g;
-    return 2.0 * matvec(lc, 2 * slots, 2 * g - 1, n2 - 1);
+    KernelCost c = bsgsLinearTransform(lc, slots);
+    c += op(EvalOpKind::Conjugate, lc - 1);
+    c += 2.0 * op(EvalOpKind::HAdd, lc - 1);
+    c += op(EvalOpKind::CMult, lc - 1);
+    return c;
 }
 
 KernelCost
@@ -374,8 +376,8 @@ CostModel::bootstrap(std::size_t input_lc, std::size_t raised_lc,
     // SlotToCoeff runs before the ModRaise, on the input tower — the
     // only stage whose price moves with bootstrap placement.
     KernelCost c = bsgsLinearTransform(input_lc, slots);
-    // CoeffToSlot pair on the freshly raised tower.
-    c += coeffToSlotPair(raised_lc, slots);
+    // CoeffToSlot on the freshly raised tower.
+    c += coeffToSlot(raised_lc, slots);
     // The sine ladders descend from raised_lc - 1 (C2S consumed one
     // level) toward the refreshed output; bill them at their entry
     // level (a conservative upper bound on the descending ladder).

@@ -176,13 +176,13 @@ class CostModel
 
     /**
      * One slim bootstrap of a single ciphertext: SlotToCoeff at the
-     * root-stride BSGS population, the two FUSED CoeffToSlot split
-     * transforms (plain + conjugate branches off one head each), two
+     * root-stride BSGS population, CoeffToSlot (one transform of the
+     * same shape, then the conjugation and exact -i Re/Im split), two
      * Taylor + double-angle sine evaluations of the given shape, and
      * the recombine. Each stage is billed at the level it actually
      * runs at — SlotToCoeff at `input_lc` (the only stage whose cost
-     * varies with bootstrap placement), the fused CoeffToSlot pair at
-     * `raised_lc` (the post-ModRaise tower), the sine ladder at its
+     * varies with bootstrap placement), CoeffToSlot at `raised_lc`
+     * (the post-ModRaise tower), the sine ladder at its
      * entry level `raised_lc - 1`, and the recombine just above the
      * refreshed output `output_lc`. This is the entry
      * nn::Bootstrap::costAt and the global planner query when
@@ -281,12 +281,10 @@ class CostModel
     KernelCost sineEval(std::size_t lc, std::size_t taylor_terms,
                         std::size_t doublings) const;
 
-    /** Fused CoeffToSlot split pair at `lc`: plain + conjugate
-        branches double the diagonal population and add g
-        conjugate-composed tails (incl. the b = 0 conjugation) off
-        the SAME head — giant + 2 conversions each, no standalone
-        conjugation keyswitch. */
-    KernelCost coeffToSlotPair(std::size_t lc, std::size_t slots) const;
+    /** CoeffToSlot at `lc` with the sine-stage split: one
+        root-stride transform, then at its output level `lc - 1` one
+        conjugation, w + conj w, w - conj w and the exact -i CMULT. */
+    KernelCost coeffToSlot(std::size_t lc, std::size_t slots) const;
 
     /** Recombine at `lc`: two CMULTs, one HADD, one RESCALE. */
     KernelCost recombine(std::size_t lc) const;

@@ -85,12 +85,13 @@ class EncryptedCnnClassifier
         key-switched with dnum 7 over 3 special primes. */
     static ckks::CkksParams recommendedDeepParams();
 
-    /** Conjugate-rotation keys the stack needs (bootstrap layers). */
-    std::vector<s64>
-    requiredConjRotations() const
-    {
-        return net_.requiredConjRotations();
-    }
+    /**
+     * Conjugate-composed rotation keys the stack needs: none. The
+     * bootstrap's CoeffToSlot split conjugates with the bundle's
+     * always-present conjugation key; the empty set stays for callers
+     * that forward it to CkksContext::generateKeys.
+     */
+    std::vector<s64> requiredConjRotations() const { return {}; }
 
     const CnnConfig &config() const { return cfg_; }
     const nn::Sequential &net() const { return net_; }

@@ -12,25 +12,23 @@ EvalOpCounts
 bootstrapOpCounts(std::size_t slots)
 {
     // Slim bootstrap (paper Fig. 6): SlotToCoeff -> ModRaise ->
-    // fused CoeffToSlot + Re/Im split -> Sine Evaluation. The
-    // homomorphic DFT is the 3-stage radix decomposition of
-    // Faster-DFT [14] with BSGS inside each stage: radix r =
-    // slots^(1/3), so each stage costs ~2*sqrt(r) rotations and r
-    // diagonal CMULTs; the C2S direction runs twice (Re and Im
-    // streams) with the sine-stage conjugation folded into its
-    // stages as conjugate-composed baby steps instead of standalone
-    // conjugation keyswitches.
+    // CoeffToSlot + Re/Im split -> Sine Evaluation. The homomorphic
+    // DFT is the 3-stage radix decomposition of Faster-DFT [14] with
+    // BSGS inside each stage: radix r = slots^(1/3), so each stage
+    // costs ~2*sqrt(r) rotations and r diagonal CMULTs.
     double radix = std::cbrt(static_cast<double>(slots));
     double stage_rot = 2.0 * std::sqrt(radix);
     EvalOpCounts c;
-    // One S2C direction + two fused C2S split directions, 3 stages
-    // each; the split directions' conjugate branches double their
-    // diagonal products and add conjugate-composed steps.
-    c.hrotate += 9 * stage_rot;
-    c.conjugate += 6 * stage_rot;     // conj-composed baby steps
-    c.cmult += (3 + 2 * 6) * radix;   // diagonal multiplications
-    c.hadd += (3 + 2 * 6) * radix;
-    c.rescale += 9;
+    // One S2C and one C2S direction, 3 stages each.
+    c.hrotate += 6 * stage_rot;
+    c.cmult += 6 * radix; // diagonal multiplications
+    c.hadd += 6 * radix;
+    c.rescale += 6;
+    // The split conjugates the C2S output once and takes w + conj w
+    // and -i (w - conj w), the -i an exact monomial CMULT.
+    c.conjugate += 1;
+    c.hadd += 2;
+    c.cmult += 1;
     // Sine evaluation: Taylor base (deg 7 sin + deg 8 cos) plus 5
     // double-angle steps (paper SIV-A: Taylor approximation [8]),
     // once per split stream, plus the recombine.

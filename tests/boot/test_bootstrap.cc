@@ -5,8 +5,8 @@
  * the end-to-end slim pipeline (paper Fig. 6; relaxed bound per
  * DESIGN.md SS8 given the 25-bit prime chain). The key-coverage test
  * runs a full bootstrap against a bundle holding ONLY the advertised
- * rotation / conjugate-rotation sets, so any step the executed plans
- * touch beyond the advertisement fails loudly here.
+ * rotation set and no conjugate-rotation key, so any step the executed
+ * plans touch beyond the advertisement fails loudly here.
  */
 
 #include <gtest/gtest.h>
@@ -28,8 +28,7 @@ struct BootFixture
         : ctx(ckks::Presets::bootTest()), rng(11),
           sk(ctx.generateSecretKey(rng)),
           keys(ctx.generateKeys(
-              sk, rng, Bootstrapper::requiredRotations(ctx.slots()),
-              Bootstrapper::requiredConjRotations(ctx.slots()))),
+              sk, rng, Bootstrapper::requiredRotations(ctx.slots()))),
           enc(ctx, keys.pk), dec(ctx, sk), eval(ctx, keys),
           beval(ctx, keys), boot(ctx, keys)
     {}
@@ -98,35 +97,6 @@ TEST(BootLinear, HomomorphicMatVecMatchesPlain)
     }
 }
 
-TEST(BootLinear, ConjugateSymmetricPlanMatchesRealAndImagParts)
-{
-    // The fused C2S split plans evaluate 2 Re(M z) / 2 Im(M z) with
-    // the conjugate branch riding composed conj-rotation baby steps.
-    auto &f = fx();
-    auto re_plan = LinearTransformPlan::coeffToSlotReal(f.ctx);
-    auto im_plan = LinearTransformPlan::coeffToSlotImag(f.ctx);
-    EXPECT_GT(re_plan.conjStepCount(), 0u);
-    auto u_inv = specialFftInverseMatrix(f.ctx.encoder());
-
-    auto z = randomSlots(f.ctx.slots(), 0.5, 12);
-    auto ct = f.encryptSlots(z, 3);
-    auto w = applyPlain(u_inv, z);
-
-    auto got_re = f.dec.decryptAndDecode(re_plan.apply(f.eval, ct));
-    auto got_im = f.dec.decryptAndDecode(im_plan.apply(f.eval, ct));
-    double mag = 0;
-    for (const auto &v : w)
-        mag = std::max(mag, std::abs(v));
-    for (std::size_t j = 0; j < z.size(); ++j) {
-        ASSERT_LT(std::abs(got_re[j] - 2.0 * w[j].real()),
-                  4e-2 * mag)
-            << "Re slot " << j;
-        ASSERT_LT(std::abs(got_im[j] - 2.0 * w[j].imag()),
-                  4e-2 * mag)
-            << "Im slot " << j;
-    }
-}
-
 TEST(BootSine, MatchesStdSinOnRange)
 {
     auto &f = fx();
@@ -168,6 +138,103 @@ TEST(BootStage, ModRaisePreservesSmallValues)
         (void)got;
     }
     SUCCEED();
+}
+
+TEST(Bootstrap, CoeffToSlotSplitMatchesRealAndImagParts)
+{
+    // One U^-1 transform, one conjugation and the exact -i give
+    // t_u = 2 Re(U^-1 z) and t_v = 2 Im(U^-1 z) for the price of the
+    // transform's one level.
+    auto &f = fx();
+    auto c2s = LinearTransformPlan::specialFftInverse(f.ctx);
+    auto u_inv = specialFftInverseMatrix(f.ctx.encoder());
+
+    auto z = randomSlots(f.ctx.slots(), 0.5, 12);
+    auto ct = f.encryptSlots(z, 3);
+    auto w = applyPlain(u_inv, z);
+
+    auto [t_u, t_v] = coeffToSlotSplit(
+        f.beval, c2s, minusIMonomial(f.ctx, ct.levelCount() - 1), {ct});
+    ASSERT_EQ(t_u.size(), 1u);
+    ASSERT_EQ(t_v.size(), 1u);
+    EXPECT_EQ(t_u[0].levelCount(), ct.levelCount() - 1);
+    EXPECT_EQ(t_v[0].levelCount(), ct.levelCount() - 1);
+    EXPECT_EQ(t_v[0].scale, t_u[0].scale);
+
+    auto got_re = f.dec.decryptAndDecode(t_u[0]);
+    auto got_im = f.dec.decryptAndDecode(t_v[0]);
+    double mag = 0;
+    for (const auto &v : w)
+        mag = std::max(mag, std::abs(v));
+    for (std::size_t j = 0; j < z.size(); ++j) {
+        ASSERT_LT(std::abs(got_re[j] - 2.0 * w[j].real()),
+                  4e-2 * mag)
+            << "Re slot " << j;
+        ASSERT_LT(std::abs(got_im[j] - 2.0 * w[j].imag()),
+                  4e-2 * mag)
+            << "Im slot " << j;
+    }
+}
+
+TEST(Bootstrap, MinusIIsAnExactMonomialShift)
+{
+    // The split's -i is the integer monomial +-X^{N/2} at scale 1: a
+    // CMULT by it shifts both components negacyclically by N/2, so it
+    // adds no noise, spends no level and keeps the scale.
+    auto &f = fx();
+    std::size_t lc = 3;
+    std::size_t n = f.ctx.n();
+    std::size_t half = n / 2;
+    auto minus_i = minusIMonomial(f.ctx, lc);
+    EXPECT_EQ(minus_i.scale, 1.0);
+    auto mono = minus_i.poly;
+    mono.toCoeff();
+    ASSERT_EQ(mono.numLimbs(), lc);
+    // One integer on every limb: +1 or -1 at N/2, zero elsewhere.
+    bool negative = mono.limb(0)[half] != 1;
+    for (std::size_t l = 0; l < lc; ++l) {
+        u64 q = mono.limbModulus(l).value();
+        for (std::size_t c = 0; c < n; ++c) {
+            u64 want = c != half ? 0 : negative ? q - 1 : 1;
+            ASSERT_EQ(mono.limb(l)[c], want)
+                << "limb " << l << " coeff " << c;
+        }
+    }
+
+    auto z = randomSlots(f.ctx.slots(), 0.5, 14);
+    auto ct = f.encryptSlots(z, lc);
+    auto prod = f.beval.multiplyPlain({ct}, minus_i)[0];
+    EXPECT_EQ(prod.levelCount(), lc);
+    EXPECT_EQ(prod.scale, ct.scale);
+
+    // s X^{N/2} moves coefficient c to c + N/2, negated when it wraps
+    // past X^N; s = -1 negates every coefficient once more.
+    auto expectShifted = [&](const rns::RnsPolynomial &in_eval,
+                             const rns::RnsPolynomial &out_eval,
+                             const char *component) {
+        auto in = in_eval;
+        auto out = out_eval;
+        in.toCoeff();
+        out.toCoeff();
+        for (std::size_t l = 0; l < lc; ++l) {
+            u64 q = in.limbModulus(l).value();
+            auto neg = [q](u64 v) { return v == 0 ? 0 : q - v; };
+            for (std::size_t c = 0; c < n; ++c) {
+                bool wraps = c < half;
+                u64 v = in.limb(l)[(c + half) % n];
+                u64 want = wraps != negative ? neg(v) : v;
+                ASSERT_EQ(out.limb(l)[c], want)
+                    << component << " limb " << l << " coeff " << c;
+            }
+        }
+    };
+    expectShifted(ct.c0, prod.c0, "c0");
+    expectShifted(ct.c1, prod.c1, "c1");
+
+    auto got = f.dec.decryptAndDecode(prod);
+    for (std::size_t j = 0; j < z.size(); ++j)
+        ASSERT_LT(std::abs(got[j] - ckks::Complex(0, -1) * z[j]), 1e-3)
+            << "slot " << j;
 }
 
 TEST(Bootstrap, EndToEndRefreshesLevelsAndPreservesValues)
@@ -272,44 +339,34 @@ TEST(Bootstrap, RequiredRotationsAreTheBsgsBabyAndGiantSteps)
     // O(sqrt(slots)) keys instead of one per diagonal.
     auto steps = Bootstrapper::requiredRotations(8);
     EXPECT_EQ(steps, (std::vector<s64>{1, 2, 3, 6}));
-    EXPECT_EQ(Bootstrapper::requiredConjRotations(8),
-              (std::vector<s64>{1, 2}));
 
-    // The analytic set must cover what the actual plans rotate by —
-    // including the conjugate-composed steps of the fused C2S split.
+    // The analytic set must cover what the actual plans rotate by. The
+    // C2S split conjugates with the bundle's conjugation key, so the
+    // bundle holds no conjugate-rotation key.
     auto &f = fx();
+    EXPECT_TRUE(f.keys.conjRot.empty());
     auto granted = Bootstrapper::requiredRotations(f.ctx.slots());
-    auto conj_granted =
-        Bootstrapper::requiredConjRotations(f.ctx.slots());
-    for (const auto *plan :
-         {&f.boot.s2cPlan(), &f.boot.c2sRealPlan(),
-          &f.boot.c2sImagPlan()}) {
+    for (const auto *plan : {&f.boot.s2cPlan(), &f.boot.c2sPlan()}) {
         for (s64 s : plan->requiredRotations()) {
             EXPECT_NE(std::find(granted.begin(), granted.end(), s),
                       granted.end())
                 << "missing key for step " << s;
-        }
-        for (s64 s : plan->requiredConjRotations()) {
-            EXPECT_NE(std::find(conj_granted.begin(),
-                                conj_granted.end(), s),
-                      conj_granted.end())
-                << "missing conj key for step " << s;
         }
     }
 }
 
 TEST(Bootstrap, RunsWithOnlyTheAdvertisedKeySet)
 {
-    // Regenerate a bundle holding EXACTLY the advertised rotation and
-    // conjugate-rotation sets and run the full pipeline: any
-    // negative / wrap / conjugate step the executed plans need beyond
-    // the advertisement throws "no ... key for step" here.
+    // Regenerate a bundle holding EXACTLY the advertised rotation set,
+    // with no conjugate-rotation key, and run the full pipeline: any
+    // negative / wrap step the executed plans need beyond the
+    // advertisement throws "no ... key for step" here.
     auto &f = fx();
     Rng rng(77);
     auto sk = f.ctx.generateSecretKey(rng);
     auto keys = f.ctx.generateKeys(
-        sk, rng, Bootstrapper::requiredRotations(f.ctx.slots()),
-        Bootstrapper::requiredConjRotations(f.ctx.slots()));
+        sk, rng, Bootstrapper::requiredRotations(f.ctx.slots()));
+    ASSERT_TRUE(keys.conjRot.empty());
     ckks::Encryptor enc(f.ctx, keys.pk);
     ckks::Decryptor dec(f.ctx, sk);
     Bootstrapper boot(f.ctx, keys);

@@ -137,11 +137,6 @@ TEST(KeyStore, GenerationIsDeterministicAcrossStores)
         ASSERT_NE(kb, nullptr);
         expectKeysBitIdentical(*ka, *kb);
     }
-    auto ca = a.conjRotation(2);
-    auto cb = b.conjRotation(2);
-    ASSERT_NE(ca, nullptr);
-    ASSERT_NE(cb, nullptr);
-    expectKeysBitIdentical(*ca, *cb);
 }
 
 TEST(KeyStore, TransientKeygenFaultRetriesToABitIdenticalKey)

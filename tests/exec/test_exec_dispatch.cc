@@ -278,8 +278,8 @@ TEST(ExecDispatch, FrobeniusMapQueueMatchesClosedForm)
     {
         KernelStats::QueueCapture cap;
         (void)f.plan.applyBatch(beval, cts);
-        std::size_t steps_run = f.plan.babyStepCount()
-            + f.plan.conjStepCount() + f.plan.giantStepCount();
+        std::size_t steps_run =
+            f.plan.babyStepCount() + f.plan.giantStepCount();
         ASSERT_GT(f.plan.giantStepCount(), 0u);
         EXPECT_EQ(frobenius(cap.take()),
                   std::vector<std::size_t>(steps_run, pair));
@@ -551,15 +551,6 @@ TEST(UnzeroedScratch, ApplyBsgsMatchesFreshArena)
     expectPoisonedArenaMatchesFresh(
         {[](const batch::BatchedEvaluator &e, const Cts &x) {
             return fx().plan.applyBatch(e, x);
-        }});
-}
-
-TEST(UnzeroedScratch, ApplyBsgsFanoutMatchesFreshArena)
-{
-    expectPoisonedArenaMatchesFresh(
-        {[](const batch::BatchedEvaluator &e, const Cts &x) {
-            return flatten(boot::LinearTransformPlan::applyBatchFanout(
-                e, {&fx().plan, &fx().plan}, x));
         }});
 }
 

@@ -238,12 +238,13 @@ TEST(Sequential, AutoBootstrapInsertsRefreshWhenLedgerGoesNegative)
     auto out = net.compile(ctx, in);
     EXPECT_GE(net.bootstrapCount(), 1u);
     EXPECT_GE(out.levelCount, 1u);
-    EXPECT_FALSE(net.requiredConjRotations().empty());
 
+    // The bootstrap's CoeffToSlot split conjugates with the bundle's
+    // conjugation key: the run needs no conjugate-rotation key.
     Rng rng(24);
     auto sk = ctx.generateSecretKey(rng);
-    auto keys = ctx.generateKeys(sk, rng, net.requiredRotations(),
-                                 net.requiredConjRotations());
+    auto keys = ctx.generateKeys(sk, rng, net.requiredRotations());
+    EXPECT_TRUE(keys.conjRot.empty());
     ckks::Encryptor enc(ctx, keys.pk);
     ckks::Decryptor dec(ctx, sk);
     nn::NnEngine engine(ctx, keys);
@@ -336,8 +337,7 @@ TEST(Sequential, HandPlacedBootstrapCompilesAndRuns)
 
     Rng rng(44);
     auto sk = ctx.generateSecretKey(rng);
-    auto keys = ctx.generateKeys(sk, rng, net.requiredRotations(),
-                                 net.requiredConjRotations());
+    auto keys = ctx.generateKeys(sk, rng, net.requiredRotations());
     ckks::Encryptor enc(ctx, keys.pk);
     ckks::Decryptor dec(ctx, sk);
     nn::NnEngine engine(ctx, keys);

@@ -138,8 +138,7 @@ TEST(LazyBootstrap, LazyNetRunsCorrectlyWithExactOpAccounting)
     auto &f = fx();
     Rng rng(32);
     auto sk = f.ctx.generateSecretKey(rng);
-    auto keys = f.ctx.generateKeys(sk, rng, f.net.requiredRotations(),
-                                   f.net.requiredConjRotations());
+    auto keys = f.ctx.generateKeys(sk, rng, f.net.requiredRotations());
     ckks::Encryptor enc(f.ctx, keys.pk);
     ckks::Decryptor dec(f.ctx, sk);
     nn::NnEngine engine(f.ctx, keys);

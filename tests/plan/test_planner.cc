@@ -159,8 +159,7 @@ TEST(Planner, PlannedNetRunsCorrectlyWithExactOpAccounting)
     // The rebuilt stack reports its exact post-plan key needs —
     // generating precisely that set suffices even with the
     // root-pattern restriction lifted.
-    auto keys = ctx.generateKeys(sk, rng, net.requiredRotations(),
-                                 net.requiredConjRotations());
+    auto keys = ctx.generateKeys(sk, rng, net.requiredRotations());
     ckks::Encryptor enc(ctx, keys.pk);
     ckks::Decryptor dec(ctx, sk);
     nn::NnEngine engine(ctx, keys);

@@ -134,8 +134,7 @@ TEST(MetricsRegistry, SnapshotMatchesLegacyIslandsOnCnn)
     workloads::EncryptedCnnClassifier net(ctx);
     Rng rng(0x92);
     auto sk = ctx.generateSecretKey(rng);
-    auto keys = ctx.generateKeys(sk, rng, net.requiredRotations(),
-                                 net.requiredConjRotations());
+    auto keys = ctx.generateKeys(sk, rng, net.requiredRotations());
     ckks::Encryptor enc(ctx, keys.pk);
     nn::NnEngine engine(ctx, keys);
 

@@ -207,8 +207,9 @@ TEST(DeepCnn, CompilesWithAMidNetworkBootstrapOverTwoChunks)
         found_mid = true;
     }
     EXPECT_TRUE(found_mid);
-    // The bootstrap's conjugate-rotation needs surface on the stack.
-    EXPECT_FALSE(f.cnn.requiredConjRotations().empty());
+    // The bootstrap needs no conjugate-rotation key: its CoeffToSlot
+    // split conjugates with the bundle's conjugation key.
+    EXPECT_TRUE(f.cnn.requiredConjRotations().empty());
 }
 
 TEST(DeepCnn, CompilesThroughThePlanner)
@@ -275,7 +276,7 @@ TEST(DeepCnn, ExecutedOpsMatchModeledIncludingBootstrap)
     f.cnn.classifyEncrypted(f.engine, f.enc, f.dec, f.rng, images);
     auto got = EvalOpStats::instance().snapshot();
     auto want = f.cnn.modeledOps();
-    EXPECT_GT(want.conjugate, 0.0); // the fused C2S split's steps
+    EXPECT_GT(want.conjugate, 0.0); // the C2S split's conjugation
     for (std::size_t k = 0; k < kNumEvalOpKinds; ++k) {
         auto kind = static_cast<EvalOpKind>(k);
         EXPECT_EQ(got.get(kind), want.get(kind))
