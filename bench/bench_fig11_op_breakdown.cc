@@ -8,9 +8,9 @@
 
 #include <cstdio>
 
+#include "batch/executor.hh"
 #include "bench_util.hh"
 #include "ckks/crypto.hh"
-#include "ckks/evaluator.hh"
 #include "common/stats.hh"
 #include "perf/cost_model.hh"
 
@@ -27,12 +27,13 @@ main()
     auto sk = ctx.generateSecretKey(rng);
     auto keys = ctx.generateKeys(sk, rng, {1});
     ckks::Encryptor enc(ctx, keys.pk);
-    ckks::Evaluator eval(ctx, keys);
+    batch::BatchedEvaluator eval(ctx, keys);
     std::size_t lc = ctx.tower().numQ();
     auto pt = ctx.encoder().encodeConstant(ckks::Complex(0.4, 0),
                                            ctx.params().scale(), lc);
-    auto ct = enc.encrypt(pt, rng);
-    auto ct2 = enc.encrypt(pt, rng);
+    // One-element batches, built outside the measured runs.
+    batch::BatchedEvaluator::Cts ct{enc.encrypt(pt, rng)};
+    batch::BatchedEvaluator::Cts ct2{enc.encrypt(pt, rng)};
 
     struct OpRun
     {

@@ -90,8 +90,9 @@ main(int argc, char **argv)
     auto keys = ctx.generateKeys(sk, rng, {});
     ckks::Encryptor enc(ctx, keys.pk);
     // The serial baseline is the identical code path pinned to one
-    // lane (the scalar Evaluator would not do: its kernels dispatch
-    // on the process-global pool, so it is not serial).
+    // lane (an evaluator on the default pool would not do: its
+    // kernels dispatch on the process-global pool, so it is not
+    // serial).
     ThreadPool serial_pool(0);
     batch::BatchedEvaluator evals(ctx, keys, &serial_pool);
     batch::BatchedEvaluator evalb(ctx, keys, &engine_pool);

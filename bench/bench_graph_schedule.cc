@@ -220,7 +220,7 @@ compareWorkload(const nn::NnEngine &engine, std::size_t n, int reps,
         bench::timeMean(reps, [&] { (void)ex.run(engine, inputs); });
 
     // Cold-run workspace reuse, bare vs prestaged.
-    auto &ws = engine.batched().dispatcher().workspace();
+    auto &ws = engine.dispatcher().workspace();
     ws.trim();
     ws.resetStats();
     (void)ex.run(engine, inputs);

@@ -2,8 +2,9 @@
  * @file
  * Hoisted key-switching bench: the naive per-rotation keyswitch
  * (automorphism + full Dcomp/ModUp/NTT/inner-product/ModDown per
- * step) against Evaluator::rotateHoisted (one head, one tail per
- * step) and the BSGS boot::LinearTransformPlan, reporting the
+ * step) against BatchedEvaluator::rotateManyBatch on a one-element
+ * batch (one head, one tail per step) and the BSGS
+ * boot::LinearTransformPlan, reporting the
  * NTT / ModUp(Conv) kernel work per rotation alongside wall clock.
  *
  * Usage: bench_keyswitch_hoist [reps] [--json PATH]
@@ -97,12 +98,15 @@ main(int argc, char **argv)
         all_steps.push_back(static_cast<s64>(d));
     auto keys = ctx.generateKeys(sk, rng, all_steps);
     ckks::Encryptor enc(ctx, keys.pk);
-    ckks::Evaluator eval(ctx, keys);
+    batch::BatchedEvaluator eval(ctx, keys);
+    const auto &disp = eval.dispatcher();
+    using Cts = batch::BatchedEvaluator::Cts;
 
     std::size_t lc = ctx.tower().numQ();
     std::vector<ckks::Complex> z(slots, ckks::Complex(0.25, -0.5));
     auto ct = enc.encrypt(
         ctx.encoder().encode(z, params.scale(), lc), rng);
+    const Cts cts{ct};
 
     std::vector<s64> steps;
     for (s64 s = 1; s <= 8; ++s)
@@ -116,17 +120,20 @@ main(int argc, char **argv)
                   + " rotations, reps=" + std::to_string(reps) + ")");
 
     // Naive: the pre-hoisting HROTATE composition — automorphism on
-    // both components, then one full keyswitch per step.
+    // both components, then one full keyswitch (hoist + tail) per
+    // step.
     auto naive = [&] {
         for (s64 step : steps) {
             u64 galois = ctx.galoisForRotation(step);
             auto c0r = rns::applyAutomorphism(ct.c0, galois);
             auto c1r = rns::applyAutomorphism(ct.c1, galois);
-            auto [ks0, ks1] = eval.keySwitch(c1r, keys.rot.at(step));
-            rns::eleAddInPlace(ks0, c0r);
+            const rns::RnsPolynomial *d = &c1r;
+            auto [ks0, ks1] = disp.keySwitchTail(disp.hoistCopy(&d, 1),
+                                                 keys.rot.at(step));
+            rns::eleAddInPlace(ks0[0], c0r);
         }
     };
-    auto hoisted = [&] { (void)eval.rotateHoisted(ct, steps); };
+    auto hoisted = [&] { (void)eval.rotateManyBatch(cts, steps); };
 
     bench::section("rotations (measured, this machine)");
     auto &stats = KernelStats::instance();
@@ -157,7 +164,7 @@ main(int argc, char **argv)
 
     printRow("naive per-rotation KS", naive_t, steps.size(),
              naive_snap);
-    printRow("rotateHoisted", hoisted_t, steps.size(), hoisted_snap);
+    printRow("rotateManyBatch", hoisted_t, steps.size(), hoisted_snap);
     std::printf("  speedup: %.2fx wall, %.2fx NTT elements, "
                 "%.2fx Conv dispatches\n",
                 naive_t / hoisted_t,
@@ -174,18 +181,19 @@ main(int argc, char **argv)
                 digits * steps.size(), digits, steps.size(),
                 digits, digits);
 
-    // Bit-identity sanity: rotateHoisted must equal the serial rotate.
-    auto hoisted_cts = eval.rotateHoisted(ct, steps);
+    // Bit-identity sanity: the hoisted rotations must equal rotating
+    // one step at a time.
+    auto hoisted_cts = eval.rotateManyBatch(cts, steps);
     bool identical = true;
     for (std::size_t i = 0; i < steps.size() && identical; ++i) {
-        auto serial = eval.rotate(ct, steps[i]);
+        auto serial = eval.rotate(cts, steps[i])[0];
         for (std::size_t l = 0;
              l < serial.c0.numLimbs() && identical; ++l) {
             for (std::size_t c = 0; c < serial.c0.n(); ++c) {
                 if (serial.c0.limb(l)[c]
-                        != hoisted_cts[i].c0.limb(l)[c]
+                        != hoisted_cts[i][0].c0.limb(l)[c]
                     || serial.c1.limb(l)[c]
-                        != hoisted_cts[i].c1.limb(l)[c]) {
+                        != hoisted_cts[i][0].c1.limb(l)[c]) {
                     identical = false;
                     break;
                 }
@@ -197,15 +205,15 @@ main(int argc, char **argv)
 
     bench::section("slots x slots linear transform (special FFT)");
     auto plan = boot::LinearTransformPlan::specialFft(ctx);
-    auto ct3 = enc.encrypt(
-        ctx.encoder().encode(z, params.scale(), 3), rng);
+    const Cts ct3{enc.encrypt(
+        ctx.encoder().encode(z, params.scale(), 3), rng)};
 
     // Naive diagonal method: one full rotation + fresh encode per
-    // nonzero diagonal (the pre-BSGS applyLinear), over the matrix
+    // nonzero diagonal (the schedule before BSGS), over the matrix
     // the plan was built from.
     const auto m = boot::specialFftMatrix(ctx.encoder());
     auto naive_transform = [&] {
-        ckks::Ciphertext acc;
+        Cts acc;
         bool first = true;
         for (std::size_t d = 0; d < slots; ++d) {
             std::vector<ckks::Complex> diag(slots);
@@ -219,7 +227,7 @@ main(int argc, char **argv)
             auto rotated =
                 d == 0 ? ct3 : eval.rotate(ct3, static_cast<s64>(d));
             auto pt = ctx.encoder().encode(diag, params.scale(),
-                                           rotated.levelCount());
+                                           rotated[0].levelCount());
             auto term = eval.multiplyPlain(rotated, pt);
             if (first) {
                 acc = std::move(term);
@@ -233,9 +241,9 @@ main(int argc, char **argv)
 
     double naive_lt = bench::timeSeconds(naive_transform);
     double plan_cold = bench::timeSeconds(
-        [&] { (void)plan.apply(eval, ct3); });
+        [&] { (void)plan.applyBatch(eval, ct3); });
     double plan_warm = bench::timeMean(
-        reps, [&] { (void)plan.apply(eval, ct3); });
+        reps, [&] { (void)plan.applyBatch(eval, ct3); });
     std::printf("  %-34s %10s  (%zu full keyswitches)\n",
                 "naive diagonal method", fmtSeconds(naive_lt).c_str(),
                 slots - 1);
@@ -253,7 +261,7 @@ main(int argc, char **argv)
     bench::section("double-hoisted BSGS conversion accounting");
     auto &ops = EvalOpStats::instance();
     ops.reset();
-    (void)plan.apply(eval, ct3);
+    (void)plan.applyBatch(eval, ct3);
     auto snap = ops.snapshot();
     double baby = static_cast<double>(plan.babyStepCount());
     double giant = static_cast<double>(plan.giantStepCount());
@@ -287,19 +295,18 @@ main(int argc, char **argv)
     auto uinv = boot::LinearTransformPlan::specialFftInverse(ctx);
     ckks::Ciphertext old_u, old_v;
     auto old_split = [&] {
-        auto w = uinv.apply(eval, ct3);
-        auto wc = eval.conjugate(w);
+        auto w = uinv.applyBatch(eval, ct3);
+        auto wc = disp.conjugate(w.data(), w.size());
         auto sum = eval.add(w, wc);
         auto diff = eval.sub(w, wc);
         double target = params.scale();
-        old_u = eval.multiplyConstToScale(sum, 1.0, target);
-        old_v = eval.multiplyConstToScale(diff, 1.0, target);
+        old_u = std::move(eval.multiplyConstToScale(sum, 1.0, target)[0]);
+        old_v = std::move(eval.multiplyConstToScale(diff, 1.0, target)[0]);
     };
-    batch::BatchedEvaluator beval(ctx, keys);
-    auto minus_i = boot::minusIMonomial(ctx, ct3.levelCount() - 1);
+    auto minus_i = boot::minusIMonomial(ctx, ct3[0].levelCount() - 1);
     ckks::Ciphertext new_u, new_v;
     auto conj_split = [&] {
-        auto [u, v] = boot::coeffToSlotSplit(beval, uinv, minus_i, {ct3});
+        auto [u, v] = boot::coeffToSlotSplit(eval, uinv, minus_i, ct3);
         new_u = std::move(u[0]);
         new_v = std::move(v[0]);
     };
@@ -324,13 +331,13 @@ main(int argc, char **argv)
                 "C2S + conj + split CMULTs", fmtSeconds(old_t).c_str(),
                 old_snap.ksTail,
                 static_cast<unsigned long long>(old_md),
-                ct3.levelCount() - old_u.levelCount());
+                ct3[0].levelCount() - old_u.levelCount());
     std::printf("  %-34s %10s  KS tails %3.0f  ModDown %llu  "
                 "levels %zu\n",
                 "C2S + conj + exact -i split", fmtSeconds(new_t).c_str(),
                 new_snap.ksTail,
                 static_cast<unsigned long long>(new_md),
-                ct3.levelCount() - new_u.levelCount());
+                ct3[0].levelCount() - new_u.levelCount());
     std::printf("  speedup: %.2fx wall (min of %d interleaved rounds)\n",
                 old_t / new_t, rounds);
 
@@ -338,7 +345,7 @@ main(int argc, char **argv)
     // and run it through the SM pipeline model as one stream.
     stats.reset();
     stats.startQueue();
-    (void)plan.apply(eval, ct3);
+    (void)plan.applyBatch(eval, ct3);
     auto queue = stats.stopQueue();
     std::vector<gpu::ScheduledLaunch> serial;
     for (const auto &launch : queue)
@@ -389,10 +396,10 @@ main(int argc, char **argv)
             .add("sine_split_conj_giant_steps",
                  static_cast<double>(uinv.giantStepCount()))
             .add("sine_split_old_levels",
-                 static_cast<double>(ct3.levelCount()
+                 static_cast<double>(ct3[0].levelCount()
                                      - old_u.levelCount()))
             .add("sine_split_conj_levels",
-                 static_cast<double>(ct3.levelCount()
+                 static_cast<double>(ct3[0].levelCount()
                                      - new_u.levelCount()));
         if (!json.appendTo(json_path)) {
             std::fprintf(stderr, "cannot write %s\n",

@@ -8,9 +8,9 @@
 
 #include <cstdio>
 
+#include "batch/executor.hh"
 #include "bench_util.hh"
 #include "ckks/crypto.hh"
-#include "ckks/evaluator.hh"
 #include "perf/device_time.hh"
 #include "perf/paper_data.hh"
 
@@ -53,11 +53,11 @@ main()
         auto sk = ctx.generateSecretKey(rng);
         auto keys = ctx.generateKeys(sk, rng, {});
         ckks::Encryptor enc(ctx, keys.pk);
-        ckks::Evaluator eval(ctx, keys);
+        batch::BatchedEvaluator eval(ctx, keys);
         auto pt = ctx.encoder().encodeConstant(
             ckks::Complex(0.5, 0), p.scale(), lc);
-        auto ct = enc.encrypt(pt, rng);
-        auto poly = ct.c0;
+        batch::BatchedEvaluator::Cts ct{enc.encrypt(pt, rng)};
+        auto poly = ct[0].c0;
         double t_ntt = bench::timeMean(3, [&] {
             auto q = poly;
             q.setDomain(rns::Domain::Coeff);

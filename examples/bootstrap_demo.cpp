@@ -31,8 +31,9 @@ main()
         sk, rng, boot::Bootstrapper::requiredRotations(ctx.slots()));
     Encryptor enc(ctx, keys.pk);
     Decryptor dec(ctx, sk);
-    Evaluator eval(ctx, keys);
-    boot::Bootstrapper boots(ctx, keys);
+    // One ciphertext is a one-element batch of the evaluator.
+    batch::BatchedEvaluator eval(ctx, keys);
+    boot::Bootstrapper boots(ctx);
 
     // A payload of modest magnitude.
     std::vector<Complex> z(ctx.slots());
@@ -41,36 +42,36 @@ main()
         v = Complex(0.8 * (2 * data.uniformReal() - 1), 0);
     double expect0 = z[0].real();
 
-    auto ct = enc.encrypt(
-        ctx.encoder().encode(z, ctx.params().scale(), 4), rng);
+    std::vector<Ciphertext> ct{enc.encrypt(
+        ctx.encoder().encode(z, ctx.params().scale(), 4), rng)};
     std::printf("\nfresh ciphertext: %zu limbs, slot0 = %.4f\n",
-                ct.levelCount(), expect0);
+                ct[0].levelCount(), expect0);
 
     // Burn the budget.
-    while (ct.levelCount() > 2) {
-        ct = eval.multiplyRescale(ct, ct);
+    while (ct[0].levelCount() > 2) {
+        ct = eval.rescale(eval.multiply(ct, ct));
         expect0 = expect0 * expect0;
         std::printf("  squared: %zu limbs left, slot0 = %.4f "
                     "(expect %.4f)\n",
-                    ct.levelCount(),
-                    dec.decryptAndDecode(ct)[0].real(), expect0);
+                    ct[0].levelCount(),
+                    dec.decryptAndDecode(ct[0])[0].real(), expect0);
     }
 
     // Refresh.
     std::printf("\nbootstrapping...\n");
-    auto refreshed = boots.bootstrap(ct);
-    double got = dec.decryptAndDecode(refreshed)[0].real();
+    auto refreshed = boots.bootstrapBatch(eval, ct);
+    double got = dec.decryptAndDecode(refreshed[0])[0].real();
     std::printf("refreshed: %zu limbs, slot0 = %.4f (expect %.4f, "
                 "error %.3g)\n",
-                refreshed.levelCount(), got, expect0,
+                refreshed[0].levelCount(), got, expect0,
                 std::abs(got - expect0));
 
     // And keep computing on the refreshed ciphertext.
-    auto more = eval.multiplyRescale(refreshed, refreshed);
+    auto more = eval.rescale(eval.multiply(refreshed, refreshed));
     std::printf("post-refresh square: %zu limbs, slot0 = %.4f "
                 "(expect %.4f)\n",
-                more.levelCount(),
-                dec.decryptAndDecode(more)[0].real(),
+                more[0].levelCount(),
+                dec.decryptAndDecode(more[0])[0].real(),
                 expect0 * expect0);
     std::printf("\nThis is the primitive behind the paper's Packed "
                 "Bootstrapping workload\n(Table X) and the Bootstrap "

@@ -12,8 +12,8 @@
 #include <cstdio>
 #include <vector>
 
+#include "batch/executor.hh"
 #include "ckks/crypto.hh"
-#include "ckks/evaluator.hh"
 
 using namespace tensorfhe;
 using namespace tensorfhe::ckks;
@@ -31,7 +31,9 @@ main()
     auto keys = ctx.generateKeys(sk, rng, steps);
     Encryptor enc(ctx, keys.pk);
     Decryptor dec(ctx, sk);
-    Evaluator eval(ctx, keys);
+    // One ciphertext is a one-element batch of the evaluator.
+    batch::BatchedEvaluator eval(ctx, keys);
+    using Cts = batch::BatchedEvaluator::Cts;
 
     // Client data: 256 noisy sensor readings around 20 degrees.
     std::size_t count = 256;
@@ -48,8 +50,7 @@ main()
 
     double scale = ctx.params().scale();
     std::size_t lc = ctx.tower().numQ();
-    auto ct = enc.encrypt(ctx.encoder().encode(readings, scale, lc),
-                          rng);
+    Cts ct{enc.encrypt(ctx.encoder().encode(readings, scale, lc), rng)};
 
     // Server side: sum via rotate-and-add tree (values outside the
     // first `count` slots are zero, so the tree sums exactly).
@@ -58,13 +59,13 @@ main()
         sum_ct = eval.add(sum_ct, eval.rotate(sum_ct, s64(s)));
 
     // Sum of squares: HMULT then the same reduction.
-    auto sq_ct = eval.multiplyRescale(ct, ct);
+    auto sq_ct = eval.rescale(eval.multiply(ct, ct));
     for (std::size_t s = 1; s < ctx.slots(); s *= 2)
         sq_ct = eval.add(sq_ct, eval.rotate(sq_ct, s64(s)));
 
     // Client decrypts the two scalars and finishes the statistics.
-    double got_sum = dec.decryptAndDecode(sum_ct)[0].real();
-    double got_sq = dec.decryptAndDecode(sq_ct)[0].real();
+    double got_sum = dec.decryptAndDecode(sum_ct[0])[0].real();
+    double got_sq = dec.decryptAndDecode(sq_ct[0])[0].real();
     double n = static_cast<double>(count);
     double mean = got_sum / n * 64.0;
     double var = (got_sq / n - (got_sum / n) * (got_sum / n)) * 64.0
@@ -89,7 +90,7 @@ main()
     auto dot_ct = eval.rescale(eval.multiplyPlain(ct, w_pt));
     for (std::size_t s = 1; s < ctx.slots(); s *= 2)
         dot_ct = eval.add(dot_ct, eval.rotate(dot_ct, s64(s)));
-    double got_dot = dec.decryptAndDecode(dot_ct)[0].real();
+    double got_dot = dec.decryptAndDecode(dot_ct[0])[0].real();
     std::printf("%-22s %12.4f (true %.4f)\n", "weighted dot:", got_dot,
                 true_dot);
     return 0;

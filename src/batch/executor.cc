@@ -12,8 +12,7 @@ BatchedEvaluator::BatchedEvaluator(const ckks::CkksContext &ctx,
                                    const ckks::KeyBundle &keys,
                                    ThreadPool *pool)
     : ctx_(ctx),
-      disp_(std::make_shared<exec::Dispatcher>(ctx, keys, pool)),
-      eval_(ctx, disp_)
+      disp_(std::make_shared<exec::Dispatcher>(ctx, keys, pool))
 {}
 
 BatchedEvaluator::BatchedEvaluator(
@@ -21,8 +20,7 @@ BatchedEvaluator::BatchedEvaluator(
     std::shared_ptr<const ckks::KeyStore> store, ThreadPool *pool)
     : ctx_(ctx),
       disp_(std::make_shared<exec::Dispatcher>(ctx, std::move(store),
-                                               pool)),
-      eval_(ctx, disp_)
+                                               pool))
 {}
 
 std::size_t
@@ -157,9 +155,6 @@ BatchedEvaluator::multiplyConstToScale(const Cts &a, double c,
 {
     if (a.empty())
         return {};
-    // Mirrors Evaluator::multiplyConstToScale: the plaintext scale
-    // is chosen as target * q_last / a.scale so the rescale lands at
-    // exactly the target.
     std::size_t lc = a[0].levelCount();
     requireArg(lc >= 2, "no level left for the rescale");
     for (const auto &ct : a)
@@ -210,10 +205,13 @@ BatchedEvaluator::Cts
 BatchedEvaluator::dropToLevelCount(const Cts &a,
                                    std::size_t level_count) const
 {
-    Cts out;
-    out.reserve(a.size());
-    for (const auto &ct : a)
-        out.push_back(eval_.dropToLevelCount(ct, level_count));
+    Cts out = a;
+    for (auto &ct : out) {
+        requireArg(level_count >= 1 && level_count <= ct.levelCount(),
+                   "bad target level");
+        ct.c0.truncateLimbs(level_count);
+        ct.c1.truncateLimbs(level_count);
+    }
     return out;
 }
 

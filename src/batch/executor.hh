@@ -18,13 +18,14 @@
  * CTA-level scheduling, where batched NTT/IOp kernels fill all SMs
  * regardless of which operation a CTA belongs to.
  *
- * Since the unified-dispatch refactor the kernels live in src/exec/
- * (exec::Dispatcher + exec/kernels.hh): this class validates batch
- * shape and delegates, and the serial ckks::Evaluator runs the SAME
- * path with batch = 1 — there is one implementation of every
- * operation, and batched results are bit-identical to the scalar
- * evaluator per slot by construction. Scratch polynomials come from
- * the dispatcher's exec::Workspace arena instead of the allocator.
+ * The kernels live in src/exec/ (exec::Dispatcher +
+ * exec/kernels.hh): this class validates batch shape and delegates.
+ * It is the library's only evaluator — one ciphertext is a
+ * one-element batch through the same path, so there is one
+ * implementation of every operation, and each slot of a batched
+ * result is bit-identical to the batch-1 call on that slot by
+ * construction. Scratch polynomials come from the dispatcher's
+ * exec::Workspace arena instead of the allocator.
  *
  * The pool is injectable (constructor argument) so callers can pin a
  * thread budget — tests run the same engine on a 1-worker pool and on
@@ -36,7 +37,7 @@
 
 #include <vector>
 
-#include "ckks/evaluator.hh"
+#include "ckks/ciphertext.hh"
 #include "exec/dispatch.hh"
 #include "gpu/device.hh"
 
@@ -48,7 +49,10 @@ class ThreadPool;
 namespace tensorfhe::batch
 {
 
-/** Batched counterpart of the Evaluator. */
+/**
+ * The CKKS evaluator: every operation of the paper's hierarchical
+ * reconstruction (Table II, Algs. 1-6) over a batch of ciphertexts.
+ */
 class BatchedEvaluator
 {
   public:
@@ -78,9 +82,11 @@ class BatchedEvaluator
     void addInPlace(Cts &a, const Cts &b) const;
 
     /**
-     * Batched counterpart of Evaluator::multiplyConstToScale: one
-     * encoded constant shared by the batch, one CMULT + RESCALE per
-     * slot, exact `target_scale` on every output.
+     * Multiply by a real constant and rescale so every output lands
+     * at exactly `target_scale` (the plaintext scale is chosen as
+     * target * q_last / a.scale): one encoded constant shared by the
+     * batch, one CMULT + RESCALE per slot. The standard way to keep
+     * parallel branches addable despite unequal prime chains.
      */
     Cts multiplyConstToScale(const Cts &a, double c,
                              double target_scale) const;
@@ -102,14 +108,13 @@ class BatchedEvaluator
      * the digit FrobeniusMap, the key inner product, ModDown — is
      * flattened over (batch-slot x rotation x tower) through the
      * work-queue. result[i] is the whole batch rotated by steps[i];
-     * bit-identical to the scalar rotate() per (slot, step).
+     * bit-identical to rotate() per (slot, step).
      */
     std::vector<Cts> rotateManyBatch(const Cts &a,
                                      const std::vector<s64> &steps) const;
 
-    /** The scalar (per-ciphertext) reference façade — the SAME
-        dispatcher (pool + workspace arena), batch = 1. */
-    const ckks::Evaluator &scalar() const { return eval_; }
+    /** The CKKS context every operation runs under. */
+    const ckks::CkksContext &ctx() const { return ctx_; }
 
     /** The unified execution layer this engine dispatches through. */
     const exec::Dispatcher &dispatcher() const { return *disp_; }
@@ -125,7 +130,6 @@ class BatchedEvaluator
 
     const ckks::CkksContext &ctx_;
     std::shared_ptr<exec::Dispatcher> disp_;
-    ckks::Evaluator eval_;
 };
 
 /**

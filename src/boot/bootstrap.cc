@@ -60,13 +60,6 @@ Bootstrapper::Bootstrapper(const ckks::CkksContext &ctx, SineConfig sine)
                postRaiseLevelCost() + 1, " levels");
 }
 
-Bootstrapper::Bootstrapper(const ckks::CkksContext &ctx,
-                           const ckks::KeyBundle &keys, SineConfig sine)
-    : Bootstrapper(ctx, sine)
-{
-    beval_.emplace(ctx, keys);
-}
-
 std::vector<s64>
 Bootstrapper::requiredRotations(std::size_t slots)
 {
@@ -94,15 +87,6 @@ Bootstrapper::postRaiseLevelCost() const
     // CoeffToSlot (1; the split and kappa spend none) + sine +
     // recombine (1).
     return sineLevelsUsed(sine_) + 2;
-}
-
-ckks::Ciphertext
-Bootstrapper::slotToCoeff(const ckks::Ciphertext &ct) const
-{
-    requireState(beval_.has_value(),
-                 "slotToCoeff needs the key-bundle constructor");
-    auto out = u_.applyBatch(*beval_, {ct});
-    return std::move(out[0]);
 }
 
 ckks::Ciphertext
@@ -143,7 +127,7 @@ Bootstrapper::predictRefresh(const ckks::CkksContext &ctx,
                              std::size_t input_level_count)
 {
     requireArg(input_level_count >= 2,
-               "slotToCoeff needs at least one spare level");
+               "SlotToCoeff needs at least one spare level");
     const auto &tower = ctx.tower();
     double pts = ctx.params().scale();
     std::size_t full = tower.numQ();
@@ -192,7 +176,7 @@ Bootstrapper::bootstrapBatch(const batch::BatchedEvaluator &beval,
     if (cts.empty())
         return {};
     requireArg(cts[0].levelCount() >= 2,
-               "slotToCoeff needs at least one spare level");
+               "SlotToCoeff needs at least one spare level");
     for (const auto &ct : cts)
         requireArg(ct.levelCount() == cts[0].levelCount()
                        && std::abs(ct.scale - cts[0].scale)
@@ -265,15 +249,6 @@ Bootstrapper::bootstrapBatch(const batch::BatchedEvaluator &beval,
         sin_v, ctx_.encoder().encodeConstant(Complex(0, back), pts,
                                              sin_v[0].levelCount()));
     return beval.rescale(beval.add(out_u, out_v));
-}
-
-ckks::Ciphertext
-Bootstrapper::bootstrap(const ckks::Ciphertext &ct) const
-{
-    requireState(beval_.has_value(),
-                 "bootstrap needs the key-bundle constructor");
-    auto out = bootstrapBatch(*beval_, {ct});
-    return std::move(out[0]);
 }
 
 } // namespace tensorfhe::boot

@@ -19,14 +19,13 @@
  * Everything is batched: bootstrapBatch() refreshes a whole stream
  * of ciphertexts (batch slots x tensor chunks) through one shared
  * pipeline on a BatchedEvaluator — the shape nn::Sequential uses for
- * bootstrap-in-the-loop inference.
+ * bootstrap-in-the-loop inference. One ciphertext is a one-element
+ * batch.
  */
 
 #ifndef TENSORFHE_BOOT_BOOTSTRAP_HH
 #define TENSORFHE_BOOT_BOOTSTRAP_HH
 
-#include <memory>
-#include <optional>
 #include <utility>
 
 #include "boot/linear.hh"
@@ -62,46 +61,29 @@ class Bootstrapper
 {
   public:
     /**
-     * Plan-only construction: compiles the S2C / C2S plans but holds
-     * no key material. bootstrapBatch() runs on any caller-provided
-     * BatchedEvaluator whose keys cover requiredRotations() and
-     * conjugation; the serial bootstrap() convenience is unavailable.
+     * Compiles the S2C / C2S plans; holds no key material.
+     * bootstrapBatch() runs on any caller-provided BatchedEvaluator
+     * whose keys cover requiredRotations(ctx.slots()) and
+     * conjugation.
      */
     explicit Bootstrapper(const ckks::CkksContext &ctx,
                           SineConfig sine = {});
-
-    /**
-     * @param keys must contain rotation keys for every step in
-     *             requiredRotations(ctx.slots()) and the conjugation
-     *             key.
-     */
-    Bootstrapper(const ckks::CkksContext &ctx,
-                 const ckks::KeyBundle &keys, SineConfig sine = {});
 
     /** Rotation steps bootstrap needs keys for. */
     static std::vector<s64> requiredRotations(std::size_t slots);
 
     /**
-     * Refresh `ct` (any level >= 2, slots holding values with
-     * |z| <~ 1) to a fresh ciphertext at the highest level the sine
-     * budget allows, approximately preserving the slot values.
-     * Requires the key-bundle constructor.
-     */
-    ckks::Ciphertext bootstrap(const ckks::Ciphertext &ct) const;
-
-    /**
-     * Batched refresh: every ciphertext rides the shared S2C / C2S
-     * programs and one power ladder through the evaluator's
-     * (slot x tower) work-queue. Bit-identical to bootstrap() per
-     * slot. All inputs must share one level and scale.
+     * Refresh every ciphertext (any level >= 2, slots holding values
+     * with |z| <~ 1) to a fresh one at the highest level the sine
+     * budget allows, approximately preserving the slot values. The
+     * batch rides the shared S2C / C2S programs and one power ladder
+     * through the evaluator's (slot x tower) work-queue, so each slot
+     * is bit-identical to a one-element batch. All inputs must share
+     * one level and scale.
      */
     std::vector<ckks::Ciphertext>
     bootstrapBatch(const batch::BatchedEvaluator &beval,
                    const std::vector<ckks::Ciphertext> &cts) const;
-
-    /** Stage 1: move slot values into polynomial coefficients
-        (requires the key-bundle constructor). */
-    ckks::Ciphertext slotToCoeff(const ckks::Ciphertext &ct) const;
 
     /** Stage 2: re-lift a level-1 ciphertext to the full chain. */
     ckks::Ciphertext modRaise(const ckks::Ciphertext &ct) const;
@@ -149,8 +131,6 @@ class Bootstrapper
     LinearTransformPlan c2s_;
     /// The split's -i: minusIMonomial at the C2S output level.
     ckks::Plaintext minusI_;
-    /// Serial-convenience engine (key-bundle constructor only).
-    std::optional<batch::BatchedEvaluator> beval_;
 };
 
 } // namespace tensorfhe::boot

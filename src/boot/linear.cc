@@ -154,7 +154,8 @@ LinearTransformPlan::LinearTransformPlan(const ckks::CkksContext &ctx,
         diags_.push_back(std::move(entry));
     }
 
-    // The distinct rotation steps apply() touches, fixed once here.
+    // The distinct rotation steps the transform touches, fixed once
+    // here.
     std::vector<s64> baby, giant;
     for (const Diagonal &d : diags_) {
         if (d.b != 0)
@@ -297,15 +298,6 @@ LinearTransformPlan::program(std::size_t level_count) const
     return prog;
 }
 
-ckks::Ciphertext
-LinearTransformPlan::apply(const ckks::Evaluator &eval,
-                           const ckks::Ciphertext &ct) const
-{
-    auto out =
-        eval.dispatcher().applyBsgs(program(ct.levelCount()), &ct, 1);
-    return std::move(out[0]);
-}
-
 std::vector<ckks::Ciphertext>
 LinearTransformPlan::applyBatch(
     const batch::BatchedEvaluator &beval,
@@ -319,14 +311,6 @@ LinearTransformPlan::applyBatch(
                    "batched ops require a uniform level");
     return beval.dispatcher().applyBsgs(program(lc), cts.data(),
                                         cts.size());
-}
-
-ckks::Ciphertext
-applyLinear(const ckks::CkksContext &ctx, const ckks::Evaluator &eval,
-            const SlotMatrix &m, const ckks::Ciphertext &ct)
-{
-    LinearTransformPlan plan(ctx, m);
-    return plan.apply(eval, ct);
 }
 
 } // namespace tensorfhe::boot

@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "ckks/crypto.hh"
-#include "ckks/evaluator.hh"
 #include "common/stats.hh"
 #include "exec/dispatch.hh"
 
@@ -93,7 +92,7 @@ struct StrideOptions
  * giant stride g by the double-hoisted cost model, and regroups:
  * diagonal d = k*g + b is stored pre-rotated by -k*g so that
  *   y = sum_k rot_{k*g}( sum_b diag'_{k,b} (had) rot_b(z) ).
- * apply() hands the compiled exec::BsgsProgram to the unified
+ * applyBatch() hands the compiled exec::BsgsProgram to the unified
  * dispatch layer, which runs it double-hoisted: about sqrt(slots)
  * raw key-switch tails off one head plus O(slots/g) giant heads, and
  * a single final ModDown, in place of the naive slots-1 full
@@ -103,7 +102,7 @@ struct StrideOptions
  * The encoded diagonal plaintexts (extended to the key-switch union
  * basis for the QP-domain products) are memoized per ciphertext
  * level inside the plan. The dense matrix itself is not kept: the
- * plan holds only its nonzero diagonals. apply() consumes one
+ * plan holds only its nonzero diagonals. applyBatch() consumes one
  * multiplicative level.
  */
 class LinearTransformPlan
@@ -132,23 +131,18 @@ class LinearTransformPlan
     specialFftInverse(const ckks::CkksContext &ctx, double factor = 1.0);
 
     /**
-     * Homomorphic y = M z. Requires rotation keys for every step in
-     * requiredRotations().
-     */
-    ckks::Ciphertext apply(const ckks::Evaluator &eval,
-                           const ckks::Ciphertext &ct) const;
-
-    /**
-     * Batched apply: the whole batch rides the same double-hoisted
-     * program through the unified dispatch layer, flattened over
-     * (batch-slot x tower). Bit-identical to apply() per slot.
+     * Homomorphic y = M z over a batch: every ciphertext rides the
+     * same double-hoisted program through the unified dispatch layer,
+     * flattened over (batch-slot x tower), so each slot is
+     * bit-identical to a one-element batch. Consumes one level and
+     * requires rotation keys for every step in requiredRotations().
      */
     std::vector<ckks::Ciphertext>
     applyBatch(const batch::BatchedEvaluator &beval,
                const std::vector<ckks::Ciphertext> &cts) const;
 
-    /** Rotation steps apply() needs plain keys for (baby, giant and
-        fold steps). */
+    /** Rotation steps applyBatch() needs plain keys for (baby, giant
+        and fold steps). */
     std::vector<s64> requiredRotations() const;
 
     /** Giant stride g (cost-model-chosen); baby steps span [0, g). */
@@ -162,9 +156,9 @@ class LinearTransformPlan
      * recompiling the plan.
      */
     std::vector<std::size_t> diagonalIndices() const;
-    /** Distinct nonzero baby steps apply() rotates by. */
+    /** Distinct nonzero baby steps the transform rotates by. */
     std::size_t babyStepCount() const { return babySteps_.size(); }
-    /** Distinct nonzero giant steps apply() rotates by. */
+    /** Distinct nonzero giant steps the transform rotates by. */
     std::size_t giantStepCount() const { return giantSteps_.size(); }
     /** Giant groups, counting the unshifted (k = 0) one. */
     std::size_t groupCount() const { return groupCount_; }
@@ -174,7 +168,7 @@ class LinearTransformPlan
     std::size_t cachedLevelCount() const;
 
     /**
-     * The exact executed-op counts of one apply() per batch slot,
+     * The exact executed-op counts of one transform per batch slot,
      * mirroring what exec::Dispatcher::applyBsgs records. modeled-
      * AccumOps() is the share one accumulation contributes inside an
      * applyBsgsSum (counting the inter-group HAdd for EVERY group);
@@ -218,17 +212,6 @@ class LinearTransformPlan
     /// Per-level encoded diagonals, union-basis, aligned with diags_.
     mutable std::map<std::size_t, std::vector<ckks::Plaintext>> cache_;
 };
-
-/**
- * One-shot homomorphic y = M z: builds a transient LinearTransformPlan
- * and applies it (double-hoisted BSGS). Consumes one level. Callers
- * evaluating the same matrix repeatedly should hold a plan instead to
- * reuse the cached diagonal plaintexts.
- */
-ckks::Ciphertext applyLinear(const ckks::CkksContext &ctx,
-                             const ckks::Evaluator &eval,
-                             const SlotMatrix &m,
-                             const ckks::Ciphertext &ct);
 
 } // namespace tensorfhe::boot
 

@@ -165,13 +165,4 @@ evalScaledSine(const ckks::CkksContext &ctx,
     return beval.multiplyConstToScale(s, 0.5, target);
 }
 
-ckks::Ciphertext
-evalScaledSine(const ckks::CkksContext &ctx,
-               const batch::BatchedEvaluator &beval,
-               const ckks::Ciphertext &ct_t, const SineConfig &cfg)
-{
-    auto out = evalScaledSine(ctx, beval, Cts{ct_t}, cfg);
-    return std::move(out[0]);
-}
-
 } // namespace tensorfhe::boot

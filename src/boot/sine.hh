@@ -17,7 +17,6 @@
 
 #include "batch/executor.hh"
 #include "ckks/crypto.hh"
-#include "ckks/evaluator.hh"
 
 namespace tensorfhe::boot
 {
@@ -52,12 +51,6 @@ evalScaledSine(const ckks::CkksContext &ctx,
                const batch::BatchedEvaluator &beval,
                const std::vector<ckks::Ciphertext> &ct_t,
                const SineConfig &cfg);
-
-/** Serial convenience: one ciphertext through the batched path. */
-ckks::Ciphertext evalScaledSine(const ckks::CkksContext &ctx,
-                                const batch::BatchedEvaluator &beval,
-                                const ckks::Ciphertext &ct_t,
-                                const SineConfig &cfg);
 
 /** Exact executed-op counts of one evalScaledSine per batch slot. */
 EvalOpCounts sineModeledOps(const SineConfig &cfg);

@@ -139,8 +139,8 @@ class CkksContext
      * Phase-split conversion plans, memoized per shape. Building a
      * ModUpPlan/ModDownPlan costs O(limbs^2) scalar CRT work; every
      * hoist and key-switch tail at the same level reuses the same
-     * plan, so the Evaluator, BatchedEvaluator and the BSGS linear
-     * transforms all share these instead of rebuilding per call.
+     * plan, so every relinearization, rotation and BSGS linear
+     * transform shares these instead of rebuilding per call.
      * Thread-safe; entries live for the context's lifetime (bounded
      * by digits x levels).
      */

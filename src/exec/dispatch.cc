@@ -51,20 +51,6 @@ readOnly(rns::RnsPolynomial *const *ps, std::size_t count)
 
 } // namespace
 
-HoistedView
-HoistedView::of(const HoistedBatch &h)
-{
-    HoistedView v;
-    v.numDigits = h.numDigits();
-    v.batchN = h.batch();
-    v.levelCount = h.levelCount;
-    v.table.reserve(v.numDigits * v.batchN);
-    for (const auto &row : h.digits)
-        for (const auto &p : row)
-            v.table.push_back(p.get());
-    return v;
-}
-
 Dispatcher::Dispatcher(const ckks::CkksContext &ctx,
                        const ckks::KeyBundle &keys, ThreadPool *pool)
     : Dispatcher(ctx, std::make_shared<ckks::KeyStore>(keys), pool)
@@ -120,17 +106,6 @@ Dispatcher::addPlainInPlace(ckks::Ciphertext *as, const ckks::Plaintext &p,
         return;
     EvalOpStats::instance().record(EvalOpKind::HAdd, batch);
     addPlainC0(kctx_, as, p, batch);
-}
-
-void
-Dispatcher::subPlainInPlace(ckks::Ciphertext *as, const ckks::Plaintext &p,
-                            std::size_t batch) const
-{
-    TFHE_TRACE_SPAN("exec", "subPlain");
-    if (batch == 0)
-        return;
-    EvalOpStats::instance().record(EvalOpKind::HAdd, batch);
-    subPlainC0(kctx_, as, p, batch);
 }
 
 void
@@ -244,8 +219,7 @@ Dispatcher::multiplyInPlace(ckks::Ciphertext *as,
 
     // Relinearize d2 through the unified key-switch path.
     auto head = hoist(std::move(d2s));
-    auto [ks0, ks1] =
-        keySwitchTail(HoistedView::of(head), store_->relin());
+    auto [ks0, ks1] = keySwitchTail(head, store_->relin());
 
     addPolysInPlace(kctx_, p0.data(), ptrsOf({&ks0}).data(), batch);
     addPolysInPlace(kctx_, p1.data(), ptrsOf({&ks1}).data(), batch);
@@ -358,6 +332,10 @@ Dispatcher::hoist(std::vector<Workspace::Pooled> ds) const
     // Into Eval domain: every transformed (digit x slot x tower) limb
     // of the head in ONE batched dispatch.
     ntt::forwardBatch(jobs, ctx_.nttVariant(), kctx_.pool);
+    h.table.reserve(digits * batch);
+    for (const auto &row : h.digits)
+        for (const auto &p : row)
+            h.table.push_back(p.get());
     return h;
 }
 
@@ -377,31 +355,30 @@ Dispatcher::hoistCopy(const rns::RnsPolynomial *const *ds,
 }
 
 void
-Dispatcher::tailRawInto(const HoistedView &h, const ckks::SwitchKey &key,
+Dispatcher::tailRawInto(const HoistedBatch &h, const ckks::SwitchKey &key,
                         u64 galois, rns::RnsPolynomial *const *acc0,
                         rns::RnsPolynomial *const *acc1) const
 {
-    requireArg(h.numDigits <= key.digits(),
-               "switch key has too few digits: ", key.digits(), " for ",
-               h.numDigits);
+    std::size_t digits = h.numDigits();
+    requireArg(digits <= key.digits(), "switch key has too few digits: ",
+               key.digits(), " for ", digits);
     TFHE_FAULT_POINT("exec/keyswitch-tail");
-    EvalOpStats::instance().record(EvalOpKind::KsTail, h.batchN);
+    EvalOpStats::instance().record(EvalOpKind::KsTail, h.batch());
     auto rk = ctx_.restrictedKey(key, h.levelCount, galois);
     // Lazy accumulation across the digit rows: one reduction to
     // canonical per accumulator cell (on the last row) instead of one
     // per term.
-    for (std::size_t j = 0; j < h.numDigits; ++j)
+    for (std::size_t j = 0; j < digits; ++j)
         innerProductAccumLazy(kctx_, acc0, acc1, h.row(j), rk->b[j],
-                              rk->a[j], h.batchN,
-                              j + 1 == h.numDigits);
+                              rk->a[j], h.batch(), j + 1 == digits);
 }
 
 std::vector<Workspace::Pooled>
 Dispatcher::permutedTail(
-    const HoistedView &h, const ckks::SwitchKey &key, u64 galois,
+    const HoistedBatch &h, const ckks::SwitchKey &key, u64 galois,
     const std::function<void(rns::RnsPolynomial *const *)> &fold) const
 {
-    std::size_t batch = h.batchN;
+    std::size_t batch = h.batch();
     auto acc = leaseRow(2 * batch, ctx_.unionLimbs(h.levelCount),
                         rns::Domain::Eval, "exec/ks-acc");
     auto acc_ptrs = ptrsOf({&acc});
@@ -433,11 +410,11 @@ Dispatcher::modDownPair(const std::vector<rns::RnsPolynomial *> &qp,
 }
 
 std::pair<std::vector<rns::RnsPolynomial>, std::vector<rns::RnsPolynomial>>
-Dispatcher::keySwitchTail(const HoistedView &h, const ckks::SwitchKey &key,
+Dispatcher::keySwitchTail(const HoistedBatch &h, const ckks::SwitchKey &key,
                           const rns::ModDownPlan *down) const
 {
     TFHE_TRACE_SPAN("exec", "ks-tail");
-    std::size_t batch = h.batchN;
+    std::size_t batch = h.batch();
     auto acc = leaseRow(2 * batch, ctx_.unionLimbs(h.levelCount),
                         rns::Domain::Eval, "exec/ks-acc");
     auto acc_ptrs = ptrsOf({&acc});
@@ -487,7 +464,6 @@ Dispatcher::rotateMany(const ckks::Ciphertext *as, std::size_t batch,
     for (std::size_t s = 0; s < batch; ++s)
         c1s[s] = &as[s].c1;
     auto head = hoistCopy(c1s.data(), batch);
-    auto view = HoistedView::of(head);
     const rns::ModDownPlan &down = ctx_.modDownPlan(head.levelCount);
 
     for (std::size_t r = 0; r < steps.size(); ++r) {
@@ -496,7 +472,7 @@ Dispatcher::rotateMany(const ckks::Ciphertext *as, std::size_t batch,
             continue;
         }
         EvalOpStats::instance().record(EvalOpKind::HRotate, batch);
-        out[r] = automorphFromHead(as, batch, view,
+        out[r] = automorphFromHead(as, batch, head,
                                    ctx_.galoisForRotation(norms[r]),
                                    *pins[r], &down);
     }
@@ -515,14 +491,14 @@ Dispatcher::conjugate(const ckks::Ciphertext *as, std::size_t batch) const
     for (std::size_t s = 0; s < batch; ++s)
         c1s[s] = &as[s].c1;
     auto head = hoistCopy(c1s.data(), batch);
-    return automorphFromHead(as, batch, HoistedView::of(head),
+    return automorphFromHead(as, batch, head,
                              ctx_.galoisForConjugation(), store_->conj(),
                              nullptr);
 }
 
 std::vector<ckks::Ciphertext>
 Dispatcher::automorphFromHead(const ckks::Ciphertext *as,
-                              std::size_t batch, const HoistedView &head,
+                              std::size_t batch, const HoistedBatch &head,
                               u64 galois, const ckks::SwitchKey &key,
                               const rns::ModDownPlan *down) const
 {
@@ -649,7 +625,6 @@ Dispatcher::buildBabyTables(const std::vector<s64> &steps,
     t.Tp.resize(n_baby);
     if (n_baby > 0) {
         auto head = hoistCopy(c1s.data(), batch);
-        auto view = HoistedView::of(head);
         auto liftC0 = [&](rns::RnsPolynomial *const *acc0) {
             addPLifted(kctx_, acc0, c0s.data(), plift.pmodq,
                        plift.pmodqShoup, batch);
@@ -658,7 +633,7 @@ Dispatcher::buildBabyTables(const std::vector<s64> &steps,
             s64 step = t.steps[bi];
             auto key_pin = stepKey(step);
             stats.record(EvalOpKind::HRotate, batch);
-            t.T[bi] = permutedTail(view, *key_pin,
+            t.T[bi] = permutedTail(head, *key_pin,
                                    ctx_.galoisForRotation(step), liftC0);
             t.Tp[bi] = ptrsOf({&t.T[bi]});
         }
@@ -767,7 +742,7 @@ Dispatcher::accumulateGroups(const BsgsProgram &program,
         auto head2 = hoist(std::move(md1));
         auto acc0_in = readOnly(acc0p.data(), batch);
         auto rotated = permutedTail(
-            HoistedView::of(head2), *giant_key, galois,
+            head2, *giant_key, galois,
             [&](rns::RnsPolynomial *const *g0) {
                 addPolysInPlace(kctx_, g0, acc0_in.data(), batch);
             });

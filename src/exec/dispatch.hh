@@ -1,13 +1,13 @@
 /**
  * @file
  * The unified kernel/dispatch layer (paper SIV-D/E): ONE execution
- * path for every CKKS operation, shared by the serial ckks::Evaluator
- * (batch = 1) and batch::BatchedEvaluator (batch = B). Both façades
- * validate their inputs and delegate here; the Dispatcher flattens
- * each operation over the (batch-slot x tower) space through the
- * span kernels (exec/kernels.hh), checks scratch out of the
- * Workspace arena, and records the executed-operation counters the
- * op-count models are checked against.
+ * path for every CKKS operation. batch::BatchedEvaluator, the only
+ * evaluator, validates its inputs and delegates here; one ciphertext
+ * is a batch of one. The Dispatcher flattens each operation over the
+ * (batch-slot x tower) space through the span kernels
+ * (exec/kernels.hh), checks scratch out of the Workspace arena, and
+ * records the executed-operation counters the op-count models are
+ * checked against.
  *
  * The Dispatcher also executes the double-hoisted BSGS linear
  * transform (applyBsgs): boot::LinearTransformPlan compiles its
@@ -37,12 +37,16 @@ namespace tensorfhe::exec
  * The hoisted key-switch head of a batch: digits[j][s] is digit j of
  * batch slot s — Dcomp-scaled, ModUp-extended to the union basis,
  * Eval domain. Buffers are Workspace leases: the head's storage
- * returns to the arena when the batch dies.
+ * returns to the arena when the batch dies. Dispatcher::hoist fills
+ * `table` with the digits' addresses, row after row, which is the
+ * shape the key-switch tail's inner product reads; moving the batch
+ * keeps them valid, and a digit may be overwritten in place.
  */
 struct HoistedBatch
 {
     std::vector<std::vector<Workspace::Pooled>> digits;
     std::size_t levelCount = 0;
+    std::vector<const rns::RnsPolynomial *> table; ///< j * batch + s
 
     std::size_t numDigits() const { return digits.size(); }
     std::size_t
@@ -50,28 +54,12 @@ struct HoistedBatch
     {
         return digits.empty() ? 0 : digits[0].size();
     }
-};
-
-/**
- * Non-owning (digit x slot) view of a hoisted head — the shape the
- * key-switch tail consumes. Lets the tail run over a HoistedBatch or
- * over externally-owned digits (ckks::HoistedDigits, batch = 1)
- * through one code path.
- */
-struct HoistedView
-{
-    std::vector<const rns::RnsPolynomial *> table; ///< j * batch + s
-    std::size_t numDigits = 0;
-    std::size_t batchN = 0;
-    std::size_t levelCount = 0;
-
+    /** Digit j of every batch slot. */
     const rns::RnsPolynomial *const *
     row(std::size_t j) const
     {
-        return table.data() + j * batchN;
+        return table.data() + j * batch();
     }
-
-    static HoistedView of(const HoistedBatch &h);
 };
 
 /**
@@ -150,8 +138,6 @@ class Dispatcher
                     std::size_t batch) const;
     void addPlainInPlace(ckks::Ciphertext *as, const ckks::Plaintext &p,
                          std::size_t batch) const;
-    void subPlainInPlace(ckks::Ciphertext *as, const ckks::Plaintext &p,
-                         std::size_t batch) const;
     /** CMULT; updates each scale to a.scale * p.scale. */
     void multiplyPlainInPlace(ckks::Ciphertext *as,
                               const ckks::Plaintext &p,
@@ -215,7 +201,7 @@ class Dispatcher
      */
     std::pair<std::vector<rns::RnsPolynomial>,
               std::vector<rns::RnsPolynomial>>
-    keySwitchTail(const HoistedView &h, const ckks::SwitchKey &key,
+    keySwitchTail(const HoistedBatch &h, const ckks::SwitchKey &key,
                   const rns::ModDownPlan *down = nullptr) const;
 
     /**
@@ -262,7 +248,7 @@ class Dispatcher
         With galois != 1 it reads the key pre-permuted by galois^-1
         (CkksContext::restrictedKey), so permuting the accumulators by
         galois gives the tail of the galois-permuted head. */
-    void tailRawInto(const HoistedView &h, const ckks::SwitchKey &key,
+    void tailRawInto(const HoistedBatch &h, const ckks::SwitchKey &key,
                      u64 galois, rns::RnsPolynomial *const *acc0,
                      rns::RnsPolynomial *const *acc1) const;
 
@@ -277,7 +263,7 @@ class Dispatcher
      * plus the permuted fold, bit for bit.
      */
     std::vector<Workspace::Pooled>
-    permutedTail(const HoistedView &h, const ckks::SwitchKey &key,
+    permutedTail(const HoistedBatch &h, const ckks::SwitchKey &key,
                  u64 galois,
                  const std::function<void(rns::RnsPolynomial *const *)>
                      &fold = {}) const;
@@ -301,7 +287,7 @@ class Dispatcher
         permuted c0. The outputs' buffers are drawn from the arena. */
     std::vector<ckks::Ciphertext>
     automorphFromHead(const ckks::Ciphertext *as, std::size_t batch,
-                      const HoistedView &head, u64 galois,
+                      const HoistedBatch &head, u64 galois,
                       const ckks::SwitchKey &key,
                       const rns::ModDownPlan *down) const;
 

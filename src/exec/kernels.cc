@@ -37,25 +37,6 @@ elementwisePair(const KernelCtx &ctx, ckks::Ciphertext *out,
     });
 }
 
-void
-plainC0(const KernelCtx &ctx, ckks::Ciphertext *out,
-        const ckks::Plaintext &p, std::size_t batch, KernelKind kind,
-        bool addOp)
-{
-    if (batch == 0)
-        return;
-    std::size_t limbs = out[0].levelCount();
-    std::size_t n = out[0].c0.n();
-    const simd::Ops &v = simd::ops();
-    auto span = addOp ? v.addSpan : v.subSpan;
-    ScopedKernelTimer timer(kind, batch * limbs * n);
-    ctx.pool->parallelFor2D(batch, limbs,
-                            [&](std::size_t s, std::size_t i) {
-        span(out[s].c0.limb(i), p.poly.limb(i), n,
-             out[s].c0.limbModulus(i).value());
-    });
-}
-
 } // namespace
 
 void
@@ -76,14 +57,17 @@ void
 addPlainC0(const KernelCtx &ctx, ckks::Ciphertext *out,
            const ckks::Plaintext &p, std::size_t batch)
 {
-    plainC0(ctx, out, p, batch, KernelKind::EleAdd, true);
-}
-
-void
-subPlainC0(const KernelCtx &ctx, ckks::Ciphertext *out,
-           const ckks::Plaintext &p, std::size_t batch)
-{
-    plainC0(ctx, out, p, batch, KernelKind::EleSub, false);
+    if (batch == 0)
+        return;
+    std::size_t limbs = out[0].levelCount();
+    std::size_t n = out[0].c0.n();
+    const simd::Ops &v = simd::ops();
+    ScopedKernelTimer timer(KernelKind::EleAdd, batch * limbs * n);
+    ctx.pool->parallelFor2D(batch, limbs,
+                            [&](std::size_t s, std::size_t i) {
+        v.addSpan(out[s].c0.limb(i), p.poly.limb(i), n,
+                  out[s].c0.limbModulus(i).value());
+    });
 }
 
 void

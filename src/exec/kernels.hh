@@ -6,10 +6,10 @@
  * flattens its full iteration space — batch slot s in [0, B) crossed
  * with RNS tower (limb) i — into one ThreadPool::parallelFor2D
  * dispatch, exactly the CTA-filling shape of the paper's batched
- * kernels (SIV-D). Batch B = 1 is the degenerate case: the serial
- * ckks::Evaluator and the batch::BatchedEvaluator both execute
- * through these kernels, so there is one implementation of every
- * Table II primitive and the two evaluators are bit-identical by
+ * kernels (SIV-D). Batch B = 1 is the degenerate case: one
+ * ciphertext is a one-element batch through the same kernels, so
+ * there is one implementation of every Table II primitive and a
+ * batch-1 call is bit-identical to its slot of a wider batch by
  * construction.
  *
  * All kernels are aliasing-safe for the in-place pattern (the output
@@ -51,10 +51,8 @@ void eleAddCts(const KernelCtx &ctx, ckks::Ciphertext *out,
 void eleSubCts(const KernelCtx &ctx, ckks::Ciphertext *out,
                const ckks::Ciphertext *b, std::size_t batch);
 
-/** out[s].c0 += / -= p, one shared plaintext across the batch. */
+/** out[s].c0 += p, one shared plaintext across the batch. */
 void addPlainC0(const KernelCtx &ctx, ckks::Ciphertext *out,
-                const ckks::Plaintext &p, std::size_t batch);
-void subPlainC0(const KernelCtx &ctx, ckks::Ciphertext *out,
                 const ckks::Plaintext &p, std::size_t batch);
 
 /** out[s] = out[s] (had) p on both components (CMULT core). */

@@ -45,10 +45,9 @@ producerDeps(const Graph &g,
  * failure bit-identical to an uninterrupted run.
  */
 void
-executeNode(const nn::NnEngine &engine, const Graph &g, const Node &n,
+executeNode(const nn::NnEngine &beval, const Node &n,
             std::vector<Cts> &vals)
 {
-    const auto &beval = engine.batched();
     const auto &disp = beval.dispatcher();
     switch (n.kind) {
       case NodeKind::Add:
@@ -146,7 +145,7 @@ executeNode(const nn::NnEngine &engine, const Graph &g, const Node &n,
       }
       case NodeKind::LayerApply:
         vals[n.outputs[0]] =
-            n.bootstrap->refresh(engine, vals[n.inputs[0]]);
+            n.bootstrap->refresh(beval, vals[n.inputs[0]]);
         break;
       case NodeKind::FusedEle: {
           const Cts &base = vals[n.inputs[0]];
@@ -307,7 +306,7 @@ GraphExecutor::runSchedule(const nn::NnEngine &engine,
                     }
                 }
 
-                executeNode(engine, g, n, vals);
+                executeNode(engine, n, vals);
 
                 // Produce side: every output must land on its
                 // compiled level and scale (O(1) per chunk, every
@@ -535,7 +534,7 @@ GraphExecutor::prestageWorkspace(const nn::NnEngine &engine,
             table = std::max(table, 2 * (plan->babyStepCount() + 1));
         count = std::max(count, (rows + table) * in.chunkCount * batch);
     }
-    engine.batched().dispatcher().workspace().prestage(
+    engine.dispatcher().workspace().prestage(
         limbs, rns::Domain::Eval, count);
 }
 

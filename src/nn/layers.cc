@@ -1123,7 +1123,7 @@ Bootstrap::refresh(const NnEngine &engine, const Cts &in) const
     // Chunks are just more batch slots: the whole (sample x chunk)
     // stream refreshes through one shared pipeline.
     if (liveChunks_.empty() || liveChunkCount() == in_.chunkCount)
-        return boot_->bootstrapBatch(engine.batched(), in);
+        return boot_->bootstrapBatch(engine, in);
 
     // Lazy refresh: gather the live chunks of every sample, refresh
     // them in one batch, and rebuild dead chunks as well-formed zero
@@ -1140,7 +1140,7 @@ Bootstrap::refresh(const NnEngine &engine, const Cts &in) const
         for (std::size_t c = 0; c < chunks; ++c)
             if (liveChunks_[c])
                 live.push_back(in[s * chunks + c]);
-    Cts refreshed = boot_->bootstrapBatch(engine.batched(), live);
+    Cts refreshed = boot_->bootstrapBatch(engine, live);
 
     const auto &tower = engine.ctx().tower();
     Cts out(in.size());

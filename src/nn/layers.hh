@@ -65,34 +65,13 @@ namespace tensorfhe::nn
 {
 
 /**
- * Server-side execution context for encrypted inference: the CKKS
- * context plus the batched evaluator every layer dispatches through.
+ * Server-side execution context for encrypted inference: the
+ * evaluator every layer dispatches through, which also carries the
+ * CKKS context (ctx()). Planner-built nets construct it over an
+ * on-demand ckks::KeyStore, so their unrestricted BSGS strides need
+ * no pre-generated key bundle.
  */
-class NnEngine
-{
-  public:
-    NnEngine(const ckks::CkksContext &ctx, const ckks::KeyBundle &keys,
-             ThreadPool *pool = nullptr)
-        : ctx_(ctx), beval_(ctx, keys, pool)
-    {}
-
-    /** Engine over an explicit key store — planner-built nets route
-        rotation keys through an on-demand ckks::KeyStore so their
-        unrestricted BSGS strides need no pre-generated bundle. */
-    NnEngine(const ckks::CkksContext &ctx,
-             std::shared_ptr<const ckks::KeyStore> store,
-             ThreadPool *pool = nullptr)
-        : ctx_(ctx), beval_(ctx, std::move(store), pool)
-    {}
-
-    const ckks::CkksContext &ctx() const { return ctx_; }
-    const batch::BatchedEvaluator &batched() const { return beval_; }
-    const ckks::Evaluator &scalar() const { return beval_.scalar(); }
-
-  private:
-    const ckks::CkksContext &ctx_;
-    batch::BatchedEvaluator beval_;
-};
+using NnEngine = batch::BatchedEvaluator;
 
 using Cts = std::vector<ckks::Ciphertext>;
 

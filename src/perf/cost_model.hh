@@ -116,11 +116,11 @@ class CostModel
 
     /**
      * One executed operation. KsHoist and KsTail are the phase split
-     * of keySwitch (Halevi-Shoup hoisting, mirroring Evaluator::hoist
-     * / keySwitchTail): the hoist is the key-independent head (Dcomp
-     * INTT, per-digit Conv, the digit-count x union-basis forward
-     * NTTs); the tail is the per-key remainder (inner product +
-     * ModDown).
+     * of keySwitch (Halevi-Shoup hoisting, mirroring
+     * exec::Dispatcher::hoist / keySwitchTail): the hoist is the
+     * key-independent head (Dcomp INTT, per-digit Conv, the
+     * digit-count x union-basis forward NTTs); the tail is the
+     * per-key remainder (inner product + ModDown).
      */
     KernelCost op(EvalOpKind kind, std::size_t level_count) const;
 
@@ -133,8 +133,8 @@ class CostModel
 
     /**
      * `rotations` HROTATEs of one input sharing a single hoisted head
-     * (Evaluator::rotateHoisted): one hoist + per rotation the digit
-     * FrobeniusMap, a key-switch tail, and the c0 permutation + add.
+     * (exec::Dispatcher::rotateMany): one hoist + per rotation the
+     * digit FrobeniusMap, a key-switch tail, and the c0 permutation + add.
      */
     KernelCost rotateHoisted(std::size_t level_count,
                              std::size_t rotations) const;

@@ -12,6 +12,8 @@ namespace tensorfhe::workloads
 namespace
 {
 
+using Cts = batch::BatchedEvaluator::Cts;
+
 /** Degree-3 sigmoid approximation used by HELR (around 0). */
 constexpr double kSig0 = 0.5;
 constexpr double kSig1 = 0.197;
@@ -30,24 +32,25 @@ sigmoidPoly(double z)
  * for both schedules come from lrRequiredRotations). The schedule
  * decision is the shared perf::CostModel::hoistedFoldWins.
  */
-ckks::Ciphertext
-foldRotations(const ckks::Evaluator &eval, const ckks::CkksContext &ctx,
-              ckks::Ciphertext ct, std::size_t f, s64 dir)
+Cts
+foldRotations(const batch::BatchedEvaluator &eval, Cts ct, std::size_t f,
+              s64 dir)
 {
+    const auto &ctx = eval.ctx();
     std::size_t slots = ctx.slots();
-    if (perf::CostModel(ctx.params()).hoistedFoldWins(ct.levelCount(), f)) {
+    if (perf::CostModel(ctx.params())
+            .hoistedFoldWins(ct[0].levelCount(), f)) {
         std::vector<s64> steps;
         for (std::size_t k = 1; k < f; ++k)
             steps.push_back(dir * static_cast<s64>(k));
-        auto rot = eval.rotateHoisted(ct, steps);
-        for (auto &r : rot)
-            ct = eval.add(ct, r);
+        for (const auto &r : eval.rotateManyBatch(ct, steps))
+            eval.addInPlace(ct, r);
         return ct;
     }
     for (std::size_t step = 1; step < f; step *= 2) {
         s64 s = dir * static_cast<s64>(step);
         s = ((s % s64(slots)) + s64(slots)) % s64(slots);
-        ct = eval.add(ct, eval.rotate(ct, s));
+        eval.addInPlace(ct, eval.rotate(ct, s));
     }
     return ct;
 }
@@ -104,7 +107,7 @@ EncryptedLrTrainer::encryptedGradientPass(
     for (std::size_t s = 0; s < cfg_.samples; ++s)
         for (std::size_t j = 0; j < f; ++j)
             xs[s * f + j] = ckks::Complex(x[s][j], 0);
-    auto ct_x = enc_.encrypt(ctx_.encoder().encode(xs, scale, lc), rng_);
+    Cts ct_x{enc_.encrypt(ctx_.encoder().encode(xs, scale, lc), rng_)};
 
     // Replicated plaintext weights.
     std::vector<ckks::Complex> ws(slots, {0, 0});
@@ -115,47 +118,45 @@ EncryptedLrTrainer::encryptedGradientPass(
 
     // z = fold(x (had) w): dot product lands at every block start.
     auto z = foldRotations(
-        eval_, ctx_, eval_.rescale(eval_.multiplyPlain(ct_x, pt_w)), f,
-        1);
+        eval_, eval_.rescale(eval_.multiplyPlain(ct_x, pt_w)), f, 1);
 
     // Degree-3 sigmoid: p = 0.5 + c1*z + c3*z^3 on encrypted scores.
     // Both branches are steered to the same exact scale so they add.
-    auto z2 = eval_.multiplyRescale(z, z);
-    auto z3 = eval_.multiplyRescale(
-        z2, eval_.dropToLevelCount(z, z2.levelCount()));
+    auto z2 = eval_.rescale(eval_.multiply(z, z));
+    auto z3 = eval_.rescale(eval_.multiply(
+        z2, eval_.dropToLevelCount(z, z2[0].levelCount())));
     double sig_scale = ctx_.params().scale();
     auto c1z = eval_.multiplyConstToScale(z, kSig1, sig_scale);
     auto c3z3 = eval_.multiplyConstToScale(z3, kSig3, sig_scale);
-    auto p = eval_.add(c3z3,
-                       eval_.dropToLevelCount(c1z, c3z3.levelCount()));
+    auto p = eval_.add(
+        c3z3, eval_.dropToLevelCount(c1z, c3z3[0].levelCount()));
     p = eval_.addConst(p, kSig0);
 
     // err = p - y (labels encrypted at matching level and scale).
     std::vector<ckks::Complex> ys(slots, {0, 0});
     for (std::size_t s = 0; s < cfg_.samples; ++s)
         ys[s * f] = ckks::Complex(y[s], 0);
-    auto pt_y = ctx_.encoder().encode(ys, p.scale, p.levelCount());
-    auto err = eval_.sub(p, enc_.encrypt(pt_y, rng_));
+    auto pt_y = ctx_.encoder().encode(ys, p[0].scale, p[0].levelCount());
+    auto err = eval_.sub(p, {enc_.encrypt(pt_y, rng_)});
 
     // Mask to block starts, then broadcast across each block.
     std::vector<ckks::Complex> mask(slots, {0, 0});
     for (std::size_t s = 0; s < cfg_.samples; ++s)
         mask[s * f] = ckks::Complex(1, 0);
     auto pt_mask =
-        ctx_.encoder().encode(mask, scale, err.levelCount());
+        ctx_.encoder().encode(mask, scale, err[0].levelCount());
     // Broadcast across each block: the masked error is nonzero only
     // at block starts, so summing the f-1 negative rotations
     // replicates it block-wide.
     err = foldRotations(
-        eval_, ctx_, eval_.rescale(eval_.multiplyPlain(err, pt_mask)),
-        f, -1);
+        eval_, eval_.rescale(eval_.multiplyPlain(err, pt_mask)), f, -1);
 
     // g = err (had) x summed over samples (cross-block fold).
-    auto ct_x_low = eval_.dropToLevelCount(ct_x, err.levelCount());
-    auto g = eval_.multiplyRescale(err, ct_x_low);
+    auto ct_x_low = eval_.dropToLevelCount(ct_x, err[0].levelCount());
+    auto g = eval_.rescale(eval_.multiply(err, ct_x_low));
     for (std::size_t step = f; step < f * cfg_.samples; step *= 2)
-        g = eval_.add(g, eval_.rotate(g, static_cast<s64>(step)));
-    return g;
+        eval_.addInPlace(g, eval_.rotate(g, static_cast<s64>(step)));
+    return std::move(g[0]);
 }
 
 EncryptedLrTrainer::Result

@@ -19,8 +19,8 @@
 
 #include <vector>
 
+#include "batch/executor.hh"
 #include "ckks/crypto.hh"
-#include "ckks/evaluator.hh"
 
 namespace tensorfhe::workloads
 {
@@ -69,7 +69,7 @@ class EncryptedLrTrainer
     const ckks::SecretKey &sk_;
     ckks::Encryptor enc_;
     ckks::Decryptor dec_;
-    ckks::Evaluator eval_;
+    batch::BatchedEvaluator eval_; ///< one-element batches
     LrConfig cfg_;
     mutable Rng rng_;
 };

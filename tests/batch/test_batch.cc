@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../ct_eq.hh"
 #include "batch/executor.hh"
 #include "batch/layout.hh"
 #include "ckks/crypto.hh"
@@ -99,6 +100,8 @@ struct BatchFixture
 
 TEST(BatchedEvaluator, BatchedEqualsSequential)
 {
+    // Every slot of a batched call carries the bits of the same call
+    // on a one-element batch.
     BatchFixture f;
     std::vector<ckks::Ciphertext> a, b;
     for (int i = 0; i < 6; ++i) {
@@ -108,10 +111,10 @@ TEST(BatchedEvaluator, BatchedEqualsSequential)
     auto batch_sum = f.batched.add(a, b);
     auto batch_prod = f.batched.rescale(f.batched.multiply(a, b));
     for (int i = 0; i < 6; ++i) {
-        auto seq_sum = f.batched.scalar().add(a[i], b[i]);
-        auto got_b = f.dec.decryptAndDecode(batch_sum[i]);
-        auto got_s = f.dec.decryptAndDecode(seq_sum);
-        EXPECT_NEAR(got_b[0].real(), got_s[0].real(), 1e-6);
+        test::expectCtEq(batch_sum[i], f.batched.add({a[i]}, {b[i]})[0]);
+        test::expectCtEq(
+            batch_prod[i],
+            f.batched.rescale(f.batched.multiply({a[i]}, {b[i]}))[0]);
         auto got_p = f.dec.decryptAndDecode(batch_prod[i]);
         EXPECT_NEAR(got_p[0].real(), 0.1 * 0.2 * (i + 1) * (i + 1),
                     5e-3);

@@ -1,10 +1,11 @@
 /**
  * @file
- * Parallel batched execution engine tests: every batched operation
- * must be bit-identical to the serial scalar path, for every NTT
- * variant, at one-limb and multi-limb key-switching digits, on a
- * 1-thread pool and a wider pool, and for batch sizes that do not
- * divide evenly across lanes (non-power-of-two).
+ * Parallel batched execution engine tests: every slot of a batched
+ * operation must be bit-identical to the same operation on a
+ * one-element batch of the same evaluator, for every NTT variant, at
+ * one-limb and multi-limb key-switching digits, on a 1-thread pool
+ * and a wider pool, and for batch sizes that do not divide evenly
+ * across lanes (non-power-of-two).
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "../ct_eq.hh"
 #include "batch/executor.hh"
 #include "ckks/crypto.hh"
 #include "common/primes.hh"
@@ -25,27 +27,8 @@ namespace tensorfhe::batch
 namespace
 {
 
-void
-expectPolyEq(const rns::RnsPolynomial &x, const rns::RnsPolynomial &y)
-{
-    ASSERT_EQ(x.numLimbs(), y.numLimbs());
-    ASSERT_EQ(x.limbIndices(), y.limbIndices());
-    ASSERT_EQ(x.domain(), y.domain());
-    for (std::size_t i = 0; i < x.numLimbs(); ++i) {
-        const u64 *px = x.limb(i);
-        const u64 *py = y.limb(i);
-        for (std::size_t c = 0; c < x.n(); ++c)
-            ASSERT_EQ(px[c], py[c]) << "limb " << i << " coeff " << c;
-    }
-}
-
-void
-expectCtEq(const ckks::Ciphertext &x, const ckks::Ciphertext &y)
-{
-    expectPolyEq(x.c0, y.c0);
-    expectPolyEq(x.c1, y.c1);
-    EXPECT_DOUBLE_EQ(x.scale, y.scale);
-}
+using test::expectCtEq;
+using test::expectPolyEq;
 
 // ------------------------------------------------------------------
 // Raw batched NTT dispatch, all four variants.
@@ -286,7 +269,7 @@ runAllOpsBitIdentical(EngineCase c, ThreadPool *pool, std::size_t batch)
         a.push_back(f.encryptValue(0.1 * double(i + 1), 3));
         b.push_back(f.encryptValue(0.05 * double(i + 1), 3));
     }
-    const auto &ev = f.batched.scalar();
+    const auto &ev = f.batched;
 
     auto sum = f.batched.add(a, b);
     auto diff = f.batched.sub(a, b);
@@ -298,13 +281,13 @@ runAllOpsBitIdentical(EngineCase c, ThreadPool *pool, std::size_t batch)
     auto rot = f.batched.rotate(a, 1);
 
     for (std::size_t i = 0; i < batch; ++i) {
-        expectCtEq(sum[i], ev.add(a[i], b[i]));
-        expectCtEq(diff[i], ev.sub(a[i], b[i]));
-        auto sprod = ev.multiply(a[i], b[i]);
-        expectCtEq(prod[i], sprod);
-        expectCtEq(dropped[i], ev.rescale(sprod));
-        expectCtEq(cmult[i], ev.multiplyPlain(a[i], pt));
-        expectCtEq(rot[i], ev.rotate(a[i], 1));
+        expectCtEq(sum[i], ev.add({a[i]}, {b[i]})[0]);
+        expectCtEq(diff[i], ev.sub({a[i]}, {b[i]})[0]);
+        auto sprod = ev.multiply({a[i]}, {b[i]});
+        expectCtEq(prod[i], sprod[0]);
+        expectCtEq(dropped[i], ev.rescale(sprod)[0]);
+        expectCtEq(cmult[i], ev.multiplyPlain({a[i]}, pt)[0]);
+        expectCtEq(rot[i], ev.rotate({a[i]}, 1)[0]);
     }
 }
 
@@ -316,7 +299,7 @@ runRotateManyBatchBitIdentical(EngineCase c, ThreadPool *pool,
     std::vector<ckks::Ciphertext> a;
     for (std::size_t i = 0; i < batch; ++i)
         a.push_back(f.encryptValue(0.1 * double(i + 1), 3));
-    const auto &ev = f.batched.scalar();
+    const auto &ev = f.batched;
 
     // Positive, zero, negative and wrap-around steps; the hoisted
     // head is shared across all of them and the whole batch.
@@ -329,7 +312,7 @@ runRotateManyBatchBitIdentical(EngineCase c, ThreadPool *pool,
         for (std::size_t s = 0; s < batch; ++s) {
             SCOPED_TRACE("step " + std::to_string(steps[r]) + " slot "
                          + std::to_string(s));
-            expectCtEq(many[r][s], ev.rotate(a[s], steps[r]));
+            expectCtEq(many[r][s], ev.rotate({a[s]}, steps[r])[0]);
         }
     }
 }

@@ -9,24 +9,13 @@
 
 #include <cmath>
 
+#include "batch/executor.hh"
 #include "boot/linear.hh"
 
 namespace tensorfhe::boot
 {
 namespace
 {
-
-void
-expectPolyEq(const rns::RnsPolynomial &x, const rns::RnsPolynomial &y)
-{
-    ASSERT_EQ(x.numLimbs(), y.numLimbs());
-    for (std::size_t i = 0; i < x.numLimbs(); ++i) {
-        const u64 *px = x.limb(i);
-        const u64 *py = y.limb(i);
-        for (std::size_t c = 0; c < x.n(); ++c)
-            ASSERT_EQ(px[c], py[c]) << "limb " << i << " coeff " << c;
-    }
-}
 
 /** A sparse test matrix touching a representative set of diagonals. */
 SlotMatrix
@@ -62,7 +51,7 @@ struct PlanFixture
     ckks::KeyBundle keys;
     ckks::Encryptor enc;
     ckks::Decryptor dec;
-    ckks::Evaluator eval;
+    batch::BatchedEvaluator eval;
 };
 
 PlanFixture &
@@ -91,8 +80,8 @@ TEST(LinearPlan, MatchesApplyPlainReference)
     auto ct = f.enc.encrypt(
         f.ctx.encoder().encode(z, f.ctx.params().scale(), 3), f.rng);
 
-    auto got_ct = f.plan.apply(f.eval, ct);
-    auto got = f.dec.decryptAndDecode(got_ct);
+    auto got_ct = f.plan.applyBatch(f.eval, {ct});
+    auto got = f.dec.decryptAndDecode(got_ct[0]);
     auto expect = applyPlain(sparseMatrix(slots, 4), z);
     double mag = 0;
     for (const auto &v : expect)
@@ -100,20 +89,6 @@ TEST(LinearPlan, MatchesApplyPlainReference)
     for (std::size_t j = 0; j < slots; ++j)
         ASSERT_LT(std::abs(got[j] - expect[j]), 2e-2 * mag)
             << "slot " << j;
-}
-
-TEST(LinearPlan, ApplyLinearIsBitIdenticalToPlanApply)
-{
-    auto &f = fx();
-    auto z = randomSlots(f.ctx.slots(), 0.5, 8);
-    auto ct = f.enc.encrypt(
-        f.ctx.encoder().encode(z, f.ctx.params().scale(), 3), f.rng);
-    auto via_plan = f.plan.apply(f.eval, ct);
-    auto via_shim = applyLinear(f.ctx, f.eval,
-                                sparseMatrix(f.ctx.slots(), 4), ct);
-    expectPolyEq(via_plan.c0, via_shim.c0);
-    expectPolyEq(via_plan.c1, via_shim.c1);
-    EXPECT_DOUBLE_EQ(via_plan.scale, via_shim.scale);
 }
 
 TEST(LinearPlan, RequiredRotationsAreBabyOrGiantSteps)
@@ -150,14 +125,14 @@ TEST(LinearPlan, EncodedDiagonalsCachedPerLevel)
     auto z = randomSlots(f.ctx.slots(), 0.5, 9);
     auto ct3 = f.enc.encrypt(
         f.ctx.encoder().encode(z, f.ctx.params().scale(), 3), f.rng);
-    (void)plan.apply(f.eval, ct3);
+    (void)plan.applyBatch(f.eval, {ct3});
     EXPECT_EQ(plan.cachedLevelCount(), 1u);
-    (void)plan.apply(f.eval, ct3); // same level: no new encodings
+    (void)plan.applyBatch(f.eval, {ct3}); // same level: no new encodings
     EXPECT_EQ(plan.cachedLevelCount(), 1u);
 
     auto ct2 = f.enc.encrypt(
         f.ctx.encoder().encode(z, f.ctx.params().scale(), 2), f.rng);
-    (void)plan.apply(f.eval, ct2);
+    (void)plan.applyBatch(f.eval, {ct2});
     EXPECT_EQ(plan.cachedLevelCount(), 2u);
 }
 

@@ -1,11 +1,14 @@
 /**
  * @file
- * Hoisted key-switching tests: hoist + keySwitchTail must compose to
- * keySwitch bit for bit, rotateHoisted must be bit-identical to the
- * serial rotate for every step shape (negative, wrap-around, zero,
- * repeated), rotations and conjugation (serial and batched) must
- * equal the generic tail over the explicitly permuted head bit for
- * bit, and sharing one decompose+ModUp head across steps must
+ * Hoisted key-switching tests: HMULT's relinearization must equal the
+ * tensor terms plus hoist + keySwitchTail of d2 bit for bit, a batched
+ * hoist + keySwitchTail must give every slot the bits of a
+ * one-polynomial hoist + tail, a
+ * multi-step rotateManyBatch must be bit-identical to rotating one
+ * step at a time for every step shape (negative, wrap-around, zero,
+ * repeated), rotations and conjugation (one ciphertext and batched)
+ * must equal the generic tail over the explicitly permuted head bit
+ * for bit, and sharing one decompose+ModUp head across steps must
  * actually shrink the NTT / Conv work (checked via kernel counters).
  */
 
@@ -13,9 +16,9 @@
 
 #include <cmath>
 
+#include "../ct_eq.hh"
 #include "batch/executor.hh"
 #include "ckks/crypto.hh"
-#include "ckks/evaluator.hh"
 #include "common/stats.hh"
 
 namespace tensorfhe::ckks
@@ -23,27 +26,8 @@ namespace tensorfhe::ckks
 namespace
 {
 
-void
-expectPolyEq(const rns::RnsPolynomial &x, const rns::RnsPolynomial &y)
-{
-    ASSERT_EQ(x.numLimbs(), y.numLimbs());
-    ASSERT_EQ(x.limbIndices(), y.limbIndices());
-    ASSERT_EQ(x.domain(), y.domain());
-    for (std::size_t i = 0; i < x.numLimbs(); ++i) {
-        const u64 *px = x.limb(i);
-        const u64 *py = y.limb(i);
-        for (std::size_t c = 0; c < x.n(); ++c)
-            ASSERT_EQ(px[c], py[c]) << "limb " << i << " coeff " << c;
-    }
-}
-
-void
-expectCtEq(const Ciphertext &x, const Ciphertext &y)
-{
-    expectPolyEq(x.c0, y.c0);
-    expectPolyEq(x.c1, y.c1);
-    EXPECT_DOUBLE_EQ(x.scale, y.scale);
-}
+using test::expectCtEq;
+using test::expectPolyEq;
 
 struct HoistFixture
 {
@@ -74,7 +58,7 @@ struct HoistFixture
     KeyBundle keys;
     Encryptor enc;
     Decryptor dec;
-    Evaluator eval;
+    batch::BatchedEvaluator eval;
 };
 
 HoistFixture &
@@ -84,41 +68,102 @@ fx()
     return f;
 }
 
+/**
+ * HMULT's relinearization is a key switch of d2 = a1*b1 under the
+ * relinearization key: the product must equal the tensor terms plus
+ * hoistCopy(d2) + keySwitchTail, bit for bit, and hoisting a Coeff
+ * copy of d2 must build the same digits as the Eval original.
+ */
 TEST(Hoisting, KeySwitchEqualsHoistPlusTail)
 {
     auto &f = fx();
+    const auto &disp = f.eval.dispatcher();
+    for (std::size_t lc : {std::size_t(2), std::size_t(3)}) {
+        SCOPED_TRACE("level count " + std::to_string(lc));
+        auto a = f.encryptRandom(0.5, 40 + lc, lc);
+        auto b = f.encryptRandom(0.5, 50 + lc, lc);
+        auto product = f.eval.multiply({a}, {b})[0];
+
+        auto d0 = a.c0;
+        rns::hadaMultInPlace(d0, b.c0);
+        auto d1 = a.c0;
+        rns::hadaMultInPlace(d1, b.c1);
+        auto a1b0 = a.c1;
+        rns::hadaMultInPlace(a1b0, b.c0);
+        rns::eleAddInPlace(d1, a1b0);
+        auto d2 = a.c1;
+        rns::hadaMultInPlace(d2, b.c1);
+
+        const rns::RnsPolynomial *d2p = &d2;
+        auto h = disp.hoistCopy(&d2p, 1);
+        EXPECT_EQ(h.levelCount, lc);
+        auto [t0, t1] = disp.keySwitchTail(h, f.keys.relin);
+
+        auto d2coeff = d2;
+        rns::toCoeffBatch({&d2coeff});
+        const rns::RnsPolynomial *d2cp = &d2coeff;
+        auto hc = disp.hoistCopy(&d2cp, 1);
+        ASSERT_EQ(hc.numDigits(), h.numDigits());
+        for (std::size_t j = 0; j < h.numDigits(); ++j)
+            expectPolyEq(*hc.digits[j][0], *h.digits[j][0]);
+
+        Ciphertext composed;
+        composed.c0 = std::move(d0);
+        rns::eleAddInPlace(composed.c0, t0[0]);
+        composed.c1 = std::move(d1);
+        rns::eleAddInPlace(composed.c1, t1[0]);
+        composed.scale = a.scale * b.scale;
+        expectCtEq(product, composed);
+    }
+}
+
+TEST(Hoisting, BatchedHoistPlusTailMatchesOnePolynomialAtATime)
+{
+    auto &f = fx();
+    const auto &disp = f.eval.dispatcher();
     Rng rng(5);
     for (std::size_t lc : {std::size_t(2), std::size_t(3)}) {
-        auto d = rns::sampleUniform(f.ctx.tower(), f.ctx.qLimbs(lc),
-                                    rns::Domain::Eval, rng);
-        auto [s0, s1] = f.eval.keySwitch(d, f.keys.relin);
-        auto h = f.eval.hoist(d);
+        std::vector<rns::RnsPolynomial> ds;
+        for (std::size_t s = 0; s < 3; ++s)
+            ds.push_back(rns::sampleUniform(f.ctx.tower(), f.ctx.qLimbs(lc),
+                                            rns::Domain::Eval, rng));
+        std::vector<const rns::RnsPolynomial *> ptrs;
+        for (const auto &d : ds)
+            ptrs.push_back(&d);
+        auto h = disp.hoistCopy(ptrs.data(), ptrs.size());
         EXPECT_EQ(h.levelCount, lc);
-        auto [t0, t1] = f.eval.keySwitchTail(h, f.keys.relin);
-        expectPolyEq(s0, t0);
-        expectPolyEq(s1, t1);
+        EXPECT_EQ(h.batch(), ds.size());
+        auto [t0, t1] = disp.keySwitchTail(h, f.keys.relin);
+        for (std::size_t s = 0; s < ds.size(); ++s) {
+            auto [s0, s1] = disp.keySwitchTail(disp.hoistCopy(&ptrs[s], 1),
+                                               f.keys.relin);
+            expectPolyEq(t0[s], s0[0]);
+            expectPolyEq(t1[s], s1[0]);
+        }
     }
 }
 
 /**
  * The automorphism `galois` of `ct` composed from generic parts: the
- * digits of hoist(c1), each permuted by the FrobeniusMap, through the
- * plain keySwitchTail, plus the permuted c0. The dispatcher permutes
- * only the inner product's result instead; both must agree bit for
- * bit.
+ * digits of the hoisted c1, each permuted by the FrobeniusMap, through
+ * the plain keySwitchTail, plus the permuted c0. The dispatcher
+ * permutes only the inner product's result instead; both must agree
+ * bit for bit.
  */
 Ciphertext
 permutedHeadComposition(const HoistFixture &f, const Ciphertext &ct,
                         u64 galois, const SwitchKey &key)
 {
-    auto h = f.eval.hoist(ct.c1);
-    for (auto &digit : h.digits)
-        digit = rns::applyAutomorphism(digit, galois);
-    auto [ks0, ks1] = f.eval.keySwitchTail(h, key);
+    const auto &disp = f.eval.dispatcher();
+    const rns::RnsPolynomial *c1 = &ct.c1;
+    auto h = disp.hoistCopy(&c1, 1);
+    for (auto &row : h.digits)
+        *row[0] = rns::applyAutomorphism(*row[0], galois);
+    auto [ks0, ks1] = disp.keySwitchTail(h, key);
     Ciphertext out;
-    out.c0 = std::move(ks0);
+    out.c0 = std::move(ks0[0]);
     rns::eleAddInPlace(out.c0, rns::applyAutomorphism(ct.c0, galois));
-    out.c1 = std::move(ks1);
+    out.c1 = std::move(ks1[0]);
     out.scale = ct.scale;
     return out;
 }
@@ -140,13 +185,13 @@ TEST(Hoisting, RotationsMatchThePermutedHeadComposition)
         for (auto [step, key_step] : compositionSteps(f.ctx.slots())) {
             SCOPED_TRACE("level count " + std::to_string(lc) + ", step "
                          + std::to_string(step));
-            expectCtEq(f.eval.rotate(ct, step),
+            expectCtEq(f.eval.rotate({ct}, step)[0],
                        permutedHeadComposition(
                            f, ct, f.ctx.galoisForRotation(key_step),
                            f.keys.rot.at(key_step)));
         }
         SCOPED_TRACE("conjugation at level count " + std::to_string(lc));
-        expectCtEq(f.eval.conjugate(ct),
+        expectCtEq(f.eval.dispatcher().conjugate(&ct, 1)[0],
                    permutedHeadComposition(
                        f, ct, f.ctx.galoisForConjugation(), f.keys.conj));
     }
@@ -155,7 +200,6 @@ TEST(Hoisting, RotationsMatchThePermutedHeadComposition)
 TEST(Hoisting, BatchedRotationsMatchThePermutedHeadComposition)
 {
     auto &f = fx();
-    batch::BatchedEvaluator beval(f.ctx, f.keys);
     auto steps = compositionSteps(f.ctx.slots());
     std::vector<s64> plain_steps;
     for (auto [step, key_step] : steps)
@@ -164,7 +208,7 @@ TEST(Hoisting, BatchedRotationsMatchThePermutedHeadComposition)
         std::vector<Ciphertext> cts;
         for (std::size_t s = 0; s < 3; ++s)
             cts.push_back(f.encryptRandom(1.0, 70 + 10 * lc + s, lc));
-        auto rotated = beval.rotateManyBatch(cts, plain_steps);
+        auto rotated = f.eval.rotateManyBatch(cts, plain_steps);
         ASSERT_EQ(rotated.size(), steps.size());
         for (std::size_t i = 0; i < steps.size(); ++i)
             for (std::size_t s = 0; s < cts.size(); ++s) {
@@ -190,11 +234,11 @@ TEST(Hoisting, RotateHoistedBitIdenticalToSerialRotate)
     std::vector<s64> steps = {1, 2, 5, 1, 0, -1, -2, slots + 3};
     steps.push_back(2 * slots + 1);
     steps.push_back(-slots);
-    auto hoisted = f.eval.rotateHoisted(ct, steps);
+    auto hoisted = f.eval.rotateManyBatch({ct}, steps);
     ASSERT_EQ(hoisted.size(), steps.size());
     for (std::size_t i = 0; i < steps.size(); ++i) {
         SCOPED_TRACE("step " + std::to_string(steps[i]));
-        expectCtEq(hoisted[i], f.eval.rotate(ct, steps[i]));
+        expectCtEq(hoisted[i][0], f.eval.rotate({ct}, steps[i])[0]);
     }
 }
 
@@ -210,9 +254,9 @@ TEST(Hoisting, RotateHoistedDecryptsToRotatedSlots)
 
     std::size_t slots = f.ctx.slots();
     std::vector<s64> steps = {1, 2, 5, static_cast<s64>(slots) - 1};
-    auto rotated = f.eval.rotateHoisted(ct, steps);
+    auto rotated = f.eval.rotateManyBatch({ct}, steps);
     for (std::size_t i = 0; i < steps.size(); ++i) {
-        auto got = f.dec.decryptAndDecode(rotated[i]);
+        auto got = f.dec.decryptAndDecode(rotated[i][0]);
         double err = 0;
         for (std::size_t j = 0; j < slots; ++j) {
             auto expect =
@@ -227,17 +271,17 @@ TEST(Hoisting, ZeroStepsReturnCopies)
 {
     auto &f = fx();
     auto ct = f.encryptRandom(0.5, 31, 2);
-    auto out = f.eval.rotateHoisted(ct, {0, 0});
+    auto out = f.eval.rotateManyBatch({ct}, {0, 0});
     ASSERT_EQ(out.size(), 2u);
-    expectCtEq(out[0], ct);
-    expectCtEq(out[1], ct);
+    expectCtEq(out[0][0], ct);
+    expectCtEq(out[1][0], ct);
 }
 
 TEST(Hoisting, MissingKeyRejected)
 {
     auto &f = fx();
     auto ct = f.encryptRandom(0.5, 32, 2);
-    EXPECT_THROW(f.eval.rotateHoisted(ct, {1, 7}),
+    EXPECT_THROW(f.eval.rotateManyBatch({ct}, {1, 7}),
                  std::invalid_argument);
 }
 
@@ -253,13 +297,13 @@ TEST(Hoisting, OneHeadServesAllSteps)
     auto &stats = KernelStats::instance();
     stats.reset();
     for (s64 s : steps)
-        (void)f.eval.rotate(ct, s);
+        (void)f.eval.rotate({ct}, s);
     u64 serial_ntt = stats.counter(KernelKind::Ntt).elements
         + stats.counter(KernelKind::Intt).elements;
     u64 serial_conv = stats.counter(KernelKind::Conv).elements;
 
     stats.reset();
-    auto out = f.eval.rotateHoisted(ct, steps);
+    auto out = f.eval.rotateManyBatch({ct}, steps);
     u64 hoisted_ntt = stats.counter(KernelKind::Ntt).elements
         + stats.counter(KernelKind::Intt).elements;
     u64 hoisted_conv = stats.counter(KernelKind::Conv).elements;

@@ -14,8 +14,8 @@
 
 #include <cmath>
 
+#include "batch/executor.hh"
 #include "ckks/crypto.hh"
-#include "ckks/evaluator.hh"
 #include "ckks/keystore.hh"
 #include "fault/fault.hh"
 
@@ -171,7 +171,7 @@ TEST(KeyStore, EvaluatorRotatesThroughAnOnDemandStore)
     auto &f = fx();
     auto store = std::make_shared<KeyStore>(
         f.ctx, f.sk, f.ctx.generateKeys(f.sk, f.rng), 7, 3);
-    Evaluator eval(f.ctx, store);
+    batch::BatchedEvaluator eval(f.ctx, store);
     Encryptor enc(f.ctx, fx().keys.pk);
     Decryptor dec(f.ctx, f.sk);
 
@@ -183,8 +183,8 @@ TEST(KeyStore, EvaluatorRotatesThroughAnOnDemandStore)
     auto ct = enc.encrypt(pt, r);
 
     for (s64 step : {s64{1}, s64{3}, s64{5}}) {
-        auto rot = eval.rotate(ct, step);
-        auto got = dec.decryptAndDecode(rot);
+        auto rot = eval.rotate({ct}, step);
+        auto got = dec.decryptAndDecode(rot[0]);
         for (std::size_t i = 0; i < z.size(); ++i) {
             auto want =
                 z[(i + static_cast<std::size_t>(step)) % z.size()];

@@ -8,8 +8,8 @@
 
 #include <cmath>
 
+#include "batch/executor.hh"
 #include "ckks/crypto.hh"
-#include "ckks/evaluator.hh"
 
 namespace tensorfhe::ckks
 {
@@ -25,16 +25,16 @@ multiplyAndMeasure(const CkksParams &params, u64 seed)
     auto keys = ctx.generateKeys(sk, rng, {1});
     Encryptor enc(ctx, keys.pk);
     Decryptor dec(ctx, sk);
-    Evaluator eval(ctx, keys);
+    batch::BatchedEvaluator eval(ctx, keys);
 
     std::vector<Complex> z(ctx.slots());
     Rng zr(seed + 1);
     for (auto &v : z)
         v = Complex(2 * zr.uniformReal() - 1, 2 * zr.uniformReal() - 1);
     auto pt = ctx.encoder().encode(z, params.scale(), 3);
-    auto ct = enc.encrypt(pt, rng);
+    std::vector<Ciphertext> ct{enc.encrypt(pt, rng)};
     auto prod = eval.rescale(eval.multiply(ct, ct));
-    auto got = dec.decryptAndDecode(prod);
+    auto got = dec.decryptAndDecode(prod[0]);
     double err = 0;
     for (std::size_t i = 0; i < z.size(); ++i)
         err = std::max(err, std::abs(got[i] - z[i] * z[i]));
@@ -68,40 +68,43 @@ TEST(KeySwitch, WorksAtLowerLevels)
     auto keys = ctx.generateKeys(sk, rng, {});
     Encryptor enc(ctx, keys.pk);
     Decryptor dec(ctx, sk);
-    Evaluator eval(ctx, keys);
+    batch::BatchedEvaluator eval(ctx, keys);
 
     std::vector<Complex> z(ctx.slots(), Complex(0.5, -0.25));
     // Encrypt at full level, multiply down the whole chain.
-    auto ct = enc.encrypt(ctx.encoder().encode(z, p.scale(),
-                                               ctx.tower().numQ()),
-                          rng);
+    std::vector<Ciphertext> ct{enc.encrypt(
+        ctx.encoder().encode(z, p.scale(), ctx.tower().numQ()), rng)};
     Complex expect(0.5, -0.25);
-    while (ct.levelCount() >= 2) {
+    while (ct[0].levelCount() >= 2) {
         ct = eval.rescale(eval.multiply(ct, ct));
         expect *= expect;
-        auto got = dec.decryptAndDecode(ct);
+        auto got = dec.decryptAndDecode(ct[0]);
         ASSERT_LT(std::abs(got[0] - expect), 5e-2)
-            << "level count " << ct.levelCount();
+            << "level count " << ct[0].levelCount();
     }
 }
 
 TEST(KeySwitch, RawKeySwitchRelation)
 {
-    // keySwitch(d, key_t) must return (ks0, ks1) with
-    // ks0 + ks1*s ~ d*t: check with t = s^2 by comparing against the
-    // directly computed d * s^2.
+    // The key switch of d by key_t (hoist, then keySwitchTail) must
+    // return (ks0, ks1) with ks0 + ks1*s ~ d*t: check with t = s^2 by
+    // comparing against the directly computed d * s^2.
     CkksParams p = Presets::tiny();
     CkksContext ctx(p);
     Rng rng(8);
     auto sk = ctx.generateSecretKey(rng);
     auto keys = ctx.generateKeys(sk, rng, {});
-    Evaluator eval(ctx, keys);
+    exec::Dispatcher disp(ctx, keys);
 
     std::size_t lc = 2;
     auto limbs = ctx.qLimbs(lc);
     auto d = rns::sampleUniform(ctx.tower(), limbs, rns::Domain::Eval,
                                 rng);
-    auto [ks0, ks1] = eval.keySwitch(d, keys.relin);
+    const rns::RnsPolynomial *dp = &d;
+    auto [ks0s, ks1s] = disp.keySwitchTail(disp.hoistCopy(&dp, 1),
+                                           keys.relin);
+    const auto &ks0 = ks0s[0];
+    const auto &ks1 = ks1s[0];
 
     // lhs = ks0 + ks1 * s over the active limbs.
     rns::RnsPolynomial s_restricted(ctx.tower(), limbs,

@@ -9,8 +9,8 @@
 
 #include <cmath>
 
+#include "batch/executor.hh"
 #include "ckks/crypto.hh"
-#include "ckks/evaluator.hh"
 
 namespace tensorfhe::ckks
 {
@@ -55,7 +55,7 @@ struct NoiseFixture
     KeyBundle keys;
     Encryptor enc;
     Decryptor dec;
-    Evaluator eval;
+    batch::BatchedEvaluator eval;
 };
 
 NoiseFixture &
@@ -78,16 +78,16 @@ TEST(Noise, AdditionGrowsErrorSubLinearly)
 {
     auto z = fx().slots(0.01);
     auto ct = fx().encrypt(z, 3);
-    auto acc = ct;
+    std::vector<Ciphertext> acc{ct};
     std::vector<Complex> ref = z;
     for (int i = 0; i < 64; ++i) {
-        acc = fx().eval.add(acc, ct);
+        fx().eval.addInPlace(acc, {ct});
         for (std::size_t j = 0; j < ref.size(); ++j)
             ref[j] += z[j];
     }
     // 64 additions add at most 64 independent fresh-noise terms;
     // measured growth is linear in the count, not multiplicative.
-    EXPECT_LT(fx().error(acc, ref), 64 * 5e-3);
+    EXPECT_LT(fx().error(acc[0], ref), 64 * 5e-3);
 }
 
 TEST(Noise, EveryLevelOfTheChainIsUsable)
@@ -95,14 +95,14 @@ TEST(Noise, EveryLevelOfTheChainIsUsable)
     // Squaring down the entire chain keeps relative error under 1%
     // at every level — the contract the presets promise.
     auto z = fx().slots(0.9);
-    auto ct = fx().encrypt(z, fx().ctx.tower().numQ());
+    std::vector<Ciphertext> ct{fx().encrypt(z, fx().ctx.tower().numQ())};
     double expect = 0.9;
-    while (ct.levelCount() >= 2) {
-        ct = fx().eval.multiplyRescale(ct, ct);
+    while (ct[0].levelCount() >= 2) {
+        ct = fx().eval.rescale(fx().eval.multiply(ct, ct));
         expect *= expect;
-        auto got = fx().dec.decryptAndDecode(ct)[0].real();
+        auto got = fx().dec.decryptAndDecode(ct[0])[0].real();
         ASSERT_LT(std::abs(got - expect), 0.01 * expect + 1e-4)
-            << "at level count " << ct.levelCount();
+            << "at level count " << ct[0].levelCount();
     }
 }
 
@@ -114,20 +114,19 @@ TEST(Noise, KeySwitchNoiseSmallerThanRescaleUnit)
     auto z = fx().slots(0.25);
     auto a = fx().encrypt(z, 4);
     auto b = fx().encrypt(z, 4);
-    auto prod = fx().eval.rescale(fx().eval.multiply(a, b));
+    auto prod = fx().eval.rescale(fx().eval.multiply({a}, {b}))[0];
     EXPECT_LT(fx().error(prod, fx().slots(0.0625)), 1e-3);
 }
 
 TEST(Noise, RotationPreservesErrorScale)
 {
     auto z = fx().slots(0.3);
-    auto ct = fx().encrypt(z, 3);
-    auto rot = ct;
+    std::vector<Ciphertext> rot{fx().encrypt(z, 3)};
     // Eight chained rotations: keyswitch noise accumulates additively
     // and stays well below 1% of the payload.
     for (int i = 0; i < 8; ++i)
         rot = fx().eval.rotate(rot, 1);
-    EXPECT_LT(fx().error(rot, z), 3e-2);
+    EXPECT_LT(fx().error(rot[0], z), 3e-2);
 }
 
 TEST(Noise, ScaleMismatchIsRejectedNotAbsorbed)
@@ -137,14 +136,14 @@ TEST(Noise, ScaleMismatchIsRejectedNotAbsorbed)
     auto a = fx().encrypt(fx().slots(0.5), 3);
     auto b = a;
     b.scale *= 1.01;
-    EXPECT_THROW(fx().eval.add(a, b), std::invalid_argument);
+    EXPECT_THROW(fx().eval.add({a}, {b}), std::invalid_argument);
 }
 
 TEST(Noise, MultiplyConstToScaleIsExact)
 {
     auto a = fx().encrypt(fx().slots(0.5), 3);
     double target = fx().ctx.params().scale();
-    auto out = fx().eval.multiplyConstToScale(a, 0.4, target);
+    auto out = fx().eval.multiplyConstToScale({a}, 0.4, target)[0];
     EXPECT_DOUBLE_EQ(out.scale, target);
     EXPECT_LT(fx().error(out, fx().slots(0.2)), 1e-3);
 }

@@ -8,8 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "batch/executor.hh"
 #include "ckks/crypto.hh"
-#include "ckks/evaluator.hh"
 
 namespace tensorfhe::ckks
 {
@@ -30,7 +30,7 @@ struct CacheFixture
     KeyBundle keys;
     Encryptor enc;
     Decryptor dec;
-    Evaluator eval;
+    batch::BatchedEvaluator eval;
 };
 
 TEST(PlanCache, SwitchKeysCarryUniqueIds)
@@ -57,20 +57,20 @@ TEST(PlanCache, PlansAreBuiltOnceAndReused)
                                f.ctx.tower().numQ()),
         f.rng);
 
-    (void)f.eval.rotate(ct, 1);
+    (void)f.eval.rotate({ct}, 1);
     std::size_t up_after_one = f.ctx.modUpPlanCacheSize();
     std::size_t down_after_one = f.ctx.modDownPlanCacheSize();
     EXPECT_GT(up_after_one, 0u);
     EXPECT_GT(down_after_one, 0u);
 
     // Same shapes again: the caches must not grow.
-    (void)f.eval.rotate(ct, 2);
-    (void)f.eval.multiply(ct, ct); // relin shares the plans
+    (void)f.eval.rotate({ct}, 2);
+    (void)f.eval.multiply({ct}, {ct}); // relin shares the plans
     EXPECT_EQ(f.ctx.modUpPlanCacheSize(), up_after_one);
     EXPECT_EQ(f.ctx.modDownPlanCacheSize(), down_after_one);
 
     // A different level introduces new shapes.
-    auto dropped = f.eval.dropToLevelCount(ct, 2);
+    auto dropped = f.eval.dropToLevelCount({ct}, 2);
     (void)f.eval.rotate(dropped, 1);
     EXPECT_GT(f.ctx.modUpPlanCacheSize(), up_after_one);
     EXPECT_GT(f.ctx.modDownPlanCacheSize(), down_after_one);
@@ -152,8 +152,8 @@ TEST(PlanCache, CachedRotationsAreDeterministic)
 
     // First call populates every cache; the second must reproduce it
     // bit for bit.
-    auto r1 = f.eval.rotate(ct, 3);
-    auto r2 = f.eval.rotate(ct, 3);
+    auto r1 = f.eval.rotate({ct}, 3)[0];
+    auto r2 = f.eval.rotate({ct}, 3)[0];
     for (std::size_t i = 0; i < r1.c0.numLimbs(); ++i)
         for (std::size_t c = 0; c < r1.c0.n(); ++c) {
             ASSERT_EQ(r1.c0.limb(i)[c], r2.c0.limb(i)[c]);

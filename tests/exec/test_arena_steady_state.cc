@@ -71,7 +71,7 @@ TEST(ArenaSteadyState, CnnSequentialRunsDoNotGrowThePool)
     auto img = encryptRandom(ctx, enc, rng, cnn.inputMeta(),
                              c.inChannels * c.height * c.width);
 
-    auto &ws = engine.batched().dispatcher().workspace();
+    auto &ws = engine.dispatcher().workspace();
     auto runs = trafficPerRun(ws, 3, [&] {
         (void)cnn.net().run(engine, img);
     });
@@ -98,7 +98,7 @@ TEST(ArenaSteadyState, LstmStepGraphRunsStopGrowingThePool)
     auto g = cell.buildStepGraph(ctx);
     auto sched = graph::scheduleGraph(g);
     graph::GraphExecutor ex(g, sched);
-    auto &ws = engine.batched().dispatcher().workspace();
+    auto &ws = engine.dispatcher().workspace();
     auto runs = trafficPerRun(ws, 5, [&] {
         (void)ex.run(engine, {x.chunks(), h.chunks(), cst.chunks()});
     });

@@ -1,9 +1,9 @@
 /**
  * @file
  * CMULT + RESCALE contract tests. The two-step multiplyPlain ->
- * rescale pair is the only CMULT + RESCALE: it must be bit-identical
- * (including the exact scale double) between the batched and the
- * per-ciphertext evaluator, land on ct.scale * pt.scale / q_last,
+ * rescale pair is the only CMULT + RESCALE: each slot of a batch must
+ * be bit-identical (including the exact scale double) to a
+ * one-element batch, land on ct.scale * pt.scale / q_last,
  * record one CMult and one Rescale per ciphertext, and keep the
  * aggregate kernel counters equal to the launch queue the breakdown
  * benches replay. multiplyConstToScale is the same pair with the
@@ -17,6 +17,7 @@
 #include <cmath>
 #include <vector>
 
+#include "../ct_eq.hh"
 #include "batch/executor.hh"
 #include "ckks/crypto.hh"
 #include "common/stats.hh"
@@ -79,24 +80,12 @@ fx()
     return f;
 }
 
-void
-expectCtEq(const ckks::Ciphertext &a, const ckks::Ciphertext &b)
-{
-    ASSERT_EQ(a.levelCount(), b.levelCount());
-    EXPECT_EQ(a.scale, b.scale); // exact, not DOUBLE_EQ
-    for (std::size_t l = 0; l < a.c0.numLimbs(); ++l)
-        for (std::size_t k = 0; k < a.c0.n(); ++k) {
-            ASSERT_EQ(a.c0.limb(l)[k], b.c0.limb(l)[k])
-                << "limb " << l << " coeff " << k;
-            ASSERT_EQ(a.c1.limb(l)[k], b.c1.limb(l)[k])
-                << "limb " << l << " coeff " << k;
-        }
-}
+using test::expectCtEq;
 
 TEST(CmultRescale, BatchedPairBitIdenticalToSerialPerBatchSize)
 {
     auto &f = fx();
-    const auto &eval = f.beval.scalar();
+    const auto &eval = f.beval;
     for (std::size_t batch : {std::size_t(1), std::size_t(3)}) {
         Cts cts;
         for (std::size_t s = 0; s < batch; ++s)
@@ -107,7 +96,7 @@ TEST(CmultRescale, BatchedPairBitIdenticalToSerialPerBatchSize)
         ASSERT_EQ(batched.size(), batch);
         for (std::size_t s = 0; s < batch; ++s)
             expectCtEq(batched[s],
-                       eval.rescale(eval.multiplyPlain(cts[s], pt)));
+                       eval.rescale(eval.multiplyPlain({cts[s]}, pt))[0]);
     }
 }
 

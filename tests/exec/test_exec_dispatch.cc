@@ -1,7 +1,7 @@
 /**
  * @file
- * Unified-dispatch tests: the serial Evaluator and BatchedEvaluator
- * are the same execution path (batch = 1 degenerate case), in-place
+ * Unified-dispatch tests: a one-element batch and a wider batch take
+ * the same execution path (bit for bit per slot), in-place
  * ops tolerate aliasing, the Workspace arena stays allocator-free in
  * steady state, the double-hoisted BSGS drops basis conversions with
  * exact counter accounting, CMULT + RESCALE and HMULT + RESCALE launch
@@ -18,6 +18,7 @@
 #include <functional>
 #include <string>
 
+#include "../ct_eq.hh"
 #include "batch/executor.hh"
 #include "boot/linear.hh"
 #include "ckks/crypto.hh"
@@ -30,25 +31,8 @@ namespace tensorfhe::exec
 namespace
 {
 
-void
-expectPolyEq(const rns::RnsPolynomial &x, const rns::RnsPolynomial &y)
-{
-    ASSERT_EQ(x.numLimbs(), y.numLimbs());
-    for (std::size_t i = 0; i < x.numLimbs(); ++i) {
-        const u64 *px = x.limb(i);
-        const u64 *py = y.limb(i);
-        for (std::size_t c = 0; c < x.n(); ++c)
-            ASSERT_EQ(px[c], py[c]) << "limb " << i << " coeff " << c;
-    }
-}
-
-void
-expectCtEq(const ckks::Ciphertext &a, const ckks::Ciphertext &b)
-{
-    expectPolyEq(a.c0, b.c0);
-    expectPolyEq(a.c1, b.c1);
-    EXPECT_DOUBLE_EQ(a.scale, b.scale);
-}
+using test::expectCtEq;
+using test::expectPolyEq;
 
 /** A sparse matrix touching baby-only, giant-only and mixed diags. */
 boot::SlotMatrix
@@ -98,7 +82,7 @@ struct ExecFixture
     ckks::KeyBundle keys;
     ckks::Encryptor enc;
     ckks::Decryptor dec;
-    ckks::Evaluator eval;
+    batch::BatchedEvaluator eval;
 };
 
 ExecFixture &
@@ -142,7 +126,7 @@ TEST(ExecDispatch, RescaleIntoSelfMatchesScalarPerSlot)
     auto in_place = cts;
     beval.rescaleInPlace(in_place);
     for (std::size_t s = 0; s < cts.size(); ++s)
-        expectCtEq(in_place[s], f.eval.rescale(cts[s]));
+        expectCtEq(in_place[s], beval.rescale({cts[s]})[0]);
 }
 
 TEST(ExecDispatch, CmultThenRescaleQueueMatchesClosedForm)
@@ -348,9 +332,9 @@ TEST(ExecDispatch, SerialAndBatchedShareOneExecutionPathBitForBit)
     auto prod = beval.multiply(a, b);
     auto rots = beval.rotateManyBatch(a, {0, 1, 5});
     for (std::size_t s = 0; s < a.size(); ++s) {
-        expectCtEq(prod[s], f.eval.multiply(a[s], b[s]));
-        expectCtEq(rots[1][s], f.eval.rotate(a[s], 1));
-        expectCtEq(rots[2][s], f.eval.rotate(a[s], 5));
+        expectCtEq(prod[s], beval.multiply({a[s]}, {b[s]})[0]);
+        expectCtEq(rots[1][s], beval.rotate({a[s]}, 1)[0]);
+        expectCtEq(rots[2][s], beval.rotate({a[s]}, 5)[0]);
     }
 }
 
@@ -363,7 +347,7 @@ TEST(ExecDispatch, BsgsBatchedBitIdenticalToSerialApply)
         cts.push_back(f.encryptSlots(400 + s, 3));
     auto batched = f.plan.applyBatch(beval, cts);
     for (std::size_t s = 0; s < cts.size(); ++s)
-        expectCtEq(batched[s], f.plan.apply(f.eval, cts[s]));
+        expectCtEq(batched[s], f.plan.applyBatch(beval, {cts[s]})[0]);
 }
 
 TEST(ExecDispatch, DoubleHoistedBsgsConversionAccounting)
@@ -382,7 +366,7 @@ TEST(ExecDispatch, DoubleHoistedBsgsConversionAccounting)
 
     auto &stats = EvalOpStats::instance();
     stats.reset();
-    (void)f.plan.apply(f.eval, ct);
+    (void)f.plan.applyBatch(f.eval, {ct});
     auto snap = stats.snapshot();
 
     EXPECT_EQ(snap.ksHoist, 1 + giant);
@@ -429,7 +413,7 @@ TEST(ExecDispatch, KernelQueueReplaysOnPipelineModel)
     auto b = f.encryptSlots(601, 3);
     auto &ks = KernelStats::instance();
     ks.startQueue();
-    (void)f.eval.multiply(a, b);
+    (void)f.eval.multiply({a}, {b});
     auto queue = ks.stopQueue();
     ASSERT_FALSE(queue.empty());
 

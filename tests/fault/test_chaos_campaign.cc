@@ -131,7 +131,7 @@ TEST(ChaosCampaign, LstmGraphSurvivesSeededInjections)
     auto keys = ctx.generateKeys(sk, rng, cell.requiredRotations());
     ckks::Encryptor enc(ctx, keys.pk);
     nn::NnEngine engine(ctx, keys);
-    auto &ws = engine.batched().dispatcher().workspace();
+    auto &ws = engine.dispatcher().workspace();
     ws.setLeaseTracking(true);
 
     auto mk = [&](u64 seed) {
@@ -260,7 +260,7 @@ TEST(ChaosCampaign, BootstrapSineStageRecoversUnderInjection)
                                  cnn.requiredConjRotations());
     ckks::Encryptor enc(ctx, keys.pk);
     nn::NnEngine engine(ctx, keys);
-    auto &ws = engine.batched().dispatcher().workspace();
+    auto &ws = engine.dispatcher().workspace();
     ws.setLeaseTracking(true);
 
     Rng ir(801);

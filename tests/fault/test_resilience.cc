@@ -95,7 +95,7 @@ struct LstmFixture
         auto x = mk(171);
         EncryptedLstmCell::State prev{mk(172), mk(173)};
         inputs = {x.chunks(), prev.h.chunks(), prev.c.chunks()};
-        engine.batched().dispatcher().workspace().setLeaseTracking(
+        engine.dispatcher().workspace().setLeaseTracking(
             true);
 
         // Reference bits + op accounting + per-site hit profile; the
@@ -135,7 +135,7 @@ lfx()
 std::size_t
 leases(LstmFixture &f)
 {
-    return f.engine.batched().dispatcher().workspace()
+    return f.engine.dispatcher().workspace()
         .outstandingLeases();
 }
 
@@ -379,7 +379,7 @@ TEST(Resilience, RetryComposesWithCheckpointing)
 TEST(Resilience, WorkspaceLeaseTrackingNamesSites)
 {
     auto &f = lfx();
-    auto &ws = f.engine.batched().dispatcher().workspace();
+    auto &ws = f.engine.dispatcher().workspace();
     ws.setLeaseTracking(true);
     ASSERT_EQ(ws.outstandingLeases(), 0u);
     {

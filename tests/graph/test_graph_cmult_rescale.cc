@@ -126,7 +126,7 @@ TEST(GraphCmultRescale, ChainRunBitIdenticalToEagerWithSameOpStats)
 {
     auto &f = fx();
     Cts in{f.encryptSlots(42, 3), f.encryptSlots(43, 3)};
-    const auto &beval = f.engine.batched();
+    const auto &beval = f.engine;
 
     EvalOpStats::instance().reset();
     auto eager = beval.rescale(beval.multiplyPlain(in, f.pt));
@@ -154,7 +154,7 @@ TEST(GraphCmultRescale, ChainLaunchesTheEagerKernelQueue)
     auto &f = fx();
     Cts in{f.encryptSlots(45, 3), f.encryptSlots(46, 3),
            f.encryptSlots(47, 3)};
-    const auto &beval = f.engine.batched();
+    const auto &beval = f.engine;
 
     KernelStats::QueueCapture cap;
     (void)beval.rescale(beval.multiplyPlain(in, f.pt));
@@ -199,7 +199,7 @@ TEST(GraphCmultRescale, ObservableProductRunsBitIdentical)
 
     Cts in{f.encryptSlots(44, 3)};
     auto res = GraphExecutor(g, sched).run(f.engine, {in});
-    const auto &beval = f.engine.batched();
+    const auto &beval = f.engine;
     auto expect_t = beval.multiplyPlain(in, f.pt);
     ASSERT_EQ(res.outputs.size(), 3u);
     expectBitIdentical(res.outputs[0], expect_t);
@@ -245,7 +245,7 @@ TEST(GraphCmultRescale, ElementwisePassFoldsAddIntoTheCmult)
     auto stats_f = EvalOpStats::instance().snapshot();
 
     expectBitIdentical(fused.outputs[0], unfused.outputs[0]);
-    const auto &beval = f.engine.batched();
+    const auto &beval = f.engine;
     expectBitIdentical(fused.outputs[0],
                        beval.rescale(beval.multiplyPlain(
                            beval.add(inx, iny), f.pt)));

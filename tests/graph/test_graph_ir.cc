@@ -100,7 +100,7 @@ TEST(GraphIr, SingleOpGraphMatchesEager)
     EXPECT_EQ(sched.order.size(), 2u);
 
     Cts batch{f.encryptRamp(1), f.encryptRamp(2)};
-    auto eager = f.engine.batched().multiplyPlain(batch, pt);
+    auto eager = f.engine.multiplyPlain(batch, pt);
 
     GraphExecutor ex(g, sched);
     auto res = ex.run(f.engine, {batch});
@@ -152,7 +152,7 @@ TEST(GraphIr, FusionFoldsElementwiseTreeBitIdentical)
 
     Cts a{f.encryptRamp(11), f.encryptRamp(12)};
     Cts c{f.encryptRamp(13), f.encryptRamp(14)};
-    const auto &beval = f.engine.batched();
+    const auto &beval = f.engine;
     auto eager = beval.add(beval.multiplyPlain(a, pta),
                            beval.multiplyPlain(c, ptb));
 
@@ -189,7 +189,7 @@ TEST(GraphIr, FusionKeepsEvalOpStats)
 
     Cts av{f.encryptRamp(21)};
     Cts cv{f.encryptRamp(22)};
-    const auto &beval = f.engine.batched();
+    const auto &beval = f.engine;
 
     EvalOpStats::instance().reset();
     beval.sub(beval.multiplyPlain(av, pta),

@@ -146,7 +146,7 @@ TEST(GraphCnn, PrestagedWorkspaceHitsSteadyStateReuseCold)
     GraphExecutor ex(g, sched);
 
     std::vector<nn::CipherTensor> batch{f.encryptImage(321)};
-    auto &ws = f.engine.batched().dispatcher().workspace();
+    auto &ws = f.engine.dispatcher().workspace();
     ws.trim(); // force a cold arena
     ex.prestageWorkspace(f.engine, batch.size());
     ws.resetStats(); // prestage allocs are the AOT cost, not the run
@@ -169,7 +169,7 @@ TEST(GraphCnn, PrestagedColdRunAllocatesNothing)
 
     std::vector<nn::CipherTensor> batch{f.encryptImage(331),
                                         f.encryptImage(332)};
-    auto &ws = f.engine.batched().dispatcher().workspace();
+    auto &ws = f.engine.dispatcher().workspace();
     ws.trim();
     ex.prestageWorkspace(f.engine, batch.size());
     ws.resetStats();
@@ -305,7 +305,7 @@ TEST(GraphLstm, PrestagedColdRunAllocatesNothing)
     auto x = f.encryptState(91);
     EncryptedLstmCell::State prev{f.encryptState(92),
                                   f.encryptState(93)};
-    auto &ws = f.engine.batched().dispatcher().workspace();
+    auto &ws = f.engine.dispatcher().workspace();
     ws.trim();
     ex.prestageWorkspace(f.engine, 1);
     ws.resetStats();

@@ -578,7 +578,7 @@ TEST(MatvecForms, WideFoldsKeepTheSquarePlanPrecision)
             v = 2 * f.rng.uniformReal() - 1;
         auto ct = encryptAtLayout(f, enc, in, x, /*junk=*/false);
         auto wide_ct = runLayer(engine, dense, {ct});
-        auto square_ct = square.applyBatch(engine.batched(), {ct});
+        auto square_ct = square.applyBatch(engine, {ct});
         auto wide_z = dec.decryptAndDecode(wide_ct[0]);
         auto square_z = dec.decryptAndDecode(square_ct[0]);
         auto want = dense.applyPlain(x);

@@ -246,7 +246,7 @@ TEST(NnRuntime, NodeMetaDriftRaisesIntegrityErrorNamingTheNode)
     auto keys = ctx.generateKeys(sk, rng, net.requiredRotations());
     ckks::Encryptor enc(ctx, keys.pk);
     NnEngine engine(ctx, keys);
-    auto &ws = engine.batched().dispatcher().workspace();
+    auto &ws = engine.dispatcher().workspace();
     ws.setLeaseTracking(true);
     auto t = encryptInput(ctx, enc, rng, net);
 

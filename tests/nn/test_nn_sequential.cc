@@ -165,7 +165,7 @@ TEST(Sequential, SteadyStateRunsReuseTheWorkspaceArena)
                             ctx.tower().numQ());
 
     (void)net.run(engine, ct); // warm-up populates the arena
-    auto &ws = engine.batched().dispatcher().workspace();
+    auto &ws = engine.dispatcher().workspace();
     ws.resetStats();
     for (int round = 0; round < 3; ++round)
         (void)net.run(engine, ct);

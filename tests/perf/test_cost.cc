@@ -79,7 +79,7 @@ TEST(Cost, OpCostOrdering)
 TEST(Cost, KeySwitchPhasesSumToWhole)
 {
     // The hoist/tail split must be a pure partition of the composed
-    // key-switch cost (Evaluator::keySwitch == hoist + tail).
+    // key-switch cost (a key switch is Dispatcher::hoist + tail).
     for (auto v : {ntt::NttVariant::Butterfly, ntt::NttVariant::Gemm,
                    ntt::NttVariant::Tensor}) {
         CostModel m(paperParams(v));

@@ -73,7 +73,7 @@ expectSnapshotMatchesIslands(const nn::NnEngine &engine)
     EXPECT_EQ(snap.at("evalop.moddowns"),
               static_cast<double>(EvalOpStats::instance().modDowns()));
 
-    auto ws = engine.batched().dispatcher().workspace().stats();
+    auto ws = engine.dispatcher().workspace().stats();
     EXPECT_EQ(snap.at("workspace.allocs"),
               static_cast<double>(ws.allocs));
     EXPECT_EQ(snap.at("workspace.reuses"),
