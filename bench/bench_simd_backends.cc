@@ -2,26 +2,34 @@
  * @file
  * SIMD backend comparison bench: every backend the host supports runs
  * the same hot loops — the forward butterfly NTT, the span kernels of
- * the exec layer, and the lazy key-switch inner-product row — and the
- * table prints one column per backend with the speedup over the
- * bit-identical scalar fallback. The two headline metrics CI gates on
- * (scripts/roll_bench.py, BENCH_TRAJECTORY.json):
+ * the exec layer, and the row inner products of one whole key switch
+ * — and the table prints one column per backend with the speedup over
+ * the bit-identical scalar fallback. The two headline metrics CI gates
+ * on (scripts/roll_bench.py, BENCH_TRAJECTORY.json):
  *
  *   ntt_simd_speedup          scalar / best-backend forward NTT
  *                             (floor 2.0)
- *   ks_inner_product_speedup  scalar / best-backend lazy inner
- *                             product row (floor 1.5)
+ *   ks_inner_product_speedup  scalar / best-backend dotRows over one
+ *                             key switch (floor 1.5)
+ *
+ * Every measurement runs the backends in turn, round after round, and
+ * keeps each backend's minimum over max(reps, 15) rounds: machine
+ * noise then falls on every column alike, and the minimum is robust
+ * where a mean of consecutive runs is not (bench_keyswitch_hoist's
+ * rule).
  *
  * Usage: bench_simd_backends [reps] [--json PATH]
  *                            [--trace PATH] [--metrics PATH]
- *   reps = timing repetitions (default 5; CI smoke runs fewer).
+ *   reps = timing rounds (at least 15 are run; CI passes 3).
  *   --json PATH appends the machine-readable object — the CI Release
  *   job collects BENCH_PR9.json this way.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -41,7 +49,9 @@ using namespace tensorfhe;
 constexpr std::size_t kN = 4096;     // polynomial length
 constexpr std::size_t kBatch = 8;    // polys per NTT dispatch
 constexpr std::size_t kDigits = 4;   // key-switch digit rows
-constexpr int kInnerIters = 32;      // kernel loops per timed rep
+constexpr std::size_t kLimbs = 10;   // key-switch union limbs (L + K)
+constexpr int kInnerIters = 32;      // span-kernel loops per sample
+constexpr int kMinRounds = 15;
 
 std::vector<u64>
 randomSpan(Rng &rng, std::size_t n, u64 q)
@@ -58,6 +68,28 @@ struct Column
     std::string name;
     double seconds = 0;
 };
+
+/**
+ * Each backend's minimum seconds per unit of `fn` (which does `units`
+ * units of work under the active backend), over `rounds` rounds that
+ * run every backend once, in turn.
+ */
+std::vector<Column>
+timeInterleaved(const std::vector<simd::Backend> &backends, int rounds,
+                double units, const std::function<void()> &fn)
+{
+    std::vector<Column> cols;
+    for (simd::Backend b : backends)
+        cols.push_back({simd::backendName(b), 0});
+    for (int r = 0; r < rounds; ++r)
+        for (std::size_t i = 0; i < backends.size(); ++i) {
+            simd::setBackend(backends[i]);
+            double t = bench::timeSeconds(fn) / units;
+            if (cols[i].seconds == 0 || t < cols[i].seconds)
+                cols[i].seconds = t;
+        }
+    return cols;
+}
 
 double
 speedupVsScalar(const std::vector<Column> &cols, std::size_t i)
@@ -93,6 +125,7 @@ main(int argc, char **argv)
     }
     if (reps < 1)
         reps = 1;
+    int rounds = std::max(reps, kMinRounds);
 
     auto backends = simd::supportedBackends();
     std::string names;
@@ -100,12 +133,13 @@ main(int argc, char **argv)
         names += std::string(names.empty() ? "" : ", ")
             + simd::backendName(b);
     bench::banner("bench_simd_backends — vector backends vs scalar "
-                  "(host: " + names + "; reps="
-                  + std::to_string(reps) + ")");
+                  "(host: " + names + "; min of "
+                  + std::to_string(rounds) + " interleaved rounds)");
 
     obs.armIfRequested();
 
-    u64 q = generateNttPrimes(30, 1, 2 * kN)[0];
+    auto primes = generateNttPrimes(30, kLimbs, 2 * kN);
+    u64 q = primes[0];
     Modulus mod(q);
     ntt::NttContext ctx(kN, q);
     Rng rng(9);
@@ -122,88 +156,79 @@ main(int argc, char **argv)
         std::vector<u64 *> ptrs(kBatch);
         for (std::size_t s = 0; s < kBatch; ++s)
             ptrs[s] = work.data() + s * kN;
-        for (simd::Backend b : backends) {
-            simd::setBackend(b);
-            double t = bench::timeMean(reps, [&] {
-                std::copy(base.begin(), base.end(), work.begin());
-                ctx.forwardBatch(ptrs.data(), kBatch,
-                                 ntt::NttVariant::Butterfly);
-            });
-            ntt_cols.push_back({simd::backendName(b), t / kBatch});
-        }
+        ntt_cols = timeInterleaved(backends, rounds, kBatch, [&] {
+            std::copy(base.begin(), base.end(), work.begin());
+            ctx.forwardBatch(ptrs.data(), kBatch,
+                             ntt::NttVariant::Butterfly);
+        });
     }
     printColumns("fwd NTT / poly", ntt_cols);
 
     // ---------------------------------------------------- span kernels
-    bench::section("span kernels (n=4096 spans, per-pass mean)");
-    std::vector<Column> add_cols, mul_cols, acc_cols;
+    bench::section("span kernels (n=4096 spans, per pass)");
+    std::vector<Column> add_cols, mul_cols, shoup_cols;
     {
         auto a0 = randomSpan(rng, kN, q);
         auto b0 = randomSpan(rng, kN, q);
-        for (simd::Backend b : backends) {
-            simd::setBackend(b);
+        auto a = a0;
+        u64 w = rng.uniform(q);
+        u64 w_shoup = shoupPrecompute(w, q);
+        add_cols = timeInterleaved(backends, rounds, kInnerIters, [&] {
             const simd::Ops &v = simd::ops();
-            auto a = a0;
-            double ta = bench::timeMean(reps, [&] {
-                for (int i = 0; i < kInnerIters; ++i)
-                    v.addSpan(a.data(), b0.data(), kN, q);
-            });
-            add_cols.push_back(
-                {simd::backendName(b), ta / kInnerIters});
-            a = a0;
-            double tm = bench::timeMean(reps, [&] {
-                for (int i = 0; i < kInnerIters; ++i)
-                    v.mulSpan(a.data(), b0.data(), kN, mod);
-            });
-            mul_cols.push_back(
-                {simd::backendName(b), tm / kInnerIters});
-            a = a0;
-            double tc = bench::timeMean(reps, [&] {
-                for (int i = 0; i < kInnerIters; ++i)
-                    v.mulAccum(a.data(), a0.data(), b0.data(), kN,
-                               mod);
-            });
-            acc_cols.push_back(
-                {simd::backendName(b), tc / kInnerIters});
-        }
+            for (int i = 0; i < kInnerIters; ++i)
+                v.addSpan(a.data(), b0.data(), kN, q);
+        });
+        mul_cols = timeInterleaved(backends, rounds, kInnerIters, [&] {
+            const simd::Ops &v = simd::ops();
+            for (int i = 0; i < kInnerIters; ++i)
+                v.mulSpan(a.data(), b0.data(), kN, mod);
+        });
+        shoup_cols = timeInterleaved(backends, rounds, kInnerIters, [&] {
+            const simd::Ops &v = simd::ops();
+            for (int i = 0; i < kInnerIters; ++i)
+                v.mulShoup(a.data(), w, w_shoup, kN, q);
+        });
     }
     printColumns("addSpan", add_cols);
     printColumns("mulSpan (Barrett)", mul_cols);
-    printColumns("mulAccum", acc_cols);
+    printColumns("mulShoup", shoup_cols);
 
-    // -------------------------------------------- key-switch inner row
-    bench::section("key-switch inner product (lazy 2q rows, "
-                   "dnum=" + std::to_string(kDigits) + ")");
+    // ------------------------------------- key-switch inner product
+    bench::section("key-switch inner product (dotRows, dnum="
+                   + std::to_string(kDigits) + ", "
+                   + std::to_string(kLimbs) + " union limbs)");
     std::vector<Column> ks_cols;
     {
-        std::vector<std::vector<u64>> u, kb, ka;
-        for (std::size_t d = 0; d < kDigits; ++d) {
-            u.push_back(randomSpan(rng, kN, q));
-            kb.push_back(randomSpan(rng, kN, q));
-            ka.push_back(randomSpan(rng, kN, q));
+        // Per union limb: the digits u, the key halves kb/ka, and the
+        // two accumulators, each limb on its own tower prime.
+        std::vector<Modulus> mods;
+        std::vector<std::vector<u64>> u, kb, ka, acc0, acc1;
+        std::vector<const u64 *> rows; // per limb: u, kb, ka rows
+        for (std::size_t i = 0; i < kLimbs; ++i) {
+            mods.emplace_back(primes[i]);
+            acc0.emplace_back(kN);
+            acc1.emplace_back(kN);
+            for (std::size_t d = 0; d < kDigits; ++d) {
+                u.push_back(randomSpan(rng, kN, primes[i]));
+                kb.push_back(randomSpan(rng, kN, primes[i]));
+                ka.push_back(randomSpan(rng, kN, primes[i]));
+            }
         }
-        auto acc0 = randomSpan(rng, kN, q);
-        auto acc1 = randomSpan(rng, kN, q);
-        for (simd::Backend b : backends) {
-            simd::setBackend(b);
+        for (std::size_t i = 0; i < kLimbs; ++i)
+            for (auto *t : {&u, &kb, &ka})
+                for (std::size_t d = 0; d < kDigits; ++d)
+                    rows.push_back((*t)[i * kDigits + d].data());
+        ks_cols = timeInterleaved(backends, rounds, 1, [&] {
             const simd::Ops &v = simd::ops();
-            auto c0 = acc0, c1 = acc1;
-            double t = bench::timeMean(reps, [&] {
-                for (int i = 0; i < kInnerIters; ++i) {
-                    std::copy(acc0.begin(), acc0.end(), c0.begin());
-                    std::copy(acc1.begin(), acc1.end(), c1.begin());
-                    for (std::size_t d = 0; d < kDigits; ++d)
-                        v.ipAccumLazy(c0.data(), c1.data(),
-                                      u[d].data(), kb[d].data(),
-                                      ka[d].data(), kN, mod,
-                                      d + 1 == kDigits);
-                }
-            });
-            ks_cols.push_back({simd::backendName(b),
-                               t / (kInnerIters * kDigits)});
-        }
+            for (std::size_t i = 0; i < kLimbs; ++i) {
+                const u64 *const *r = rows.data() + 3 * kDigits * i;
+                v.dotRows(acc0[i].data(), acc1[i].data(), r,
+                          r + kDigits, r + 2 * kDigits, kDigits, kN,
+                          mods[i]);
+            }
+        });
     }
-    printColumns("ipAccumLazy / digit row", ks_cols);
+    printColumns("dotRows / key switch", ks_cols);
 
     simd::setBackend(saved);
 
@@ -222,6 +247,7 @@ main(int argc, char **argv)
     if (!json_path.empty()) {
         bench::JsonWriter json("simd_backends");
         json.add("reps", static_cast<double>(reps))
+            .add("timing_rounds", static_cast<double>(rounds))
             .add("n", static_cast<double>(kN))
             .add("best_backend", simd::backendName(best))
             .add("ntt_simd_speedup", ntt_speedup)
@@ -232,8 +258,8 @@ main(int argc, char **argv)
             json.add("ntt_fwd" + suffix, ntt_cols[i].seconds)
                 .add("add_span" + suffix, add_cols[i].seconds)
                 .add("mul_span" + suffix, mul_cols[i].seconds)
-                .add("mul_accum" + suffix, acc_cols[i].seconds)
-                .add("ks_ip_row" + suffix, ks_cols[i].seconds);
+                .add("mul_shoup" + suffix, shoup_cols[i].seconds)
+                .add("ks_inner_product" + suffix, ks_cols[i].seconds);
         }
         if (!json.appendTo(json_path)) {
             std::fprintf(stderr, "cannot write %s\n",

@@ -365,12 +365,18 @@ Dispatcher::tailRawInto(const HoistedBatch &h, const ckks::SwitchKey &key,
     TFHE_FAULT_POINT("exec/keyswitch-tail");
     EvalOpStats::instance().record(EvalOpKind::KsTail, h.batch());
     auto rk = ctx_.restrictedKey(key, h.levelCount, galois);
-    // Lazy accumulation across the digit rows: one reduction to
-    // canonical per accumulator cell (on the last row) instead of one
-    // per term.
+    // Every digit row in one pass, one reduction per sum: the key's
+    // digit j serves every slot of row j.
+    std::size_t batch = h.batch();
+    std::vector<const rns::RnsPolynomial *> kb(digits * batch),
+        ka(digits * batch);
     for (std::size_t j = 0; j < digits; ++j)
-        innerProductAccumLazy(kctx_, acc0, acc1, h.row(j), rk->b[j],
-                              rk->a[j], h.batch(), j + 1 == digits);
+        for (std::size_t s = 0; s < batch; ++s) {
+            kb[j * batch + s] = &rk->b[j];
+            ka[j * batch + s] = &rk->a[j];
+        }
+    dotRows(kctx_, acc0, acc1, h.table.data(), kb.data(), ka.data(),
+            digits, batch);
 }
 
 std::vector<Workspace::Pooled>
@@ -379,8 +385,8 @@ Dispatcher::permutedTail(
     const std::function<void(rns::RnsPolynomial *const *)> &fold) const
 {
     std::size_t batch = h.batch();
-    auto acc = leaseRow(2 * batch, ctx_.unionLimbs(h.levelCount),
-                        rns::Domain::Eval, "exec/ks-acc");
+    auto acc = overwriteRow(2 * batch, ctx_.unionLimbs(h.levelCount),
+                            rns::Domain::Eval, "exec/ks-acc");
     auto acc_ptrs = ptrsOf({&acc});
     tailRawInto(h, key, galois, acc_ptrs.data(), acc_ptrs.data() + batch);
     if (fold)
@@ -415,8 +421,8 @@ Dispatcher::keySwitchTail(const HoistedBatch &h, const ckks::SwitchKey &key,
 {
     TFHE_TRACE_SPAN("exec", "ks-tail");
     std::size_t batch = h.batch();
-    auto acc = leaseRow(2 * batch, ctx_.unionLimbs(h.levelCount),
-                        rns::Domain::Eval, "exec/ks-acc");
+    auto acc = overwriteRow(2 * batch, ctx_.unionLimbs(h.levelCount),
+                            rns::Domain::Eval, "exec/ks-acc");
     auto acc_ptrs = ptrsOf({&acc});
     tailRawInto(h, key, 1, acc_ptrs.data(), acc_ptrs.data() + batch);
     return modDownPair(acc_ptrs, h.levelCount, down);
@@ -549,17 +555,6 @@ Dispatcher::stepKey(s64 step) const
     return key;
 }
 
-void
-Dispatcher::pooledUnionRow(std::size_t batch,
-                           const std::vector<std::size_t> &union_limbs,
-                           std::vector<Workspace::Pooled> &row,
-                           std::vector<rns::RnsPolynomial *> &ptrs) const
-{
-    row = leaseRow(batch, union_limbs, rns::Domain::Eval,
-                   "exec/bsgs-union");
-    ptrs = ptrsOf({&row});
-}
-
 std::vector<Workspace::Pooled>
 Dispatcher::leaseRow(std::size_t batch,
                      const std::vector<std::size_t> &limbs,
@@ -681,33 +676,39 @@ Dispatcher::accumulateGroups(const BsgsProgram &program,
     auto union_limbs = ctx_.unionLimbs(lc);
     auto &stats = EvalOpStats::instance();
 
-    auto pooledRow = [&](std::vector<Workspace::Pooled> &row,
-                         std::vector<rns::RnsPolynomial *> &ptrs) {
-        pooledUnionRow(batch, union_limbs, row, ptrs);
-    };
-
     // Each group's diagonal products sum on QP, shifted groups pay
     // one c1-only ModDown + head-2 hoist + raw tail, and the group's
     // c0 half rides the tail's permutation into the shared global
     // accumulator pair (G0p, G1p).
     for (const auto &group : program.groups) {
-        // acc = sum_b diag'_{k,b} (had) T_b on the extended basis.
-        std::vector<Workspace::Pooled> acc0, acc1;
-        std::vector<rns::RnsPolynomial *> acc0p, acc1p;
-        pooledRow(acc0, acc0p);
-        pooledRow(acc1, acc1p);
-        bool first_entry = true;
-        for (const auto &entry : group.entries) {
+        // acc = sum_b diag'_{k,b} (had) T_b on the extended basis, every
+        // entry in one pass: the diagonal of entry j serves every slot
+        // of row j.
+        std::size_t entries = group.entries.size();
+        std::vector<const rns::RnsPolynomial *> diag(entries * batch),
+            t0(entries * batch), t1(entries * batch);
+        for (std::size_t j = 0; j < entries; ++j) {
+            const auto &entry = group.entries[j];
             stats.record(EvalOpKind::CMult, batch);
-            if (!first_entry)
+            if (j > 0)
                 stats.record(EvalOpKind::HAdd, batch);
-            first_entry = false;
+            TFHE_ASSERT(entry.pt->poly.numLimbs() >= union_limbs.size(),
+                        "plaintext does not cover the accumulator basis");
             auto [s0, s1] = tables.pair(entry.baby);
-            hadaAccumPlain(kctx_, acc0p.data(), readOnly(s0, batch).data(),
-                           *entry.pt, batch);
-            hadaAccumPlain(kctx_, acc1p.data(), readOnly(s1, batch).data(),
-                           *entry.pt, batch);
+            for (std::size_t s = 0; s < batch; ++s) {
+                diag[j * batch + s] = &entry.pt->poly;
+                t0[j * batch + s] = s0[s];
+                t1[j * batch + s] = s1[s];
+            }
         }
+        auto acc0 = overwriteRow(batch, union_limbs, rns::Domain::Eval,
+                                 "exec/bsgs-union");
+        auto acc1 = overwriteRow(batch, union_limbs, rns::Domain::Eval,
+                                 "exec/bsgs-union");
+        auto acc0p = ptrsOf({&acc0});
+        auto acc1p = ptrsOf({&acc1});
+        dotRows(kctx_, acc0p.data(), acc1p.data(), diag.data(), t0.data(),
+                t1.data(), entries, batch);
 
         if (!first_group)
             stats.record(EvalOpKind::HAdd, batch);
@@ -852,10 +853,12 @@ Dispatcher::applyBsgsSum(const BsgsProgram *const *programs,
 
     // Shared QP accumulator pair: every term's giant groups sum here,
     // so the whole block row pays ONE final ModDown.
-    std::vector<Workspace::Pooled> G0, G1;
-    std::vector<rns::RnsPolynomial *> G0p, G1p;
-    pooledUnionRow(batch, union_limbs, G0, G0p);
-    pooledUnionRow(batch, union_limbs, G1, G1p);
+    auto G0 = leaseRow(batch, union_limbs, rns::Domain::Eval,
+                       "exec/bsgs-union");
+    auto G1 = leaseRow(batch, union_limbs, rns::Domain::Eval,
+                       "exec/bsgs-union");
+    auto G0p = ptrsOf({&G0});
+    auto G1p = ptrsOf({&G1});
     bool first_group = true;
     for (std::size_t t = 0; t < terms; ++t) {
         auto tables = buildBabyTables(programs[t]->babySteps,

@@ -39,7 +39,7 @@ namespace tensorfhe::exec
  * Eval domain. Buffers are Workspace leases: the head's storage
  * returns to the arena when the batch dies. Dispatcher::hoist fills
  * `table` with the digits' addresses, row after row, which is the
- * shape the key-switch tail's inner product reads; moving the batch
+ * row table the key-switch tail's dotRows reads; moving the batch
  * keeps them valid, and a digit may be overwritten in place.
  */
 struct HoistedBatch
@@ -53,12 +53,6 @@ struct HoistedBatch
     batch() const
     {
         return digits.empty() ? 0 : digits[0].size();
-    }
-    /** Digit j of every batch slot. */
-    const rns::RnsPolynomial *const *
-    row(std::size_t j) const
-    {
-        return table.data() + j * batch();
     }
 };
 
@@ -244,10 +238,12 @@ class Dispatcher
     const PLift &pLift(std::size_t level_count) const;
 
     /** Raw key-switch tail: inner product only, Eval domain, union
-        basis, no ModDown — accumulates into preshaped zero polys.
-        With galois != 1 it reads the key pre-permuted by galois^-1
-        (CkksContext::restrictedKey), so permuting the accumulators by
-        galois gives the tail of the galois-permuted head. */
+        basis, no ModDown — one dotRows launch over every digit
+        writes the preshaped accumulators in full (their prior
+        contents are never read). With galois != 1 it reads the key
+        pre-permuted by galois^-1 (CkksContext::restrictedKey), so
+        permuting the accumulators by galois gives the tail of the
+        galois-permuted head. */
     void tailRawInto(const HoistedBatch &h, const ckks::SwitchKey &key,
                      u64 galois, rns::RnsPolynomial *const *acc0,
                      rns::RnsPolynomial *const *acc1) const;
@@ -255,10 +251,10 @@ class Dispatcher
     /**
      * The raw QP tail of the head permuted by `galois`, with the
      * permutation applied once, after the inner product: the tail
-     * runs on the unpermuted head into zeroed scratch, `fold` may add
-     * slot-wise terms to its c0 halves, and ONE FrobeniusMap launch
-     * permutes the pair into 2*batch unzeroed rows (c0 halves, then
-     * c1 halves). The inner product and any fold are slot-wise mod-q
+     * runs on the unpermuted head into unzeroed scratch, `fold` may
+     * add slot-wise terms to its c0 halves, and ONE FrobeniusMap
+     * launch permutes the pair into 2*batch unzeroed rows (c0 halves,
+     * then c1 halves). The inner product and any fold are slot-wise mod-q
      * operations, so the rows equal the tail of the permuted head
      * plus the permuted fold, bit for bit.
      */
@@ -338,13 +334,6 @@ class Dispatcher
                                bool need_b0,
                                const ckks::Ciphertext *const *as,
                                std::size_t batch) const;
-
-    /** One zeroed union-basis Eval-domain lease per batch slot (the
-        BSGS working rows: tails, accumulators, group sums). */
-    void pooledUnionRow(std::size_t batch,
-                        const std::vector<std::size_t> &union_limbs,
-                        std::vector<Workspace::Pooled> &row,
-                        std::vector<rns::RnsPolynomial *> &ptrs) const;
 
     /** Accumulate one program's diagonal products + giant steps off
         prebuilt baby tables into the shared QP accumulator pair; the

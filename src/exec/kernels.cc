@@ -129,57 +129,33 @@ addPolysInPlace(const KernelCtx &ctx, rns::RnsPolynomial *const *accs,
 }
 
 void
-innerProductAccumLazy(const KernelCtx &ctx,
-                      rns::RnsPolynomial *const *acc0,
-                      rns::RnsPolynomial *const *acc1,
-                      const rns::RnsPolynomial *const *digits,
-                      const rns::RnsPolynomial &keyb,
-                      const rns::RnsPolynomial &keya, std::size_t batch,
-                      bool lastRow)
+dotRows(const KernelCtx &ctx, rns::RnsPolynomial *const *acc0,
+        rns::RnsPolynomial *const *acc1, const rns::RnsPolynomial *const *u,
+        const rns::RnsPolynomial *const *b,
+        const rns::RnsPolynomial *const *a, std::size_t rows,
+        std::size_t batch)
 {
     if (batch == 0)
         return;
-    std::size_t ul = acc0[0]->numLimbs();
+    std::size_t limbs = acc0[0]->numLimbs();
     std::size_t n = acc0[0]->n();
     const simd::Ops &v = simd::ops();
-    ScopedKernelTimer timer(KernelKind::HadaMult, 2 * batch * ul * n);
-    ctx.pool->parallelFor2D(batch, ul,
-                            [&](std::size_t s, std::size_t i) {
-        const rns::RnsPolynomial &up = *digits[s];
-        v.ipAccumLazy(acc0[s]->limb(i), acc1[s]->limb(i), up.limb(i),
-                      keyb.limb(i), keya.limb(i), n, up.limbModulus(i),
-                      lastRow);
-    });
-}
-
-void
-innerProductAccum(const KernelCtx &ctx, rns::RnsPolynomial *const *acc0,
-                  rns::RnsPolynomial *const *acc1,
-                  const rns::RnsPolynomial *const *digits,
-                  const rns::RnsPolynomial &keyb,
-                  const rns::RnsPolynomial &keya, std::size_t batch)
-{
-    innerProductAccumLazy(ctx, acc0, acc1, digits, keyb, keya, batch,
-                          true);
-}
-
-void
-hadaAccumPlain(const KernelCtx &ctx, rns::RnsPolynomial *const *accs,
-               const rns::RnsPolynomial *const *srcs,
-               const ckks::Plaintext &p, std::size_t batch)
-{
-    if (batch == 0)
-        return;
-    std::size_t limbs = accs[0]->numLimbs();
-    std::size_t n = accs[0]->n();
-    TFHE_ASSERT(p.poly.numLimbs() >= limbs,
-                "plaintext does not cover the accumulator basis");
-    const simd::Ops &v = simd::ops();
-    ScopedKernelTimer timer(KernelKind::HadaMult, batch * limbs * n);
+    ScopedKernelTimer timer(KernelKind::HadaMult,
+                            2 * rows * batch * limbs * n);
     ctx.pool->parallelFor2D(batch, limbs,
                             [&](std::size_t s, std::size_t i) {
-        v.mulAccum(accs[s]->limb(i), p.poly.limb(i), srcs[s]->limb(i), n,
-                   accs[s]->limbModulus(i));
+        // Per-limb row tables: u, b and a for every row.
+        thread_local std::vector<const u64 *> spans;
+        spans.resize(3 * rows);
+        for (std::size_t j = 0; j < rows; ++j) {
+            std::size_t k = j * batch + s;
+            spans[j] = u[k]->limb(i);
+            spans[rows + j] = b[k]->limb(i);
+            spans[2 * rows + j] = a[k]->limb(i);
+        }
+        v.dotRows(acc0[s]->limb(i), acc1[s]->limb(i), spans.data(),
+                  spans.data() + rows, spans.data() + 2 * rows, rows, n,
+                  acc0[s]->limbModulus(i));
     });
 }
 

@@ -77,42 +77,25 @@ void addPolysInPlace(const KernelCtx &ctx,
                      std::size_t batch);
 
 /**
- * Key-switch inner-product accumulate for one digit row:
- * acc0[s] += digit[s] (had) keyb, acc1[s] += digit[s] (had) keya,
- * flattened (slot x union-tower). Accumulators are kept in a lazy
- * [0, 2q) representation between rows and reduced to canonical
- * residues only on the row with `lastRow` set — one reduction per
- * digit sequence instead of one per term. Zero-initialized
- * accumulators satisfy the entry invariant; after the lastRow call
- * the spans are canonical.
+ * Row inner products, one launch for all rows:
+ * acc0[s] = sum_j u[j][s] (had) b[j][s] and
+ * acc1[s] = sum_j u[j][s] (had) a[j][s] over acc's limbs, flattened
+ * (slot x tower) and reduced once per sum (simd::Ops::dotRows). The
+ * tables hold `rows` x batch polynomials, row after row
+ * ([j * batch + s]); a row every slot shares repeats its pointer.
+ * Writes every limb of the accumulators, whose prior contents are
+ * never read. The key-switch tail runs one per key switch (u = the
+ * hoisted digits, b/a = the key), a BSGS group one per group (u = the
+ * diagonals, b/a = the baby-step pairs). Records one Hada-Mult
+ * launch of 2 * rows * batch * limbs * n elements: two products per
+ * row and cell.
  */
-void innerProductAccumLazy(const KernelCtx &ctx,
-                           rns::RnsPolynomial *const *acc0,
-                           rns::RnsPolynomial *const *acc1,
-                           const rns::RnsPolynomial *const *digits,
-                           const rns::RnsPolynomial &keyb,
-                           const rns::RnsPolynomial &keya,
-                           std::size_t batch, bool lastRow);
-
-/** Single-row form: accumulate and canonicalize (lastRow = true). */
-void innerProductAccum(const KernelCtx &ctx,
-                       rns::RnsPolynomial *const *acc0,
-                       rns::RnsPolynomial *const *acc1,
-                       const rns::RnsPolynomial *const *digits,
-                       const rns::RnsPolynomial &keyb,
-                       const rns::RnsPolynomial &keya,
-                       std::size_t batch);
-
-/**
- * Fused plaintext product accumulate: acc[s] += p (had) src[s] over
- * acc's limb count (the BSGS diagonal step; in the double-hoisted
- * path acc and src live on the extended union basis and p is a
- * union-encoded diagonal).
- */
-void hadaAccumPlain(const KernelCtx &ctx,
-                    rns::RnsPolynomial *const *accs,
-                    const rns::RnsPolynomial *const *srcs,
-                    const ckks::Plaintext &p, std::size_t batch);
+void dotRows(const KernelCtx &ctx, rns::RnsPolynomial *const *acc0,
+             rns::RnsPolynomial *const *acc1,
+             const rns::RnsPolynomial *const *u,
+             const rns::RnsPolynomial *const *b,
+             const rns::RnsPolynomial *const *a, std::size_t rows,
+             std::size_t batch);
 
 /**
  * P-lift accumulate: acc[s].limb(i) += (P mod q_i) * src[s].limb(i)

@@ -231,9 +231,9 @@ CostModel::rawTail(std::size_t level_count) const
     Decomp d = decomp(level_count);
     KernelCost c;
     for (std::size_t j = 0; j < d.digits; ++j) {
-        // Fused inner-product accumulate (mulAccumulate kernel): the
-        // two accumulators live in registers across the digit loop,
-        // so DRAM sees only the two operand reads per accumulator.
+        // One dotRows pass over every digit: the two accumulators
+        // live in registers across the digit loop, so DRAM sees only
+        // the two operand reads per accumulator.
         double e = static_cast<double>(p_.n) * d.unionLimbs;
         c += KernelCost{2 * 2 * e * kBytesPerResidue,
                         2 * e * (kOpsPerModMul + kOpsPerModAdd), 0, 2};

@@ -93,6 +93,13 @@ struct VecAvx2
                                   _mm256_xor_si256(a, s));
     }
 
+    /** True when every lane is below 2^32. */
+    static bool
+    fits32(reg x)
+    {
+        return _mm256_testz_si256(x, set1(~u64(0) << 32)) != 0;
+    }
+
     /** x >= b ? x - b : x (unsigned). */
     static reg
     condSub(reg x, reg b)
@@ -163,10 +170,10 @@ nttInverseAvx2(const ntt::TwiddleTable &t, u64 *a)
 }
 
 const Ops kAvx2Ops = {
-    "avx2",           vec::addSpan<V>,      vec::subSpan<V>,
-    vec::mulSpan<V>,  vec::mulTriple<V>,    vec::mulAccum<V>,
-    vec::ipAccumLazy<V>, vec::mulShoup<V>,  vec::mulShoupAccum<V>,
-    vec::fusedEle<V>, nttForwardAvx2,       nttInverseAvx2,
+    "avx2",           vec::addSpan<V>,       vec::subSpan<V>,
+    vec::mulSpan<V>,  vec::mulTriple<V>,     vec::dotRows<V>,
+    vec::mulShoup<V>, vec::mulShoupAccum<V>, vec::fusedEle<V>,
+    nttForwardAvx2,   nttInverseAvx2,
 };
 
 } // namespace

@@ -64,10 +64,10 @@ nttInverseAvx512(const ntt::TwiddleTable &t, u64 *a)
 }
 
 const Ops kAvx512Ops = {
-    "avx512",         vec::addSpan<V>,      vec::subSpan<V>,
-    vec::mulSpan<V>,  vec::mulTriple<V>,    vec::mulAccum<V>,
-    vec::ipAccumLazy<V>, vec::mulShoup<V>,  vec::mulShoupAccum<V>,
-    vec::fusedEle<V>, nttForwardAvx512,     nttInverseAvx512,
+    "avx512",         vec::addSpan<V>,       vec::subSpan<V>,
+    vec::mulSpan<V>,  vec::mulTriple<V>,     vec::dotRows<V>,
+    vec::mulShoup<V>, vec::mulShoupAccum<V>, vec::fusedEle<V>,
+    nttForwardAvx512, nttInverseAvx512,
 };
 
 } // namespace

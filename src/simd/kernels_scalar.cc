@@ -48,32 +48,18 @@ mulTripleScalar(u64 *d0, u64 *d1, u64 *d2, const u64 *a0,
 }
 
 void
-mulAccumScalar(u64 *acc, const u64 *a, const u64 *b, std::size_t n,
-               const Modulus &m)
+dotRowsScalar(u64 *acc0, u64 *acc1, const u64 *const *u,
+              const u64 *const *b, const u64 *const *a,
+              std::size_t rows, std::size_t n, const Modulus &m)
 {
-    for (std::size_t c = 0; c < n; ++c)
-        acc[c] = m.add(acc[c], m.mul(a[c], b[c]));
-}
-
-void
-ipAccumLazyScalar(u64 *acc0, u64 *acc1, const u64 *u, const u64 *kb,
-                  const u64 *ka, std::size_t n, const Modulus &m,
-                  bool canonicalize)
-{
-    // The scalar lane accumulates canonically (the original kernel
-    // body), which is a valid [0, 2q) representation between rows;
-    // the final conditional subtraction is then a no-op but keeps
-    // the entry's contract uniform across backends.
-    u64 q = m.value();
     for (std::size_t c = 0; c < n; ++c) {
-        acc0[c] = m.add(acc0[c], m.mul(u[c], kb[c]));
-        acc1[c] = m.add(acc1[c], m.mul(u[c], ka[c]));
-        if (canonicalize) {
-            if (acc0[c] >= q)
-                acc0[c] -= q;
-            if (acc1[c] >= q)
-                acc1[c] -= q;
+        u64 s0 = 0, s1 = 0;
+        for (std::size_t j = 0; j < rows; ++j) {
+            s0 = m.add(s0, m.mul(u[j][c], b[j][c]));
+            s1 = m.add(s1, m.mul(u[j][c], a[j][c]));
         }
+        acc0[c] = s0;
+        acc1[c] = s1;
     }
 }
 
@@ -143,9 +129,9 @@ nttDecline(const ntt::TwiddleTable &, u64 *)
 
 const Ops kScalarOps = {
     "scalar",        addSpanScalar,       subSpanScalar,
-    mulSpanScalar,   mulTripleScalar,     mulAccumScalar,
-    ipAccumLazyScalar, mulShoupScalar,    mulShoupAccumScalar,
-    fusedEleScalar,  nttDecline,          nttDecline,
+    mulSpanScalar,   mulTripleScalar,     dotRowsScalar,
+    mulShoupScalar,  mulShoupAccumScalar, fusedEleScalar,
+    nttDecline,      nttDecline,
 };
 
 } // namespace

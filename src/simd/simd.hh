@@ -14,11 +14,10 @@
  *
  * The hard contract is bit-identity: every entry point produces
  * canonical [0, q) residues identical to the scalar backend on every
- * input (lazy [0, 2q) representations are internal, except where a
- * kernel documents a lazy span — see ipAccumLazy). All span kernels
- * are aliasing-safe for the in-place pattern: each output cell reads
- * only its own index before writing. docs/SIMD.md walks the
- * invariants and how to add a kernel.
+ * input (lazy [0, 2q) and unreduced u64 representations stay inside
+ * a kernel body). All span kernels are aliasing-safe for the in-place
+ * pattern: each output cell reads only its own index before writing.
+ * docs/SIMD.md walks the invariants and how to add a kernel.
  */
 
 #ifndef TENSORFHE_SIMD_SIMD_HH
@@ -79,27 +78,27 @@ struct Ops
                       const u64 *a1, const u64 *b0, const u64 *b1,
                       std::size_t n, const Modulus &m);
 
-    /** acc[i] = acc[i] + a[i]*b[i] mod q (canonical out). */
-    void (*mulAccum)(u64 *acc, const u64 *a, const u64 *b,
-                     std::size_t n, const Modulus &m);
-
     /**
-     * Key-switch inner-product row: acc0 += u*kb, acc1 += u*ka with
-     * lazy 2q-redundant accumulation — acc spans are in [0, 2q) on
-     * entry (canonical counts) and exit, reduced to canonical only
-     * when `canonicalize` is set (the last digit row). u/kb/ka are
-     * canonical.
+     * Row inner products in one pass: acc0[i] = sum_j u[j][i]*b[j][i]
+     * and acc1[i] = sum_j u[j][i]*a[j][i] mod q over `rows` rows,
+     * written canonical; the accumulators' prior contents are never
+     * read, and rows == 0 writes zeros. For q < 2^31 the 32x32
+     * products sum unreduced in u64 and reduce once per
+     * floor((2^64 - 1) / (q - 1)^2) rows. The key-switch inner product
+     * (rows = digits) and a BSGS group's diagonal products (rows =
+     * entries) each take one call per limb.
      */
-    void (*ipAccumLazy)(u64 *acc0, u64 *acc1, const u64 *u,
-                        const u64 *kb, const u64 *ka, std::size_t n,
-                        const Modulus &m, bool canonicalize);
+    void (*dotRows)(u64 *acc0, u64 *acc1, const u64 *const *u,
+                    const u64 *const *b, const u64 *const *a,
+                    std::size_t rows, std::size_t n, const Modulus &m);
 
     /**
      * a[i] = a[i] * w mod q, w < q a fixed constant with its
      * beta=2^64 Shoup companion. a[i] may be ANY u64, not only a
      * canonical residue (Conv multiplies residues of another prime,
      * which can exceed q): the Shoup product is canonical for every
-     * input below 2^64.
+     * input below 2^64. For q < 2^31 a vector of inputs all below
+     * 2^32 takes the beta = 2^32 product (companion wShoup >> 32).
      */
     void (*mulShoup)(u64 *a, u64 w, u64 wShoup, std::size_t n, u64 q);
 

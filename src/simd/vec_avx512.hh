@@ -83,6 +83,13 @@ struct VecAvx512
         return _mm512_movm_epi64(_mm512_cmplt_epu64_mask(a, b));
     }
 
+    /** True when every lane is below 2^32. */
+    static bool
+    fits32(reg x)
+    {
+        return _mm512_test_epi64_mask(x, set1(~u64(0) << 32)) == 0;
+    }
+
     static reg
     condSub(reg x, reg b)
     {

@@ -19,10 +19,14 @@
  *    scalar estimate; the same two conditional subtractions follow.
  *  - Shoup lazy multiply against a precomputed constant, in three
  *    wordbases: beta = 2^64 (any q < 2^62, emulated mulhi on AVX2),
- *    beta = 2^32 (q < 2^30, single-multiply products — the fast NTT
- *    path), and beta = 2^52 (q < 2^50, AVX-512IFMA, policy defined in
- *    the avx512 TU). All satisfy: x < 4q in, result < 2q out, result
- *    congruent to x*w mod q.
+ *    beta = 2^32 (single-multiply products: the fast NTT path for
+ *    q < 2^30, and the Shoup spans' lane for q < 2^31), and
+ *    beta = 2^52 (q < 2^50, AVX-512IFMA, policy defined in the avx512
+ *    TU). All satisfy: x < 4q in, result < 2q out, result congruent
+ *    to x*w mod q.
+ *
+ * dotRows sums 32x32 row products unreduced in u64 lanes for
+ * q < 2^31 and reduces each sum once (WordFold).
  *
  * The NTT bodies keep the Longa-Naehrig lazy invariants — forward
  * values stay < 4q, inverse values < 2q — and fold the bit-reverse
@@ -32,13 +36,13 @@
  *
  * Because canonical residues are unique, producing canonical outputs
  * by any internal route preserves bit-identity with the scalar
- * backend; only ipAccumLazy exposes a lazy [0, 2q) span across calls,
- * and that contract is shared by all backends.
+ * backend; every entry point's outputs are canonical.
  */
 
 #ifndef TENSORFHE_SIMD_VEC_KERNELS_HH
 #define TENSORFHE_SIMD_VEC_KERNELS_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -49,6 +53,10 @@ namespace tensorfhe::simd::vec
 {
 
 constexpr u64 kSmallQBound = u64(1) << 30;
+
+/** q < 2^31: residues are 31-bit words, so a 32x32 product is below
+    (q - 1)^2 < 2^62 and a few of them sum unreduced in a u64 lane. */
+constexpr u64 kWordQBound = u64(1) << 31;
 
 // ---------------------------------------------------------------
 // Barrett contexts
@@ -157,8 +165,9 @@ struct Shoup64
     }
 };
 
-/** beta = 2^32, q < 2^30: all operands fit 32 bits (x < 4q < 2^32),
-    so every product is a single 32x32 multiply. */
+/** beta = 2^32: x < 2^32 and w < q < 2^32, so every product is a
+    single 32x32 multiply. The NTT's x < 4q makes that q < 2^30; the
+    Shoup spans check x per vector. */
 template <class V>
 struct Shoup32
 {
@@ -168,6 +177,73 @@ struct Shoup32
     {
         typename V::reg k = V::srl(V::mul32(x, wsh), 32);
         return V::sub(V::mul32(x, w), V::mul32(k, q));
+    }
+};
+
+/**
+ * The Shoup spans' product by one constant w < q, for any u64 input:
+ * when q < 2^31, a vector whose lanes all fit 32 bits takes the
+ * beta = 2^32 product, whose companion floor(w * 2^32 / q) is the
+ * beta = 2^64 one shifted down 32 bits; any other vector takes the
+ * beta = 2^64 product. Result < 2q.
+ */
+template <class V>
+struct ShoupConst
+{
+    using reg = typename V::reg;
+    reg q, w, wsh, wsh32;
+    bool word;
+
+    ShoupConst(u64 wv, u64 wShoup, u64 qv)
+        : q(V::set1(qv)), w(V::set1(wv)), wsh(V::set1(wShoup)),
+          wsh32(V::set1(wShoup >> 32)), word(qv < kWordQBound)
+    {}
+
+    reg
+    lazy(reg x) const
+    {
+        if (word && V::fits32(x))
+            return Shoup32<V>::lazy(x, w, wsh32, q);
+        return Shoup64<V>::lazy(x, w, wsh, q);
+    }
+};
+
+/**
+ * The once-per-sum reduction of dotRows (q < 2^31): x = hi*2^32 + lo
+ * is congruent to hi*(2^32 mod q) + lo*1, and both terms are
+ * beta = 2^32 Shoup products of 32-bit words, each below 2q, so two
+ * conditional subtractions canonicalize their sum. Products of
+ * canonical residues are at most (q - 1)^2, so `cap` of them sum in a
+ * u64 lane without wrapping: 4 at 31 bits, 16 at 30.
+ */
+template <class V>
+struct WordFold
+{
+    using reg = typename V::reg;
+    reg q, q2, lo32, r32, r32sh, oneSh;
+    std::size_t cap; ///< rows summed between two reductions
+
+    explicit WordFold(u64 qv)
+    {
+        u64 r = (u64(1) << 32) % qv;
+        q = V::set1(qv);
+        q2 = V::set1(2 * qv);
+        lo32 = V::set1(0xFFFFFFFFu);
+        r32 = V::set1(r);
+        r32sh = V::set1(shoupPrecomputeBeta(r, qv, 32));
+        oneSh = V::set1(shoupPrecomputeBeta(1, qv, 32));
+        cap = static_cast<std::size_t>(~u64(0) / ((qv - 1) * (qv - 1)));
+    }
+
+    /** Any u64 x -> x mod q, canonical. */
+    reg
+    reduce(reg x) const
+    {
+        reg hi = Shoup32<V>::lazy(V::srl(x, 32), r32, r32sh, q);
+        // Shoup32 by w = 1: the low word minus its quotient estimate.
+        reg lo = V::vand(x, lo32);
+        lo = V::sub(lo, V::mul32(V::srl(V::mul32(lo, oneSh), 32), q));
+        return V::condSub(V::condSub(V::add(hi, lo), q2), q);
     }
 };
 
@@ -267,97 +343,67 @@ mulTriple(u64 *d0, u64 *d1, u64 *d2, const u64 *a0, const u64 *a1,
     }
 }
 
-template <class V, class B>
-void
-mulAccumWith(const B &bar, u64 *acc, const u64 *a, const u64 *b,
-             std::size_t n)
-{
-    using reg = typename V::reg;
-    for (std::size_t i = 0; i + V::W <= n; i += V::W) {
-        reg p = bar.mul(V::load(a + i), V::load(b + i));
-        V::store(acc + i, V::condSub(V::add(V::load(acc + i), p), bar.q));
-    }
-}
-
-template <class V>
-void
-mulAccum(u64 *acc, const u64 *a, const u64 *b, std::size_t n,
-         const Modulus &m)
-{
-    std::size_t body = n - n % V::W;
-    if (m.value() < kSmallQBound)
-        mulAccumWith<V>(SmallBarrett<V>(m), acc, a, b, body);
-    else
-        mulAccumWith<V>(GenBarrett<V>(m), acc, a, b, body);
-    for (std::size_t i = body; i < n; ++i)
-        acc[i] = m.add(acc[i], m.mul(a[i], b[i]));
-}
-
 /**
- * Lazy inner-product row. Vector cells keep acc in [0, 2q) between
- * rows: small q adds the raw [0, 3.5q) estimate (sum < 5.5q < 2^33,
- * two conditional 2q subtractions re-establish the bound), generic q
- * first pulls the estimate under 2q so the sum stays < 4q < 2^64.
- * Tail cells run the canonical scalar body — a valid [0, 2q)
- * representation as well, and consistently so per cell across rows.
+ * Row inner products, one pass per vector of cells. For q < 2^31 the
+ * rows' 32x32 products sum unreduced in u64 lanes and WordFold
+ * reduces every run of at most WordFold::cap of them once; the runs'
+ * canonical sums add mod q. Larger q (only the test lanes) keeps a
+ * canonical Barrett chain per row. Tail cells run the scalar chain.
  */
 template <class V>
 void
-ipAccumLazy(u64 *acc0, u64 *acc1, const u64 *u, const u64 *kb,
-            const u64 *ka, std::size_t n, const Modulus &m,
-            bool canonicalize)
+dotRows(u64 *acc0, u64 *acc1, const u64 *const *u, const u64 *const *b,
+        const u64 *const *a, std::size_t rows, std::size_t n,
+        const Modulus &m)
 {
     using reg = typename V::reg;
     std::size_t body = n - n % V::W;
-    if (m.value() < kSmallQBound) {
-        SmallBarrett<V> bar(m);
-        for (std::size_t i = 0; i + V::W <= body; i += V::W) {
-            reg ru = V::load(u + i);
-            reg p0 = bar.reduceLazy(V::mul32(ru, V::load(kb + i)));
-            reg p1 = bar.reduceLazy(V::mul32(ru, V::load(ka + i)));
-            reg a0 = V::add(V::load(acc0 + i), p0);
-            reg a1 = V::add(V::load(acc1 + i), p1);
-            a0 = V::condSub(V::condSub(a0, bar.q2), bar.q2);
-            a1 = V::condSub(V::condSub(a1, bar.q2), bar.q2);
-            if (canonicalize) {
-                a0 = V::condSub(a0, bar.q);
-                a1 = V::condSub(a1, bar.q);
+    const reg zero = V::set1(0);
+    if (m.value() < kWordQBound) {
+        WordFold<V> fold(m.value());
+        for (std::size_t i = 0; i < body; i += V::W) {
+            reg t0 = zero, t1 = zero;
+            for (std::size_t j0 = 0; j0 < rows; j0 += fold.cap) {
+                std::size_t j1 = std::min(rows, j0 + fold.cap);
+                reg s0 = zero, s1 = zero;
+                for (std::size_t j = j0; j < j1; ++j) {
+                    reg ru = V::load(u[j] + i);
+                    s0 = V::add(s0, V::mul32(ru, V::load(b[j] + i)));
+                    s1 = V::add(s1, V::mul32(ru, V::load(a[j] + i)));
+                }
+                t0 = V::condSub(V::add(t0, fold.reduce(s0)), fold.q);
+                t1 = V::condSub(V::add(t1, fold.reduce(s1)), fold.q);
             }
-            V::store(acc0 + i, a0);
-            V::store(acc1 + i, a1);
+            V::store(acc0 + i, t0);
+            V::store(acc1 + i, t1);
         }
     } else {
+        // Each lazy product (< 3q) joins a canonical sum: < 4q, two
+        // conditional subtractions.
         GenBarrett<V> bar(m);
-        for (std::size_t i = 0; i + V::W <= body; i += V::W) {
-            reg ru = V::load(u + i);
-            reg rkb = V::load(kb + i);
-            reg rka = V::load(ka + i);
-            reg p0 = V::condSub(
-                bar.reduceLazy(V::mullo(ru, rkb), V::mulhi(ru, rkb)),
-                bar.q2);
-            reg p1 = V::condSub(
-                bar.reduceLazy(V::mullo(ru, rka), V::mulhi(ru, rka)),
-                bar.q2);
-            reg a0 = V::condSub(V::add(V::load(acc0 + i), p0), bar.q2);
-            reg a1 = V::condSub(V::add(V::load(acc1 + i), p1), bar.q2);
-            if (canonicalize) {
-                a0 = V::condSub(a0, bar.q);
-                a1 = V::condSub(a1, bar.q);
+        auto step = [&](reg t, reg x, reg y) {
+            reg p = bar.reduceLazy(V::mullo(x, y), V::mulhi(x, y));
+            return V::condSub(V::condSub(V::add(t, p), bar.q2), bar.q);
+        };
+        for (std::size_t i = 0; i < body; i += V::W) {
+            reg t0 = zero, t1 = zero;
+            for (std::size_t j = 0; j < rows; ++j) {
+                reg ru = V::load(u[j] + i);
+                t0 = step(t0, ru, V::load(b[j] + i));
+                t1 = step(t1, ru, V::load(a[j] + i));
             }
-            V::store(acc0 + i, a0);
-            V::store(acc1 + i, a1);
+            V::store(acc0 + i, t0);
+            V::store(acc1 + i, t1);
         }
     }
-    u64 q = m.value();
-    for (std::size_t i = body; i < n; ++i) {
-        acc0[i] = m.add(acc0[i], m.mul(u[i], kb[i]));
-        acc1[i] = m.add(acc1[i], m.mul(u[i], ka[i]));
-        if (canonicalize) {
-            if (acc0[i] >= q)
-                acc0[i] -= q;
-            if (acc1[i] >= q)
-                acc1[i] -= q;
+    for (std::size_t c = body; c < n; ++c) {
+        u64 s0 = 0, s1 = 0;
+        for (std::size_t j = 0; j < rows; ++j) {
+            s0 = m.add(s0, m.mul(u[j][c], b[j][c]));
+            s1 = m.add(s1, m.mul(u[j][c], a[j][c]));
         }
+        acc0[c] = s0;
+        acc1[c] = s1;
     }
 }
 
@@ -365,15 +411,10 @@ template <class V>
 void
 mulShoup(u64 *a, u64 w, u64 wShoup, std::size_t n, u64 q)
 {
-    using reg = typename V::reg;
-    reg qv = V::set1(q);
-    reg wv = V::set1(w);
-    reg wsh = V::set1(wShoup);
+    ShoupConst<V> sc(w, wShoup, q);
     std::size_t i = 0;
-    for (; i + V::W <= n; i += V::W) {
-        reg r = Shoup64<V>::lazy(V::load(a + i), wv, wsh, qv);
-        V::store(a + i, V::condSub(r, qv));
-    }
+    for (; i + V::W <= n; i += V::W)
+        V::store(a + i, V::condSub(sc.lazy(V::load(a + i)), sc.q));
     for (; i < n; ++i)
         a[i] = mulModShoup(a[i], w, wShoup, q);
 }
@@ -384,14 +425,11 @@ mulShoupAccum(u64 *acc, const u64 *src, u64 w, u64 wShoup, std::size_t n,
               u64 q)
 {
     using reg = typename V::reg;
-    reg qv = V::set1(q);
-    reg wv = V::set1(w);
-    reg wsh = V::set1(wShoup);
+    ShoupConst<V> sc(w, wShoup, q);
     std::size_t i = 0;
     for (; i + V::W <= n; i += V::W) {
-        reg r = V::condSub(Shoup64<V>::lazy(V::load(src + i), wv, wsh, qv),
-                           qv);
-        V::store(acc + i, V::condSub(V::add(V::load(acc + i), r), qv));
+        reg r = V::condSub(sc.lazy(V::load(src + i)), sc.q);
+        V::store(acc + i, V::condSub(V::add(V::load(acc + i), r), sc.q));
     }
     for (; i < n; ++i)
         acc[i] = addMod(acc[i], mulModShoup(src[i], w, wShoup, q), q);

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #include "../ct_eq.hh"
 #include "boot/bootstrap.hh"
@@ -135,6 +136,28 @@ TEST(BootStage, ModRaisePreservesSmallValues)
     auto ct = f.encryptSlots(z, 1);
     auto raised = f.boot.modRaise(ct);
     ASSERT_EQ(raised.levelCount(), f.ctx.tower().numQ());
+
+    // The lift itself: every limb j of a raised component holds the
+    // input's limb-0 residue r centred into (-q0/2, q0/2], mod q_j.
+    // An uncentred lift keeps r itself, which differs for r > q0/2.
+    for (auto [in, up] : {std::pair{&ct.c0, &raised.c0},
+                          std::pair{&ct.c1, &raised.c1}}) {
+        auto r = *in;
+        auto lifted = *up;
+        r.toCoeff();
+        lifted.toCoeff();
+        u64 p0 = r.limbModulus(0).value();
+        for (std::size_t j = 0; j < lifted.numLimbs(); ++j) {
+            u64 qj = lifted.limbModulus(j).value();
+            for (std::size_t c = 0; c < f.ctx.n(); ++c) {
+                u64 v = r.limb(0)[c];
+                u64 want = v <= p0 / 2 ? v % qj
+                                       : (qj - (p0 - v) % qj) % qj;
+                ASSERT_EQ(lifted.limb(j)[c], want)
+                    << "limb " << j << " coeff " << c;
+            }
+        }
+    }
 
     auto v_in = f.dec.decrypt(ct).poly;
     auto v_out = f.dec.decrypt(raised).poly;

@@ -6,17 +6,20 @@
  * steady state, the double-hoisted BSGS drops basis conversions with
  * exact counter accounting, CMULT + RESCALE and HMULT + RESCALE launch
  * their closed-form transforms, rotations and BSGS steps launch their
- * closed-form FrobeniusMaps, both hoist input domains build the
- * same digits, unzeroed scratch is always written in full, and the
- * kernel queue the layer emits can be replayed on the SM pipeline
- * model.
+ * closed-form FrobeniusMaps, a key switch and a BSGS group each sum
+ * their rows in one Hada-Mult launch, both hoist input domains build
+ * the same digits, unzeroed scratch is always written in full, and
+ * the kernel queue the layer emits can be replayed on the SM
+ * pipeline model.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <string>
+#include <utility>
 
 #include "../ct_eq.hh"
 #include "batch/executor.hh"
@@ -268,6 +271,69 @@ TEST(ExecDispatch, FrobeniusMapQueueMatchesClosedForm)
         EXPECT_EQ(frobenius(cap.take()),
                   std::vector<std::size_t>(steps_run, pair));
     }
+}
+
+TEST(ExecDispatch, HadaMultLaunchesOncePerKeySwitchAndPerBsgsGroup)
+{
+    // An inner product sums all its rows in one dotRows launch: a
+    // key-switch tail makes ONE Hada-Mult launch over its dnum digit
+    // rows and a BSGS group ONE over its entries, each recording the
+    // 2 * rows * B * (L+K) * n elements of the per-row launches it
+    // replaced. The only other Hada-Mult launches of a transform are
+    // the P-lifts of c0 (BLn): one per baby step, two for b = 0.
+    auto &f = fx();
+    constexpr std::size_t kBatch = 3;
+    batch::BatchedEvaluator beval(f.ctx, f.keys);
+    const auto &disp = beval.dispatcher();
+    std::vector<ckks::Ciphertext> cts;
+    for (std::size_t s = 0; s < kBatch; ++s)
+        cts.push_back(f.encryptSlots(760 + s, 3));
+    std::size_t L = cts[0].levelCount();
+    std::size_t n = cts[0].c0.n();
+    std::size_t ul = L + f.ctx.tower().numP();
+    std::size_t dnum = (L + f.ctx.params().alpha() - 1)
+        / f.ctx.params().alpha();
+    ASSERT_GT(dnum, 1u);
+    u64 per_row = 2 * kBatch * ul * n;
+
+    using Delta = std::pair<u64, u64>; // launches, elements
+    const auto &hada =
+        KernelStats::instance().counter(KernelKind::HadaMult);
+    auto delta = [&](const std::function<void()> &run) {
+        u64 calls = hada.invocations.load();
+        u64 elements = hada.elements.load();
+        run();
+        return Delta{hada.invocations.load() - calls,
+                     hada.elements.load() - elements};
+    };
+
+    std::vector<const rns::RnsPolynomial *> c1s;
+    for (const auto &ct : cts)
+        c1s.push_back(&ct.c1);
+    auto head = disp.hoistCopy(c1s.data(), kBatch);
+    EXPECT_EQ(delta([&] {
+                  (void)disp.keySwitchTail(head, f.keys.relin);
+              }),
+              (Delta{1, dnum * per_row}));
+
+    auto program = f.plan.program(L);
+    ASSERT_TRUE(program.foldSteps.empty());
+    Delta want{0, 0};
+    std::size_t tails = program.babySteps.size(), widest = 0;
+    bool b0 = false;
+    for (const auto &g : program.groups) {
+        want.first += 1;
+        want.second += g.entries.size() * per_row;
+        widest = std::max(widest, g.entries.size());
+        tails += g.shift != 0;
+        for (const auto &e : g.entries)
+            b0 = b0 || e.baby == 0;
+    }
+    ASSERT_GT(widest, 1u);
+    std::size_t lifts = program.babySteps.size() + (b0 ? 2 : 0);
+    want.first += tails + lifts;
+    want.second += tails * dnum * per_row + lifts * kBatch * L * n;
+    EXPECT_EQ(delta([&] { (void)f.plan.applyBatch(beval, cts); }), want);
 }
 
 TEST(ExecDispatch, HoistOfEvalAndCoeffInputsGivesIdenticalDigits)

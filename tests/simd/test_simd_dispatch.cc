@@ -104,8 +104,7 @@ TEST(SimdDispatch, EveryCompiledVtableIsFullyPopulated)
         EXPECT_NE(t->subSpan, nullptr);
         EXPECT_NE(t->mulSpan, nullptr);
         EXPECT_NE(t->mulTriple, nullptr);
-        EXPECT_NE(t->mulAccum, nullptr);
-        EXPECT_NE(t->ipAccumLazy, nullptr);
+        EXPECT_NE(t->dotRows, nullptr);
         EXPECT_NE(t->mulShoup, nullptr);
         EXPECT_NE(t->mulShoupAccum, nullptr);
         EXPECT_NE(t->fusedEle, nullptr);

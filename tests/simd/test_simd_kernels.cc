@@ -3,13 +3,13 @@
  * SIMD backend bit-identity suite: every vector backend the host can
  * run must reproduce the scalar backend's canonical [0, q) residues
  * EXACTLY (EXPECT_EQ on every output word) for every vtable entry —
- * span kernels, the lazy key-switch accumulator, the fused
- * elementwise interpreter, and the permute-folded NTTs — across the
- * three modulus lanes (q < 2^30 Shoup-32, q < 2^50 IFMA, q near
- * 2^61 full Barrett), awkward tail lengths, and the in-place
- * aliasing patterns the exec layer uses. This is the hard contract
- * of docs/SIMD.md; any mismatch is a correctness bug, not a
- * tolerance issue.
+ * span kernels, the row inner products, the fused elementwise
+ * interpreter, and the permute-folded NTTs — across the four modulus
+ * lanes (q < 2^30 Shoup-32, q in [2^30, 2^31) the widest prime the
+ * tower admits, q < 2^50 IFMA, q near 2^61 full Barrett), awkward
+ * tail lengths, and the in-place aliasing patterns the exec layer
+ * uses. This is the hard contract of docs/SIMD.md; any mismatch is a
+ * correctness bug, never within a tolerance.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include <iterator>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/primes.hh"
@@ -81,8 +82,9 @@ lanePrime(int bits, u64 seed)
 }
 
 /** (backend, prime bits) — every vector backend against the Shoup-32
-    lane (q < 2^30), the IFMA lane (q < 2^50) and the full Barrett
-    lane (q near 2^61). */
+    lane (q < 2^30), the widest tower prime (q in [2^30, 2^31), where
+    dotRows folds every 4 rows), the IFMA lane (q < 2^50) and the full
+    Barrett lane (q near 2^61). */
 using LaneParam = std::tuple<Backend, int>;
 
 std::string
@@ -97,7 +99,7 @@ allLanes()
 {
     std::vector<LaneParam> out;
     for (Backend b : vectorBackends())
-        for (int bits : {29, 45, 61})
+        for (int bits : {29, 31, 45, 61})
             out.push_back({b, bits});
     if (out.empty()) // scalar-only host: one self-check lane
         out.push_back({Backend::Scalar, 61});
@@ -194,65 +196,96 @@ TEST_P(SimdSpanKernels, MulTripleMatchesScalar)
     }
 }
 
-TEST_P(SimdSpanKernels, MulAccumMatchesScalarIncludingAccAlias)
+/** Row sums mod q in u128, the oracle of dotRows. */
+std::pair<std::vector<u64>, std::vector<u64>>
+dotRowsU128(const std::vector<std::vector<u64>> &u,
+            const std::vector<std::vector<u64>> &b,
+            const std::vector<std::vector<u64>> &a, std::size_t n, u64 q)
 {
-    Rng rng(4);
-    for (std::size_t n : kLens) {
-        auto acc = randomSpan(rng, n, q);
-        auto a = randomSpan(rng, n, q);
-        auto b = randomSpan(rng, n, q);
-        auto sacc = acc, vacc = acc;
-        scalarOps()->mulAccum(sacc.data(), a.data(), b.data(), n, m);
-        vec->mulAccum(vacc.data(), a.data(), b.data(), n, m);
-        EXPECT_EQ(vacc, sacc) << "n=" << n;
+    std::vector<u64> s0(n), s1(n);
+    for (std::size_t c = 0; c < n; ++c) {
+        u128 t0 = 0, t1 = 0;
+        for (std::size_t j = 0; j < u.size(); ++j) {
+            t0 += static_cast<u128>(u[j][c]) * b[j][c];
+            t1 += static_cast<u128>(u[j][c]) * a[j][c];
+        }
+        s0[c] = static_cast<u64>(t0 % q);
+        s1[c] = static_cast<u64>(t1 % q);
+    }
+    return {s0, s1};
+}
 
-        // acc += acc * b (acc aliases the first factor).
-        sacc = acc;
-        vacc = acc;
-        scalarOps()->mulAccum(sacc.data(), sacc.data(), b.data(), n,
-                              m);
-        vec->mulAccum(vacc.data(), vacc.data(), b.data(), n, m);
-        EXPECT_EQ(vacc, sacc) << "self-alias n=" << n;
+/** The row pointers of one dotRows call. */
+std::vector<const u64 *>
+rowPtrs(const std::vector<std::vector<u64>> &rows)
+{
+    std::vector<const u64 *> out;
+    for (const auto &r : rows)
+        out.push_back(r.data());
+    return out;
+}
+
+/**
+ * dotRows through `ops` into accumulators poisoned with ~0, which is
+ * never a residue: the kernel overwrites, so a cell it read first
+ * would carry the poison into the result.
+ */
+std::pair<std::vector<u64>, std::vector<u64>>
+runDotRows(const Ops &ops, const std::vector<std::vector<u64>> &u,
+           const std::vector<std::vector<u64>> &b,
+           const std::vector<std::vector<u64>> &a, std::size_t n,
+           const Modulus &m)
+{
+    std::vector<u64> acc0(n, ~u64(0)), acc1(n, ~u64(0));
+    auto pu = rowPtrs(u), pb = rowPtrs(b), pa = rowPtrs(a);
+    ops.dotRows(acc0.data(), acc1.data(), pu.data(), pb.data(),
+                pa.data(), u.size(), n, m);
+    return {acc0, acc1};
+}
+
+TEST_P(SimdSpanKernels, DotRowsMatchesU128AcrossTheFoldBound)
+{
+    // Every input q - 1 makes every product the largest one, (q - 1)^2,
+    // which random inputs never reach: below 2^31 the unreduced u64
+    // sums must fold every floor((2^64 - 1) / (q - 1)^2) rows (4 at
+    // 31 bits, 16 at 30), and a fold one row late wraps. Rows run
+    // from 1 through two folds and one more row.
+    std::size_t cap = q < (u64(1) << 31)
+        ? static_cast<std::size_t>(~u64(0) / ((q - 1) * (q - 1)))
+        : 4;
+    for (std::size_t n : {std::size_t(8), std::size_t(37)}) {
+        for (std::size_t rows = 1; rows <= 2 * cap + 1; ++rows) {
+            std::vector<std::vector<u64>> top(rows,
+                                              std::vector<u64>(n, q - 1));
+            auto want = dotRowsU128(top, top, top, n, q);
+            auto scalar = runDotRows(*scalarOps(), top, top, top, n, m);
+            EXPECT_EQ(scalar, want) << "scalar rows=" << rows;
+            EXPECT_EQ(runDotRows(*vec, top, top, top, n, m), scalar)
+                << "rows=" << rows << " n=" << n;
+        }
     }
 }
 
-TEST_P(SimdSpanKernels, IpAccumLazyMultiRowMatchesScalar)
+TEST_P(SimdSpanKernels, DotRowsMatchesScalarAndU128OnEveryTail)
 {
-    // Replay a multi-digit key-switch inner product: several lazy
-    // rows into the same accumulators, canonicalized only on the
-    // last. Both accumulator spans must match the scalar sequence
-    // bit-for-bit at the end, and the lazy intermediates must stay
-    // inside [0, 2q).
+    // Random rows at the shapes the exec layer sums (a key switch's
+    // digits, a BSGS group's entries), over every tail length, into
+    // poisoned accumulators. No rows writes zeros.
     Rng rng(5);
-    constexpr std::size_t kRows = 5;
-    for (std::size_t n : kLens) {
-        auto acc0 = randomSpan(rng, n, q);
-        auto acc1 = randomSpan(rng, n, q);
-        std::vector<std::vector<u64>> u, kb, ka;
-        for (std::size_t r = 0; r < kRows; ++r) {
-            u.push_back(randomSpan(rng, n, q));
-            kb.push_back(randomSpan(rng, n, q));
-            ka.push_back(randomSpan(rng, n, q));
-        }
-        auto s0 = acc0, s1 = acc1, v0 = acc0, v1 = acc1;
-        for (std::size_t r = 0; r < kRows; ++r) {
-            bool last = r + 1 == kRows;
-            scalarOps()->ipAccumLazy(s0.data(), s1.data(),
-                                     u[r].data(), kb[r].data(),
-                                     ka[r].data(), n, m, last);
-            vec->ipAccumLazy(v0.data(), v1.data(), u[r].data(),
-                             kb[r].data(), ka[r].data(), n, m, last);
-            if (!last)
-                for (std::size_t c = 0; c < n; ++c) {
-                    ASSERT_LT(v0[c], 2 * q) << "lazy overflow";
-                    ASSERT_LT(v1[c], 2 * q) << "lazy overflow";
-                }
-        }
-        EXPECT_EQ(v0, s0) << "acc0 n=" << n;
-        EXPECT_EQ(v1, s1) << "acc1 n=" << n;
-        for (std::size_t c = 0; c < n; ++c) {
-            ASSERT_LT(v0[c], q) << "not canonical after last row";
-            ASSERT_LT(v1[c], q) << "not canonical after last row";
+    for (std::size_t rows : {0, 1, 2, 5, 7, 12, 23}) {
+        for (std::size_t n : kLens) {
+            std::vector<std::vector<u64>> u, b, a;
+            for (std::size_t r = 0; r < rows; ++r) {
+                u.push_back(randomSpan(rng, n, q));
+                b.push_back(randomSpan(rng, n, q));
+                a.push_back(randomSpan(rng, n, q));
+            }
+            auto want = dotRowsU128(u, b, a, n, q);
+            auto scalar = runDotRows(*scalarOps(), u, b, a, n, m);
+            EXPECT_EQ(scalar, want) << "scalar rows=" << rows
+                                    << " n=" << n;
+            EXPECT_EQ(runDotRows(*vec, u, b, a, n, m), scalar)
+                << "rows=" << rows << " n=" << n;
         }
     }
 }
@@ -318,6 +351,38 @@ TEST_P(SimdSpanKernels, MulShoupAndAccumAcceptAnyU64Input)
         vec->mulShoupAccum(vacc.data(), a.data(), w, ws, n, q);
         EXPECT_EQ(sacc, expect) << "scalar mulShoupAccum n=" << n;
         EXPECT_EQ(vacc, sacc) << "mulShoupAccum n=" << n;
+    }
+}
+
+TEST_P(SimdSpanKernels, MulShoupAndAccumMatchU128BelowTwoTo32)
+{
+    // Conv's inputs are residues of other tower primes: every lane
+    // fits 32 bits but may exceed q, the case the beta = 2^32 lane
+    // takes for q < 2^31. Each product must equal u128 arithmetic.
+    Rng rng(9);
+    constexpr u64 kWord = u64(1) << 32;
+    std::vector<u64> edges = {0, kWord - 1};
+    for (u64 e : {q - 1, q, 2 * q})
+        if (e < kWord)
+            edges.push_back(e);
+    for (std::size_t n : kLens) {
+        u64 w = rng.uniform(q);
+        u64 ws = shoupPrecompute(w, q);
+        std::vector<u64> x(n), prod(n);
+        for (std::size_t c = 0; c < n; ++c) {
+            x[c] = c < edges.size() ? edges[c] : rng.uniform(kWord);
+            prod[c] = static_cast<u64>(static_cast<u128>(x[c]) * w % q);
+        }
+        auto va = x;
+        vec->mulShoup(va.data(), w, ws, n, q);
+        EXPECT_EQ(va, prod) << "mulShoup n=" << n;
+
+        auto acc = randomSpan(rng, n, q);
+        std::vector<u64> expect(n);
+        for (std::size_t c = 0; c < n; ++c)
+            expect[c] = addMod(acc[c], prod[c], q);
+        vec->mulShoupAccum(acc.data(), x.data(), w, ws, n, q);
+        EXPECT_EQ(acc, expect) << "mulShoupAccum n=" << n;
     }
 }
 
