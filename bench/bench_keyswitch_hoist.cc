@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -121,7 +122,19 @@ main(int argc, char **argv)
 
     // Naive: the pre-hoisting HROTATE composition — automorphism on
     // both components, then one full keyswitch (hoist + tail) per
-    // step.
+    // step against the key as generated. The bundle stores a rotation
+    // key's digits permuted by g^-1, so permuting them back by g, once
+    // and before any timed round, rebuilds that key.
+    std::map<s64, ckks::SwitchKey> naive_keys;
+    for (s64 step : steps) {
+        u64 galois = ctx.galoisForRotation(step);
+        const auto &stored = keys.rot.at(step);
+        auto &key = naive_keys[step];
+        for (std::size_t j = 0; j < stored.digits(); ++j) {
+            key.b.push_back(rns::applyAutomorphism(stored.b[j], galois));
+            key.a.push_back(rns::applyAutomorphism(stored.a[j], galois));
+        }
+    }
     auto naive = [&] {
         for (s64 step : steps) {
             u64 galois = ctx.galoisForRotation(step);
@@ -129,7 +142,7 @@ main(int argc, char **argv)
             auto c1r = rns::applyAutomorphism(ct.c1, galois);
             const rns::RnsPolynomial *d = &c1r;
             auto [ks0, ks1] = disp.keySwitchTail(disp.hoistCopy(&d, 1),
-                                                 keys.rot.at(step));
+                                                 naive_keys.at(step));
             rns::eleAddInPlace(ks0[0], c0r);
         }
     };
@@ -182,26 +195,46 @@ main(int argc, char **argv)
                 digits, digits);
 
     // Bit-identity sanity: the hoisted rotations must equal rotating
-    // one step at a time.
+    // one step at a time, and the naive path's keys must be the keys
+    // as generated: the plain tail against them over the hoisted c1
+    // with every digit permuted by g, plus the permuted c0, must give
+    // rotateManyBatch's bits. (The naive outputs themselves differ in
+    // the noise: their ModUp lifts the automorphism's sign-flipped
+    // [0, q) residues, which does not commute with the permutation.)
     auto hoisted_cts = eval.rotateManyBatch(cts, steps);
-    bool identical = true;
-    for (std::size_t i = 0; i < steps.size() && identical; ++i) {
-        auto serial = eval.rotate(cts, steps[i])[0];
-        for (std::size_t l = 0;
-             l < serial.c0.numLimbs() && identical; ++l) {
-            for (std::size_t c = 0; c < serial.c0.n(); ++c) {
-                if (serial.c0.limb(l)[c]
-                        != hoisted_cts[i][0].c0.limb(l)[c]
-                    || serial.c1.limb(l)[c]
-                        != hoisted_cts[i][0].c1.limb(l)[c]) {
-                    identical = false;
-                    break;
-                }
-            }
-        }
+    auto sameBits = [](const ckks::Ciphertext &x,
+                       const ckks::Ciphertext &y) {
+        for (std::size_t l = 0; l < x.c0.numLimbs(); ++l)
+            for (std::size_t c = 0; c < x.c0.n(); ++c)
+                if (x.c0.limb(l)[c] != y.c0.limb(l)[c]
+                    || x.c1.limb(l)[c] != y.c1.limb(l)[c])
+                    return false;
+        return true;
+    };
+    bool serial_identical = true, naive_keys_identical = true;
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+        const auto &want = hoisted_cts[i][0];
+        serial_identical = serial_identical
+            && sameBits(eval.rotate(cts, steps[i])[0], want);
+        u64 galois = ctx.galoisForRotation(steps[i]);
+        const rns::RnsPolynomial *c1 = &ct.c1;
+        auto head = disp.hoistCopy(&c1, 1);
+        for (auto &row : head.digits)
+            *row[0] = rns::applyAutomorphism(*row[0], galois);
+        auto [ks0, ks1] = disp.keySwitchTail(head, naive_keys.at(steps[i]));
+        ckks::Ciphertext composed;
+        composed.c0 = std::move(ks0[0]);
+        rns::eleAddInPlace(composed.c0,
+                           rns::applyAutomorphism(ct.c0, galois));
+        composed.c1 = std::move(ks1[0]);
+        naive_keys_identical =
+            naive_keys_identical && sameBits(composed, want);
     }
+    bool identical = serial_identical && naive_keys_identical;
     std::printf("  bit-identical to serial rotate: %s\n",
-                identical ? "yes" : "NO (BUG)");
+                serial_identical ? "yes" : "NO (BUG)");
+    std::printf("  naive keys give rotateManyBatch's bits: %s\n",
+                naive_keys_identical ? "yes" : "NO (BUG)");
 
     bench::section("slots x slots linear transform (special FFT)");
     auto plan = boot::LinearTransformPlan::specialFft(ctx);

@@ -15,14 +15,6 @@ BatchedEvaluator::BatchedEvaluator(const ckks::CkksContext &ctx,
       disp_(std::make_shared<exec::Dispatcher>(ctx, keys, pool))
 {}
 
-BatchedEvaluator::BatchedEvaluator(
-    const ckks::CkksContext &ctx,
-    std::shared_ptr<const ckks::KeyStore> store, ThreadPool *pool)
-    : ctx_(ctx),
-      disp_(std::make_shared<exec::Dispatcher>(ctx, std::move(store),
-                                               pool))
-{}
-
 std::size_t
 BatchedEvaluator::requireUniformLevel(const Cts &a,
                                       std::size_t min_level) const

@@ -57,17 +57,13 @@ class BatchedEvaluator
 {
   public:
     /**
+     * @param keys must outlive the evaluator; the dispatcher reads
+     *             every key from it in place.
      * @param pool worker pool the (slot x tower) work-queues drain
      *             through; null = process-global pool.
      */
     BatchedEvaluator(const ckks::CkksContext &ctx,
                      const ckks::KeyBundle &keys,
-                     ThreadPool *pool = nullptr);
-
-    /** Batched evaluator over an explicit key store (e.g. an
-        on-demand ckks::KeyStore for planner-built nets). */
-    BatchedEvaluator(const ckks::CkksContext &ctx,
-                     std::shared_ptr<const ckks::KeyStore> store,
                      ThreadPool *pool = nullptr);
 
     using Cts = std::vector<ckks::Ciphertext>;

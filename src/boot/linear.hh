@@ -78,7 +78,7 @@ struct StrideOptions
      * Keep every rotation step inside the root-based key pattern
      * (babies < root, giants multiples of root) so analytic
      * pre-generated key bundles always cover the plan. Planner-built
-     * nets route keys through an on-demand ckks::KeyStore and clear
+     * nets generate keys for their own requiredRotations() and clear
      * this, freeing the argmin to pick e.g. the all-baby g = slots
      * schedule.
      */

@@ -1,31 +1,9 @@
 #include "ckks/context.hh"
 
-#include <atomic>
-
 #include "common/logging.hh"
 
 namespace tensorfhe::ckks
 {
-
-namespace
-{
-
-/** Process-unique SwitchKey ids; 0 is reserved for "uncached". */
-u64
-nextSwitchKeyId()
-{
-    static std::atomic<u64> counter{0};
-    return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-/**
- * Resident restricted-key cap. Each entry holds digits x union-basis
- * polynomials, so the cache is bounded FIFO rather than unbounded;
- * production deployments would size this from the key-VRAM budget.
- */
-constexpr std::size_t kMaxKeyRestrictions = 128;
-
-} // namespace
 
 CkksContext::CkksContext(const CkksParams &params) : params_(params)
 {
@@ -160,50 +138,6 @@ CkksContext::modDownPlan(std::size_t level_count) const
     return *it->second;
 }
 
-std::shared_ptr<const RestrictedSwitchKey>
-CkksContext::restrictedKey(const SwitchKey &key, std::size_t level_count,
-                           u64 galois) const
-{
-    auto build = [&] {
-        auto union_limbs = unionLimbs(level_count);
-        u64 inverse = galoisInverse(galois);
-        auto out = std::make_shared<RestrictedSwitchKey>();
-        out->b.reserve(key.digits());
-        out->a.reserve(key.digits());
-        for (std::size_t j = 0; j < key.digits(); ++j) {
-            out->b.push_back(
-                rns::restrictToLimbs(key.b[j], union_limbs, inverse));
-            out->a.push_back(
-                rns::restrictToLimbs(key.a[j], union_limbs, inverse));
-        }
-        return out;
-    };
-    if (key.id == 0)
-        return build();
-
-    RestrictionKey map_key{key.id, level_count, galois};
-    {
-        std::lock_guard<std::mutex> lock(planMu_);
-        auto it = keyRestrictions_.find(map_key);
-        if (it != keyRestrictions_.end())
-            return it->second;
-    }
-    // Build outside the lock: restriction copies digits x union-basis
-    // polynomials and must not serialize concurrent evaluators.
-    auto restricted = build();
-    std::lock_guard<std::mutex> lock(planMu_);
-    auto [it, inserted] =
-        keyRestrictions_.emplace(map_key, restricted);
-    if (inserted) {
-        keyRestrictionOrder_.push_back(map_key);
-        while (keyRestrictionOrder_.size() > kMaxKeyRestrictions) {
-            keyRestrictions_.erase(keyRestrictionOrder_.front());
-            keyRestrictionOrder_.erase(keyRestrictionOrder_.begin());
-        }
-    }
-    return it->second;
-}
-
 std::size_t
 CkksContext::modUpPlanCacheSize() const
 {
@@ -216,13 +150,6 @@ CkksContext::modDownPlanCacheSize() const
 {
     std::lock_guard<std::mutex> lock(planMu_);
     return modDownPlans_.size();
-}
-
-std::size_t
-CkksContext::keyRestrictionCacheSize() const
-{
-    std::lock_guard<std::mutex> lock(planMu_);
-    return keyRestrictions_.size();
 }
 
 u64
@@ -337,7 +264,6 @@ CkksContext::generateSwitchKey(const rns::RnsPolynomial &target_eval,
         key.a.push_back(std::move(a));
         key.b.push_back(std::move(b));
     }
-    key.id = nextSwitchKeyId();
     return key;
 }
 
@@ -350,19 +276,30 @@ CkksContext::generateRelinKey(const SecretKey &sk, Rng &rng) const
 }
 
 SwitchKey
+CkksContext::generateGaloisKey(const SecretKey &sk, u64 galois,
+                               Rng &rng) const
+{
+    auto key = generateSwitchKey(rns::applyAutomorphism(sk.eval, galois),
+                                 sk, rng);
+    u64 inverse = galoisInverse(galois);
+    for (std::size_t j = 0; j < key.digits(); ++j) {
+        key.b[j] = rns::permuteEval(key.b[j], inverse);
+        key.a[j] = rns::permuteEval(key.a[j], inverse);
+    }
+    return key;
+}
+
+SwitchKey
 CkksContext::generateRotationKey(const SecretKey &sk, s64 step,
                                  Rng &rng) const
 {
-    u64 galois = galoisForRotation(step);
-    auto rotated = rns::applyAutomorphism(sk.eval, galois);
-    return generateSwitchKey(rotated, sk, rng);
+    return generateGaloisKey(sk, galoisForRotation(step), rng);
 }
 
 SwitchKey
 CkksContext::generateConjugationKey(const SecretKey &sk, Rng &rng) const
 {
-    auto conj = rns::applyAutomorphism(sk.eval, galoisForConjugation());
-    return generateSwitchKey(conj, sk, rng);
+    return generateGaloisKey(sk, galoisForConjugation(), rng);
 }
 
 u64
@@ -376,9 +313,7 @@ SwitchKey
 CkksContext::generateConjRotationKey(const SecretKey &sk, s64 step,
                                      Rng &rng) const
 {
-    auto target =
-        rns::applyAutomorphism(sk.eval, galoisForConjRotation(step));
-    return generateSwitchKey(target, sk, rng);
+    return generateGaloisKey(sk, galoisForConjRotation(step), rng);
 }
 
 KeyBundle

@@ -11,7 +11,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <tuple>
 #include <vector>
 
 #include "ckks/encoder.hh"
@@ -40,48 +39,33 @@ struct PublicKey
  * Generalized key-switching key (paper SII-B): one (b_j, a_j) pair
  * per decomposition digit, over the full q + p basis, Eval domain.
  * Digit j's pair encrypts P * Qhat_j * target under s.
+ *
+ * Storage format: the key of a Galois automorphism g (a rotation or
+ * the conjugation) holds its digits already permuted by g^-1. The
+ * inner product of an unpermuted hoisted head with them, permuted by
+ * g, equals the inner product of the g-permuted head with the key as
+ * generated, slot for slot, so a rotation permutes its key-switched
+ * pair once instead of every digit. The relinearization key is
+ * stored as generated. Tails read every digit in place at any level:
+ * exec::dotRows picks each limb by its tower index.
  */
 struct SwitchKey
 {
     std::vector<rns::RnsPolynomial> b;
     std::vector<rns::RnsPolynomial> a;
 
-    /**
-     * Process-unique identity assigned at generation; copies share
-     * it (their contents are identical). Keys the context's
-     * union-basis restriction cache; 0 means "never cached" (e.g. a
-     * hand-assembled key).
-     */
-    u64 id = 0;
-
     std::size_t digits() const { return b.size(); }
 };
 
-/**
- * A switch key's digits restricted to one union basis — the form the
- * key-switch tail inner product consumes. Cached per (key id, level,
- * Galois element) in CkksContext so repeated tails (BSGS transforms,
- * nn layers, every relinearization of a polynomial evaluation) stop
- * re-copying the digit polynomials. An entry for a Galois element
- * g != 1 holds the digits permuted by g^-1, so a rotation's inner
- * product runs on the unpermuted hoisted head and only its result is
- * permuted by g.
- */
-struct RestrictedSwitchKey
-{
-    std::vector<rns::RnsPolynomial> b;
-    std::vector<rns::RnsPolynomial> a;
-};
-
-/** Everything the evaluator needs. */
+/** Everything the evaluator needs, in the SwitchKey storage format. */
 struct KeyBundle
 {
     PublicKey pk;
-    SwitchKey relin;                 ///< target s^2
-    std::map<s64, SwitchKey> rot;    ///< per rotation step
-    SwitchKey conj;                  ///< target s(X^-1)
+    SwitchKey relin;                 ///< target s^2, unpermuted
+    std::map<s64, SwitchKey> rot;    ///< per rotation step, permuted
+    SwitchKey conj;                  ///< target s(X^-1), permuted
     /**
-     * Conjugate-composed rotation keys: step r targets
+     * Conjugate-composed rotation keys (permuted): step r targets
      * s(X^((2N-1)*5^r)), the automorphism "conjugate then rotate by
      * r". Generated only for the steps a caller passes as
      * generateKeys' conj_rotations; no evaluator path reads them (the
@@ -151,25 +135,9 @@ class CkksContext
     /** ModDown plan of the union basis at `level_count`. */
     const rns::ModDownPlan &modDownPlan(std::size_t level_count) const;
 
-    /**
-     * `key`'s digits restricted to the union basis of `level_count`,
-     * memoized per (key id, level, galois). With galois != 1 the
-     * digits are also permuted by galoisInverse(galois), in the same
-     * gather: the inner product of a hoisted head with them, permuted
-     * by galois, equals the inner product of the galois-permuted head
-     * with `key`, slot for slot. Keys with id 0 are restricted fresh
-     * on every call (never cached). The cache is bounded: when it
-     * exceeds an internal cap the oldest entries are dropped —
-     * returned values stay alive through the shared_ptr regardless.
-     */
-    std::shared_ptr<const RestrictedSwitchKey>
-    restrictedKey(const SwitchKey &key, std::size_t level_count,
-                  u64 galois = 1) const;
-
     /** Cache sizes, exposed for tests and capacity audits. */
     std::size_t modUpPlanCacheSize() const;
     std::size_t modDownPlanCacheSize() const;
-    std::size_t keyRestrictionCacheSize() const;
 
     SecretKey generateSecretKey(Rng &rng) const;
     PublicKey generatePublicKey(const SecretKey &sk, Rng &rng) const;
@@ -177,6 +145,12 @@ class CkksContext
     SwitchKey generateSwitchKey(const rns::RnsPolynomial &target_eval,
                                 const SecretKey &sk, Rng &rng) const;
     SwitchKey generateRelinKey(const SecretKey &sk, Rng &rng) const;
+    /*
+     * Galois keys, in the SwitchKey storage format: the
+     * generateSwitchKey of s(X^g) with its digits permuted by g^-1,
+     * one gather per digit (recorded as no kernel launch: it
+     * prepares keys, it does not evaluate).
+     */
     SwitchKey generateRotationKey(const SecretKey &sk, s64 step,
                                   Rng &rng) const;
     SwitchKey generateConjugationKey(const SecretKey &sk, Rng &rng) const;
@@ -211,13 +185,9 @@ class CkksContext
         modUpPlans_; ///< keyed by (digit, level_count)
     mutable std::map<std::size_t, std::unique_ptr<rns::ModDownPlan>>
         modDownPlans_; ///< keyed by level_count
-    /// Keyed by (key id, level_count, galois); insertion-ordered for
-    /// the FIFO eviction that bounds resident restricted-key bytes.
-    using RestrictionKey = std::tuple<u64, std::size_t, u64>;
-    mutable std::map<RestrictionKey,
-                     std::shared_ptr<const RestrictedSwitchKey>>
-        keyRestrictions_;
-    mutable std::vector<RestrictionKey> keyRestrictionOrder_;
+
+    SwitchKey generateGaloisKey(const SecretKey &sk, u64 galois,
+                                Rng &rng) const;
 };
 
 } // namespace tensorfhe::ckks

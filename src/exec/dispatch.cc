@@ -53,13 +53,7 @@ readOnly(rns::RnsPolynomial *const *ps, std::size_t count)
 
 Dispatcher::Dispatcher(const ckks::CkksContext &ctx,
                        const ckks::KeyBundle &keys, ThreadPool *pool)
-    : Dispatcher(ctx, std::make_shared<ckks::KeyStore>(keys), pool)
-{}
-
-Dispatcher::Dispatcher(const ckks::CkksContext &ctx,
-                       std::shared_ptr<const ckks::KeyStore> store,
-                       ThreadPool *pool)
-    : ctx_(ctx), store_(std::move(store)), kctx_(pool),
+    : ctx_(ctx), keys_(keys), kctx_(pool),
       ws_(std::make_unique<Workspace>(ctx.tower()))
 {
     // The arena reports its traffic through the unified metrics
@@ -219,7 +213,7 @@ Dispatcher::multiplyInPlace(ckks::Ciphertext *as,
 
     // Relinearize d2 through the unified key-switch path.
     auto head = hoist(std::move(d2s));
-    auto [ks0, ks1] = keySwitchTail(head, store_->relin());
+    auto [ks0, ks1] = keySwitchTail(head, keys_.relin);
 
     addPolysInPlace(kctx_, p0.data(), ptrsOf({&ks0}).data(), batch);
     addPolysInPlace(kctx_, p1.data(), ptrsOf({&ks1}).data(), batch);
@@ -356,7 +350,7 @@ Dispatcher::hoistCopy(const rns::RnsPolynomial *const *ds,
 
 void
 Dispatcher::tailRawInto(const HoistedBatch &h, const ckks::SwitchKey &key,
-                        u64 galois, rns::RnsPolynomial *const *acc0,
+                        rns::RnsPolynomial *const *acc0,
                         rns::RnsPolynomial *const *acc1) const
 {
     std::size_t digits = h.numDigits();
@@ -364,16 +358,15 @@ Dispatcher::tailRawInto(const HoistedBatch &h, const ckks::SwitchKey &key,
                key.digits(), " for ", digits);
     TFHE_FAULT_POINT("exec/keyswitch-tail");
     EvalOpStats::instance().record(EvalOpKind::KsTail, h.batch());
-    auto rk = ctx_.restrictedKey(key, h.levelCount, galois);
     // Every digit row in one pass, one reduction per sum: the key's
-    // digit j serves every slot of row j.
+    // digit j serves every slot of row j, read in place.
     std::size_t batch = h.batch();
     std::vector<const rns::RnsPolynomial *> kb(digits * batch),
         ka(digits * batch);
     for (std::size_t j = 0; j < digits; ++j)
         for (std::size_t s = 0; s < batch; ++s) {
-            kb[j * batch + s] = &rk->b[j];
-            ka[j * batch + s] = &rk->a[j];
+            kb[j * batch + s] = &key.b[j];
+            ka[j * batch + s] = &key.a[j];
         }
     dotRows(kctx_, acc0, acc1, h.table.data(), kb.data(), ka.data(),
             digits, batch);
@@ -388,7 +381,7 @@ Dispatcher::permutedTail(
     auto acc = overwriteRow(2 * batch, ctx_.unionLimbs(h.levelCount),
                             rns::Domain::Eval, "exec/ks-acc");
     auto acc_ptrs = ptrsOf({&acc});
-    tailRawInto(h, key, galois, acc_ptrs.data(), acc_ptrs.data() + batch);
+    tailRawInto(h, key, acc_ptrs.data(), acc_ptrs.data() + batch);
     if (fold)
         fold(acc_ptrs.data());
     return automorphPooled(readOnly(acc_ptrs.data(), 2 * batch), galois);
@@ -424,7 +417,7 @@ Dispatcher::keySwitchTail(const HoistedBatch &h, const ckks::SwitchKey &key,
     auto acc = overwriteRow(2 * batch, ctx_.unionLimbs(h.levelCount),
                             rns::Domain::Eval, "exec/ks-acc");
     auto acc_ptrs = ptrsOf({&acc});
-    tailRawInto(h, key, 1, acc_ptrs.data(), acc_ptrs.data() + batch);
+    tailRawInto(h, key, acc_ptrs.data(), acc_ptrs.data() + batch);
     return modDownPair(acc_ptrs, h.levelCount, down);
 }
 
@@ -443,16 +436,13 @@ Dispatcher::rotateMany(const ckks::Ciphertext *as, std::size_t batch,
         return out;
     std::size_t slots = ctx_.slots();
     std::vector<s64> norms(steps.size());
-    std::vector<std::shared_ptr<const ckks::SwitchKey>> pins(
-        steps.size());
+    std::vector<const ckks::SwitchKey *> step_keys(steps.size());
     bool any_nonzero = false;
     for (std::size_t i = 0; i < steps.size(); ++i) {
         norms[i] = ((steps[i] % s64(slots)) + s64(slots)) % s64(slots);
         if (norms[i] == 0)
             continue;
-        pins[i] = store_->rotation(norms[i]);
-        requireArg(pins[i] != nullptr, "no rotation key for step ",
-                   norms[i]);
+        step_keys[i] = &stepKey(norms[i]);
         any_nonzero = true;
     }
     auto copyInput = [&](std::vector<ckks::Ciphertext> &dst) {
@@ -480,7 +470,7 @@ Dispatcher::rotateMany(const ckks::Ciphertext *as, std::size_t batch,
         EvalOpStats::instance().record(EvalOpKind::HRotate, batch);
         out[r] = automorphFromHead(as, batch, head,
                                    ctx_.galoisForRotation(norms[r]),
-                                   *pins[r], &down);
+                                   *step_keys[r], &down);
     }
     return out;
 }
@@ -498,7 +488,7 @@ Dispatcher::conjugate(const ckks::Ciphertext *as, std::size_t batch) const
         c1s[s] = &as[s].c1;
     auto head = hoistCopy(c1s.data(), batch);
     return automorphFromHead(as, batch, head,
-                             ctx_.galoisForConjugation(), store_->conj(),
+                             ctx_.galoisForConjugation(), keys_.conj,
                              nullptr);
 }
 
@@ -547,12 +537,12 @@ Dispatcher::automorphPooled(
 // ------------------------------------------------------------------
 // Double-hoisted BSGS
 
-std::shared_ptr<const ckks::SwitchKey>
+const ckks::SwitchKey &
 Dispatcher::stepKey(s64 step) const
 {
-    auto key = store_->rotation(step);
-    requireArg(key != nullptr, "no rotation key for step ", step);
-    return key;
+    auto it = keys_.rot.find(step);
+    requireArg(it != keys_.rot.end(), "no rotation key for step ", step);
+    return it->second;
 }
 
 std::vector<Workspace::Pooled>
@@ -626,10 +616,10 @@ Dispatcher::buildBabyTables(const std::vector<s64> &steps,
         };
         for (std::size_t bi = 0; bi < n_baby; ++bi) {
             s64 step = t.steps[bi];
-            auto key_pin = stepKey(step);
+            const auto &key = stepKey(step);
             stats.record(EvalOpKind::HRotate, batch);
-            t.T[bi] = permutedTail(head, *key_pin,
-                                   ctx_.galoisForRotation(step), liftC0);
+            t.T[bi] = permutedTail(head, key, ctx_.galoisForRotation(step),
+                                   liftC0);
             t.Tp[bi] = ptrsOf({&t.T[bi]});
         }
     }
@@ -728,7 +718,7 @@ Dispatcher::accumulateGroups(const BsgsProgram &program,
         // on QP before the pair's one permutation - its ModDown stays
         // deferred to the single final one.
         stats.record(EvalOpKind::HRotate, batch);
-        auto giant_key = stepKey(group.shift);
+        const auto &giant_key = stepKey(group.shift);
         u64 galois = ctx_.galoisForRotation(group.shift);
 
         rns::toCoeffBatch(acc1p, v, kctx_.pool);
@@ -743,7 +733,7 @@ Dispatcher::accumulateGroups(const BsgsProgram &program,
         auto head2 = hoist(std::move(md1));
         auto acc0_in = readOnly(acc0p.data(), batch);
         auto rotated = permutedTail(
-            head2, *giant_key, galois,
+            head2, giant_key, galois,
             [&](rns::RnsPolynomial *const *g0) {
                 addPolysInPlace(kctx_, g0, acc0_in.data(), batch);
             });

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "ckks/context.hh"
-#include "ckks/keystore.hh"
 #include "exec/kernels.hh"
 #include "exec/workspace.hh"
 
@@ -91,23 +90,13 @@ class Dispatcher
 {
   public:
     /**
-     * @param keys must outlive the dispatcher; rotation keys are
-     *             looked up per step on demand. Wrapped in a static
-     *             ckks::KeyStore view internally.
+     * @param keys must outlive the dispatcher: every key switch reads
+     *             its key from the bundle in place, the one copy of
+     *             the key material (ckks::SwitchKey's format).
      * @param pool worker pool the flattened dispatches drain through;
      *             null = process-global pool.
      */
     Dispatcher(const ckks::CkksContext &ctx, const ckks::KeyBundle &keys,
-               ThreadPool *pool = nullptr);
-
-    /**
-     * Route keys through an explicit KeyStore — e.g. an on-demand
-     * store that generates rotation keys lazily with LRU eviction,
-     * which is how planner-built nets escape the root-stride
-     * key-pattern constraint.
-     */
-    Dispatcher(const ckks::CkksContext &ctx,
-               std::shared_ptr<const ckks::KeyStore> store,
                ThreadPool *pool = nullptr);
     /** Unregisters the workspace arena from the metrics registry. */
     ~Dispatcher();
@@ -186,8 +175,8 @@ class Dispatcher
                            std::size_t batch) const;
 
     /**
-     * Phase 2: inner product against `key` (restricted to the union
-     * basis via the context cache) + evaluation-domain ModDown, which
+     * Phase 2: inner product against `key` (read in place, limb by
+     * tower index) + evaluation-domain ModDown, which
      * transforms only the special limbs and the converted outputs.
      * The outputs are drawn through Workspace::output.
      * @param down optional shared ModDown plan (rotateMany reuses one
@@ -239,13 +228,13 @@ class Dispatcher
 
     /** Raw key-switch tail: inner product only, Eval domain, union
         basis, no ModDown — one dotRows launch over every digit
-        writes the preshaped accumulators in full (their prior
-        contents are never read). With galois != 1 it reads the key
-        pre-permuted by galois^-1 (CkksContext::restrictedKey), so
+        reads the full-tower key in place and writes the preshaped
+        accumulators in full (their prior contents are never read).
+        A Galois key's digits are stored permuted by galois^-1, so
         permuting the accumulators by galois gives the tail of the
         galois-permuted head. */
     void tailRawInto(const HoistedBatch &h, const ckks::SwitchKey &key,
-                     u64 galois, rns::RnsPolynomial *const *acc0,
+                     rns::RnsPolynomial *const *acc0,
                      rns::RnsPolynomial *const *acc1) const;
 
     /**
@@ -304,9 +293,10 @@ class Dispatcher
     outputRow(std::size_t batch, const std::vector<std::size_t> &limbs,
               rns::Domain domain) const;
 
-    /** The rotation key of one BSGS step, pinned against KeyStore
-        LRU eviction for the caller's use. */
-    std::shared_ptr<const ckks::SwitchKey> stepKey(s64 step) const;
+    /** The bundle's rotation key of a normalized nonzero step; throws
+        std::invalid_argument naming the step when the bundle lacks
+        it. */
+    const ckks::SwitchKey &stepKey(s64 step) const;
 
     /** Baby-step tail tables of one input batch: per step the raw
         (ModDown-deferred) keyswitch pair on the union basis, plus the
@@ -355,7 +345,7 @@ class Dispatcher
                  const std::vector<s64> &folds) const;
 
     const ckks::CkksContext &ctx_;
-    std::shared_ptr<const ckks::KeyStore> store_;
+    const ckks::KeyBundle &keys_;
     KernelCtx kctx_;
     std::unique_ptr<Workspace> ws_;
     mutable std::mutex pliftMu_;

@@ -144,14 +144,21 @@ dotRows(const KernelCtx &ctx, rns::RnsPolynomial *const *acc0,
                             2 * rows * batch * limbs * n);
     ctx.pool->parallelFor2D(batch, limbs,
                             [&](std::size_t s, std::size_t i) {
-        // Per-limb row tables: u, b and a for every row.
+        // Per-limb row tables: u, b and a for every row. A row on the
+        // accumulator's basis holds its limb at i; a wider one (a
+        // full-tower key) is looked up once by the tower index.
+        std::size_t t = acc0[s]->limbIndex(i);
+        auto at = [i, t](const rns::RnsPolynomial *p) {
+            bool same = i < p->numLimbs() && p->limbIndex(i) == t;
+            return p->limb(same ? i : p->limbPosition(t));
+        };
         thread_local std::vector<const u64 *> spans;
         spans.resize(3 * rows);
         for (std::size_t j = 0; j < rows; ++j) {
             std::size_t k = j * batch + s;
-            spans[j] = u[k]->limb(i);
-            spans[rows + j] = b[k]->limb(i);
-            spans[2 * rows + j] = a[k]->limb(i);
+            spans[j] = at(u[k]);
+            spans[rows + j] = at(b[k]);
+            spans[2 * rows + j] = at(a[k]);
         }
         v.dotRows(acc0[s]->limb(i), acc1[s]->limb(i), spans.data(),
                   spans.data() + rows, spans.data() + 2 * rows, rows, n,

@@ -83,6 +83,9 @@ void addPolysInPlace(const KernelCtx &ctx,
  * (slot x tower) and reduced once per sum (simd::Ops::dotRows). The
  * tables hold `rows` x batch polynomials, row after row
  * ([j * batch + s]); a row every slot shares repeats its pointer.
+ * Each row may hold more limbs than acc: every (slot, limb) task
+ * reads the row's limb of acc's tower index, found once per row, so
+ * a key-switch tail reads the full-tower key in place at any level.
  * Writes every limb of the accumulators, whose prior contents are
  * never read. The key-switch tail runs one per key switch (u = the
  * hoisted digits, b/a = the key), a BSGS group one per group (u = the

@@ -38,7 +38,6 @@ knownSites()
         {"exec/keyswitch-tail", false},
         {"exec/fused-elementwise", false},
         {"boot/sine-stage", false},
-        {"keystore/generate", false},
         {"gpu/replay-dispatch", false},
         {"graph/node-output", true},
         {"graph/value-store", true},

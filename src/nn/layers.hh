@@ -67,9 +67,7 @@ namespace tensorfhe::nn
 /**
  * Server-side execution context for encrypted inference: the
  * evaluator every layer dispatches through, which also carries the
- * CKKS context (ctx()). Planner-built nets construct it over an
- * on-demand ckks::KeyStore, so their unrestricted BSGS strides need
- * no pre-generated key bundle.
+ * CKKS context (ctx()) and reads the caller's key bundle in place.
  */
 using NnEngine = batch::BatchedEvaluator;
 
@@ -230,7 +228,8 @@ class MatvecLayer : public Layer
     /**
      * Planner-stride mode: compile()/rebind() hand the stride argmin
      * the ACTUAL input level and lift the root-pattern key
-     * restriction (keys come from an on-demand store), and costAt()
+     * restriction (keys cover the rebuilt stack's requiredRotations()),
+     * and costAt()
      * re-chooses the stride per queried level the same way. Default
      * off — the historical full-tower, root-restricted behavior.
      */

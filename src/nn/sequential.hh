@@ -36,8 +36,7 @@ class Sequential
      * placement, level drops and per-layer levels against
      * perf::CostModel, rebuilds the stack at the planned levels
      * (matvec strides re-chosen per level, root-pattern key
-     * restriction lifted — run the net on an on-demand
-     * ckks::KeyStore, or generate exactly requiredRotations()) and
+     * restriction lifted — generate exactly requiredRotations()) and
      * records the resulting immutable ExecutionPlan. The stack must
      * hold no Bootstrap/LevelDrop layers of its own. Must be called
      * before compile().

@@ -233,8 +233,9 @@ class CostModel
      * non-root stride must keep every rotation step inside the
      * root-based key grant (babies < root, giants multiples of
      * root) — required when keys were pre-generated analytically;
-     * an on-demand ckks::KeyStore lifts the restriction and lets
-     * the truly cheapest stride win. Ties keep the smaller stride.
+     * keys generated for the plan's own steps lift the restriction
+     * and let the truly cheapest stride win. Ties keep the smaller
+     * stride.
      */
     StrideChoice chooseBsgsStride(std::size_t level_count,
                                   const std::vector<std::size_t> &diag_idx,

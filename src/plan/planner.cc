@@ -159,8 +159,8 @@ planSequential(const ckks::CkksContext &ctx,
 
     // Planner strides from here on: costAt() re-chooses the BSGS
     // stride per queried level exactly as the rebind will, with the
-    // root-pattern key restriction lifted (keys come from an
-    // on-demand ckks::KeyStore).
+    // root-pattern key restriction lifted (the bundle is generated
+    // from the rebuilt stack's requiredRotations()).
     for (auto &l : layers)
         if (auto *m = dynamic_cast<nn::MatvecLayer *>(l.get()))
             m->setPlannedStrides(true);

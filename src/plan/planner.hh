@@ -27,8 +27,8 @@
  * searches, then REBUILDS the stack at the planned levels: layers
  * are rebound (Layer::rebind) at their planned input metas, with
  * matvec layers switched to planner strides (level-priced argmin, no
- * root-pattern key restriction — rotation keys come from an
- * on-demand ckks::KeyStore). The planner is the only code that
+ * root-pattern key restriction — rotation keys are generated for the
+ * rebuilt stack's requiredRotations()). The planner is the only code that
  * places Bootstrap and LevelDrop layers; hand-placed ones belong to
  * unplanned stacks.
  */
@@ -47,8 +47,8 @@ namespace tensorfhe::plan
 
 /**
  * The planner always re-chooses BSGS strides per planned level with
- * the root-pattern key restriction lifted (route keys through an
- * on-demand ckks::KeyStore — pre-generated analytic bundles may not
+ * the root-pattern key restriction lifted (generate the bundle from
+ * the compiled net's requiredRotations() — analytic bundles may not
  * cover the chosen steps), refreshes only chunks live downstream at
  * each bootstrap, and leaves >= 1 limb after the last layer.
  */

@@ -1,5 +1,6 @@
 #include "rns/rns_poly.hh"
 
+#include <algorithm>
 #include <numeric>
 
 #include "common/logging.hh"
@@ -61,6 +62,17 @@ RnsPolynomial::zeros(const RnsTower &tower, std::size_t count,
     std::vector<std::size_t> limbs(count);
     std::iota(limbs.begin(), limbs.end(), 0);
     return RnsPolynomial(tower, std::move(limbs), domain);
+}
+
+std::size_t
+RnsPolynomial::limbPosition(std::size_t t) const
+{
+    if (t < limbIndices_.size() && limbIndices_[t] == t)
+        return t;
+    auto it = std::find(limbIndices_.begin(), limbIndices_.end(), t);
+    TFHE_ASSERT(it != limbIndices_.end(), "tower limb ", t,
+                " not in the polynomial");
+    return static_cast<std::size_t>(it - limbIndices_.begin());
 }
 
 void
@@ -198,25 +210,6 @@ mulScalarInPlace(RnsPolynomial &a, const std::vector<u64> &scalars)
     }
 }
 
-void
-mulAccumulate(RnsPolynomial &acc, const RnsPolynomial &b,
-              const RnsPolynomial &c)
-{
-    TFHE_ASSERT(acc.sameShape(b) && b.sameShape(c), "shape mismatch");
-    ScopedKernelTimer timer(KernelKind::HadaMult,
-                            acc.numLimbs() * acc.n());
-    std::size_t n = acc.n();
-    ThreadPool::global().parallelFor(0, acc.numLimbs(),
-                                     [&](std::size_t i) {
-        const Modulus &mod = acc.limbModulus(i);
-        u64 *pa = acc.limb(i);
-        const u64 *pb = b.limb(i);
-        const u64 *pc = c.limb(i);
-        for (std::size_t j = 0; j < n; ++j)
-            pa[j] = mod.add(pa[j], mod.mul(pb[j], pc[j]));
-    });
-}
-
 RnsPolynomial
 sampleUniform(const RnsTower &tower, const std::vector<std::size_t> &limbs,
               Domain domain, Rng &rng)
@@ -252,25 +245,17 @@ liftSigned(const RnsTower &tower, const std::vector<std::size_t> &limbs,
 }
 
 RnsPolynomial
-restrictToLimbs(const RnsPolynomial &a,
-                const std::vector<std::size_t> &limbs, u64 galois)
+permuteEval(const RnsPolynomial &a, u64 galois)
 {
-    RnsPolynomial out(a.tower(), limbs, a.domain());
-    std::vector<std::size_t> pi;
-    if (galois != 1) {
-        TFHE_ASSERT(a.domain() == Domain::Eval,
-                    "a permuted restriction gathers Eval slots");
-        pi = frobeniusGather(a.n(), galois);
-    }
-    for (std::size_t i = 0; i < limbs.size(); ++i) {
-        TFHE_ASSERT(a.limbIndex(limbs[i]) == limbs[i]);
-        const u64 *src = a.limb(limbs[i]);
+    TFHE_ASSERT(a.domain() == Domain::Eval,
+                "a slot permutation gathers Eval slots");
+    RnsPolynomial out(a.tower(), a.limbIndices(), a.domain());
+    auto pi = frobeniusGather(a.n(), galois);
+    for (std::size_t i = 0; i < a.numLimbs(); ++i) {
+        const u64 *src = a.limb(i);
         u64 *dst = out.limb(i);
-        if (pi.empty())
-            std::copy(src, src + a.n(), dst);
-        else
-            for (std::size_t j = 0; j < a.n(); ++j)
-                dst[j] = src[pi[j]];
+        for (std::size_t j = 0; j < a.n(); ++j)
+            dst[j] = src[pi[j]];
     }
     return out;
 }
@@ -376,24 +361,16 @@ applyAutomorphism(const RnsPolynomial &a, u64 galois)
     std::size_t n = a.n();
     u64 m = 2 * n;
     TFHE_ASSERT(galois % 2 == 1 && galois < m, "bad Galois element");
-    RnsPolynomial out(a.tower(), a.limbIndices(), a.domain());
-
     if (a.domain() == Domain::Eval) {
         // FrobeniusMap kernel (paper SIV-A): pure slot permutation.
         ScopedKernelTimer timer(KernelKind::FrobeniusMap,
                                 a.numLimbs() * n);
-        auto pi = frobeniusGather(n, galois);
-        for (std::size_t i = 0; i < a.numLimbs(); ++i) {
-            const u64 *src = a.limb(i);
-            u64 *dst = out.limb(i);
-            for (std::size_t j = 0; j < n; ++j)
-                dst[j] = src[pi[j]];
-        }
-        return out;
+        return permuteEval(a, galois);
     }
 
     // Coefficient domain: X^j -> X^(j*galois mod 2N) with sign flips
     // for wraps past N.
+    RnsPolynomial out(a.tower(), a.limbIndices(), a.domain());
     for (std::size_t i = 0; i < a.numLimbs(); ++i) {
         const Modulus &mod = a.limbModulus(i);
         const u64 *src = a.limb(i);

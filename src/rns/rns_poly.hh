@@ -75,6 +75,10 @@ class RnsPolynomial
         return limbIndices_;
     }
     std::size_t limbIndex(std::size_t i) const { return limbIndices_[i]; }
+    /** Position of tower limb `t`, which the polynomial must hold:
+        `t` itself on a full-tower or q-prefix polynomial, else found
+        by a search of the limb indices. */
+    std::size_t limbPosition(std::size_t t) const;
     Domain domain() const { return domain_; }
     void setDomain(Domain d) { domain_ = d; } // caller moves the data
 
@@ -122,10 +126,6 @@ void negateInPlace(RnsPolynomial &a);
 /** a[limb i] *= scalar[i] (scalars already reduced per limb). */
 void mulScalarInPlace(RnsPolynomial &a, const std::vector<u64> &scalars);
 
-/** Fused a += b * c (keyswitch inner product accumulate). */
-void mulAccumulate(RnsPolynomial &acc, const RnsPolynomial &b,
-                   const RnsPolynomial &c);
-
 /** Uniform random polynomial over the given limbs. */
 RnsPolynomial sampleUniform(const RnsTower &tower,
                             const std::vector<std::size_t> &limbs,
@@ -148,15 +148,11 @@ RnsPolynomial liftSigned(const RnsTower &tower,
  */
 RnsPolynomial applyAutomorphism(const RnsPolynomial &a, u64 galois);
 
-/** Copy of `a` restricted to the given tower limb indices (which must
-    be present in `a` at matching positions). With galois != 1 (Eval
-    domain only) the copy is gathered through the FrobeniusMap
-    permutation in the same pass, so it equals
-    applyAutomorphism(restrictToLimbs(a, limbs), galois). It records
-    no kernel launch: it prepares keys, it does not evaluate. */
-RnsPolynomial restrictToLimbs(const RnsPolynomial &a,
-                              const std::vector<std::size_t> &limbs,
-                              u64 galois = 1);
+/** applyAutomorphism(a, galois) of an Eval-domain polynomial, the
+    FrobeniusMap gather, without recording a kernel launch: key
+    generation permutes its digits with it, which prepares keys rather
+    than evaluating. */
+RnsPolynomial permuteEval(const RnsPolynomial &a, u64 galois);
 
 /*
  * Batched counterparts used by the parallel batched execution engine:

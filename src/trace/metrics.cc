@@ -12,45 +12,6 @@
 namespace tensorfhe::trace
 {
 
-void
-Histogram::observe(u64 v)
-{
-    std::size_t b = 0;
-    while (b + 1 < kBuckets && (v >> (b + 1)) != 0)
-        ++b;
-    buckets_[b].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
-}
-
-u64
-Histogram::count() const
-{
-    return count_.load(std::memory_order_relaxed);
-}
-
-u64
-Histogram::sum() const
-{
-    return sum_.load(std::memory_order_relaxed);
-}
-
-u64
-Histogram::bucket(std::size_t b) const
-{
-    return b < kBuckets ? buckets_[b].load(std::memory_order_relaxed)
-                        : 0;
-}
-
-void
-Histogram::reset()
-{
-    for (auto &b : buckets_)
-        b.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
-    sum_.store(0, std::memory_order_relaxed);
-}
-
 MetricsRegistry &
 MetricsRegistry::instance()
 {
@@ -73,16 +34,6 @@ MetricsRegistry::setGauge(const std::string &name, double value)
 {
     std::lock_guard<std::mutex> lock(mu_);
     gauges_[name] = value;
-}
-
-Histogram &
-MetricsRegistry::histogram(const std::string &name)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    auto &slot = histograms_[name];
-    if (!slot)
-        slot = std::make_unique<Histogram>();
-    return *slot;
 }
 
 void
@@ -182,19 +133,6 @@ MetricsRegistry::snapshot() const
             out["custom." + name] = static_cast<double>(c->value());
         for (const auto &[name, v] : gauges_)
             out["custom." + name] = v;
-        for (const auto &[name, h] : histograms_) {
-            out["custom." + name + ".count"] =
-                static_cast<double>(h->count());
-            out["custom." + name + ".sum"] =
-                static_cast<double>(h->sum());
-            for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
-                u64 n = h->bucket(b);
-                if (n != 0)
-                    out["custom." + name + ".bucket_p"
-                        + std::to_string(b)] =
-                        static_cast<double>(n);
-            }
-        }
     }
     return out;
 }
@@ -282,7 +220,6 @@ MetricsRegistry::resetCustom()
     std::lock_guard<std::mutex> lock(mu_);
     counters_.clear();
     gauges_.clear();
-    histograms_.clear();
 }
 
 } // namespace tensorfhe::trace

@@ -1,6 +1,6 @@
 /**
  * @file
- * MetricsRegistry: one named counter/gauge/histogram interface over
+ * MetricsRegistry: one named counter/gauge interface over
  * the engine's counter islands.
  *
  * Four generations of instrumentation accumulated their own
@@ -19,8 +19,8 @@
  *              checkpoints_taken|checkpoints_resumed
  *   trace.spans_recorded|spans_dropped
  *
- * plus registry-owned custom counters, gauges and log2 histograms
- * (custom.<name>...). snapshotJson() nests the dotted names into one
+ * plus registry-owned custom counters and gauges (custom.<name>).
+ * snapshotJson() nests the dotted names into one
  * JSON object — the single machine-readable metrics dump every
  * bench emits behind --metrics (bench_util.hh).
  */
@@ -70,30 +70,6 @@ class Counter
     std::atomic<u64> value_{0};
 };
 
-/**
- * Power-of-two bucket histogram: observe(v) lands in bucket
- * floor(log2(v)) (v = 0 in bucket 0). Lock-free; fine-grained
- * distributions (span durations, batch sizes) without per-observe
- * allocation.
- */
-class Histogram
-{
-  public:
-    static constexpr std::size_t kBuckets = 64;
-
-    void observe(u64 v);
-    u64 count() const;
-    u64 sum() const;
-    /** Observations in bucket b, i.e. v in [2^b, 2^(b+1)). */
-    u64 bucket(std::size_t b) const;
-    void reset();
-
-  private:
-    std::atomic<u64> buckets_[kBuckets] = {};
-    std::atomic<u64> count_{0};
-    std::atomic<u64> sum_{0};
-};
-
 /** Flat snapshot: dotted metric name -> value. */
 using MetricsSnapshot = std::map<std::string, double>;
 
@@ -108,9 +84,6 @@ class MetricsRegistry
 
     /** Set a gauge to an absolute value (custom.<name>). */
     void setGauge(const std::string &name, double value);
-
-    /** Registry-owned histogram (custom.<name>.count|sum|p_bucket). */
-    Histogram &histogram(const std::string &name);
 
     /**
      * Workspace arenas report per-instance; the registry aggregates
@@ -129,7 +102,7 @@ class MetricsRegistry
     /** snapshotJson() to a file; false on I/O failure. */
     bool writeSnapshotJson(const std::string &path) const;
 
-    /** Clear custom counters/gauges/histograms (the islands have
+    /** Clear custom counters and gauges (the islands have
         their own reset() calls; benches reset them directly). */
     void resetCustom();
 
@@ -139,7 +112,6 @@ class MetricsRegistry
     mutable std::mutex mu_;
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, double> gauges_;
-    std::map<std::string, std::unique_ptr<Histogram>> histograms_;
     std::vector<const exec::Workspace *> workspaces_;
 };
 

@@ -146,15 +146,22 @@ TEST(Hoisting, BatchedHoistPlusTailMatchesOnePolynomialAtATime)
 /**
  * The automorphism `galois` of `ct` composed from generic parts: the
  * digits of the hoisted c1, each permuted by the FrobeniusMap, through
- * the plain keySwitchTail, plus the permuted c0. The dispatcher
- * permutes only the inner product's result instead; both must agree
- * bit for bit.
+ * the plain keySwitchTail against the key as generated, plus the
+ * permuted c0. The bundle stores a Galois key's digits permuted by
+ * galois^-1, so permuting `stored` by galois rebuilds that key. The
+ * dispatcher permutes only the inner product's result instead; both
+ * must agree bit for bit.
  */
 Ciphertext
 permutedHeadComposition(const HoistFixture &f, const Ciphertext &ct,
-                        u64 galois, const SwitchKey &key)
+                        u64 galois, const SwitchKey &stored)
 {
     const auto &disp = f.eval.dispatcher();
+    SwitchKey key;
+    for (std::size_t j = 0; j < stored.digits(); ++j) {
+        key.b.push_back(rns::applyAutomorphism(stored.b[j], galois));
+        key.a.push_back(rns::applyAutomorphism(stored.a[j], galois));
+    }
     const rns::RnsPolynomial *c1 = &ct.c1;
     auto h = disp.hoistCopy(&c1, 1);
     for (auto &row : h.digits)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Key-switching internals: the generalized (dnum) decomposition of
- * paper SII-B, across dnum settings, levels, and NTT variants.
+ * paper SII-B, across dnum settings, levels, and NTT variants, and
+ * the storage format of the generated keys.
  */
 
 #include <gtest/gtest.h>
@@ -134,6 +135,80 @@ TEST(KeySwitch, RawKeySwitchRelation)
             ASSERT_LT(mag, u64(1) << 22) << "limb " << i << " coeff " << c;
         }
     }
+}
+
+void
+expectKeyDigitsEqual(const SwitchKey &got, const SwitchKey &want)
+{
+    ASSERT_EQ(got.digits(), want.digits());
+    for (std::size_t j = 0; j < want.digits(); ++j)
+        for (auto [g, w] : {std::pair{&got.b[j], &want.b[j]},
+                            std::pair{&got.a[j], &want.a[j]}}) {
+            ASSERT_EQ(g->limbIndices(), w->limbIndices());
+            ASSERT_EQ(g->domain(), w->domain());
+            for (std::size_t i = 0; i < w->numLimbs(); ++i)
+                for (std::size_t c = 0; c < w->n(); ++c)
+                    ASSERT_EQ(g->limb(i)[c], w->limb(i)[c])
+                        << "digit " << j << " limb " << i;
+        }
+}
+
+/** `key` with every digit mapped by the automorphism `galois`. */
+SwitchKey
+automorphKey(const SwitchKey &key, u64 galois)
+{
+    SwitchKey out;
+    for (std::size_t j = 0; j < key.digits(); ++j) {
+        out.b.push_back(rns::applyAutomorphism(key.b[j], galois));
+        out.a.push_back(rns::applyAutomorphism(key.a[j], galois));
+    }
+    return out;
+}
+
+TEST(KeySwitch, GaloisKeysAreStoredPermutedByTheInverse)
+{
+    // The bundle's rotation and conjugation keys are the same-seed
+    // generateSwitchKey of their target with every digit permuted by
+    // g^-1; the relinearization key is stored as generated.
+    CkksContext ctx(Presets::tiny());
+    Rng sk_rng(31);
+    auto sk = ctx.generateSecretKey(sk_rng);
+    std::vector<s64> steps = {1, 3, static_cast<s64>(ctx.slots()) - 1};
+    Rng rng(32);
+    auto keys = ctx.generateKeys(sk, rng, steps);
+
+    // Replay generateKeys' draws: pk, relin, the rotations in order,
+    // then the conjugation key.
+    Rng replay(32);
+    (void)ctx.generatePublicKey(sk, replay);
+    auto s2 = sk.eval;
+    rns::hadaMultInPlace(s2, sk.eval);
+    expectKeyDigitsEqual(keys.relin,
+                         ctx.generateSwitchKey(s2, sk, replay));
+    auto expectStoredPermuted = [&](const SwitchKey &stored, u64 g) {
+        auto generated = ctx.generateSwitchKey(
+            rns::applyAutomorphism(sk.eval, g), sk, replay);
+        expectKeyDigitsEqual(stored,
+                             automorphKey(generated, ctx.galoisInverse(g)));
+        // The permutation is not the identity on these digits.
+        EXPECT_NE(stored.b[0].limb(0)[1], generated.b[0].limb(0)[1]);
+    };
+    for (s64 step : steps) {
+        SCOPED_TRACE("rotation step " + std::to_string(step));
+        expectStoredPermuted(keys.rot.at(step),
+                             ctx.galoisForRotation(step));
+    }
+    SCOPED_TRACE("conjugation");
+    expectStoredPermuted(keys.conj, ctx.galoisForConjugation());
+
+    u64 m = 2 * ctx.n();
+    std::vector<u64> elements = {ctx.galoisForConjugation()};
+    for (s64 step : steps) {
+        elements.push_back(ctx.galoisForRotation(step));
+        elements.push_back(ctx.galoisForConjRotation(step));
+    }
+    for (u64 e : elements)
+        EXPECT_EQ(e * ctx.galoisInverse(e) % m, 1u) << "element " << e;
 }
 
 } // namespace

@@ -1,9 +1,7 @@
 /**
  * @file
- * Context-cached conversion plans and key restrictions: the memoized
- * ModUpPlan/ModDownPlan shapes, the (key, level, Galois element)
- * restriction cache, switch-key identities, and result stability
- * across cached reuse.
+ * Context-cached conversion plans: the memoized ModUpPlan/ModDownPlan
+ * shapes and result stability across cached reuse.
  */
 
 #include <gtest/gtest.h>
@@ -32,18 +30,6 @@ struct CacheFixture
     Decryptor dec;
     batch::BatchedEvaluator eval;
 };
-
-TEST(PlanCache, SwitchKeysCarryUniqueIds)
-{
-    CacheFixture f;
-    EXPECT_NE(f.keys.relin.id, 0u);
-    EXPECT_NE(f.keys.conj.id, 0u);
-    EXPECT_NE(f.keys.relin.id, f.keys.conj.id);
-    for (const auto &[step, key] : f.keys.rot) {
-        EXPECT_NE(key.id, 0u);
-        EXPECT_NE(key.id, f.keys.relin.id);
-    }
-}
 
 TEST(PlanCache, PlansAreBuiltOnceAndReused)
 {
@@ -74,69 +60,6 @@ TEST(PlanCache, PlansAreBuiltOnceAndReused)
     (void)f.eval.rotate(dropped, 1);
     EXPECT_GT(f.ctx.modUpPlanCacheSize(), up_after_one);
     EXPECT_GT(f.ctx.modDownPlanCacheSize(), down_after_one);
-}
-
-TEST(PlanCache, KeyRestrictionsAreMemoizedPerKeyAndLevel)
-{
-    CacheFixture f;
-    std::size_t lc = f.ctx.tower().numQ();
-    auto a = f.ctx.restrictedKey(f.keys.relin, lc);
-    auto b = f.ctx.restrictedKey(f.keys.relin, lc);
-    EXPECT_EQ(a.get(), b.get()); // cache hit returns the same object
-    EXPECT_EQ(f.ctx.keyRestrictionCacheSize(), 1u);
-
-    auto c = f.ctx.restrictedKey(f.keys.relin, lc - 1);
-    EXPECT_NE(a.get(), c.get());
-    EXPECT_EQ(f.ctx.keyRestrictionCacheSize(), 2u);
-
-    // An id-less key is never cached.
-    SwitchKey anon;
-    anon.b = f.keys.relin.b;
-    anon.a = f.keys.relin.a;
-    auto d = f.ctx.restrictedKey(anon, lc);
-    EXPECT_EQ(f.ctx.keyRestrictionCacheSize(), 2u);
-    ASSERT_EQ(d->b.size(), a->b.size());
-}
-
-TEST(PlanCache, KeyRestrictionsArePrePermutedPerGaloisElement)
-{
-    CacheFixture f;
-    std::size_t lc = f.ctx.tower().numQ();
-    const SwitchKey &key = f.keys.rot.at(3);
-    u64 g = f.ctx.galoisForRotation(3);
-    u64 g_inv = f.ctx.galoisInverse(g);
-
-    auto plain = f.ctx.restrictedKey(key, lc, 1);
-    auto permuted = f.ctx.restrictedKey(key, lc, g);
-    EXPECT_NE(plain.get(), permuted.get());
-    EXPECT_EQ(f.ctx.keyRestrictionCacheSize(), 2u);
-    EXPECT_EQ(f.ctx.restrictedKey(key, lc).get(), plain.get());
-    EXPECT_EQ(f.ctx.restrictedKey(key, lc, g).get(), permuted.get());
-    EXPECT_EQ(f.ctx.keyRestrictionCacheSize(), 2u);
-
-    // The g entry holds the galois-1 digits permuted by g^-1.
-    ASSERT_EQ(permuted->b.size(), plain->b.size());
-    for (std::size_t j = 0; j < plain->b.size(); ++j) {
-        for (auto [got, base] :
-             {std::pair{&permuted->b[j], &plain->b[j]},
-              std::pair{&permuted->a[j], &plain->a[j]}}) {
-            auto want = rns::applyAutomorphism(*base, g_inv);
-            ASSERT_EQ(got->limbIndices(), want.limbIndices());
-            for (std::size_t i = 0; i < want.numLimbs(); ++i)
-                for (std::size_t c = 0; c < want.n(); ++c)
-                    ASSERT_EQ(got->limb(i)[c], want.limb(i)[c])
-                        << "digit " << j << " limb " << i;
-        }
-    }
-
-    u64 m = 2 * f.ctx.n();
-    std::vector<u64> elements = {f.ctx.galoisForConjugation()};
-    for (const auto &[step, rot] : f.keys.rot) {
-        elements.push_back(f.ctx.galoisForRotation(step));
-        elements.push_back(f.ctx.galoisForConjRotation(step));
-    }
-    for (u64 e : elements)
-        EXPECT_EQ(e * f.ctx.galoisInverse(e) % m, 1u) << "element " << e;
 }
 
 TEST(PlanCache, CachedRotationsAreDeterministic)

@@ -7,7 +7,9 @@
  * exact counter accounting, CMULT + RESCALE and HMULT + RESCALE launch
  * their closed-form transforms, rotations and BSGS steps launch their
  * closed-form FrobeniusMaps, a key switch and a BSGS group each sum
- * their rows in one Hada-Mult launch, both hoist input domains build
+ * their rows in one Hada-Mult launch, dotRows reads the full-tower
+ * key by tower index at every level, a missing key fails cleanly
+ * and the bundle is read in place, both hoist input domains build
  * the same digits, unzeroed scratch is always written in full, and
  * the kernel queue the layer emits can be replayed on the SM
  * pipeline model.
@@ -18,6 +20,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <numeric>
 #include <string>
 #include <utility>
 
@@ -334,6 +337,121 @@ TEST(ExecDispatch, HadaMultLaunchesOncePerKeySwitchAndPerBsgsGroup)
     want.first += tails + lifts;
     want.second += tails * dnum * per_row + lifts * kBatch * L * n;
     EXPECT_EQ(delta([&] { (void)f.plan.applyBatch(beval, cts); }), want);
+}
+
+TEST(ExecDispatch, DotRowsReadsWiderRowsByTowerIndex)
+{
+    // A key-switch tail hands dotRows the full-tower key in place:
+    // every (slot, limb) task must read each row's limb of the
+    // accumulator's tower index, so at every level the call equals
+    // the same call on copies restricted to the union basis.
+    auto &f = fx();
+    const auto &tower = f.ctx.tower();
+    KernelCtx kctx(&ThreadPool::global());
+    constexpr std::size_t kRows = 3, kBatch = 2;
+    std::vector<std::size_t> full(tower.numTotal());
+    std::iota(full.begin(), full.end(), std::size_t{0});
+    Rng rng(88);
+    for (std::size_t lc = 2; lc <= tower.numQ(); ++lc) {
+        SCOPED_TRACE("level count " + std::to_string(lc));
+        auto union_limbs = f.ctx.unionLimbs(lc);
+        std::vector<rns::RnsPolynomial> u, b, a, b_cut, a_cut;
+        auto restrict = [&](const rns::RnsPolynomial &p) {
+            rns::RnsPolynomial out(tower, union_limbs, rns::Domain::Eval);
+            for (std::size_t i = 0; i < union_limbs.size(); ++i)
+                std::copy(p.limb(union_limbs[i]),
+                          p.limb(union_limbs[i]) + p.n(), out.limb(i));
+            return out;
+        };
+        for (std::size_t k = 0; k < kRows * kBatch; ++k) {
+            u.push_back(rns::sampleUniform(tower, union_limbs,
+                                           rns::Domain::Eval, rng));
+            b.push_back(rns::sampleUniform(tower, full, rns::Domain::Eval,
+                                           rng));
+            a.push_back(rns::sampleUniform(tower, full, rns::Domain::Eval,
+                                           rng));
+            b_cut.push_back(restrict(b.back()));
+            a_cut.push_back(restrict(a.back()));
+        }
+        auto ptrs = [](const std::vector<rns::RnsPolynomial> &v) {
+            std::vector<const rns::RnsPolynomial *> out;
+            for (const auto &p : v)
+                out.push_back(&p);
+            return out;
+        };
+        auto run = [&](const std::vector<rns::RnsPolynomial> &kb,
+                       const std::vector<rns::RnsPolynomial> &ka) {
+            std::vector<rns::RnsPolynomial> acc;
+            for (std::size_t s = 0; s < 2 * kBatch; ++s) {
+                acc.emplace_back(tower, union_limbs, rns::Domain::Eval);
+                for (std::size_t i = 0; i < union_limbs.size(); ++i)
+                    std::fill(acc.back().limb(i),
+                              acc.back().limb(i) + acc.back().n(),
+                              ~u64(0));
+            }
+            std::vector<rns::RnsPolynomial *> accp;
+            for (auto &p : acc)
+                accp.push_back(&p);
+            dotRows(kctx, accp.data(), accp.data() + kBatch,
+                    ptrs(u).data(), ptrs(kb).data(), ptrs(ka).data(),
+                    kRows, kBatch);
+            return acc;
+        };
+        auto wide = run(b, a);
+        auto cut = run(b_cut, a_cut);
+        for (std::size_t s = 0; s < 2 * kBatch; ++s)
+            expectPolyEq(wide[s], cut[s]);
+    }
+}
+
+TEST(ExecDispatch, MissingKeyThrowsCleanlyAndTheBundleIsReadInPlace)
+{
+    // A rotation or BSGS step whose key the bundle lacks throws
+    // std::invalid_argument naming the step and returns every lease;
+    // once the caller puts the key back into its bundle, the same
+    // evaluator reads it in place and runs bit for bit as before.
+    auto &f = fx();
+    ckks::KeyBundle keys = f.keys;
+    batch::BatchedEvaluator beval(f.ctx, keys);
+    auto &ws = beval.dispatcher().workspace();
+    ws.setLeaseTracking(true);
+    std::vector<ckks::Ciphertext> cts;
+    for (std::size_t s = 0; s < 2; ++s)
+        cts.push_back(f.encryptSlots(780 + s, 3));
+
+    auto program = f.plan.program(cts[0].levelCount());
+    ASSERT_FALSE(program.babySteps.empty());
+    s64 giant = 0;
+    for (const auto &g : program.groups)
+        giant = g.shift != 0 ? g.shift : giant;
+    ASSERT_NE(giant, 0);
+    s64 baby = program.babySteps.back();
+    using Run = std::function<std::vector<ckks::Ciphertext>()>;
+    Run rotate = [&] { return beval.rotate(cts, baby); };
+    Run bsgs = [&] { return f.plan.applyBatch(beval, cts); };
+    for (auto [step, run] : {std::pair{baby, rotate},
+                             std::pair{baby, bsgs},
+                             std::pair{giant, bsgs}}) {
+        SCOPED_TRACE("missing step " + std::to_string(step));
+        auto want = run();
+        auto node = keys.rot.extract(step);
+        ASSERT_FALSE(node.empty());
+        try {
+            (void)run();
+            ADD_FAILURE() << "no exception for a missing key";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "step " + std::to_string(step)),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(ws.outstandingLeases(), 0u);
+        keys.rot.insert(std::move(node));
+        auto got = run();
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t s = 0; s < want.size(); ++s)
+            expectCtEq(got[s], want[s]);
+    }
 }
 
 TEST(ExecDispatch, HoistOfEvalAndCoeffInputsGivesIdenticalDigits)

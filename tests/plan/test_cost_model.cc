@@ -103,7 +103,7 @@ TEST(CostModel, UnrestrictedStrideIsNeverWorse)
 {
     // Lifting the root-pattern key restriction only widens the
     // candidate set, so the chosen cost can only drop. This is the
-    // win the on-demand KeyStore unlocks for the planner.
+    // win that generating keys for the planned steps unlocks.
     CostModel m(deepParams());
     std::vector<std::vector<std::size_t>> populations{
         {1, 2, 3, 4, 5, 6, 7},

@@ -82,21 +82,6 @@ TEST(RnsPoly, ElementwiseKernelsMatchScalarMath)
     }
 }
 
-TEST(RnsPoly, MulAccumulateFusesMultiplyAdd)
-{
-    auto acc = randomPoly(2, Domain::Eval, 5);
-    auto b = randomPoly(2, Domain::Eval, 6);
-    auto c = randomPoly(2, Domain::Eval, 7);
-    auto expect = acc;
-    auto prod = b;
-    hadaMultInPlace(prod, c);
-    eleAddInPlace(expect, prod);
-    mulAccumulate(acc, b, c);
-    for (std::size_t i = 0; i < acc.numLimbs(); ++i)
-        for (std::size_t j = 0; j < acc.n(); ++j)
-            ASSERT_EQ(acc.limb(i)[j], expect.limb(i)[j]);
-}
-
 TEST(RnsPoly, NegateIsAdditiveInverse)
 {
     auto a = randomPoly(3, Domain::Coeff, 8);
