@@ -178,6 +178,41 @@ TEST(CkksEvaluator, RotateRequiresKey)
     EXPECT_THROW(fx().eval.rotate({ct}, 3), std::invalid_argument);
 }
 
+TEST(CkksEvaluator, RotatesWithKeysAddedToItsBundleLater)
+{
+    // The evaluator reads the caller's bundle in place: rotation keys
+    // generated after it was built, for any step, serve it as they
+    // are, and a regenerated conjugation key replaces the old one.
+    auto &f = fx();
+    KeyBundle keys = f.keys;
+    keys.rot.clear();
+    batch::BatchedEvaluator eval(f.ctx, keys);
+    auto z = f.randomSlots(1.0, 16);
+    auto ct = f.encryptSlots(z, 2);
+    EXPECT_THROW(eval.rotate({ct}, 3), std::invalid_argument);
+
+    std::size_t slots = f.ctx.slots();
+    Rng key_rng(17);
+    for (s64 step : {s64(3), s64(7), static_cast<s64>(slots) - 3})
+        keys.rot.emplace(step, f.ctx.generateRotationKey(f.sk, step,
+                                                         key_rng));
+    for (s64 step : {s64(3), s64(7), s64(-3)}) {
+        auto rot = eval.rotate({ct}, step)[0];
+        std::vector<Complex> expect(slots);
+        for (std::size_t i = 0; i < slots; ++i)
+            expect[i] = z[(i + slots + static_cast<std::size_t>(step))
+                          % slots];
+        EXPECT_LT(f.maxErrorVs(rot, expect), 5e-3) << "step " << step;
+    }
+
+    keys.conj = f.ctx.generateConjugationKey(f.sk, key_rng);
+    auto conj = eval.dispatcher().conjugate(&ct, 1)[0];
+    std::vector<Complex> expect(slots);
+    for (std::size_t i = 0; i < slots; ++i)
+        expect[i] = std::conj(z[i]);
+    EXPECT_LT(f.maxErrorVs(conj, expect), 5e-3);
+}
+
 TEST(CkksEvaluator, Conjugate)
 {
     auto z = fx().randomSlots(1.0, 15);

@@ -6,15 +6,18 @@
  * one-polynomial hoist + tail, a
  * multi-step rotateManyBatch must be bit-identical to rotating one
  * step at a time for every step shape (negative, wrap-around, zero,
- * repeated), rotations and conjugation (one ciphertext and batched)
- * must equal the generic tail over the explicitly permuted head bit
- * for bit, and sharing one decompose+ModUp head across steps must
+ * repeated), rotations and conjugation (one ciphertext and batched,
+ * from the lowest level to the top) must equal the generic tail over
+ * the explicitly permuted head bit for bit and decrypt to the moved
+ * slots, and sharing one decompose+ModUp head across steps must
  * actually shrink the NTT / Conv work (checked via kernel counters).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "../ct_eq.hh"
 #include "batch/executor.hh"
@@ -40,16 +43,28 @@ struct HoistFixture
           enc(ctx, keys.pk), dec(ctx, sk), eval(ctx, keys)
     {}
 
-    Ciphertext
-    encryptRandom(double mag, u64 seed, std::size_t levels)
+    std::vector<Complex>
+    randomSlots(double mag, u64 seed) const
     {
         Rng r(seed);
         std::vector<Complex> z(ctx.slots());
         for (auto &v : z)
             v = Complex(mag * (2 * r.uniformReal() - 1),
                         mag * (2 * r.uniformReal() - 1));
+        return z;
+    }
+
+    Ciphertext
+    encryptSlots(const std::vector<Complex> &z, std::size_t levels)
+    {
         auto pt = ctx.encoder().encode(z, ctx.params().scale(), levels);
         return enc.encrypt(pt, rng);
+    }
+
+    Ciphertext
+    encryptRandom(double mag, u64 seed, std::size_t levels)
+    {
+        return encryptSlots(randomSlots(mag, seed), levels);
     }
 
     CkksContext ctx;
@@ -184,23 +199,67 @@ compositionSteps(std::size_t slots)
     return {{1, 1}, {5, 5}, {-1, n - 1}, {n + 3, 3}};
 }
 
+/** Every composition step and the conjugation of a fresh ciphertext
+    at level count `lc`, against permutedHeadComposition. */
+void
+expectRotationsMatchComposition(HoistFixture &f, std::size_t lc)
+{
+    auto ct = f.encryptRandom(1.0, 60 + lc, lc);
+    for (auto [step, key_step] : compositionSteps(f.ctx.slots())) {
+        SCOPED_TRACE("level count " + std::to_string(lc) + ", step "
+                     + std::to_string(step));
+        expectCtEq(f.eval.rotate({ct}, step)[0],
+                   permutedHeadComposition(
+                       f, ct, f.ctx.galoisForRotation(key_step),
+                       f.keys.rot.at(key_step)));
+    }
+    SCOPED_TRACE("conjugation at level count " + std::to_string(lc));
+    expectCtEq(f.eval.dispatcher().conjugate(&ct, 1)[0],
+               permutedHeadComposition(
+                   f, ct, f.ctx.galoisForConjugation(), f.keys.conj));
+}
+
 TEST(Hoisting, RotationsMatchThePermutedHeadComposition)
 {
+    for (std::size_t lc : {std::size_t(2), std::size_t(3)})
+        expectRotationsMatchComposition(fx(), lc);
+}
+
+TEST(Hoisting, RotationsAtTheEndLevelsMatchThePermutedHeadComposition)
+{
+    // The tail reads the full-tower key in place, by tower index: at
+    // one level it skips every q-limb but the first to reach the
+    // special limbs, at the top it reads every limb of the key. Each
+    // output matches the composition bit for bit and decrypts to the
+    // rotated (or conjugated) slots.
     auto &f = fx();
-    for (std::size_t lc : {std::size_t(2), std::size_t(3)}) {
-        auto ct = f.encryptRandom(1.0, 60 + lc, lc);
-        for (auto [step, key_step] : compositionSteps(f.ctx.slots())) {
-            SCOPED_TRACE("level count " + std::to_string(lc) + ", step "
-                         + std::to_string(step));
-            expectCtEq(f.eval.rotate({ct}, step)[0],
-                       permutedHeadComposition(
-                           f, ct, f.ctx.galoisForRotation(key_step),
-                           f.keys.rot.at(key_step)));
+    std::size_t slots = f.ctx.slots();
+    for (std::size_t lc : {std::size_t(1), f.ctx.tower().numQ()}) {
+        expectRotationsMatchComposition(f, lc);
+        auto z = f.randomSlots(1.0, 90 + lc);
+        auto ct = f.encryptSlots(z, lc);
+        auto maxError = [&](const Ciphertext &out,
+                            const std::function<Complex(std::size_t)>
+                                &want) {
+            auto got = f.dec.decryptAndDecode(out);
+            double err = 0;
+            for (std::size_t j = 0; j < slots; ++j)
+                err = std::max(err, std::abs(got[j] - want(j)));
+            return err;
+        };
+        for (auto [step, key_step] : compositionSteps(slots)) {
+            auto shift = static_cast<std::size_t>(key_step);
+            EXPECT_LT(maxError(f.eval.rotate({ct}, step)[0],
+                               [&](std::size_t j) {
+                                   return z[(j + shift) % slots];
+                               }),
+                      5e-3)
+                << "level count " << lc << ", step " << step;
         }
-        SCOPED_TRACE("conjugation at level count " + std::to_string(lc));
-        expectCtEq(f.eval.dispatcher().conjugate(&ct, 1)[0],
-                   permutedHeadComposition(
-                       f, ct, f.ctx.galoisForConjugation(), f.keys.conj));
+        EXPECT_LT(maxError(f.eval.dispatcher().conjugate(&ct, 1)[0],
+                           [&](std::size_t j) { return std::conj(z[j]); }),
+                  5e-3)
+            << "conjugation at level count " << lc;
     }
 }
 

@@ -2,15 +2,21 @@
  * @file
  * Key-switching internals: the generalized (dnum) decomposition of
  * paper SII-B, across dnum settings, levels, and NTT variants, and
- * the storage format of the generated keys.
+ * the storage format of the generated keys: its permutation, its
+ * per-seed determinism, and that storing it records no kernel launch.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "batch/executor.hh"
 #include "ckks/crypto.hh"
+#include "common/stats.hh"
 
 namespace tensorfhe::ckks
 {
@@ -209,6 +215,100 @@ TEST(KeySwitch, GaloisKeysAreStoredPermutedByTheInverse)
     }
     for (u64 e : elements)
         EXPECT_EQ(e * ctx.galoisInverse(e) % m, 1u) << "element " << e;
+}
+
+TEST(KeySwitch, GaloisKeyGenerationIsDeterministicPerSeed)
+{
+    // A key regenerates bit for bit from the same secret and seed, so
+    // a bundle is reproducible rather than something to cache; a
+    // different seed draws a different key.
+    CkksContext ctx(Presets::tiny());
+    Rng sk_rng(41);
+    auto sk = ctx.generateSecretKey(sk_rng);
+    auto head = [](const SwitchKey &k) {
+        const u64 *p = k.a[0].limb(0);
+        return std::vector<u64>(p, p + 4);
+    };
+    for (s64 step : {s64{1}, s64{6}, s64{-1}}) {
+        SCOPED_TRACE("rotation step " + std::to_string(step));
+        Rng r1(42), r2(42), r3(43);
+        auto key = ctx.generateRotationKey(sk, step, r1);
+        expectKeyDigitsEqual(key, ctx.generateRotationKey(sk, step, r2));
+        EXPECT_NE(head(key), head(ctx.generateRotationKey(sk, step, r3)));
+    }
+    Rng c1(44), c2(44);
+    expectKeyDigitsEqual(ctx.generateConjugationKey(sk, c1),
+                         ctx.generateConjugationKey(sk, c2));
+
+    std::vector<s64> steps = {1, 3, static_cast<s64>(ctx.slots()) - 2};
+    Rng b1(45), b2(45);
+    auto x = ctx.generateKeys(sk, b1, steps);
+    auto y = ctx.generateKeys(sk, b2, steps);
+    expectKeyDigitsEqual(x.relin, y.relin);
+    expectKeyDigitsEqual(x.conj, y.conj);
+    ASSERT_EQ(x.rot.size(), steps.size());
+    for (s64 step : steps) {
+        SCOPED_TRACE("bundle step " + std::to_string(step));
+        expectKeyDigitsEqual(x.rot.at(step), y.rot.at(step));
+    }
+}
+
+TEST(KeySwitch, GaloisKeyPermutationRecordsNoKernelLaunch)
+{
+    // Storing a Galois key permuted by g^-1 prepares keys rather than
+    // evaluating: generating one records exactly the launches of the
+    // automorphism of s and the generateSwitchKey of its image, of
+    // every kernel kind, so a workload's kernel counters do not
+    // depend on how its keys are stored.
+    CkksContext ctx(Presets::tiny());
+    Rng sk_rng(51);
+    auto sk = ctx.generateSecretKey(sk_rng);
+    using Counts = std::vector<std::pair<u64, u64>>; // launches, elements
+    auto delta = [](const std::function<void()> &run) {
+        auto &ks = KernelStats::instance();
+        auto read = [&] {
+            Counts out;
+            for (std::size_t k = 0; k < kNumKernelKinds; ++k) {
+                const auto &c = ks.counter(static_cast<KernelKind>(k));
+                out.emplace_back(c.invocations.load(), c.elements.load());
+            }
+            return out;
+        };
+        auto before = read();
+        run();
+        auto after = read();
+        for (std::size_t k = 0; k < after.size(); ++k) {
+            after[k].first -= before[k].first;
+            after[k].second -= before[k].second;
+        }
+        return after;
+    };
+    auto expectSameLaunches = [&](u64 galois,
+                                  const std::function<SwitchKey(Rng &)>
+                                      &stored) {
+        Rng r1(52), r2(52);
+        SwitchKey got, want;
+        auto stored_counts = delta([&] { got = stored(r1); });
+        auto plain_counts = delta([&] {
+            want = ctx.generateSwitchKey(
+                rns::applyAutomorphism(sk.eval, galois), sk, r2);
+        });
+        EXPECT_EQ(stored_counts, plain_counts);
+        std::size_t frob = static_cast<std::size_t>(KernelKind::FrobeniusMap);
+        EXPECT_EQ(stored_counts[frob].first, 1u);
+        expectKeyDigitsEqual(got,
+                             automorphKey(want, ctx.galoisInverse(galois)));
+    };
+    {
+        SCOPED_TRACE("rotation");
+        expectSameLaunches(ctx.galoisForRotation(3), [&](Rng &r) {
+            return ctx.generateRotationKey(sk, 3, r);
+        });
+    }
+    SCOPED_TRACE("conjugation");
+    expectSameLaunches(ctx.galoisForConjugation(), [&](Rng &r) {
+        return ctx.generateConjugationKey(sk, r);
+    });
 }
 
 } // namespace

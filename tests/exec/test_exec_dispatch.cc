@@ -9,7 +9,8 @@
  * closed-form FrobeniusMaps, a key switch and a BSGS group each sum
  * their rows in one Hada-Mult launch, dotRows reads the full-tower
  * key by tower index at every level, a missing key fails cleanly
- * and the bundle is read in place, both hoist input domains build
+ * and the bundle is read in place, never written, and shared by
+ * evaluators on concurrent threads, both hoist input domains build
  * the same digits, unzeroed scratch is always written in full, and
  * the kernel queue the layer emits can be replayed on the SM
  * pipeline model.
@@ -19,9 +20,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <functional>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "../ct_eq.hh"
@@ -451,6 +454,101 @@ TEST(ExecDispatch, MissingKeyThrowsCleanlyAndTheBundleIsReadInPlace)
         ASSERT_EQ(got.size(), want.size());
         for (std::size_t s = 0; s < want.size(); ++s)
             expectCtEq(got[s], want[s]);
+    }
+}
+
+void
+expectKeysEqual(const ckks::SwitchKey &x, const ckks::SwitchKey &y)
+{
+    ASSERT_EQ(x.digits(), y.digits());
+    for (std::size_t j = 0; j < y.digits(); ++j) {
+        SCOPED_TRACE("digit " + std::to_string(j));
+        expectPolyEq(x.b[j], y.b[j]);
+        expectPolyEq(x.a[j], y.a[j]);
+    }
+}
+
+TEST(ExecDispatch, EvaluationNeverWritesTheKeyBundle)
+{
+    // No key switch copies its key: every tail reads the caller's
+    // bundle in place. A multiply, rotations, a conjugation and a
+    // BSGS transform at the lowest and the top BSGS level must leave
+    // every key word as generated.
+    auto &f = fx();
+    const ckks::KeyBundle before = f.keys;
+    std::vector<s64> steps;
+    for (const auto &[step, key] : f.keys.rot)
+        if (steps.size() < 3)
+            steps.push_back(step);
+    for (std::size_t lc : {std::size_t(2), f.ctx.tower().numQ()}) {
+        std::vector<ckks::Ciphertext> cts = {f.encryptSlots(800 + lc, lc),
+                                             f.encryptSlots(810 + lc, lc)};
+        (void)f.eval.multiply(cts, cts);
+        (void)f.eval.rotateManyBatch(cts, steps);
+        (void)f.eval.dispatcher().conjugate(cts.data(), cts.size());
+        (void)f.plan.applyBatch(f.eval, cts);
+    }
+    {
+        SCOPED_TRACE("relinearization key");
+        expectKeysEqual(f.keys.relin, before.relin);
+    }
+    {
+        SCOPED_TRACE("conjugation key");
+        expectKeysEqual(f.keys.conj, before.conj);
+    }
+    ASSERT_EQ(f.keys.rot.size(), before.rot.size());
+    for (const auto &[step, key] : before.rot) {
+        SCOPED_TRACE("rotation key " + std::to_string(step));
+        expectKeysEqual(f.keys.rot.at(step), key);
+    }
+}
+
+TEST(ExecDispatch, EvaluatorsOnTwoThreadsShareOneBundle)
+{
+    // The bundle is the one copy of the keys and holds no mutable
+    // state: two evaluators over it, each on its own thread and
+    // pool, rotate, conjugate and run a BSGS transform at the same
+    // time and match the fixture's evaluator bit for bit.
+    auto &f = fx();
+    std::vector<ckks::Ciphertext> cts = {f.encryptSlots(830, 3),
+                                         f.encryptSlots(831, 3)};
+    s64 step = f.keys.rot.begin()->first;
+    auto run = [&](const batch::BatchedEvaluator &ev) {
+        auto out = ev.rotate(cts, step);
+        auto conj = ev.dispatcher().conjugate(cts.data(), cts.size());
+        auto bsgs = f.plan.applyBatch(ev, cts);
+        out.insert(out.end(), conj.begin(), conj.end());
+        out.insert(out.end(), bsgs.begin(), bsgs.end());
+        return out;
+    };
+    auto want = run(f.eval);
+
+    ThreadPool pool_a(0), pool_b(0);
+    batch::BatchedEvaluator eval_a(f.ctx, f.keys, &pool_a);
+    batch::BatchedEvaluator eval_b(f.ctx, f.keys, &pool_b);
+    std::vector<ckks::Ciphertext> got_a, got_b;
+    std::exception_ptr err_a, err_b;
+    auto guarded = [&](const batch::BatchedEvaluator &ev,
+                       std::vector<ckks::Ciphertext> &got,
+                       std::exception_ptr &err) {
+        try {
+            got = run(ev);
+        } catch (...) {
+            err = std::current_exception();
+        }
+    };
+    std::thread ta(guarded, std::cref(eval_a), std::ref(got_a),
+                   std::ref(err_a));
+    std::thread tb(guarded, std::cref(eval_b), std::ref(got_b),
+                   std::ref(err_b));
+    ta.join();
+    tb.join();
+    ASSERT_FALSE(err_a) << "evaluator a threw";
+    ASSERT_FALSE(err_b) << "evaluator b threw";
+    for (const auto *got : {&got_a, &got_b}) {
+        ASSERT_EQ(got->size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i)
+            expectCtEq((*got)[i], want[i]);
     }
 }
 

@@ -1,12 +1,16 @@
 /**
  * @file
- * Tests for RnsPolynomial: domain moves, elementwise kernels, and the
- * FrobeniusMap / automorphism kernel.
+ * Tests for RnsPolynomial: domain moves, elementwise kernels, the
+ * FrobeniusMap / automorphism kernel and the key-generation gather.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "common/rng.hh"
+#include "common/stats.hh"
 #include "rns/rns_poly.hh"
 
 namespace tensorfhe::rns
@@ -143,6 +147,38 @@ TEST(RnsPoly, AutomorphismIdentity)
     for (std::size_t i = 0; i < a.numLimbs(); ++i)
         for (std::size_t j = 0; j < a.n(); ++j)
             ASSERT_EQ(id.limb(i)[j], a.limb(i)[j]);
+}
+
+TEST(RnsPoly, PermuteEvalIsTheFrobeniusGatherWithoutALaunch)
+{
+    // Key generation stores Galois-key digits permuted with
+    // permuteEval: the FrobeniusMap gather over the full tower,
+    // special limbs included, recorded as no kernel launch. Permuting
+    // by the inverse element restores the digits exactly.
+    auto a = randomPoly(tower().numTotal(), Domain::Eval, 14);
+    u64 m = 2 * tower().n();
+    const auto &frob =
+        KernelStats::instance().counter(KernelKind::FrobeniusMap);
+    for (u64 galois : {u64{5}, u64{25}, m - 1}) {
+        SCOPED_TRACE("galois " + std::to_string(galois));
+        u64 inverse = 1;
+        while (galois * inverse % m != 1)
+            inverse += 2;
+        u64 calls = frob.invocations.load();
+        auto want = applyAutomorphism(a, galois);
+        ASSERT_EQ(frob.invocations.load(), calls + 1);
+        auto got = permuteEval(a, galois);
+        auto back = permuteEval(got, inverse);
+        EXPECT_EQ(frob.invocations.load(), calls + 1);
+        for (auto [x, y] : {std::pair{&got, &want}, std::pair{&back, &a}}) {
+            ASSERT_EQ(x->limbIndices(), y->limbIndices());
+            ASSERT_EQ(x->domain(), Domain::Eval);
+            for (std::size_t i = 0; i < y->numLimbs(); ++i)
+                for (std::size_t j = 0; j < y->n(); ++j)
+                    ASSERT_EQ(x->limb(i)[j], y->limb(i)[j])
+                        << "limb " << i << " slot " << j;
+        }
+    }
 }
 
 TEST(RnsPoly, DropLimbs)
