@@ -4,11 +4,52 @@
 #include <optional>
 #include <thread>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "common/logging.hh"
 #include "fault/fault.hh"
 
 namespace tensorfhe::exec
 {
+
+namespace
+{
+
+/**
+ * Keep freed heap memory mapped for the life of the process. glibc
+ * returns the top of its heap to the kernel whenever 128 KiB there
+ * are free, and maps any block over 128 KiB afresh until a large
+ * free raises that bar. A request frees its outputs and evaluator
+ * copies above the set-up's long-lived keys and inputs, so the next
+ * request faulted the same pages in again: about 240 minor faults
+ * per lstm_graph_b1 request and 800 to 1000 per CNN request (4-vCPU
+ * VM), each as slow as the host's memory pressure makes it, which
+ * made latency vary from run to run. Both bars are set to the
+ * ceilings glibc's own adaptive rule would climb to (blocks up to
+ * 32 MiB from the heap, trim once 64 MiB are free), but from the
+ * start, so that every run takes the same allocator path.
+ */
+void
+keepFreedHeapMapped()
+{
+#ifdef __GLIBC__
+    static std::once_flag once;
+    std::call_once(once, [] {
+        constexpr int kMmapThreshold = 32 << 20;
+        mallopt(M_MMAP_THRESHOLD, kMmapThreshold);
+        mallopt(M_TRIM_THRESHOLD, 2 * kMmapThreshold);
+    });
+#endif
+}
+
+} // namespace
+
+Workspace::Workspace(const rns::RnsTower &tower) : tower_(&tower)
+{
+    keepFreedHeapMapped();
+}
 
 std::size_t
 Workspace::shardIndex()

@@ -50,7 +50,14 @@ namespace tensorfhe::exec
 class Workspace
 {
   public:
-    explicit Workspace(const rns::RnsTower &tower) : tower_(&tower) {}
+    /**
+     * The first workspace a process builds also keeps the general
+     * allocator's freed memory mapped (glibc only, see workspace.cc):
+     * op outputs and evaluator copies still come from malloc, and
+     * glibc would otherwise hand their pages back to the kernel after
+     * every request and fault them in again on the next.
+     */
+    explicit Workspace(const rns::RnsTower &tower);
 
     Workspace(const Workspace &) = delete;
     Workspace &operator=(const Workspace &) = delete;
