@@ -49,15 +49,19 @@ coeffToSlotSplit(const batch::BatchedEvaluator &beval,
     return {std::move(w), std::move(t_v)};
 }
 
-Bootstrapper::Bootstrapper(const ckks::CkksContext &ctx, SineConfig sine)
-    : ctx_(ctx), sine_(sine), u_(LinearTransformPlan::specialFft(ctx)),
+Bootstrapper::Bootstrapper(const ckks::CkksContext &ctx, SineConfig sine,
+                           std::size_t landing)
+    : ctx_(ctx), sine_(sine),
+      landing_(landing != 0 ? landing : maxLanding(ctx, sine)),
+      u_(LinearTransformPlan::specialFft(ctx)),
       c2s_(LinearTransformPlan::specialFftInverse(
           ctx, c2sFactor(ctx, sine))),
-      minusI_(minusIMonomial(ctx, ctx.tower().numQ() - 1))
+      minusI_(minusIMonomial(ctx, raisedLevelCount() - 1))
 {
-    requireArg(ctx.tower().numQ() > postRaiseLevelCost() + 1,
-               "parameter chain too short for bootstrapping: need > ",
-               postRaiseLevelCost() + 1, " levels");
+    // maxLanding() rejects chains too short to bootstrap at all.
+    requireArg(landing_ <= maxLanding(ctx, sine),
+               "bootstrap landing ", landing_, " above the highest, ",
+               maxLanding(ctx, sine));
 }
 
 std::vector<s64>
@@ -82,11 +86,28 @@ Bootstrapper::requiredRotations(std::size_t slots)
 }
 
 std::size_t
-Bootstrapper::postRaiseLevelCost() const
+Bootstrapper::postRaiseLevelCost(const SineConfig &sine)
 {
     // CoeffToSlot (1; the split and kappa spend none) + sine +
     // recombine (1).
-    return sineLevelsUsed(sine_) + 2;
+    return sineLevelsUsed(sine) + 2;
+}
+
+std::size_t
+Bootstrapper::maxLanding(const ckks::CkksContext &ctx,
+                         const SineConfig &sine)
+{
+    std::size_t full = ctx.tower().numQ();
+    requireArg(full > postRaiseLevelCost(sine),
+               "parameter chain too short for bootstrapping: need > ",
+               postRaiseLevelCost(sine), " levels, have ", full);
+    return full - postRaiseLevelCost(sine);
+}
+
+std::size_t
+Bootstrapper::raisedLevelCount() const
+{
+    return landing_ + postRaiseLevelCost(sine_);
 }
 
 ckks::Ciphertext
@@ -94,7 +115,6 @@ Bootstrapper::modRaise(const ckks::Ciphertext &ct) const
 {
     const auto &tower = ctx_.tower();
     std::size_t n = ctx_.n();
-    std::size_t full = tower.numQ();
     u64 q0 = tower.prime(0);
     auto v = ctx_.nttVariant();
 
@@ -109,7 +129,8 @@ Bootstrapper::modRaise(const ckks::Ciphertext &ct) const
                 ? static_cast<s64>(r)
                 : -static_cast<s64>(q0 - r);
         }
-        auto out = rns::liftSigned(tower, ctx_.qLimbs(full), centered);
+        auto out = rns::liftSigned(tower, ctx_.qLimbs(raisedLevelCount()),
+                                   centered);
         out.toEval(v);
         return out;
     };
@@ -124,26 +145,21 @@ Bootstrapper::modRaise(const ckks::Ciphertext &ct) const
 Bootstrapper::Refresh
 Bootstrapper::predictRefresh(const ckks::CkksContext &ctx,
                              const SineConfig &sine,
-                             std::size_t input_level_count)
+                             std::size_t input_level_count,
+                             std::size_t landing)
 {
     requireArg(input_level_count >= 2,
                "SlotToCoeff needs at least one spare level");
-    const auto &tower = ctx.tower();
+    requireArg(landing >= 1 && landing <= maxLanding(ctx, sine),
+               "bootstrap landing ", landing, " outside [1, ",
+               maxLanding(ctx, sine), "]");
+    // The recombine CMULT + RESCALE off limb `landing` steers the
+    // output to exactly this scale. (The input scale cancels: kappa
+    // is pure scale metadata and the steering is exact.)
     double pts = ctx.params().scale();
-    std::size_t full = tower.numQ();
-    requireArg(full >= sineLevelsUsed(sine) + 3,
-               "parameter chain too short for bootstrapping: need "
-               ">= ",
-               sineLevelsUsed(sine) + 3, " levels, have ", full);
-    // C2S split consumes one level off the top; the sine output is
-    // steered to exactly the context scale; the recombine CMULT +
-    // RESCALE sets the final coordinates. (The input scale cancels:
-    // kappa is pure scale metadata and the sine steering is exact.)
-    std::size_t lc = full - 1 - sineLevelsUsed(sine);
     Refresh r;
-    r.scale = pts * pts
-        / static_cast<double>(tower.prime(lc - 1));
-    r.levelCount = lc - 1;
+    r.scale = pts * pts / static_cast<double>(ctx.tower().prime(landing));
+    r.levelCount = landing;
     return r;
 }
 
@@ -197,7 +213,7 @@ Bootstrapper::bootstrapBatch(const batch::BatchedEvaluator &beval,
         packed = u_.applyBatch(beval, cts);
     }
 
-    // Stage 2: ModRaising from q0 to the full chain. The hidden
+    // Stage 2: ModRaising from q0 to the raised chain. The hidden
     // coefficients become m + q0*I for small integers I.
     std::vector<ckks::Ciphertext> raised;
     {
@@ -214,9 +230,9 @@ Bootstrapper::bootstrapBatch(const batch::BatchedEvaluator &beval,
     // metadata, so slot values become exactly kappa * 2Re / kappa *
     // 2Im of the hidden coefficients with no split level.
     double hidden_scale = packed[0].scale;
-    std::size_t full = ctx_.tower().numQ();
-    double t_scale =
-        pts * pts / static_cast<double>(ctx_.tower().prime(full - 1));
+    double t_scale = pts * pts
+        / static_cast<double>(
+            ctx_.tower().prime(raisedLevelCount() - 1));
     std::vector<ckks::Ciphertext> t_u, t_v;
     {
         TFHE_TRACE_SPAN("boot", "c2s-split");
@@ -238,17 +254,27 @@ Bootstrapper::bootstrapBatch(const batch::BatchedEvaluator &beval,
         sin_v = evalScaledSine(ctx_, beval, t_v, sine_);
     }
 
-    // Recombine: out = (q0 / (2 pi scale)) * (sin_u + i*sin_v); slot
-    // values return to z_j = Re z_j + i Im z_j.
+    // Recombine: out = (q0 / (4 pi hidden)) * (C_u + i*C_v) with
+    // C = 2 sin; slot values return to z_j = Re z_j + i Im z_j. The
+    // constants' scale steers the output to predictRefresh's scale.
     TFHE_TRACE_SPAN("boot", "recombine");
-    double back = q0 / (2.0 * M_PI * hidden_scale);
-    auto out_u = beval.multiplyPlain(
-        sin_u, ctx_.encoder().encodeConstant(Complex(back, 0), pts,
-                                             sin_u[0].levelCount()));
-    auto out_v = beval.multiplyPlain(
-        sin_v, ctx_.encoder().encodeConstant(Complex(0, back), pts,
-                                             sin_v[0].levelCount()));
-    return beval.rescale(beval.add(out_u, out_v));
+    std::size_t lc = sin_u[0].levelCount();
+    auto refresh = predictRefresh(ctx_, sine_, cts[0].levelCount(),
+                                  landing_);
+    double back = q0 / (4.0 * M_PI * hidden_scale);
+    double pt_scale = refresh.scale
+        * static_cast<double>(ctx_.tower().prime(lc - 1))
+        / sin_u[0].scale;
+    const auto &encoder = ctx_.encoder();
+    auto out = beval.multiplyPlain(
+        sin_u, encoder.encodeConstant(Complex(back, 0), pt_scale, lc));
+    beval.addInPlace(out, beval.multiplyPlain(
+                              sin_v, encoder.encodeConstant(
+                                         Complex(0, back), pt_scale, lc)));
+    beval.rescaleInPlace(out);
+    for (auto &ct : out)
+        ct.scale = refresh.scale; // exact by construction
+    return out;
 }
 
 } // namespace tensorfhe::boot

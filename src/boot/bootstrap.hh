@@ -4,8 +4,8 @@
  *   SlotToCoeff -> ModRaising -> CoeffToSlot -> Sine Evaluation,
  * restoring the multiplicative level budget of an exhausted
  * ciphertext. The DFT stages use the homomorphic linear transforms
- * of boot/linear.hh; the modular-reduction stage uses the Taylor +
- * double-angle sine of boot/sine.hh.
+ * of boot/linear.hh; the modular-reduction stage uses the shifted
+ * cosine + double-angle sine of boot/sine.hh.
  *
  * CoeffToSlot hands the sine stage its two real streams with the
  * split of Chen, Chillotti and Song (Eurocrypt 2019): one BSGS
@@ -15,6 +15,14 @@
  * +-X^{N/2} at scale 1, so its CMULT is exact and spends no level:
  * the stage costs the transform's one level and nothing more (the
  * kappa pre-scale is pure scale metadata).
+ *
+ * The refresh lands at a chosen level count, its landing: ModRaise
+ * lifts onto exactly landing + postRaiseLevelCost() limbs, so
+ * CoeffToSlot and the sine run on no more limbs than the layers
+ * after the refresh need. The default landing is the highest the
+ * chain allows (the whole chain is raised); the global planner
+ * picks a lower one where the network after the refresh needs fewer
+ * levels.
  *
  * Everything is batched: bootstrapBatch() refreshes a whole stream
  * of ciphertexts (batch slots x tensor chunks) through one shared
@@ -64,18 +72,19 @@ class Bootstrapper
      * Compiles the S2C / C2S plans; holds no key material.
      * bootstrapBatch() runs on any caller-provided BatchedEvaluator
      * whose keys cover requiredRotations(ctx.slots()) and
-     * conjugation.
+     * conjugation. `landing` is the output level count in
+     * [1, maxLanding()]; 0 lands at maxLanding().
      */
     explicit Bootstrapper(const ckks::CkksContext &ctx,
-                          SineConfig sine = {});
+                          SineConfig sine = {}, std::size_t landing = 0);
 
     /** Rotation steps bootstrap needs keys for. */
     static std::vector<s64> requiredRotations(std::size_t slots);
 
     /**
      * Refresh every ciphertext (any level >= 2, slots holding values
-     * with |z| <~ 1) to a fresh one at the highest level the sine
-     * budget allows, approximately preserving the slot values. The
+     * with |z| <~ 1) to a fresh one at the landing level count,
+     * approximately preserving the slot values. The
      * batch rides the shared S2C / C2S programs and one power ladder
      * through the evaluator's (slot x tower) work-queue, so each slot
      * is bit-identical to a one-element batch. All inputs must share
@@ -85,11 +94,22 @@ class Bootstrapper
     bootstrapBatch(const batch::BatchedEvaluator &beval,
                    const std::vector<ckks::Ciphertext> &cts) const;
 
-    /** Stage 2: re-lift a level-1 ciphertext to the full chain. */
+    /** Stage 2: re-lift a level-1 ciphertext onto the raised chain
+        (raisedLevelCount() limbs). */
     ckks::Ciphertext modRaise(const ckks::Ciphertext &ct) const;
 
-    /** Levels consumed below the top by C2S + sine (exact). */
-    std::size_t postRaiseLevelCost() const;
+    /** Levels C2S + sine + recombine consume below the raised chain
+        (exact): raised = landing + postRaiseLevelCost(sine). */
+    static std::size_t postRaiseLevelCost(const SineConfig &sine);
+
+    /** The highest landing: the whole chain raised. */
+    static std::size_t maxLanding(const ckks::CkksContext &ctx,
+                                  const SineConfig &sine);
+
+    /** Output level count of every refresh. */
+    std::size_t landing() const { return landing_; }
+    /** Limbs ModRaise lifts onto: landing() + postRaiseLevelCost. */
+    std::size_t raisedLevelCount() const;
 
     /** The refreshed budget coordinates a bootstrap output lands at. */
     struct Refresh
@@ -99,15 +119,16 @@ class Bootstrapper
     };
 
     /**
-     * Exact prediction of bootstrap output level and scale — the same
-     * double arithmetic the pipeline executes, so budget planners
-     * (nn::Sequential's ledger) can validate refreshed metas bit-for-
-     * bit. Independent of the input scale: the sine stage steers to
-     * the context scale exactly.
+     * Exact prediction of the output level and scale of a refresh of
+     * an `input_level_count` ciphertext landing at `landing` (in
+     * [1, maxLanding]), so budget planners (nn::Sequential's ledger)
+     * can validate refreshed metas bit for bit. Independent of the
+     * input scale: the recombine steers to this scale exactly.
      */
     static Refresh predictRefresh(const ckks::CkksContext &ctx,
                                   const SineConfig &sine,
-                                  std::size_t input_level_count);
+                                  std::size_t input_level_count,
+                                  std::size_t landing);
 
     /**
      * Exact executed-op counts of one bootstrap per ciphertext,
@@ -124,6 +145,7 @@ class Bootstrapper
   private:
     const ckks::CkksContext &ctx_;
     SineConfig sine_;
+    std::size_t landing_;
     /// BSGS plans: the special FFT (S2C) and kappa U^-1 (C2S); their
     /// encoded diagonal plaintexts are memoized here (built once per
     /// bootstrapper, shared by every bootstrap call).

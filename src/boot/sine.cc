@@ -25,14 +25,14 @@ factorial(int n)
 
 /** The ladder's level ledger: lvl[k] = levels below the input at
     which t^(2k) lands. Shared by the evaluation and the planners —
-    so the [3, 6] bound is enforced here, before any planner indexes
+    so the [3, 7] bound is enforced here, before any planner indexes
     the ladder (construction-time misconfiguration must fail with
     this error, not out-of-bounds UB). */
 std::vector<std::size_t>
 ladderDepths(int terms)
 {
-    requireArg(terms >= 3 && terms <= 6,
-               "taylorTerms must be in [3, 6], got ", terms);
+    requireArg(terms >= 3 && terms <= 7,
+               "taylorTerms must be in [3, 7], got ", terms);
     std::vector<std::size_t> depth(static_cast<std::size_t>(terms), 0);
     depth[1] = 1;
     for (int k = 2; k < terms; ++k) {
@@ -55,8 +55,8 @@ sineLevelsUsed(const SineConfig &cfg)
     std::size_t deepest =
         depth[static_cast<std::size_t>(cfg.taylorTerms - 1)];
     // Ladder to the deepest power, the coefficient steering (1), the
-    // odd product (1), the double-angle chain, the final halving (1).
-    return deepest + 2 + static_cast<std::size_t>(cfg.doublings) + 1;
+    // double-angle chain.
+    return deepest + 1 + static_cast<std::size_t>(cfg.doublings);
 }
 
 EvalOpCounts
@@ -65,18 +65,17 @@ sineModeledOps(const SineConfig &cfg)
     double terms = static_cast<double>(cfg.taylorTerms);
     double d = static_cast<double>(cfg.doublings);
     EvalOpCounts c;
-    // HMULTs: the ladder (terms - 1), the odd product, the
-    // double-angle S products (d) and S^2 products (d - 1); each
-    // relinearizes through one hoist + tail and rescales.
-    c.hmult = terms + 2 * d - 1;
+    // HMULTs: the ladder (terms - 1) and one square per doubling;
+    // each relinearizes through one hoist + tail and rescales.
+    c.hmult = terms - 1 + d;
     c.ksHoist = c.hmult;
     c.ksTail = c.hmult;
-    // CMULTs: the 2(terms-1) coefficient steerings + final halving.
-    c.cmult = 2 * terms - 1;
+    // CMULTs: the terms - 1 coefficient steerings.
+    c.cmult = terms - 1;
     c.rescale = c.hmult + c.cmult;
-    // HAdds: term sums 2(terms-2), the two addConst(2), and the
-    // addConst of each non-final double-angle step (d - 1).
-    c.hadd = 2 * terms + d - 3;
+    // HAdds: the shift, the term sum (terms - 2), the constant 2 and
+    // the -2 of each doubling.
+    c.hadd = terms + d;
     return c;
 }
 
@@ -85,8 +84,6 @@ evalScaledSine(const ckks::CkksContext &ctx,
                const batch::BatchedEvaluator &beval, const Cts &ct_t,
                const SineConfig &cfg)
 {
-    requireArg(cfg.taylorTerms >= 3 && cfg.taylorTerms <= 6,
-               "taylorTerms must be in [3, 6]");
     requireArg(!ct_t.empty(), "empty sine batch");
     requireArg(ct_t[0].levelCount() > sineLevelsUsed(cfg),
                "not enough levels for sine evaluation: need > ",
@@ -102,9 +99,12 @@ evalScaledSine(const ckks::CkksContext &ctx,
         return beval.rescale(beval.multiply(a, b));
     };
 
-    // Power ladder pw[k] = t^(2k), k in [1, terms).
+    // sin(2^r t) = cos(2^r x) with x = t - pi/2^(r+1).
+    auto x = beval.addConst(ct_t, -M_PI / std::exp2(cfg.doublings + 1));
+
+    // Power ladder pw[k] = x^(2k), k in [1, terms).
     std::vector<Cts> pw(static_cast<std::size_t>(terms));
-    pw[1] = multiplyRescale(ct_t, ct_t);
+    pw[1] = multiplyRescale(x, x);
     for (int k = 2; k < terms; ++k) {
         int a = k / 2;
         int b = k - a;
@@ -119,50 +119,24 @@ evalScaledSine(const ckks::CkksContext &ctx,
     }
     const auto &deepest = pw[static_cast<std::size_t>(terms - 1)];
 
-    // Work with S = 2 sin, C = 2 cos so the double-angle recurrence
-    // S(2x) = S*C, C(2x) = 2 - S*S is constant-free.
-    // S = t * (2 + sum_k (-1)^k * 2 t^(2k) / (2k+1)!),
-    // C = 2 + sum_k (-1)^k * 2 t^(2k) / (2k)!.
+    // Work with C = 2 cos so the double-angle recurrence
+    // C(2x) = C^2 - 2 needs no constant product:
+    // C = 2 + sum_k (-1)^k * 2 x^(2k) / (2k)!.
     // multiplyConstToScale steers every term to one exact scale so
-    // the sums are well-defined despite unequal prime chains.
-    Cts s_inner, c_poly;
+    // the sum is well-defined despite unequal prime chains.
+    Cts c;
     for (int k = 1; k < terms; ++k) {
         double sign = k % 2 == 0 ? 1.0 : -1.0;
-        double s_coeff = sign * 2.0 / factorial(2 * k + 1);
-        double c_coeff = sign * 2.0 / factorial(2 * k);
-        auto at_depth =
-            drop(pw[static_cast<std::size_t>(k)], deepest);
-        auto s_term =
-            beval.multiplyConstToScale(at_depth, s_coeff, target);
-        auto c_term =
-            beval.multiplyConstToScale(at_depth, c_coeff, target);
-        if (k == 1) {
-            s_inner = std::move(s_term);
-            c_poly = std::move(c_term);
-        } else {
-            s_inner = beval.add(s_inner, s_term);
-            c_poly = beval.add(c_poly, c_term);
-        }
+        auto term = beval.multiplyConstToScale(
+            drop(pw[static_cast<std::size_t>(k)], deepest),
+            sign * 2.0 / factorial(2 * k), target);
+        c = k == 1 ? std::move(term) : beval.add(c, term);
     }
-    s_inner = beval.addConst(s_inner, 2.0);
-    c_poly = beval.addConst(c_poly, 2.0);
+    c = beval.addConst(c, 2.0);
 
-    auto s = multiplyRescale(drop(ct_t, s_inner), s_inner);
-    auto c = drop(c_poly, s);
-
-    for (int r = 0; r < cfg.doublings; ++r) {
-        bool last = r == cfg.doublings - 1;
-        auto s_next = multiplyRescale(s, c);
-        if (!last) {
-            auto ss = multiplyRescale(s, s);
-            auto c_next = beval.negate(ss);
-            c_next = beval.addConst(c_next, 2.0);
-            c = drop(c_next, s_next);
-        }
-        s = s_next;
-    }
-    // sin = S / 2.
-    return beval.multiplyConstToScale(s, 0.5, target);
+    for (int r = 0; r < cfg.doublings; ++r)
+        c = beval.addConst(multiplyRescale(c, c), -2.0);
+    return c;
 }
 
 } // namespace tensorfhe::boot

@@ -1,5 +1,6 @@
 #include "ckks/encoder.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -133,8 +134,28 @@ Plaintext
 CkksEncoder::encodeConstant(Complex value, double scale,
                             std::size_t level_count) const
 {
-    std::vector<Complex> vals(slots_, value);
-    return encode(vals, scale, level_count);
+    if (value.imag() != 0.0)
+        return encode(std::vector<Complex>(slots_, value), scale,
+                      level_count);
+    requireArg(level_count >= 1 && level_count <= tower_.numQ(),
+               "bad level count");
+    requireArg(scale > 0, "scale must be positive");
+    // The special inverse FFT of a constant real vector is exactly
+    // (c, 0, ..., 0) (every butterfly difference is 0, every sum a
+    // power-of-two multiple of c), so encode() would round the
+    // constant polynomial llround(c * scale), whose NTT is that
+    // integer at every evaluation point: write its residues directly.
+    s64 c = std::llround(value.real() * scale);
+    Plaintext pt{rns::RnsPolynomial::zeros(tower_, level_count,
+                                           rns::Domain::Eval),
+                 scale};
+    for (std::size_t i = 0; i < level_count; ++i) {
+        u64 q = pt.poly.limbModulus(i).value();
+        u64 r = c >= 0 ? static_cast<u64>(c) % q
+                       : (q - static_cast<u64>(-c) % q) % q;
+        std::fill_n(pt.poly.limb(i), tower_.n(), r);
+    }
+    return pt;
 }
 
 std::vector<Complex>

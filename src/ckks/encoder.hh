@@ -41,7 +41,11 @@ class CkksEncoder
     Plaintext encode(const std::vector<Complex> &values, double scale,
                      std::size_t level_count) const;
 
-    /** Encode a constant into every slot. */
+    /**
+     * Encode a constant into every slot. Bit-identical to encode()
+     * of the constant vector; a real constant skips the FFT and the
+     * NTT (its polynomial is the constant itself).
+     */
     Plaintext encodeConstant(Complex value, double scale,
                              std::size_t level_count) const;
 

@@ -1069,13 +1069,12 @@ Bootstrap::compile(const ckks::CkksContext &ctx, const TensorMeta &in)
                liveChunks_.size(), " entries, input has ",
                in.chunkCount, " chunks");
     slots_ = ctx.slots();
-    raisedLc_ = ctx.tower().numQ();
-    boot_ = std::make_shared<boot::Bootstrapper>(ctx, sine_);
+    boot_ = std::make_shared<boot::Bootstrapper>(ctx, sine_, landing_);
 
     in_ = in;
     out_ = in; // shape / layout / chunk count pass through
-    auto refresh =
-        boot::Bootstrapper::predictRefresh(ctx, sine_, in.levelCount);
+    auto refresh = boot::Bootstrapper::predictRefresh(
+        ctx, sine_, in.levelCount, boot_->landing());
     out_.levelCount = refresh.levelCount;
     out_.scale = refresh.scale;
     out_.zeroPadded = false; // the refresh leaves error in every slot
@@ -1178,7 +1177,7 @@ Bootstrap::costAt(const perf::CostModel &model,
     requireCompiled();
     return static_cast<double>(liveChunkCount())
         * model.bootstrap(
-            input_lc, raisedLc_, out_.levelCount, slots_,
+            input_lc, boot_->raisedLevelCount(), out_.levelCount, slots_,
             static_cast<std::size_t>(sine_.taylorTerms),
             static_cast<std::size_t>(sine_.doublings));
 }

@@ -488,15 +488,22 @@ class PolyActivation : public Layer
  * slots). Values are approximately preserved (|z| <~ 1 required —
  * keep activations calibrated); shape, layout and chunk count pass
  * through, the level count and scale jump to the bootstrapper's
- * exact predicted refresh coordinates. The global planner
- * (Sequential::enablePlanner) places these where the level ledger
- * would go negative; in an unplanned stack they can also be placed
- * by hand, and the layers after one compile at its refreshed level.
+ * exact predicted refresh coordinates at the layer's landing. The
+ * global planner (Sequential::enablePlanner) places these where the
+ * level ledger would go negative, each landing at the level the
+ * layers after it run at; in an unplanned stack they can also be
+ * placed by hand (landing at the highest level), and the layers
+ * after one compile at its refreshed level.
  */
 class Bootstrap : public Layer
 {
   public:
-    explicit Bootstrap(boot::SineConfig sine = {}) : sine_(sine) {}
+    /** `landing` is the refreshed level count; 0 lands at the
+        highest, boot::Bootstrapper::maxLanding. */
+    explicit Bootstrap(boot::SineConfig sine = {},
+                       std::size_t landing = 0)
+        : sine_(sine), landing_(landing)
+    {}
 
     std::string name() const override { return "Bootstrap"; }
     TensorMeta compile(const ckks::CkksContext &ctx,
@@ -537,8 +544,8 @@ class Bootstrap : public Layer
 
   private:
     boot::SineConfig sine_;
+    std::size_t landing_; ///< 0 = the highest
     std::size_t slots_ = 0;
-    std::size_t raisedLc_ = 0; ///< tower top the ModRaise lands at
     std::vector<bool> liveChunks_; ///< empty = every chunk live
     /// Shared so copies of the compiled net reuse the plan caches.
     std::shared_ptr<boot::Bootstrapper> boot_;

@@ -335,9 +335,9 @@ CostModel::sineEval(std::size_t lc, std::size_t taylor_terms,
 {
     double terms = static_cast<double>(taylor_terms);
     double d = static_cast<double>(doublings);
-    double hmults = terms + 2 * d - 1;
-    double cmults = 2 * terms - 1;
-    double hadds = 2 * terms + d - 3;
+    double hmults = terms - 1 + d;
+    double cmults = terms - 1;
+    double hadds = terms + d;
     KernelCost sine;
     sine += hmults * op(EvalOpKind::HMult, lc);
     sine += cmults * op(EvalOpKind::CMult, lc);

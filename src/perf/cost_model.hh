@@ -178,15 +178,15 @@ class CostModel
      * One slim bootstrap of a single ciphertext: SlotToCoeff at the
      * root-stride BSGS population, CoeffToSlot (one transform of the
      * same shape, then the conjugation and exact -i Re/Im split), two
-     * Taylor + double-angle sine evaluations of the given shape, and
-     * the recombine. Each stage is billed at the level it actually
-     * runs at — SlotToCoeff at `input_lc` (the only stage whose cost
+     * shifted-cosine sine evaluations of the given shape, and the
+     * recombine. Each stage is billed at the level it actually
+     * runs at — SlotToCoeff at `input_lc` (the stage whose cost
      * varies with bootstrap placement), CoeffToSlot at `raised_lc`
-     * (the post-ModRaise tower), the sine ladder at its
-     * entry level `raised_lc - 1`, and the recombine just above the
-     * refreshed output `output_lc`. This is the entry
+     * (the post-ModRaise tower, which follows the landing), the sine
+     * ladder at its entry level `raised_lc - 1`, and the recombine
+     * just above the refreshed output `output_lc`. This is the entry
      * nn::Bootstrap::costAt and the global planner query when
-     * weighing bootstrap placement against level drops.
+     * weighing bootstrap placement and landing against level drops.
      */
     KernelCost bootstrap(std::size_t input_lc, std::size_t raised_lc,
                          std::size_t output_lc, std::size_t slots,
@@ -275,10 +275,10 @@ class CostModel
         P^-1 fixup. */
     KernelCost modDownOne(std::size_t level_count) const;
 
-    /** One Taylor + double-angle sine evaluation priced at `lc`
-        (mirrors boot::sineModeledOps): the Taylor ladder,
-        coefficient steerings, odd product and the double-angle
-        chain, each HMULT relinearizing once. */
+    /** One shifted-cosine sine evaluation priced at `lc` (mirrors
+        boot::sineModeledOps): the even Taylor ladder, coefficient
+        steerings and one square per double-angle step, each HMULT
+        relinearizing once. */
     KernelCost sineEval(std::size_t lc, std::size_t taylor_terms,
                         std::size_t doublings) const;
 

@@ -92,7 +92,7 @@ surveyGreedy(const ckks::CkksContext &ctx,
 /** Per-gap decision recovered from the DP parents. */
 struct Decision
 {
-    bool boot = false;    ///< refresh before running the layer
+    bool boot = false;     ///< refresh (landing at runAt) first
     std::size_t runAt = 0; ///< level the layer runs at (post drop)
 };
 
@@ -176,13 +176,22 @@ planSequential(const ckks::CkksContext &ctx,
     for (std::size_t L = kTerminalReserve; L <= maxL; ++L)
         dp[n][L] = 0.0;
 
-    // Refresh landing per bootstrap input level (the predictRefresh
-    // mirror nn::Bootstrap::compile trusts — one source of truth).
-    std::vector<std::size_t> refreshAt(maxL + 1, 0);
+    // A refresh is searched at its highest landing, `top`, and priced
+    // there, raising the whole chain (the most it can cost); the
+    // rebuild then lands it exactly where the layer after it runs,
+    // raising onto that level plus postRaiseLevelCost limbs, instead
+    // of refreshing high and dropping. Pricing every landing in the
+    // search would be exact in work but moves refreshes: on the deep
+    // CNN it refreshes after the first ReLU rather than before it,
+    // so the refresh error no longer passes the ReLU's slope of about
+    // 1/2, and the output measured 1.2-1.6 bits less precise.
+    std::size_t top = boot::Bootstrapper::maxLanding(ctx, opts.sine);
+    std::vector<double> bootWork(maxL + 1, kInf);
     for (std::size_t L = 2; L <= maxL; ++L)
-        refreshAt[L] = boot::Bootstrapper::predictRefresh(
-                           ctx, opts.sine, L)
-                           .levelCount;
+        bootWork[L] = perf::CostModel::work(model.bootstrap(
+            L, maxL, top, ctx.slots(),
+            static_cast<std::size_t>(opts.sine.taylorTerms),
+            static_cast<std::size_t>(opts.sine.doublings)));
 
     {
         trace::TraceSpan span("plan", "search");
@@ -224,22 +233,15 @@ planSequential(const ckks::CkksContext &ctx,
                 double run = best[L];
                 Decision dec{false, bestAt[L]};
                 if (L >= 2) {
-                    // Single bootstrap, landing at the exact refresh
-                    // level, then the same drop closure.
-                    std::size_t r = refreshAt[L];
+                    // Single bootstrap, then the layer at any level up
+                    // to the highest landing: the refresh lands there.
                     candidates.add();
-                    double boot = static_cast<double>(live)
-                        * perf::CostModel::work(model.bootstrap(
-                            L, maxL, r, ctx.slots(),
-                            static_cast<std::size_t>(
-                                opts.sine.taylorTerms),
-                            static_cast<std::size_t>(
-                                opts.sine.doublings)));
-                    if (r <= maxL && best[r] < kInf
-                        && boot + best[r] < run) {
-                        run = boot + best[r];
-                        dec = Decision{true, bestAt[r]};
-                    } else if (best[r] == kInf) {
+                    double boot =
+                        static_cast<double>(live) * bootWork[L] + best[top];
+                    if (best[top] < kInf && boot < run) {
+                        run = boot;
+                        dec = Decision{true, bestAt[top]};
+                    } else if (best[top] == kInf) {
                         pruned.add();
                     }
                 }
@@ -264,7 +266,8 @@ planSequential(const ckks::CkksContext &ctx,
         for (std::size_t i = 0; i < n; ++i) {
             const Decision &dec = parent[i][meta.levelCount];
             if (dec.boot) {
-                auto b = std::make_unique<nn::Bootstrap>(opts.sine);
+                auto b = std::make_unique<nn::Bootstrap>(opts.sine,
+                                                         dec.runAt);
                 bool anyDead =
                     std::find(liveAtGap[i].begin(), liveAtGap[i].end(),
                               false)
@@ -321,11 +324,19 @@ planSequential(const ckks::CkksContext &ctx,
                          "planned step ", st.name,
                          " does not chain from its predecessor");
             if (st.kind == PlanStep::Kind::Bootstrap) {
-                // Re-verify against the exact refresh mirror.
+                // Re-verify against the exact refresh mirror at the
+                // placed layer's landing.
+                const auto &b =
+                    dynamic_cast<const nn::Bootstrap &>(*stack[i])
+                        .bootstrapper();
                 auto r = boot::Bootstrapper::predictRefresh(
-                    ctx, opts.sine, st.in.levelCount);
+                    ctx, opts.sine, st.in.levelCount, b.landing());
                 requireState(st.out.levelCount == r.levelCount
-                                 && st.out.scale == r.scale,
+                                 && st.out.scale == r.scale
+                                 && b.raisedLevelCount()
+                                     == r.levelCount
+                                         + b.postRaiseLevelCost(
+                                             opts.sine),
                              "planned bootstrap diverged from the "
                              "predictRefresh mirror");
             }

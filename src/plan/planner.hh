@@ -12,10 +12,15 @@
  *     key-switch work scales ~quadratically in limbs, so running the
  *     tail of a network far below the bootstrap refresh level is the
  *     planner's main win;
- *   - bootstrap (L >= 2), landing at the exact refresh level of
- *     boot::Bootstrapper::predictRefresh — the SAME mirror
- *     nn::Bootstrap::compile trusts — optionally followed by a drop.
- *     At most one bootstrap per gap (two in a row is never cheaper).
+ *   - bootstrap (L >= 2), searched and priced at its highest
+ *     landing (boot::Bootstrapper::maxLanding) with the same drop
+ *     closure after it; the rebuild then lands the refresh where the
+ *     layer after it runs, raising onto that level +
+ *     postRaiseLevelCost limbs instead of refreshing high and
+ *     dropping. Its exact level/scale is
+ *     boot::Bootstrapper::predictRefresh's — the SAME mirror
+ *     nn::Bootstrap::compile trusts. At most one bootstrap per gap
+ *     (two in a row is never cheaper).
  * Bootstrap cost is priced per live chunk: a backward liveness walk
  * (Layer::liveInputChunks) finds chunks no downstream layer reads,
  * and the planner's Bootstrap layers skip refreshing them

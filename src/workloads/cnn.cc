@@ -43,8 +43,8 @@ EncryptedCnnClassifier::recommendedDeepParams()
     // The bootTest shape (N = 2^8, 28-bit scale, 31-bit q0) with a
     // longer chain so the refreshed budget hosts conv2 + ReLU + pool
     // + dense, and a sparser key (h = 8): |I| <= ~4.6 keeps every
-    // slot inside the degree-11 Taylor range at 2^4 doublings, which
-    // the <1e-2 end-to-end bound needs (no catastrophic slots).
+    // slot inside the degree-12 cosine's range at 2^4 doublings,
+    // which the <1e-2 end-to-end bound needs (no catastrophic slots).
     auto p = ckks::Presets::bootTest();
     p.levels = 20;
     p.secretHamming = 8;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "boot/sine.hh"
 #include "perf/cost_model.hh"
 
 namespace tensorfhe::workloads
@@ -29,13 +30,15 @@ bootstrapOpCounts(std::size_t slots)
     c.conjugate += 1;
     c.hadd += 2;
     c.cmult += 1;
-    // Sine evaluation: Taylor base (deg 7 sin + deg 8 cos) plus 5
-    // double-angle steps (paper SIV-A: Taylor approximation [8]),
-    // once per split stream, plus the recombine.
-    c.hmult += 12 + 2 * 5;
-    c.cmult += 8 + 2;
-    c.hadd += 20 + 1;
-    c.rescale += 12 + 2 * 5 + 1;
+    // Sine evaluation (paper SIV-A: Taylor approximation [8]) as the
+    // library runs it, once per split stream, plus the recombine.
+    EvalOpCounts sine = boot::sineModeledOps(boot::SineConfig{});
+    sine.ksHoist = 0;
+    sine.ksTail = 0;
+    c += 2.0 * sine;
+    c.cmult += 2;
+    c.hadd += 1;
+    c.rescale += 1;
     return c;
 }
 

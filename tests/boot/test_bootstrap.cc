@@ -31,7 +31,8 @@ struct BootFixture
           sk(ctx.generateSecretKey(rng)),
           keys(ctx.generateKeys(
               sk, rng, Bootstrapper::requiredRotations(ctx.slots()))),
-          enc(ctx, keys.pk), dec(ctx, sk), beval(ctx, keys), boot(ctx)
+          enc(ctx, keys.pk), dec(ctx, sk), beval(ctx, keys), boot(ctx),
+          low(ctx, {}, boot.landing() - 2)
     {}
 
     ckks::Ciphertext
@@ -48,7 +49,8 @@ struct BootFixture
     ckks::Encryptor enc;
     ckks::Decryptor dec;
     batch::BatchedEvaluator beval;
-    Bootstrapper boot;
+    Bootstrapper boot; ///< the default: lands at the highest level
+    Bootstrapper low;  ///< lands two levels lower, raising 2 fewer
 };
 
 BootFixture &
@@ -112,30 +114,64 @@ TEST(BootSine, MatchesStdSinOnRange)
     auto got = f.dec.decryptAndDecode(got_ct[0]);
     double scale = std::exp2(cfg.doublings);
     for (std::size_t j = 0; j < slots; ++j) {
-        double expect = std::sin(t[j].real() * scale);
-        // The 5 double-angle steps amplify the base noise ~4x each;
+        double expect = 2.0 * std::sin(t[j].real() * scale);
+        // The 4 double-angle steps amplify the base noise ~4x each;
         // at a 28-bit scale the compounded error stays below ~5e-2.
         ASSERT_NEAR(got[j].real(), expect, 8e-2) << "slot " << j;
     }
 }
 
-TEST(BootStage, ModRaisePreservesSmallValues)
+TEST(BootSine, MatchesStdSinOnModRaiseArguments)
 {
-    // ModRaise lifts both components of a level-1 ciphertext, centred
-    // mod q0, to the full chain, so the raised phase is the integer
-    // V = c0 + c1*s. Mod q0 that is the input's phase, bit for bit;
-    // above q0 it carries q0*I with I = (v1 - centred v0) / q0. With
-    // centred components and a ternary secret of Hamming weight h,
-    // |V| <= (h + 1) * q0/2, so |I| <= h/2 + 1. I is nonzero on most
-    // coefficients, which is why the slots themselves do not survive:
-    // the sine stage removes q0*I.
+    // The arguments ModRaise hands the sine in the deep CNN: 2^r t =
+    // 2 pi (I + u) with the overflow |I| <= h/2 + 1 = 5 at h = 8 and
+    // a small message u. Over 10 seeds the worst error read 1.6e-4
+    // in sin units (the 2 sin output halved), on this parameter set
+    // and on the deep CNN's.
+    auto &f = fx();
+    SineConfig cfg;
+    std::size_t slots = f.ctx.slots();
+    double scale = std::exp2(cfg.doublings);
+    std::vector<ckks::Complex> t(slots);
+    std::vector<double> u(slots);
+    Rng r(17);
+    for (std::size_t j = 0; j < slots; ++j) {
+        double overflow = static_cast<double>(r.uniform(11)) - 5.0;
+        u[j] = 0.05 * (2 * r.uniformReal() - 1);
+        t[j] = ckks::Complex(2 * M_PI * (overflow + u[j]) / scale, 0);
+    }
+    auto ct = f.encryptSlots(t, f.ctx.tower().numQ());
+    auto got_ct = evalScaledSine(f.ctx, f.beval, {ct}, cfg);
+    EXPECT_EQ(got_ct[0].levelCount(),
+              f.ctx.tower().numQ() - sineLevelsUsed(cfg));
+    auto got = f.dec.decryptAndDecode(got_ct[0]);
+    for (std::size_t j = 0; j < slots; ++j)
+        ASSERT_NEAR(got[j].real() / 2.0, std::sin(2 * M_PI * u[j]),
+                    2.5e-4)
+            << "slot " << j;
+}
+
+/**
+ * ModRaise lifts both components of a level-1 ciphertext, centred mod
+ * q0, onto the raised chain, so the raised phase is the integer
+ * V = c0 + c1*s. Mod q0 that is the input's phase, bit for bit; above
+ * q0 it carries q0*I with I = (v1 - centred v0) / q0. With centred
+ * components and a ternary secret of Hamming weight h,
+ * |V| <= (h + 1) * q0/2, so |I| <= h/2 + 1. I is nonzero on most
+ * coefficients, which is why the slots themselves do not survive:
+ * the sine stage removes q0*I.
+ */
+void
+expectModRaisePreservesSmallValues(const Bootstrapper &b)
+{
     auto &f = fx();
     auto h = static_cast<s64>(f.ctx.params().secretHamming);
     ASSERT_GT(h, 0) << "the bound needs a sparse secret";
     auto z = randomSlots(f.ctx.slots(), 0.3, 4);
     auto ct = f.encryptSlots(z, 1);
-    auto raised = f.boot.modRaise(ct);
-    ASSERT_EQ(raised.levelCount(), f.ctx.tower().numQ());
+    auto raised = b.modRaise(ct);
+    ASSERT_EQ(raised.levelCount(),
+              b.landing() + Bootstrapper::postRaiseLevelCost(b.sine()));
 
     // The lift itself: every limb j of a raised component holds the
     // input's limb-0 residue r centred into (-q0/2, q0/2], mod q_j.
@@ -179,6 +215,21 @@ TEST(BootStage, ModRaisePreservesSmallValues)
         worst = std::max(worst, std::abs(overflow));
     }
     EXPECT_LE(worst, h / 2 + 1);
+}
+
+TEST(BootStage, ModRaisePreservesSmallValues)
+{
+    // The default landing raises onto the whole chain; a lower one
+    // onto exactly landing + postRaiseLevelCost limbs.
+    auto &f = fx();
+    EXPECT_EQ(f.boot.landing() + Bootstrapper::postRaiseLevelCost(
+                                     f.boot.sine()),
+              f.ctx.tower().numQ());
+    EXPECT_LT(f.low.raisedLevelCount(), f.ctx.tower().numQ());
+    for (const Bootstrapper *b : {&f.boot, &f.low}) {
+        SCOPED_TRACE("landing " + std::to_string(b->landing()));
+        expectModRaisePreservesSmallValues(*b);
+    }
 }
 
 TEST(Bootstrap, CoeffToSlotSplitMatchesRealAndImagParts)
@@ -318,15 +369,26 @@ TEST(Bootstrap, OutputMatchesPredictedRefresh)
 {
     auto &f = fx();
     auto z = randomSlots(f.ctx.slots(), 0.4, 13);
-    for (std::size_t lc : {std::size_t(2), std::size_t(4)}) {
-        auto ct = f.encryptSlots(z, lc);
-        auto refreshed = f.boot.bootstrapBatch(f.beval, {ct})[0];
-        auto predict = Bootstrapper::predictRefresh(
-            f.ctx, f.boot.sine(), lc);
-        EXPECT_EQ(refreshed.levelCount(), predict.levelCount);
-        EXPECT_NEAR(refreshed.scale, predict.scale,
-                    1e-6 * predict.scale);
-    }
+    EXPECT_EQ(f.boot.landing(),
+              Bootstrapper::maxLanding(f.ctx, f.boot.sine()));
+    for (const Bootstrapper *b : {&f.boot, &f.low})
+        for (std::size_t lc : {std::size_t(2), std::size_t(4)}) {
+            SCOPED_TRACE("landing " + std::to_string(b->landing())
+                         + ", input level count " + std::to_string(lc));
+            auto ct = f.encryptSlots(z, lc);
+            auto refreshed = b->bootstrapBatch(f.beval, {ct})[0];
+            auto predict = Bootstrapper::predictRefresh(
+                f.ctx, b->sine(), lc, b->landing());
+            EXPECT_EQ(refreshed.levelCount(), b->landing());
+            EXPECT_EQ(refreshed.levelCount(), predict.levelCount);
+            EXPECT_NEAR(refreshed.scale, predict.scale,
+                        1e-6 * predict.scale);
+            auto got = f.dec.decryptAndDecode(refreshed);
+            double sum_err = 0;
+            for (std::size_t j = 0; j < z.size(); ++j)
+                sum_err += std::abs(got[j] - z[j]);
+            EXPECT_LT(sum_err / static_cast<double>(z.size()), 0.1);
+        }
 }
 
 TEST(Bootstrap, BatchedBootstrapIsBitIdenticalToSerial)

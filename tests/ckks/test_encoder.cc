@@ -12,6 +12,7 @@
 
 #include "ckks/context.hh"
 #include "common/rng.hh"
+#include "common/stats.hh"
 
 namespace tensorfhe::ckks
 {
@@ -84,6 +85,42 @@ TEST(Encoder, EncodeConstant)
     auto decoded = ctx().encoder().decode(pt);
     for (std::size_t i = 0; i < ctx().slots(); ++i)
         ASSERT_LT(std::abs(decoded[i] - Complex(2.5, 0)), 1e-4);
+}
+
+TEST(Encoder, RealConstantMatchesEncodeWithoutAnNtt)
+{
+    // A real constant skips the FFT and the NTT: its residues must be
+    // exactly those of encode() of the constant vector, on every
+    // level count, and no NTT may run. A complex constant keeps the
+    // full path.
+    const auto &enc = ctx().encoder();
+    const auto &ntt = KernelStats::instance().counter(KernelKind::Ntt);
+    double pts = ctx().params().scale();
+    for (double c : {0.0, 1.0, -1.0, 2.5, -0.3, 1e-3, -M_PI, 123.456,
+                     -7.25, 0.5 / 3.0})
+        for (double scale : {1.0, pts, 3.0 * pts, std::exp2(40)})
+            for (std::size_t lc = 1; lc <= ctx().tower().numQ();
+                 ++lc) {
+                auto full = enc.encode(
+                    std::vector<Complex>(ctx().slots(), Complex(c, 0)),
+                    scale, lc);
+                u64 ntts = ntt.invocations.load();
+                auto fast = enc.encodeConstant(Complex(c, 0), scale, lc);
+                ASSERT_EQ(ntt.invocations.load(), ntts)
+                    << c << " at scale " << scale;
+                ASSERT_EQ(fast.scale, full.scale);
+                ASSERT_EQ(fast.poly.domain(), full.poly.domain());
+                ASSERT_EQ(fast.levelCount(), lc);
+                for (std::size_t l = 0; l < lc; ++l)
+                    for (std::size_t k = 0; k < ctx().n(); ++k)
+                        ASSERT_EQ(fast.poly.limb(l)[k],
+                                  full.poly.limb(l)[k])
+                            << c << " at scale " << scale << ", limb "
+                            << l << " of " << lc;
+            }
+    auto minus_i = enc.encodeConstant(Complex(0, -1), 1.0, 2);
+    auto decoded = enc.decode(minus_i);
+    EXPECT_LT(std::abs(decoded[0] - Complex(0, -1)), 1e-9);
 }
 
 TEST(Encoder, MultiplicationHomomorphism)

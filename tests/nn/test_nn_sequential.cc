@@ -284,11 +284,15 @@ TEST(Sequential, AutoBootstrapRejectsLayersTooDeepForTheChain)
 
     Sequential net;
     net.emplace<PolyActivation>(reluApprox(2));
-    // x^128: ladder depth 8, cost 9 — beyond any refresh this chain
-    // can offer.
-    PolyApprox monster{"x128", std::vector<double>(129, 0.0)};
-    monster.coeffs[128] = 1.0;
+    // x^(2^top): ladder depth top, cost top + 1 — beyond the highest
+    // refresh landing, top, this chain can offer.
+    std::size_t top = boot::Bootstrapper::maxLanding(ctx, {});
+    std::size_t degree = std::size_t(1) << top;
+    PolyApprox monster{"x" + std::to_string(degree),
+                       std::vector<double>(degree + 1, 0.0)};
+    monster.coeffs[degree] = 1.0;
     net.emplace<PolyActivation>(monster);
+    ASSERT_GT(net.layers().back()->levelCost(), top);
     net.enablePlanner();
     TensorMeta in = freshMeta(ctx, {{8}});
     in.levelCount = 4;

@@ -263,7 +263,7 @@ priceEverything(const ckks::CkksParams &p, std::size_t lc,
     cost("bsgsLinearTransform", m.bsgsLinearTransform(lc, p.slots()));
     cost("matvec", m.matvec(lc, 16, 7, 3));
     cost("blockMatvec", m.blockMatvec(lc, 2, 32, 14, 6));
-    cost("bootstrap", m.bootstrap(lc, top, top / 2, p.slots(), 6, 4));
+    cost("bootstrap", m.bootstrap(lc, top, top / 2, p.slots(), 7, 4));
     cost("polyActivation", m.polyActivation(lc, 3, 4));
     cost("rotateFold hoisted", m.rotateFold(lc, 16, true));
     cost("rotateFold doubling", m.rotateFold(lc, 16, false));
@@ -302,7 +302,7 @@ const GoldenPrices kGoldenPrices[] = {
         8929542144, 0, 98, 7625244672, 89117589504, 0, 189, 35309223936,
         152214208512, 0, 899, 6862425817088, 16786092785664, 0, 181850,
         56664522752, 356521082880, 0, 1384, 112409968640, 699393048576,
-        0, 2754, 13953114046464, 36201035399168, 0, 369282, 27282636800,
+        0, 2754, 13899935514624, 35582369005568, 0, 368006, 27282636800,
         314877345792, 0, 646, 62910627840, 215369809920, 0, 1636,
         31114395648, 356535238656, 0, 776, 1, 1, 0,
     }},
@@ -315,8 +315,8 @@ const GoldenPrices kGoldenPrices[] = {
         2647130112, 8357019648, 0, 106, 7625244672, 81891852288, 0, 289,
         35309223936, 140980813824, 0, 1055, 6862425817088,
         15580162228224, 0, 198518, 56664522752, 328766324736, 0, 1768,
-        112409968640, 645015994368, 0, 3506, 13953114046464,
-        33575591936000, 0, 405656, 27282636800, 289280557056, 0, 1002,
+        112409968640, 645015994368, 0, 3506, 13899935514624,
+        33007244607488, 0, 403664, 27282636800, 289280557056, 0, 1002,
         62910627840, 200128757760, 0, 1848, 31114395648, 327632289792,
         0, 1176, 1, 1, 0,
     }},
@@ -331,8 +331,8 @@ const GoldenPrices kGoldenPrices[] = {
         1233192484864, 389, 35309223936, 28646866944, 1917166026752,
         1211, 6862425817088, 3520856653824, 205812148469760, 215186,
         56664522752, 51218743296, 4736812056576, 2152, 112409968640,
-        101245452288, 9280350584832, 4258, 13953114046464,
-        7321157304320, 448075684380672, 442030, 27282636800,
+        101245452288, 9280350584832, 4258, 13899935514624,
+        7256000626688, 439487897272320, 439322, 27282636800,
         33312669696, 4368518610944, 1358, 62910627840, 47718236160,
         2601139568640, 2060, 31114395648, 38602801152, 4932769939456,
         1576, 1, 1, 0,
@@ -344,7 +344,7 @@ const GoldenPrices kGoldenPrices[] = {
         137216, 1364224, 0, 20, 0.97279039219365737, 38912, 595456, 0,
         5, 83968, 767488, 0, 12, 122880, 1362944, 0, 17, 890880,
         6749696, 0, 125, 6594560, 10587904, 0, 768, 1417216, 4270080, 0,
-        180, 2744320, 7347968, 0, 346, 292566016, 1846613504, 0, 5742,
+        180, 2744320, 7347968, 0, 346, 254559232, 1510238720, 0, 5042,
         811008, 7265280, 0, 130, 1820672, 12157696, 0, 260, 598016,
         5463040, 0, 88, 0, 0, 0,
     }},
@@ -356,7 +356,7 @@ const GoldenPrices kGoldenPrices[] = {
         0, 23, 821248, 3923968, 0, 30, 1542144, 14561408, 0, 53,
         9904128, 42209408, 0, 287, 46822400, 141803008, 0, 1344,
         14817280, 55543296, 0, 432, 29120512, 104539904, 0, 850,
-        332793856, 1977828608, 0, 6318, 7511040, 65823744, 0, 238,
+        294787072, 1641453824, 0, 5618, 7511040, 65823744, 0, 238,
         18953216, 69961600, 0, 548, 6754304, 58307584, 0, 232, 1, 0, 0,
     }},
     {"deep", 21, {
@@ -367,7 +367,7 @@ const GoldenPrices kGoldenPrices[] = {
         35925120, 0, 43, 2418688, 8160768, 0, 50, 4870144, 44085888, 0,
         93, 30230528, 101770368, 0, 467, 126735360, 458859008, 0, 1984,
         45271040, 176572416, 0, 712, 89556992, 340648704, 0, 1410,
-        412706816, 2294884608, 0, 6958, 20208640, 175467264, 0, 358,
+        374700032, 1958509824, 0, 6258, 20208640, 175467264, 0, 358,
         56472576, 159626880, 0, 868, 20598784, 176461824, 0, 392, 1, 0,
         0,
     }},

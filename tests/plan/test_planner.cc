@@ -18,6 +18,7 @@
 #include "graph/executor.hh"
 #include "nn/sequential.hh"
 #include "trace/metrics.hh"
+#include "workloads/cnn.hh"
 
 namespace tensorfhe::nn
 {
@@ -240,15 +241,20 @@ TEST(Planner, SearchPopulatesThePlanMetrics)
 
 TEST(Planner, InfeasibilityNamesTheFirstInfeasibleLayerAndBestPlan)
 {
-    // x^128 costs more levels than any refresh this chain offers: no
-    // placement can fit it. The error must carry the best plan found
-    // (the surveyed ledger) and point at the infeasible layer.
+    // x^(2^top) costs top + 1 levels (a depth-top ladder and its
+    // steering), more than the highest refresh landing, top, offers:
+    // no placement can fit it. The error must carry the best plan
+    // found (the surveyed ledger) and point at the infeasible layer.
     ckks::CkksContext ctx(bootParams());
+    std::size_t top = boot::Bootstrapper::maxLanding(ctx, {});
+    std::size_t degree = std::size_t(1) << top;
     Sequential net;
     net.emplace<PolyActivation>(reluApprox(2));
-    PolyApprox monster{"x128", std::vector<double>(129, 0.0)};
-    monster.coeffs[128] = 1.0;
+    PolyApprox monster{"x" + std::to_string(degree),
+                       std::vector<double>(degree + 1, 0.0)};
+    monster.coeffs[degree] = 1.0;
     net.emplace<PolyActivation>(monster);
+    ASSERT_GT(net.layers().back()->levelCost(), top);
     net.enablePlanner();
     try {
         net.compile(ctx, freshMeta(ctx, {{8}}, 4));
@@ -263,6 +269,39 @@ TEST(Planner, InfeasibilityNamesTheFirstInfeasibleLayerAndBestPlan)
             << msg;
         EXPECT_NE(msg.find("layer 1"), std::string::npos) << msg;
     }
+}
+
+TEST(Planner, DeepCnnBootstrapLandsWhereItsTailRuns)
+{
+    // The deep CNN's one refresh lands at the level the layers after
+    // it run at: ModRaise lifts onto exactly landing +
+    // postRaiseLevelCost limbs, below the whole chain, and no drop
+    // follows the refresh.
+    using workloads::EncryptedCnnClassifier;
+    ckks::CkksContext ctx(EncryptedCnnClassifier::recommendedDeepParams());
+    EncryptedCnnClassifier cnn(ctx, EncryptedCnnClassifier::deepConfig());
+    const auto &net = cnn.net();
+    const auto &steps = net.executionPlan().steps();
+    ASSERT_EQ(net.executionPlan().bootstrapCount(), 1u);
+    ASSERT_EQ(steps.size(), net.layers().size());
+    std::size_t boots = 0;
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+        if (steps[i].kind != plan::PlanStep::Kind::Bootstrap)
+            continue;
+        ++boots;
+        const auto &b =
+            dynamic_cast<const Bootstrap &>(*net.layers()[i])
+                .bootstrapper();
+        EXPECT_EQ(steps[i].out.levelCount, b.landing());
+        EXPECT_EQ(b.raisedLevelCount(),
+                  b.landing() + boot::Bootstrapper::postRaiseLevelCost(
+                                    b.sine()));
+        EXPECT_LT(b.raisedLevelCount(), ctx.tower().numQ());
+        ASSERT_LT(i + 1, steps.size());
+        EXPECT_NE(steps[i + 1].kind, plan::PlanStep::Kind::LevelDrop)
+            << net.executionPlan().summary();
+    }
+    EXPECT_EQ(boots, 1u);
 }
 
 TEST(Planner, GreedyCompilePathAlsoRecordsAPlan)
